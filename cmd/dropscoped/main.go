@@ -112,7 +112,7 @@ func main() {
 		snapshot   = flag.String("snapshot", "auto", `index snapshot directory ("auto" = ARCHIVE/ribsnap, "off" disables)`)
 		first      = flag.String("first", "", "window first day (default: the study default)")
 		last       = flag.String("last", "", "window last day (default: the study default)")
-		workers    = flag.Int("workers", 0, "cold-build RIB loading workers (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "RIB and text-archive loading workers (0 = GOMAXPROCS)")
 		maxSkip    = flag.Int("max-skip", 0, "per-collector skip budget (0 = default, negative = unlimited)")
 		shards     = flag.Int("shards", 0, "serve from a prefix-range sharded index cut into N pieces (0/1 = single index)")
 		memBudget  = flag.Int("mem-budget", 0, "with -shards: max shards kept memory-mapped at once (0 = all resident; cold ranges fault back in)")

@@ -39,7 +39,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	bundle, err := archive.Load(*dir)
+	// Only bundle.RPKI is read, so the MRT streams stay undecoded.
+	bundle, err := archive.LoadWithOptions(*dir, archive.LoadOptions{SkipMRT: true})
 	if err != nil {
 		fatal(err)
 	}

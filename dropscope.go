@@ -126,8 +126,9 @@ type IngestOptions struct {
 	// MaxSkip is the per-collector skip budget in lenient mode. 0 means
 	// ingest.DefaultMaxSkip (100); negative means unlimited.
 	MaxSkip int
-	// Workers bounds the RIB-loading pool: <= 0 means
-	// runtime.GOMAXPROCS(0), 1 loads serially.
+	// Workers bounds the RIB-loading pool and the archive's text load
+	// (archive.LoadOptions.Workers): <= 0 means runtime.GOMAXPROCS(0),
+	// 1 loads serially.
 	Workers int
 	// SnapshotDir enables warm starts. When non-empty, the loader keeps a
 	// persistent snapshot of the frozen RIB index at
@@ -235,7 +236,7 @@ func LoadStudyWithOptions(dir string, cfg Config, opts IngestOptions) (*Study, e
 		}
 	}
 
-	b, err := archive.LoadWithOptions(dir, archive.LoadOptions{Health: h, SkipMRT: snap != nil})
+	b, err := archive.LoadWithOptions(dir, archive.LoadOptions{Health: h, SkipMRT: snap != nil, Workers: opts.Workers})
 	if err != nil {
 		if snap != nil {
 			snap.Close()

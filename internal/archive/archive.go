@@ -16,16 +16,21 @@ package archive
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"dropscope/internal/drop"
 	"dropscope/internal/ingest"
 	"dropscope/internal/irr"
 	"dropscope/internal/mrt"
+	"dropscope/internal/netx"
 	"dropscope/internal/rirstats"
 	"dropscope/internal/rpki"
 	"dropscope/internal/sbl"
@@ -94,6 +99,11 @@ type LoadOptions struct {
 	// snapshot already carries everything the MRT streams would be
 	// decoded into.
 	SkipMRT bool
+	// Workers bounds the goroutines parsing rirstats day directories;
+	// <= 0 means runtime.GOMAXPROCS(0). Above 1 the six sources also
+	// load concurrently with each other; at 1 the whole load runs on the
+	// calling goroutine, one source after another.
+	Workers int
 }
 
 // LoadWithOptions is Load under explicit options.
@@ -103,27 +113,48 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Bundle, error) {
 
 func load(dir string, opts LoadOptions) (*Bundle, error) {
 	h := opts.Health
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	b := &Bundle{SBL: sbl.NewDB(), DROP: drop.NewArchive(), IRR: &irr.DB{}, RPKI: &rpki.Archive{}, RIR: &rirstats.Timeline{}}
-	var err error
-	if !opts.SkipMRT {
-		if b.MRT, err = loadMRT(filepath.Join(dir, "mrt"), h); err != nil {
+	// One loader per source, each filling its own field of b, in the
+	// order their errors are reported.
+	loaders := []func() error{
+		func() (err error) {
+			if !opts.SkipMRT {
+				b.MRT, err = loadMRT(filepath.Join(dir, "mrt"), h)
+			}
+			return err
+		},
+		func() error { return loadDROP(filepath.Join(dir, "drop"), b.DROP, h) },
+		func() error { return loadSBL(filepath.Join(dir, "sbl", "records.txt"), b.SBL, h) },
+		func() error { return loadIRR(filepath.Join(dir, "irr", "journal.rpsl"), b.IRR, h) },
+		func() error { return loadRPKI(filepath.Join(dir, "rpki"), b.RPKI, h) },
+		func() error { return loadRIRStats(filepath.Join(dir, "rirstats"), b.RIR, h, workers) },
+	}
+	if workers == 1 {
+		for _, l := range loaders {
+			if err := l(); err != nil {
+				return nil, err
+			}
+		}
+		return b, nil
+	}
+	errs := make([]error, len(loaders))
+	var wg sync.WaitGroup
+	for i, l := range loaders {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = l()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
-	}
-	if err = loadDROP(filepath.Join(dir, "drop"), b.DROP, h); err != nil {
-		return nil, err
-	}
-	if err = loadSBL(filepath.Join(dir, "sbl", "records.txt"), b.SBL, h); err != nil {
-		return nil, err
-	}
-	if err = loadIRR(filepath.Join(dir, "irr", "journal.rpsl"), b.IRR, h); err != nil {
-		return nil, err
-	}
-	if err = loadRPKI(filepath.Join(dir, "rpki"), b.RPKI, h); err != nil {
-		return nil, err
-	}
-	if err = loadRIRStats(filepath.Join(dir, "rirstats"), b.RIR, h); err != nil {
-		return nil, err
 	}
 	return b, nil
 }
@@ -237,7 +268,9 @@ func loadDROP(dir string, a *drop.Archive, h *ingest.Health) error {
 	return nil
 }
 
-// snapshotDays lists the days for files named <YYYYMMDD><ext> in dir.
+// snapshotDays lists the days for files named <YYYYMMDD><ext> in dir,
+// or for directories named <YYYYMMDD> when ext is empty (rirstats keeps
+// a directory per day). A symbolic link counts as what it points to.
 func snapshotDays(dir, ext string) ([]timex.Day, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -245,17 +278,21 @@ func snapshotDays(dir, ext string) ([]timex.Day, error) {
 	}
 	var days []timex.Day
 	for _, e := range entries {
-		name := strings.TrimSuffix(e.Name(), ext)
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ext) {
-			// rirstats uses per-day directories instead.
-			if e.IsDir() && ext == "" {
-				name = e.Name()
-			} else {
-				continue
-			}
+		name, ok := strings.CutSuffix(e.Name(), ext)
+		if !ok {
+			continue
 		}
 		d, err := timex.ParseDay(name)
 		if err != nil {
+			continue
+		}
+		isDir := e.IsDir()
+		if e.Type()&fs.ModeSymlink != 0 {
+			if st, err := os.Stat(filepath.Join(dir, e.Name())); err == nil {
+				isDir = st.IsDir()
+			}
+		}
+		if isDir != (ext == "") {
 			continue
 		}
 		days = append(days, d)
@@ -366,22 +403,30 @@ func loadRPKI(dir string, a *rpki.Archive, h *ingest.Health) error {
 			return err
 		}
 		cur := make(map[rpki.ROA]bool, len(roas))
+		var added []rpki.ROA
 		for _, r := range roas {
+			if !cur[r] && !prev[r] {
+				added = append(added, r)
+			}
 			cur[r] = true
 		}
-		// Revocations then creations, deterministically ordered.
-		for _, r := range sortedROAs(prev) {
+		var revoked []rpki.ROA
+		for r := range prev {
 			if !cur[r] {
-				if err := a.Revoke(day, r); err != nil {
-					return err
-				}
+				revoked = append(revoked, r)
 			}
 		}
-		for _, r := range sortedROAs(cur) {
-			if !prev[r] {
-				if err := a.Add(day, r); err != nil {
-					return err
-				}
+		// Revocations then creations, deterministically ordered.
+		sortROAs(revoked)
+		for _, r := range revoked {
+			if err := a.Revoke(day, r); err != nil {
+				return err
+			}
+		}
+		sortROAs(added)
+		for _, r := range added {
+			if err := a.Add(day, r); err != nil {
+				return err
 			}
 		}
 		prev = cur
@@ -389,24 +434,20 @@ func loadRPKI(dir string, a *rpki.Archive, h *ingest.Health) error {
 	return nil
 }
 
-func sortedROAs(m map[rpki.ROA]bool) []rpki.ROA {
-	out := make([]rpki.ROA, 0, len(m))
-	for r := range m {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Prefix.Compare(out[j].Prefix); c != 0 {
+func sortROAs(roas []rpki.ROA) {
+	sort.Slice(roas, func(i, j int) bool {
+		a, b := roas[i], roas[j]
+		if c := a.Prefix.Compare(b.Prefix); c != 0 {
 			return c < 0
 		}
-		if out[i].ASN != out[j].ASN {
-			return out[i].ASN < out[j].ASN
+		if a.ASN != b.ASN {
+			return a.ASN < b.ASN
 		}
-		if out[i].MaxLength != out[j].MaxLength {
-			return out[i].MaxLength < out[j].MaxLength
+		if a.MaxLength != b.MaxLength {
+			return a.MaxLength < b.MaxLength
 		}
-		return out[i].TA < out[j].TA
+		return a.TA < b.TA
 	})
-	return out
 }
 
 // --- RIR stats ------------------------------------------------------------
@@ -443,7 +484,19 @@ func writeRIRStats(dir string, t *rirstats.Timeline) error {
 	return nil
 }
 
-func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health) error {
+// rirKey identifies a block in the diff of consecutive rirstats days.
+type rirKey struct {
+	registry rirstats.RIR
+	prefix   netx.Prefix
+}
+
+// loadRIRStats rebuilds the timeline from the day directories: the
+// first day registers every block, each later day journals the blocks
+// whose status differs from the day before. Days are parsed up to
+// workers at a time and applied one at a time in day order, so the
+// timeline, the health counts and the error a damaged archive fails
+// with do not depend on workers.
+func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health, workers int) error {
 	days, err := snapshotDays(dir, "")
 	if err != nil {
 		return err
@@ -451,48 +504,126 @@ func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health) error {
 	if len(days) == 0 {
 		return fmt.Errorf("archive: no rirstats snapshots in %s", dir)
 	}
-	first := true
-	prev := make(map[string]rirstats.Status)
-	for _, day := range days {
-		ddir := filepath.Join(dir, day.Compact())
-		var recs []rirstats.Record
-		for _, rir := range rirstats.AllRIRs {
-			name := fmt.Sprintf("delegated-%s-extended", rir)
-			f, err := os.Open(filepath.Join(ddir, name))
-			if err != nil {
-				return err
-			}
-			var rs []rirstats.Record
-			if h != nil {
-				rs, err = rirstats.ParseFileHealth(f, h.Source("rirstats/"+day.Compact()+"/"+name))
-			} else {
-				rs, err = rirstats.ParseFile(f)
-			}
-			f.Close()
-			if err != nil {
-				return err
-			}
-			recs = append(recs, rs...)
-		}
-		for _, rec := range recs {
-			for _, blk := range rec.Prefixes() {
-				k := string(rec.Registry) + "|" + blk.String()
-				if first {
-					if err := t.Manage(blk, rec.Registry, rec.Status); err != nil {
-						return err
-					}
-					prev[k] = rec.Status
-					continue
+	prev := make(map[rirKey]rirstats.Status)
+	apply := func(i int, blocks []rirstats.Block) error {
+		for _, b := range blocks {
+			k := rirKey{b.Registry, b.Prefix}
+			if i == 0 {
+				if err := t.Manage(b.Prefix, b.Registry, b.Status); err != nil {
+					return err
 				}
-				if prev[k] != rec.Status {
-					if err := t.SetStatus(blk, day, rec.Status); err != nil {
-						return err
-					}
-					prev[k] = rec.Status
+				prev[k] = b.Status
+			} else if prev[k] != b.Status {
+				if err := t.SetStatus(b.Prefix, days[i], b.Status); err != nil {
+					return err
 				}
+				prev[k] = b.Status
 			}
 		}
-		first = false
+		return nil
+	}
+
+	if workers == 1 {
+		var sc rirScratch
+		for i, day := range days {
+			if err := parseRIRDay(dir, day, h, &sc); err != nil {
+				return err
+			}
+			if err := apply(i, sc.blocks); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	type parsed struct {
+		*rirScratch
+		err error
+	}
+	// pending queues one slot per day in day order. A day is parsed once
+	// its slot is queued, so the queue's capacity plus the slot being
+	// applied is the look-ahead: at most workers days are parsed or held
+	// parsed at once, however many days the archive has.
+	pending := make(chan chan parsed, workers-1)
+	// free hands applied days' buffers back to the parsers.
+	free := make(chan *rirScratch, workers)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(pending)
+		for _, day := range days {
+			slot := make(chan parsed, 1)
+			select {
+			case pending <- slot:
+			case <-stop:
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var sc *rirScratch
+				select {
+				case sc = <-free:
+				default:
+					sc = new(rirScratch)
+				}
+				slot <- parsed{sc, parseRIRDay(dir, day, h, sc)}
+			}()
+		}
+	}()
+	i := 0
+	for slot := range pending {
+		p := <-slot
+		if p.err != nil {
+			return p.err
+		}
+		if err := apply(i, p.blocks); err != nil {
+			return err
+		}
+		i++
+		select {
+		case free <- p.rirScratch:
+		default:
+		}
+	}
+	return nil
+}
+
+// rirScratch is what parsing a day fills and the next day parsed can
+// reuse: a file's bytes and the day's blocks.
+type rirScratch struct {
+	file   bytes.Buffer
+	blocks []rirstats.Block
+}
+
+// parseRIRDay leaves the blocks of one day directory's five files in
+// sc.blocks, in registry then file order.
+func parseRIRDay(dir string, day timex.Day, h *ingest.Health, sc *rirScratch) error {
+	rel := day.Compact()
+	sc.blocks = sc.blocks[:0]
+	for _, rir := range rirstats.AllRIRs {
+		name := "delegated-" + string(rir) + "-extended"
+		f, err := os.Open(filepath.Join(dir, rel, name))
+		if err != nil {
+			return err
+		}
+		sc.file.Reset()
+		_, err = sc.file.ReadFrom(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		var src *ingest.Source
+		if h != nil {
+			src = h.Source("rirstats/" + rel + "/" + name)
+		}
+		if sc.blocks, err = rirstats.AppendBlocks(sc.blocks, sc.file.Bytes(), src); err != nil {
+			return err
+		}
 	}
 	return nil
 }

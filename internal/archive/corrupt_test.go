@@ -31,6 +31,19 @@ func writeSmallWorld(t *testing.T) string {
 		if err := Write(dir, &Bundle{MRT: w.MRT, DROP: w.DROP, SBL: w.SBL, IRR: w.IRR, RPKI: w.RPKI, RIR: w.RIR}); err != nil {
 			t.Fatal(err)
 		}
+		// Every rirstats day is a full snapshot, so any subset of them is
+		// an archive too; one in eight keeps the per-test copy small.
+		days, err := snapshotDays(filepath.Join(dir, "rirstats"), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, day := range days {
+			if i%8 != 0 {
+				if err := os.RemoveAll(filepath.Join(dir, "rirstats", day.Compact())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		goldenDir = dir
 	}
 	dir := t.TempDir()
@@ -65,64 +78,102 @@ func corrupt(t *testing.T, dir, glob string, mode string) string {
 	return path
 }
 
-// Each corruption must produce a clean error from Load — never a panic,
-// never silent acceptance.
-func TestLoadRejectsCorruptMRT(t *testing.T) {
-	dir := writeSmallWorld(t)
-	corrupt(t, dir, "mrt/*.mrt", "truncate")
-	if _, err := Load(dir); err == nil {
-		t.Error("truncated MRT should fail to load")
+// appendLine adds one line to the end of the file matched by the glob.
+func appendLine(t *testing.T, dir, glob, line string) {
+	t.Helper()
+	matches, err := filepath.Glob(filepath.Join(dir, glob))
+	if err != nil || len(matches) == 0 {
+		t.Fatalf("no files match %s", glob)
+	}
+	f, err := os.OpenFile(matches[0], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(line + "\n"); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestLoadRejectsGarbageDROP(t *testing.T) {
-	dir := writeSmallWorld(t)
-	corrupt(t, dir, "drop/*.txt", "garbage")
-	if _, err := Load(dir); err == nil {
-		t.Error("garbage DROP snapshot should fail to load")
+// rirDay returns the name of the i-th rirstats day directory; negative i
+// counts from the last.
+func rirDay(t *testing.T, dir string, i int) string {
+	t.Helper()
+	days, err := snapshotDays(filepath.Join(dir, "rirstats"), "")
+	if err != nil || len(days) < 2 {
+		t.Fatalf("rirstats days: %v, %v", days, err)
 	}
+	if i < 0 {
+		i += len(days)
+	}
+	return days[i].Compact()
 }
 
-func TestLoadRejectsGarbageIRRJournal(t *testing.T) {
-	dir := writeSmallWorld(t)
-	corrupt(t, dir, "irr/journal.rpsl", "garbage")
-	if _, err := Load(dir); err == nil {
-		t.Error("garbage IRR journal should fail to load")
-	}
+// damageCases is every way these tests damage the small world's
+// archive, and whether a strict Load must then fail: each corruption
+// must produce a clean error — never a panic, never silent acceptance —
+// and each dropping must be ignored. TestLoadMatchesReference runs them.
+type damageCase struct {
+	name        string
+	damage      func(t *testing.T, dir string)
+	strictFails bool
 }
 
-func TestLoadRejectsGarbageROACSV(t *testing.T) {
-	dir := writeSmallWorld(t)
-	corrupt(t, dir, "rpki/*.csv", "garbage")
-	if _, err := Load(dir); err == nil {
-		t.Error("garbage ROA CSV should fail to load")
-	}
-}
-
-func TestLoadRejectsGarbageRIRStats(t *testing.T) {
-	dir := writeSmallWorld(t)
-	corrupt(t, dir, "rirstats/*/delegated-arin-extended", "garbage")
-	if _, err := Load(dir); err == nil {
-		t.Error("garbage RIR stats should fail to load")
-	}
+var damageCases = []damageCase{
+	{"truncated MRT", func(t *testing.T, dir string) { corrupt(t, dir, "mrt/*.mrt", "truncate") }, true},
+	{"garbage DROP snapshot", func(t *testing.T, dir string) { corrupt(t, dir, "drop/*.txt", "garbage") }, true},
+	{"garbage IRR journal", func(t *testing.T, dir string) { corrupt(t, dir, "irr/journal.rpsl", "garbage") }, true},
+	{"garbage ROA CSV", func(t *testing.T, dir string) { corrupt(t, dir, "rpki/*.csv", "garbage") }, true},
+	{"garbage RIR stats", func(t *testing.T, dir string) {
+		corrupt(t, dir, "rirstats/*/delegated-arin-extended", "garbage")
+	}, true},
+	// Two damaged sources fail with the error of the one loaded first.
+	{"garbage ROA CSV and RIR stats", func(t *testing.T, dir string) {
+		corrupt(t, dir, "rirstats/*/delegated-arin-extended", "garbage")
+		corrupt(t, dir, "rpki/*.csv", "garbage")
+	}, true},
+	{"truncated RIR stats on a later day", func(t *testing.T, dir string) {
+		corrupt(t, dir, "rirstats/"+rirDay(t, dir, 3)+"/delegated-ripencc-extended", "truncate")
+	}, true},
+	{"bad count in RIR stats on a later day", func(t *testing.T, dir string) {
+		appendLine(t, dir, "rirstats/"+rirDay(t, dir, 2)+"/delegated-apnic-extended",
+			"apnic|AU|ipv4|1.0.0.0|many|20110811|allocated|A1")
+	}, true},
+	{"missing RIR stats file", func(t *testing.T, dir string) {
+		if err := os.Remove(filepath.Join(dir, "rirstats", rirDay(t, dir, 1), "delegated-lacnic-extended")); err != nil {
+			t.Fatal(err)
+		}
+	}, true},
+	{"RIR stats block delegated twice on the first day", func(t *testing.T, dir string) {
+		appendLine(t, dir, "rirstats/"+rirDay(t, dir, 0)+"/delegated-arin-extended",
+			"arin|US|ipv4|250.0.0.0|256|20050101|allocated|A1")
+		appendLine(t, dir, "rirstats/"+rirDay(t, dir, 0)+"/delegated-ripencc-extended",
+			"ripencc|NL|ipv4|250.0.0.0|256|20050101|assigned|R1")
+	}, true},
+	{"RIR stats block first seen on the last day", func(t *testing.T, dir string) {
+		appendLine(t, dir, "rirstats/"+rirDay(t, dir, -1)+"/delegated-afrinic-extended",
+			"afrinic|ZA|ipv4|251.0.0.0|512|20050101|allocated|F1")
+	}, true},
+	// Droppings that do not match the expected names must be ignored.
+	{"foreign files", func(t *testing.T, dir string) {
+		for _, junk := range []string{"mrt/README", "drop/notes.md", "rpki/checksum.sha256", "rirstats/LATEST"} {
+			if err := os.WriteFile(filepath.Join(dir, junk), []byte("hello"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}, false},
+	// A rirstats day is a directory: a regular file with a day's name is
+	// one more dropping, not a day that then fails to open.
+	{"regular file named as a rirstats day", func(t *testing.T, dir string) {
+		if err := os.WriteFile(filepath.Join(dir, "rirstats", "20200101"), []byte("hello"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}, false},
 }
 
 func TestLoadRejectsMissingDirectory(t *testing.T) {
 	if _, err := Load(t.TempDir()); err == nil {
 		t.Error("empty directory should fail to load")
-	}
-}
-
-func TestLoadToleratesForeignFiles(t *testing.T) {
-	dir := writeSmallWorld(t)
-	// Droppings that do not match the expected names must be ignored.
-	for _, junk := range []string{"mrt/README", "drop/notes.md", "rpki/checksum.sha256"} {
-		if err := os.WriteFile(filepath.Join(dir, junk), []byte("hello"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := Load(dir); err != nil {
-		t.Errorf("foreign files should be ignored: %v", err)
 	}
 }
 

@@ -29,6 +29,10 @@ func FuzzParseAddr(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		a, err := ParseAddr(s)
+		ab, errb := ParseAddrBytes([]byte(s))
+		if ab != a || (err == nil) != (errb == nil) || (err != nil && err.Error() != errb.Error()) {
+			t.Fatalf("ParseAddr(%q) = %v, %v; ParseAddrBytes = %v, %v", s, a, err, ab, errb)
+		}
 		if err != nil {
 			return
 		}

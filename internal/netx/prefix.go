@@ -41,7 +41,13 @@ func (a Addr) String() string {
 }
 
 // ParseAddr parses a dotted-quad IPv4 address.
-func ParseAddr(s string) (Addr, error) {
+func ParseAddr(s string) (Addr, error) { return parseAddr(s) }
+
+// ParseAddrBytes is ParseAddr over a field of a larger buffer, without
+// converting it to a string.
+func ParseAddrBytes(b []byte) (Addr, error) { return parseAddr(b) }
+
+func parseAddr[S string | []byte](s S) (Addr, error) {
 	var a uint32
 	part := 0
 	val := -1

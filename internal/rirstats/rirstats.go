@@ -8,11 +8,12 @@ package rirstats
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"sort"
-	"strconv"
-	"strings"
 
 	"dropscope/internal/ingest"
 	"dropscope/internal/netx"
@@ -69,23 +70,24 @@ func RangeToPrefixes(start netx.Addr, count uint64) []netx.Prefix {
 	var out []netx.Prefix
 	a := uint64(start)
 	for count > 0 {
-		// Largest power-of-two block that is aligned at a and <= count.
-		size := uint64(1) << 32
-		if a != 0 {
-			size = a & -a // low-bit alignment
-		}
-		for size > count {
-			size >>= 1
-		}
-		bits := 32
-		for s := size; s > 1; s >>= 1 {
-			bits--
-		}
-		out = append(out, netx.PrefixFrom(netx.Addr(a), bits))
+		p, size := firstBlock(a, count)
+		out = append(out, p)
 		a += size
 		count -= size
 	}
 	return out
+}
+
+// firstBlock returns the first block of the decomposition of
+// [a, a+count), count > 0, and its size: the largest power of two that
+// is aligned at a and no larger than count.
+func firstBlock(a, count uint64) (netx.Prefix, uint64) {
+	size := uint64(1) << (bits.Len64(count) - 1)
+	if a != 0 {
+		size = min(size, a&-a) // low-bit alignment
+	}
+	size = min(size, 1<<32)
+	return netx.PrefixFrom(netx.Addr(a), 32-bits.TrailingZeros64(size)), size
 }
 
 // WriteFile emits a delegated-extended stats file for one registry:
@@ -130,101 +132,247 @@ func WriteFile(w io.Writer, registry RIR, day timex.Day, recs []Record) error {
 // malformed line fails the parse; use ParseFileHealth to quarantine bad
 // lines instead.
 func ParseFile(r io.Reader) ([]Record, error) {
-	return parseFile(r, nil)
+	return parseRecords(r, nil)
 }
 
 // ParseFileHealth is the lenient variant of ParseFile: a malformed line
 // is skipped and counted on src rather than failing the file. Accepted
 // records are also counted on src.
 func ParseFileHealth(r io.Reader, src *ingest.Source) ([]Record, error) {
-	return parseFile(r, src)
+	return parseRecords(r, src)
 }
 
-func parseFile(r io.Reader, src *ingest.Source) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	var out []Record
-	lineNo := 0
-	skip := func(format string, args ...interface{}) error {
-		if src != nil {
-			src.Skip(ingest.BadLine)
-			return nil
-		}
-		return fmt.Errorf(format, args...)
-	}
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Split(line, "|")
-		if lineNo == 1 && len(fields) >= 2 && fields[0] == "2" {
-			continue // version line
-		}
-		if len(fields) >= 6 && fields[2] == "ipv4" && fields[3] == "*" {
-			continue // summary line (ipv4|*|count|summary)
-		}
-		if len(fields) >= 6 && fields[1] == "*" {
-			continue // summary line
-		}
-		if len(fields) < 7 {
-			if err := skip("rirstats: line %d: %d fields", lineNo, len(fields)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if fields[2] != "ipv4" {
-			continue // this pipeline is IPv4-only
-		}
-		var rec Record
-		rec.Registry = RIR(fields[0])
-		rec.CC = fields[1]
-		start, err := netx.ParseAddr(fields[3])
-		if err != nil {
-			if err := skip("rirstats: line %d: %v", lineNo, err); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		rec.Start = start
-		rec.Count, err = strconv.ParseUint(fields[4], 10, 64)
-		if err != nil || rec.Count == 0 {
-			if err := skip("rirstats: line %d: bad count %q", lineNo, fields[4]); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if rec.Count > (1<<32)-uint64(rec.Start) {
-			if err := skip("rirstats: line %d: range %s+%d exceeds the address space",
-				lineNo, rec.Start, rec.Count); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if fields[5] != "" {
-			d, err := timex.ParseDay(fields[5])
-			if err != nil {
-				if err := skip("rirstats: line %d: %v", lineNo, err); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			rec.Date = d
-		}
-		rec.Status = Status(fields[6])
-		if len(fields) >= 8 {
-			rec.OpaqueID = fields[7]
-		}
-		out = append(out, rec)
-		if src != nil {
-			src.Accept(1)
-		}
-	}
-	if err := sc.Err(); err != nil {
+func parseRecords(r io.Reader, src *ingest.Source) ([]Record, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	sc := scanner{data: data, src: src}
+	out := make([]Record, 0, bytes.Count(data, []byte{'\n'}))
+	for {
+		ok, err := sc.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return out, nil
+		}
+		l := &sc.line
+		out = append(out, Record{
+			Registry: internRIR(l.registry),
+			CC:       internCC(l.cc),
+			Start:    l.start,
+			Count:    l.count,
+			Date:     l.date,
+			Status:   internStatus(l.status),
+			OpaqueID: string(l.opaque),
+		})
+	}
+}
+
+// Block is one CIDR-aligned block of a delegation line with the two
+// fields a diff of consecutive snapshots compares.
+type Block struct {
+	Registry RIR
+	Prefix   netx.Prefix
+	Status   Status
+}
+
+// AppendBlocks parses a delegated-extended file held in memory and
+// appends the CIDR decomposition of each of its IPv4 records to dst, in
+// file order: what ParseFile followed by Record.Prefixes yields, without
+// a Record, a string or a prefix slice per line. A nil src parses
+// strictly, as ParseFile does; otherwise malformed lines and accepted
+// records are counted on src, as ParseFileHealth does.
+func AppendBlocks(dst []Block, data []byte, src *ingest.Source) ([]Block, error) {
+	sc := scanner{data: data, src: src}
+	for {
+		ok, err := sc.next()
+		if err != nil {
+			return dst, err
+		}
+		if !ok {
+			return dst, nil
+		}
+		l := &sc.line
+		registry, status := internRIR(l.registry), internStatus(l.status)
+		for a, count := uint64(l.start), l.count; count > 0; {
+			p, size := firstBlock(a, count)
+			dst = append(dst, Block{registry, p, status})
+			a += size
+			count -= size
+		}
+	}
+}
+
+// maxLine bounds one line, its newline included. A longer one fails the
+// whole file in either mode rather than counting as one bad line: a file
+// with a megabyte between newlines is not a stats file.
+const maxLine = 1 << 20
+
+// scanner walks the IPv4 delegation lines of a delegated-extended file
+// held in memory. Fields are cut in place, so nothing is allocated per
+// line; both ParseFile and AppendBlocks read their records off it.
+type scanner struct {
+	data   []byte // the unread rest of the file
+	lineNo int
+	src    *ingest.Source // nil parses strictly
+	line   line
+}
+
+// line is one delegation line. Its text fields alias the file.
+type line struct {
+	registry, cc, status, opaque []byte
+
+	start netx.Addr
+	count uint64
+	date  timex.Day
+}
+
+// next advances to the next IPv4 delegation line and reports whether
+// there was one. Version, summary, comment, blank and non-IPv4 lines are
+// passed over. A malformed line ends a strict scan with an error naming
+// the line, and is counted on src and passed over in a lenient one.
+func (s *scanner) next() (bool, error) {
+	for len(s.data) > 0 {
+		raw := s.data
+		if i := bytes.IndexByte(raw, '\n'); i >= 0 {
+			raw, s.data = raw[:i], raw[i+1:]
+		} else {
+			s.data = nil
+		}
+		s.lineNo++
+		if len(raw) >= maxLine {
+			return false, bufio.ErrTooLong
+		}
+		ln := bytes.TrimSpace(raw)
+		if len(ln) == 0 || ln[0] == '#' {
+			continue
+		}
+		// The first eight fields are all a record has; n stops counting
+		// there.
+		var f [8][]byte
+		n, from := 0, 0
+		for i := 0; i < len(ln) && n < len(f); i++ {
+			if ln[i] == '|' {
+				f[n] = ln[from:i]
+				n++
+				from = i + 1
+			}
+		}
+		if n < len(f) {
+			f[n] = ln[from:]
+			n++
+		}
+		if s.lineNo == 1 && n >= 2 && string(f[0]) == "2" {
+			continue // version line
+		}
+		if n >= 6 && string(f[2]) == "ipv4" && string(f[3]) == "*" {
+			continue // summary line (ipv4|*|count|summary)
+		}
+		if n >= 6 && string(f[1]) == "*" {
+			continue // summary line
+		}
+		if n >= 7 && string(f[2]) != "ipv4" {
+			continue // this pipeline is IPv4-only
+		}
+		if err := s.line.parse(&f, n, s.lineNo); err != nil {
+			if s.src == nil {
+				return false, err
+			}
+			s.src.Skip(ingest.BadLine)
+			continue
+		}
+		if s.src != nil {
+			s.src.Accept(1)
+		}
+		return true, nil
+	}
+	return false, nil
+}
+
+// parse fills l from the n fields of an IPv4 delegation line, or says
+// what is wrong with line lineNo.
+func (l *line) parse(f *[8][]byte, n, lineNo int) (err error) {
+	if n < 7 {
+		return fmt.Errorf("rirstats: line %d: %d fields", lineNo, n)
+	}
+	if l.start, err = netx.ParseAddrBytes(f[3]); err != nil {
+		return fmt.Errorf("rirstats: line %d: %v", lineNo, err)
+	}
+	var ok bool
+	if l.count, ok = parseCount(f[4]); !ok {
+		return fmt.Errorf("rirstats: line %d: bad count %q", lineNo, f[4])
+	}
+	if l.count > (1<<32)-uint64(l.start) {
+		return fmt.Errorf("rirstats: line %d: range %s+%d exceeds the address space", lineNo, l.start, l.count)
+	}
+	l.date = 0
+	if len(f[5]) > 0 {
+		if l.date, err = timex.ParseDayBytes(f[5]); err != nil {
+			return fmt.Errorf("rirstats: line %d: %v", lineNo, err)
+		}
+	}
+	l.registry, l.cc, l.status, l.opaque = f[0], f[1], f[6], f[7]
+	return nil
+}
+
+// parseCount reads a positive decimal integer that fits in 64 bits.
+func parseCount(b []byte) (uint64, bool) {
+	var n uint64
+	for _, c := range b {
+		if c < '0' || c > '9' || n > math.MaxUint64/10 {
+			return 0, false
+		}
+		n = n*10 + uint64(c-'0')
+		if n < uint64(c-'0') {
+			return 0, false // wrapped
+		}
+	}
+	return n, n > 0
+}
+
+// The strings a record carries come from three small vocabularies, so a
+// parsed file shares them instead of holding a copy per line.
+
+var statuses = [...]Status{Available, Allocated, Assigned, Reserved}
+
+func internRIR(b []byte) RIR {
+	for _, r := range AllRIRs {
+		if string(b) == string(r) {
+			return r
+		}
+	}
+	return RIR(b)
+}
+
+func internStatus(b []byte) Status {
+	for _, st := range statuses {
+		if string(b) == string(st) {
+			return st
+		}
+	}
+	return Status(b)
+}
+
+// countryCodes is every two-capital-letter code back to back; a
+// record's CC is a substring of it.
+var countryCodes = func() string {
+	b := make([]byte, 0, 26*26*2)
+	for c0 := byte('A'); c0 <= 'Z'; c0++ {
+		for c1 := byte('A'); c1 <= 'Z'; c1++ {
+			b = append(b, c0, c1)
+		}
+	}
+	return string(b)
+}()
+
+func internCC(b []byte) string {
+	if len(b) == 2 && 'A' <= b[0] && b[0] <= 'Z' && 'A' <= b[1] && b[1] <= 'Z' {
+		i := 2 * (26*int(b[0]-'A') + int(b[1]-'A'))
+		return countryCodes[i : i+2]
+	}
+	return string(b)
 }
 
 // Timeline tracks the allocation status of registry-managed space over

@@ -32,8 +32,9 @@ type LoadOptions struct {
 	// negative = unlimited). Daemon loads are always lenient: a damaged
 	// collector quarantines, it does not take the service down.
 	MaxSkip int
-	// Workers bounds the cold-build RIB loading pool and the sharded
-	// index's fan-out pool.
+	// Workers bounds the cold-build RIB loading pool, the archive's
+	// text load (archive.LoadOptions.Workers) and the sharded index's
+	// fan-out pool.
 	Workers int
 	// SnapshotDir, when non-empty, warm-starts from
 	// SnapshotDir/index.ribsnap when it matches the archive digest, and
@@ -190,7 +191,7 @@ func Load(dir string, opts LoadOptions) (*Generation, error) {
 	}
 	warm := snap != nil || shards != nil
 
-	b, err := archive.LoadWithOptions(dir, archive.LoadOptions{Health: h, SkipMRT: warm})
+	b, err := archive.LoadWithOptions(dir, archive.LoadOptions{Health: h, SkipMRT: warm, Workers: opts.Workers})
 	if err != nil {
 		if snap != nil {
 			snap.Close()

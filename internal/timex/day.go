@@ -50,6 +50,81 @@ func (d Day) Compact() string {
 
 // ParseDay accepts either "2006-01-02" or "20060102".
 func ParseDay(s string) (Day, error) {
+	if d, ok := parseDay(s); ok {
+		return d, nil
+	}
+	return parseDayStd(s)
+}
+
+// ParseDayBytes is ParseDay over a field of a larger buffer, without
+// converting it to a string.
+func ParseDayBytes(b []byte) (Day, error) {
+	if d, ok := parseDay(b); ok {
+		return d, nil
+	}
+	return parseDayStd(string(b))
+}
+
+// parseDay reads the two fixed-width layouts digit by digit. It accepts
+// exactly what time.Parse accepts for them (FuzzParseDay holds it to
+// that): four year digits, a month of 01..12 and a day that exists in
+// that month of that proleptic-Gregorian year.
+func parseDay[S string | []byte](s S) (Day, bool) {
+	var y, m, d int
+	switch {
+	case len(s) == 10 && s[4] == '-' && s[7] == '-':
+		y, m, d = number(s, 0, 4), number(s, 5, 2), number(s, 8, 2)
+	case len(s) == 8:
+		y, m, d = number(s, 0, 4), number(s, 4, 2), number(s, 6, 2)
+	default:
+		return 0, false
+	}
+	if y < 0 || m < 1 || m > 12 || d < 1 || d > daysIn(y, m) {
+		return 0, false
+	}
+	// Days from the civil date, counting years from March so that the
+	// leap day is the last of its year.
+	if m <= 2 {
+		y--
+		m += 12
+	}
+	y += 400 // one 400-year era up, so that / and % floor for year -1
+	era, yoe := y/400, y%400
+	doy := (153*(m-3)+2)/5 + d - 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy
+	return Day((era-1)*146097 + doe - 719468), true
+}
+
+// number reads the n decimal digits of s that start at from, or
+// returns -1 if one of them is not a digit.
+func number[S string | []byte](s S, from, n int) int {
+	v := 0
+	for i := from; i < from+n; i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return -1
+		}
+		v = v*10 + int(c-'0')
+	}
+	return v
+}
+
+func daysIn(year, month int) int {
+	switch month {
+	case 4, 6, 9, 11:
+		return 30
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	}
+	return 31
+}
+
+// parseDayStd is ParseDay through time.Parse. It sees only what
+// parseDay rejected, and words the error.
+func parseDayStd(s string) (Day, error) {
 	var layout string
 	switch len(s) {
 	case 10:

@@ -24,6 +24,7 @@ internal/ribsnap FuzzSnapshotLoad
 internal/rirstats FuzzParseFile
 internal/rpki FuzzParseSnapshotCSV
 internal/rtr FuzzReadPDU
+internal/timex FuzzParseDay
 "
 
 build() { go build ./...; }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dropscope/internal/loader"
 )
 
 // growableArchive generates a private world (never the shared cached
@@ -36,12 +38,12 @@ func growableArchive(t *testing.T) (s *Study, dir, snapDir string) {
 // each mode of the append test starts from the same stale base.
 func copySnapshot(t *testing.T, snapDir string) string {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join(snapDir, snapshotFile))
+	raw, err := os.ReadFile(filepath.Join(snapDir, loader.SnapshotFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	clone := t.TempDir()
-	if err := os.WriteFile(filepath.Join(clone, snapshotFile), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(clone, loader.SnapshotFile), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return clone

@@ -16,7 +16,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Skip("integration test builds binaries")
 	}
 	bin := t.TempDir()
-	for _, tool := range []string{"synthgen", "dropscope", "mrtdump", "irrgrep", "roacheck"} {
+	for _, tool := range []string{"synthgen", "dropscope", "dropscoped", "mrtdump", "irrgrep", "roacheck"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("build %s: %v\n%s", tool, err, out)
@@ -83,5 +83,13 @@ func TestCLIEndToEnd(t *testing.T) {
 	out, err = run("roacheck", "-roas", latest, "-prefix", "132.255.0.0/22", "-origin", "50509")
 	if exitErr, ok := err.(*exec.ExitError); !ok || exitErr.ExitCode() != 1 {
 		t.Errorf("roacheck invalid case: err=%v out=%q", err, out)
+	}
+
+	// -mem-budget bounds the residency of the store's shard files; with
+	// no store there is nothing to bound, and the daemon must say so
+	// instead of silently serving unbounded.
+	out, err = run("dropscoped", "-archive", world, "-snapshot", "off", "-shards", "4", "-mem-budget", "2")
+	if exitErr, ok := err.(*exec.ExitError); !ok || exitErr.ExitCode() == 0 || !strings.Contains(out, "-mem-budget") {
+		t.Errorf("dropscoped -snapshot off -mem-budget 2: err=%v out=%q, want a refusal naming -mem-budget", err, out)
 	}
 }

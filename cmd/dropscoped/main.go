@@ -60,10 +60,11 @@
 // are byte-identical to the single-index daemon's. -mem-budget M caps
 // how many shards stay memory-mapped at once: cold ranges fault back
 // in on first touch and the least recently used shard is evicted, so
-// an archive larger than RAM serves from bounded residency. The
-// scrubber verifies shard files individually, and a damaged shard
-// degrades only its prefix range (visible per shard in /healthz)
-// while the reload supervisor rebuilds.
+// an archive larger than RAM serves from bounded residency; the budget
+// bounds files of the snapshot store, so it is refused without one
+// (-snapshot off). The scrubber verifies shard files individually, and
+// a damaged shard degrades only its prefix range (visible per shard in
+// /healthz) while the reload supervisor rebuilds.
 //
 // SIGINT/SIGTERM drain gracefully: new arrivals answer 503 while
 // requests already admitted run to completion, bounded by
@@ -196,15 +197,19 @@ func main() {
 		}
 	}
 
+	if *serviceFloor > 0 && !*loadtest {
+		fatal(errors.New("-service-floor is a loadtest-only knob; refusing to slow a real daemon"))
+	}
+	if *memBudget > 0 && opts.Store == nil {
+		fatal(errors.New("-mem-budget bounds how many shard files of the snapshot store stay mapped; without a usable store (-snapshot off, or the store failed to open) there is no residency to bound"))
+	}
+
 	t0 := time.Now()
 	gen, err := serve.Load(*archiveDir, opts)
 	if err != nil {
 		fatal(err)
 	}
 	srv := serve.New(gen)
-	if *serviceFloor > 0 && !*loadtest {
-		fatal(errors.New("-service-floor is a loadtest-only knob; refusing to slow a real daemon"))
-	}
 	mw := serve.Wrap(srv, serve.MiddlewareConfig{
 		Gate: serve.GateConfig{
 			MaxInflight: *maxInflight,
@@ -216,6 +221,9 @@ func main() {
 	})
 	log.Printf("dropscoped: loaded generation %s in %v (window %s)",
 		gen.DigestHex()[:12], time.Since(t0).Round(time.Millisecond), gen.Window())
+	if note := gen.LoadNote(); note != "" {
+		log.Printf("dropscoped: %s", note)
+	}
 
 	httpCfg := serve.HTTPConfig{
 		ReadHeaderTimeout: *readHeaderTimeout,

@@ -25,19 +25,13 @@
 package dropscope
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"dropscope/internal/analysis"
 	"dropscope/internal/archive"
-	"dropscope/internal/delta"
 	"dropscope/internal/ingest"
-	"dropscope/internal/rib"
+	"dropscope/internal/loader"
 	"dropscope/internal/ribsnap"
 	"dropscope/internal/scenario"
 )
@@ -164,283 +158,35 @@ type IngestOptions struct {
 	Append bool
 }
 
-// snapshotSource is the ingest.Health source name under which a
-// discarded snapshot's skip is accounted.
-const snapshotSource = "ribsnap/index"
-
-// snapshotFile is the file name of the index snapshot inside
-// IngestOptions.SnapshotDir.
-const snapshotFile = "index.ribsnap"
-
 // LoadStudyWithOptions is LoadStudy under explicit ingest options. After
 // a lenient load, per-source skip accounting and quarantine decisions
 // are available via the pipeline's Health and appear in the rendered
 // report's data-health section; over undamaged archives the lenient
-// path's output is byte-identical to the strict path's.
+// path's output is byte-identical to the strict path's. The load itself
+// — delta, warm or cold, and what is persisted — is internal/loader's,
+// shared with the dropscoped daemon.
 func LoadStudyWithOptions(dir string, cfg Config, opts IngestOptions) (*Study, error) {
 	var h *ingest.Health
 	if !opts.Strict {
 		h = ingest.NewHealth()
 	}
-
-	// Warm path: try the snapshot before touching the MRT archives. Any
-	// failure past this point degrades to a cold build; a snapshot can
-	// cost time, never correctness.
-	var (
-		snap       *ribsnap.Snapshot
-		digest     [32]byte
-		haveDigest bool
-		cursors    []ribsnap.ArchiveCursor
-	)
-	if opts.SnapshotDir != "" {
-		// Startup sweep: collect temp files orphaned by a write a crash
-		// interrupted. They are never adopted as snapshots — the durable
-		// write only ever publishes by rename — so they are pure debris.
-		_, _ = ribsnap.SweepTemps(opts.SnapshotDir)
-		snapPath := filepath.Join(opts.SnapshotDir, snapshotFile)
-		mrtDir := filepath.Join(dir, "mrt")
-		if opts.Append {
-			// Append-only growth is detectable from file sizes alone, so
-			// the delta path is taken before any hashing: its single pass
-			// verifies the consumed prefixes, decodes the appended bytes,
-			// and yields the grown archive's digest as a byproduct. When it
-			// declines (no growth, a rewrite, no lineage), the normal
-			// hash-and-compare flow below decides warm, stale, or cold.
-			snap = tryAppend(mrtDir, snapPath, cfg)
-			if snap != nil {
-				digest, haveDigest = snap.Digest, true
-			}
-		}
-		if snap == nil {
-			if cur, derr := ribsnap.ArchiveCursors(mrtDir); derr == nil {
-				// One read of the archive yields both the snapshot key and
-				// the lineage cursors a cold rebuild will persist.
-				cursors = cur
-				digest, haveDigest = ribsnap.DigestCursors(cur), true
-				var lerr error
-				snap, lerr = ribsnap.Load(snapPath, digest)
-				switch {
-				case lerr != nil:
-					snap = nil
-					countSnapshotSkip(h, lerr)
-				case snap.Window != cfg.Window:
-					snap.Close()
-					snap = nil
-					if h != nil {
-						h.Source(snapshotSource).Skip(ingest.Unsupported)
-					}
-				}
-			}
-			// A cursor error (e.g. missing mrt/ directory) falls through;
-			// the cold load below surfaces the real problem.
-		}
-	}
-
-	b, err := archive.LoadWithOptions(dir, archive.LoadOptions{Health: h, SkipMRT: snap != nil, Workers: opts.Workers})
+	l, err := loader.Load(dir, loader.Options{
+		Window:      cfg.Window,
+		Health:      h,
+		MaxSkip:     opts.MaxSkip,
+		Workers:     opts.Workers,
+		SnapshotDir: opts.SnapshotDir,
+		Shards:      opts.Shards,
+		Delta:       opts.Append,
+	})
 	if err != nil {
-		if snap != nil {
-			snap.Close()
-		}
-		return nil, fmt.Errorf("dropscope: load: %w", err)
+		return nil, fmt.Errorf("dropscope: %w", err)
 	}
-	aopts := analysis.Options{
-		Workers: opts.Workers,
-		Lenient: !opts.Strict,
-		MaxSkip: opts.MaxSkip,
-		Health:  h,
+	st := &Study{Pipeline: l.Pipeline}
+	if l.Route != loader.Cold {
+		st.snap = l.Snapshot
 	}
-	if snap != nil {
-		aopts.Index = snap.Index
-	}
-	p, err := analysis.NewWithOptions(analysis.Dataset{
-		Window: cfg.Window,
-		DROP:   b.DROP, SBL: b.SBL, IRR: b.IRR, RPKI: b.RPKI, RIR: b.RIR,
-		MRT: b.MRT,
-	}, aopts)
-	if err != nil {
-		if snap != nil {
-			snap.Close()
-		}
-		return nil, fmt.Errorf("dropscope: pipeline: %w", err)
-	}
-	if snap != nil && h != nil {
-		// Replay the per-collector record counts the snapshot preserved,
-		// so the health report (and the rendered output derived from it)
-		// matches a cold build's byte for byte.
-		for _, c := range snap.Counts {
-			h.Source("mrt/" + c.Collector).Accept(c.Records)
-		}
-	}
-	if snap == nil && haveDigest {
-		writeSnapshot(filepath.Join(opts.SnapshotDir, snapshotFile), p, b, cfg, h, digest, cursors)
-	}
-	if opts.Shards > 1 {
-		// Cut the index in place. The snapshot (if any) stays retained on
-		// the Study: the shards' columns alias its mapping.
-		if ix, ok := p.Index.(*rib.Index); ok {
-			fs, ferr := ix.FrozenShards(opts.Shards, opts.Workers)
-			if ferr != nil {
-				if snap != nil {
-					snap.Close()
-				}
-				return nil, fmt.Errorf("dropscope: shard: %w", ferr)
-			}
-			sh, serr := rib.ShardedFromFrozen(fs, opts.Workers)
-			if serr != nil {
-				if snap != nil {
-					snap.Close()
-				}
-				return nil, fmt.Errorf("dropscope: shard: %w", serr)
-			}
-			p.Index = sh
-		}
-	}
-	return &Study{Pipeline: p, snap: snap}, nil
-}
-
-// countSnapshotSkip classifies a discarded snapshot in the health
-// accounting. A missing snapshot (first run) is not damage and counts
-// nothing; truncation, corruption, version skew, and digest staleness
-// each count one skip so the rendered report records why the load went
-// cold.
-func countSnapshotSkip(h *ingest.Health, err error) {
-	if h == nil || os.IsNotExist(err) {
-		return
-	}
-	src := h.Source(snapshotSource)
-	switch {
-	case errors.Is(err, ribsnap.ErrTruncated):
-		src.Skip(ingest.Truncated)
-	case errors.Is(err, ribsnap.ErrVersion), errors.Is(err, ribsnap.ErrStale):
-		src.Skip(ingest.Unsupported)
-	default:
-		src.Skip(ingest.Corrupt)
-	}
-}
-
-// archiveGrew reports whether the MRT files under mrtDir moved forward
-// append-style from the cursors: every consumed file still present at
-// its consumed size or larger, and at least one file grown or new. It
-// reads no bytes — sizes alone route the load; the delta build's
-// prefix hashes are what verify the old bytes are really unchanged.
-func archiveGrew(mrtDir string, cursors []ribsnap.ArchiveCursor) bool {
-	entries, err := os.ReadDir(mrtDir)
-	if err != nil {
-		return false
-	}
-	sizes := make(map[string]uint64, len(entries))
-	for _, e := range entries {
-		name, ok := strings.CutSuffix(e.Name(), ".mrt")
-		if !ok || e.IsDir() {
-			continue
-		}
-		fi, ferr := e.Info()
-		if ferr != nil {
-			return false
-		}
-		sizes[name] = uint64(fi.Size())
-	}
-	grew := false
-	for _, c := range cursors {
-		size, ok := sizes[c.Collector]
-		if !ok || size < c.Size {
-			return false // removed or truncated: not append-only
-		}
-		if size > c.Size {
-			grew = true
-		}
-		delete(sizes, c.Collector)
-	}
-	return grew || len(sizes) > 0 // len > 0: a new collector came online
-}
-
-// tryAppend attempts the incremental append path: when the archive
-// grew append-style past the cached snapshot's cursors, the snapshot
-// is adopted as a base, only the appended bytes are decoded and merged
-// onto it, and the merged index is persisted — under the digest the
-// delta's own pass derived — and reloaded warm. It returns nil when
-// the delta cannot be taken — no snapshot, no lineage (an old
-// snapshot), no growth, a rewritten archive, a decode error in the
-// suffix, or a persist failure — and the caller decides warm, stale,
-// or cold the normal way.
-func tryAppend(mrtDir, snapPath string, cfg Config) *ribsnap.Snapshot {
-	base, err := ribsnap.LoadAt(snapPath)
-	if err != nil {
-		return nil
-	}
-	if base.Lineage == nil || !archiveGrew(mrtDir, base.Lineage.Cursors) {
-		base.Close()
-		return nil
-	}
-	f, err := base.Index.Frozen()
-	if err != nil {
-		base.Close()
-		return nil
-	}
-	res, err := delta.Build(mrtDir, f, base.Lineage,
-		base.Counts, base.Window, cfg.Window, base.Digest)
-	if err != nil {
-		base.Close()
-		return nil
-	}
-	// Persist the merged index, then release the base and reload from
-	// disk: the study must never serve a mapping that aliases the
-	// retired snapshot's.
-	werr := ribsnap.WriteLineage(snapPath, res.Frozen, cfg.Window, res.Digest, res.Counts, res.Lineage)
-	base.Close()
-	if werr != nil {
-		return nil
-	}
-	s, err := ribsnap.Load(snapPath, res.Digest)
-	if err != nil {
-		return nil
-	}
-	return s
-}
-
-// writeSnapshot persists the freshly built index for the next run. It
-// is best-effort — a failure leaves the study unaffected — and it
-// refuses to persist an index built from damaged MRT ingest: a partial
-// index must never masquerade as the archive's. The snapshot carries
-// lineage (the archive cursors from the same read that produced the
-// digest, and the index's max record day) so a later Append load can
-// adopt it as a delta base.
-func writeSnapshot(path string, p *analysis.Pipeline, b *archive.Bundle, cfg Config, h *ingest.Health, digest [32]byte, cursors []ribsnap.ArchiveCursor) {
-	if h != nil {
-		for _, s := range h.Sources() {
-			if strings.HasPrefix(s.Name, "mrt/") && !s.Clean() {
-				return
-			}
-		}
-	}
-	ix, ok := p.Index.(*rib.Index)
-	if !ok {
-		// Snapshots persist the monolithic index; a study already serving
-		// a sharded one never reaches here (the cut happens after).
-		return
-	}
-	f, err := ix.Frozen()
-	if err != nil {
-		return
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	names := make([]string, 0, len(b.MRT))
-	for name := range b.MRT {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	counts := make([]ribsnap.CollectorCount, 0, len(names))
-	for _, name := range names {
-		n := uint64(len(b.MRT[name]))
-		if h != nil {
-			n = h.Source("mrt/" + name).Records
-		}
-		counts = append(counts, ribsnap.CollectorCount{Collector: name, Records: n})
-	}
-	lin := &ribsnap.Lineage{MaxDay: f.MaxDay, Cursors: cursors}
-	_ = ribsnap.WriteLineage(path, f, cfg.Window, digest, counts, lin)
+	return st, nil
 }
 
 // AmplifyVolume appends RouteViews-realistic background churn to the

@@ -1,0 +1,632 @@
+package loader_test
+
+import (
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"dropscope"
+	"dropscope/internal/archive"
+	"dropscope/internal/ingest"
+	"dropscope/internal/ingest/faultinject"
+	"dropscope/internal/loader"
+	"dropscope/internal/rib"
+	"dropscope/internal/ribsnap"
+	"dropscope/internal/scenario"
+	"dropscope/internal/serve"
+	"dropscope/internal/timex"
+)
+
+// fixture is one generated world in every archive state the matrix
+// visits. Only mrt/ differs between states; the text archives are
+// thinned to a few snapshots each (the loader parses them on every
+// route, and the matrix runs several hundred loads) and shared by hard
+// link.
+type fixture struct {
+	window timex.Range
+	text   string            // archive dir holding the thinned text subdirectories
+	mrt    map[string]string // state name -> directory of *.mrt files
+	victim string            // the collector the rewritten/removed/damaged states touch
+}
+
+var (
+	fixOnce sync.Once
+	fix     fixture
+	fixErr  error
+	fixRoot string
+)
+
+func TestMain(m *testing.M) {
+	root, err := os.MkdirTemp("", "loader-fixture-*")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fixRoot = root
+	code := m.Run()
+	os.RemoveAll(root)
+	os.Exit(code)
+}
+
+func writeWorld(dir string, w *scenario.World) error {
+	return archive.Write(dir, &archive.Bundle{
+		MRT: w.MRT, DROP: w.DROP, SBL: w.SBL, IRR: w.IRR, RPKI: w.RPKI, RIR: w.RIR,
+	})
+}
+
+// thin keeps the first keep entries of dir.
+func thin(dir string, keep int) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents[min(keep, len(ents)):] {
+		if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func buildFixture() (fixture, error) {
+	p := scenario.DefaultParams()
+	p.Scale = 16384
+	w, err := scenario.Generate(p)
+	if err != nil {
+		return fixture{}, err
+	}
+	f := fixture{window: p.Window, text: filepath.Join(fixRoot, "base"), mrt: map[string]string{}}
+	if err := writeWorld(f.text, w); err != nil {
+		return f, err
+	}
+	for sub, keep := range map[string]int{"rirstats": 1, "drop": 4, "rpki": 4} {
+		if err := thin(filepath.Join(f.text, sub), keep); err != nil {
+			return f, err
+		}
+	}
+	f.mrt["base"] = filepath.Join(f.text, "mrt")
+
+	// The encoder is deterministic, so after amplification every file's
+	// previous content is a byte prefix of its new content: an append.
+	if n, _ := scenario.AmplifyVolume(w, 8, 97); n == 0 {
+		return f, fmt.Errorf("AmplifyVolume appended nothing")
+	}
+	grown := filepath.Join(fixRoot, "grown")
+	if err := writeWorld(grown, w); err != nil {
+		return f, err
+	}
+	f.mrt["grown"] = filepath.Join(grown, "mrt")
+
+	names, err := filepath.Glob(filepath.Join(f.mrt["base"], "*.mrt"))
+	if err != nil || len(names) < 3 {
+		return f, fmt.Errorf("fixture has %d collectors (%v)", len(names), err)
+	}
+	f.victim = filepath.Base(names[0])
+	derive := func(state, from string, edit func(path string) error) error {
+		dir := filepath.Join(fixRoot, state)
+		f.mrt[state] = dir
+		if err := os.CopyFS(dir, os.DirFS(f.mrt[from])); err != nil {
+			return err
+		}
+		return edit(filepath.Join(dir, f.victim))
+	}
+	rewrite := func(path string, edit func([]byte) []byte) error {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(path, edit(raw), 0o644)
+	}
+	// Grown, but with a byte the previous generation consumed changed
+	// (a timestamp byte: the record stays decodable).
+	if err := derive("rewritten", "grown", func(path string) error {
+		return rewrite(path, func(b []byte) []byte { b[2] ^= 0x01; return b })
+	}); err != nil {
+		return f, err
+	}
+	if err := derive("removed", "base", os.Remove); err != nil {
+		return f, err
+	}
+	if err := derive("damaged", "base", func(path string) error {
+		return rewrite(path, faultinject.New(1000).DamageMRT)
+	}); err != nil {
+		return f, err
+	}
+	return f, nil
+}
+
+func getFixture(t *testing.T) fixture {
+	t.Helper()
+	fixOnce.Do(func() { fix, fixErr = buildFixture() })
+	if fixErr != nil {
+		t.Fatal(fixErr)
+	}
+	return fix
+}
+
+// linkTree hard-links every file under src into dst.
+func linkTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		return os.Link(path, filepath.Join(dst, rel))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// archiveDir assembles a private archive directory: the shared text
+// archives plus the named MRT state.
+func (f fixture) archiveDir(t *testing.T, state string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, sub := range []string{"drop", "sbl", "irr", "rpki", "rirstats"} {
+		linkTree(t, filepath.Join(f.text, sub), filepath.Join(dir, sub))
+	}
+	f.setMRT(t, dir, state)
+	return dir
+}
+
+// setMRT replaces dir's MRT files with the named state's — what an
+// operator's rsync of a newer (or broken) collector dump does.
+func (f fixture) setMRT(t *testing.T, dir, state string) {
+	t.Helper()
+	if err := os.RemoveAll(filepath.Join(dir, "mrt")); err != nil {
+		t.Fatal(err)
+	}
+	linkTree(t, f.mrt[state], filepath.Join(dir, "mrt"))
+}
+
+func (f fixture) digest(t *testing.T, state string) [32]byte {
+	t.Helper()
+	d, err := ribsnap.DigestMRT(f.mrt[state])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// flipMiddle flips one bit in the middle of the file, through a fresh
+// inode so a mapping of the old one is unaffected.
+func flipMiddle(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x40
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reference is the oracle of every cell: a cache-off, unsharded cold
+// build of the same archive state under the same strictness.
+type reference struct {
+	l   *loader.Loaded
+	err error
+}
+
+var (
+	refMu sync.Mutex
+	refs  = map[string]reference{}
+)
+
+func (f fixture) reference(t *testing.T, state string, window timex.Range, strict bool) reference {
+	t.Helper()
+	key := fmt.Sprint(state, window, strict)
+	refMu.Lock()
+	defer refMu.Unlock()
+	if r, ok := refs[key]; ok {
+		return r
+	}
+	o := loader.Options{Window: window}
+	if !strict {
+		o.Health = ingest.NewHealth()
+	}
+	l, err := loader.Load(f.archiveDir(t, state), o)
+	refs[key] = reference{l, err}
+	return refs[key]
+}
+
+// sameIndex compares all 17 Querier methods of got against want on a
+// sample of prefixes and days.
+func sameIndex(t *testing.T, who string, want, got rib.Querier, window timex.Range) {
+	t.Helper()
+	eq := func(what string, a, b any) {
+		t.Helper()
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: %s diverges from the cache-off cold build:\nwant %v\ngot  %v", who, what, a, b)
+		}
+	}
+	eq("Peers", want.Peers(), got.Peers())
+	eq("NumPeers", want.NumPeers(), got.NumPeers())
+	eq("NumPrefixes", want.NumPrefixes(), got.NumPrefixes())
+	eq("Prefixes", want.Prefixes(), got.Prefixes())
+	eq("ByOrigin", want.ByOrigin(), got.ByOrigin())
+	if t.Failed() {
+		return
+	}
+	days := []timex.Day{window.First, window.First + timex.Day(window.Days()/3), window.First + timex.Day(window.Days()/2), window.Last - 1, window.Last}
+	for _, d := range days {
+		eq(fmt.Sprint("RoutedSpace ", d), want.RoutedSpace(d, 2).Prefixes(), got.RoutedSpace(d, 2).Prefixes())
+		eq(fmt.Sprint("MOASConflicts ", d), want.MOASConflicts(d), got.MOASConflicts(d))
+	}
+	ps := want.Prefixes()
+	peers := want.Peers()
+	for i := 0; i < len(ps); i += len(ps)/48 + 1 {
+		p := ps[i]
+		eq(fmt.Sprint("OriginTimeline ", p), want.OriginTimeline(p), got.OriginTimeline(p))
+		wd, wok := want.FirstObserved(p)
+		gd, gok := got.FirstObserved(p)
+		eq(fmt.Sprint("FirstObserved ", p), []any{wd, wok}, []any{gd, gok})
+		for _, d := range append(days, wd) {
+			at := fmt.Sprint(" ", p, " ", d)
+			eq("VisibleCount"+at, want.VisibleCount(p, d), got.VisibleCount(p, d))
+			eq("VisibleFraction"+at, want.VisibleFraction(p, d), got.VisibleFraction(p, d))
+			eq("Observed"+at, want.Observed(p, d), got.Observed(p, d))
+			eq("PeersObserving"+at, want.PeersObserving(p, d), got.PeersObserving(p, d))
+			eq("PeerObserved"+at, want.PeerObserved(peers[i%len(peers)], p, d), got.PeerObserved(peers[i%len(peers)], p, d))
+			wo, wok := want.OriginAt(p, d)
+			g, gok := got.OriginAt(p, d)
+			eq("OriginAt"+at, []any{wo, wok}, []any{g, gok})
+			wp, wok := want.PathAt(p, d)
+			gp, gok := got.PathAt(p, d)
+			eq("PathAt"+at, []any{wp, wok}, []any{gp, gok})
+			eq("AnyOverlapObserved"+at, want.AnyOverlapObserved(p, d), got.AnyOverlapObserved(p, d))
+		}
+	}
+}
+
+// listing returns the sorted relative paths of the files under dir.
+func listing(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, path)
+			out = append(out, rel)
+		}
+		return err
+	})
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// genFiles lists what the store holds for one generation in the layout
+// a load with the given shard count writes.
+func genFiles(digest [32]byte, shards int) []string {
+	if shards <= 1 {
+		return []string{ribsnap.GenName(digest)}
+	}
+	out := []string{filepath.Join(ribsnap.GenDirName(digest), "shards.manifest")}
+	for i := 0; i < shards; i++ {
+		out = append(out, filepath.Join(ribsnap.GenDirName(digest), ribsnap.ShardFileName(i)))
+	}
+	return out
+}
+
+type event struct {
+	name  string
+	state string // archive state the load under test sees
+	route loader.Route
+	// fileSkip and storeSkip are the snapshot-source skip a lenient load
+	// counts with the bare-file and the store cache; nil counts none. A
+	// stale bare file is discarded (it is keyed on the old digest); the
+	// store looks the new digest up and simply misses.
+	fileSkip, storeSkip *ingest.Reason
+	// persists is false when the load must leave the cache as seeded.
+	persists bool
+}
+
+func reason(r ingest.Reason) *ingest.Reason { return &r }
+
+// TestRouteMatrix drives the one loader through every combination of
+// cache, shard count, archive event and strictness, asserting the route
+// taken, the health report (a cache-off cold build's, plus exactly the
+// documented snapshot skip), what is on disk afterwards, and that the
+// loader, the batch facade and serve.Load all serve the index the
+// cache-off cold build does.
+func TestRouteMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs several hundred loads")
+	}
+	f := getFixture(t)
+	events := []event{
+		{name: "first run", state: "base", route: loader.Cold, persists: true},
+		{name: "repeat", state: "base", route: loader.Warm, persists: true},
+		{name: "append-only growth", state: "grown", route: loader.Delta, persists: true},
+		{name: "rewritten file", state: "rewritten", route: loader.Cold, fileSkip: reason(ingest.Unsupported), persists: true},
+		{name: "removed collector", state: "removed", route: loader.Cold, fileSkip: reason(ingest.Unsupported), persists: true},
+		{name: "bit-flipped snapshot", state: "base", route: loader.Cold, fileSkip: reason(ingest.Corrupt), storeSkip: reason(ingest.Corrupt), persists: true},
+		{name: "window change", state: "base", route: loader.Cold, fileSkip: reason(ingest.Unsupported), storeSkip: reason(ingest.Unsupported), persists: true},
+		{name: "damaged collector", state: "damaged", route: loader.Cold, fileSkip: reason(ingest.Unsupported)},
+	}
+	for _, cacheKind := range []string{"none", "file", "store"} {
+		for _, shards := range []int{1, 4} {
+			for _, ev := range events {
+				for _, strict := range []bool{true, false} {
+					name := fmt.Sprintf("%s/shards=%d/%s/strict=%v", cacheKind, shards, ev.name, strict)
+					t.Run(name, func(t *testing.T) { f.runCell(t, cacheKind, shards, ev, strict) })
+				}
+			}
+		}
+	}
+}
+
+func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, strict bool) {
+	dir := f.archiveDir(t, "base")
+	cacheDir := filepath.Join(t.TempDir(), "ribsnap")
+	window := f.window
+	opts := func() loader.Options {
+		o := loader.Options{Window: window, Shards: shards, Delta: true}
+		if !strict {
+			o.Health = ingest.NewHealth()
+		}
+		switch cacheKind {
+		case "file":
+			o.SnapshotDir = cacheDir
+		case "store":
+			st, err := ribsnap.OpenStore(cacheDir, ribsnap.StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Store = st
+		}
+		return o
+	}
+	seeded := f.digest(t, "base")
+	if ev.name != "first run" {
+		l, err := loader.Load(dir, opts())
+		if err != nil {
+			t.Fatalf("seeding load: %v", err)
+		}
+		if l.Route != loader.Cold {
+			t.Fatalf("seeding load went %v", l.Route)
+		}
+		l.Snapshot.Close()
+	}
+	switch ev.name {
+	case "bit-flipped snapshot":
+		// The file a warm start opens first: the single snapshot, or
+		// shard 0 (the shard whose header the set reads at open).
+		switch {
+		case cacheKind == "file":
+			flipMiddle(t, filepath.Join(cacheDir, loader.SnapshotFile))
+		case cacheKind == "store" && shards > 1:
+			flipMiddle(t, filepath.Join(cacheDir, ribsnap.GenDirName(seeded), ribsnap.ShardFileName(0)))
+		case cacheKind == "store":
+			flipMiddle(t, filepath.Join(cacheDir, ribsnap.GenName(seeded)))
+		}
+	case "window change":
+		window.Last--
+	default:
+		f.setMRT(t, dir, ev.state)
+	}
+	current := f.digest(t, ev.state)
+
+	ref := f.reference(t, ev.state, window, strict)
+	o := opts()
+	got, err := loader.Load(dir, o)
+	if (err != nil) != (ref.err != nil) {
+		t.Fatalf("load error %v, cache-off cold build error %v", err, ref.err)
+	}
+	wantRoute, wantSkip := ev.route, (*ingest.Reason)(nil)
+	switch cacheKind {
+	case "none":
+		wantRoute = loader.Cold
+	case "file":
+		wantSkip = ev.fileSkip
+	case "store":
+		wantSkip = ev.storeSkip
+	}
+	if err == nil {
+		defer got.Snapshot.Close()
+		if got.Route != wantRoute {
+			t.Errorf("route %v, want %v", got.Route, wantRoute)
+		}
+		if got.Snapshot.Digest != current {
+			t.Errorf("loaded generation carries digest %x, the archive's is %x", got.Snapshot.Digest[:8], current[:8])
+		}
+		if fileBacked := got.Shards != nil; fileBacked != (cacheKind == "store" && shards > 1 && ev.persists) {
+			t.Errorf("file-backed shard set = %v", fileBacked)
+		}
+		sameIndex(t, "loader", ref.l.Pipeline.Index, got.Pipeline.Index, window)
+		if !strict {
+			var wantHealth, gotHealth []ingest.SourceReport
+			wantHealth = ref.l.Pipeline.HealthReport().Sources
+			var skips ingest.Counters
+			for _, s := range got.Pipeline.HealthReport().Sources {
+				if s.Name == loader.SnapshotSource {
+					skips = s.Skips
+					continue
+				}
+				gotHealth = append(gotHealth, s)
+			}
+			if !reflect.DeepEqual(wantHealth, gotHealth) {
+				t.Errorf("health diverges from the cache-off cold build:\nwant %+v\ngot  %+v", wantHealth, gotHealth)
+			}
+			var wantSkips ingest.Counters
+			if wantSkip != nil {
+				wantSkips.Add(*wantSkip)
+			}
+			if skips != wantSkips {
+				t.Errorf("snapshot skips %v, want %v", skips, wantSkips)
+			}
+		}
+	}
+
+	// What is on disk afterwards. A load that must not persist (damaged
+	// MRT ingest, or a strict load that failed) leaves the seeded state.
+	held := current
+	if !ev.persists {
+		held = seeded
+	}
+	switch cacheKind {
+	case "none":
+		if files := listing(t, cacheDir); len(files) != 0 {
+			t.Errorf("cache-off load wrote %v", files)
+		}
+	case "file":
+		if files := listing(t, cacheDir); !reflect.DeepEqual(files, []string{loader.SnapshotFile}) {
+			t.Errorf("snapshot dir holds %v", files)
+		}
+		s, lerr := ribsnap.Load(filepath.Join(cacheDir, loader.SnapshotFile), held)
+		if lerr != nil {
+			t.Fatalf("index.ribsnap does not hold generation %x: %v", held[:8], lerr)
+		}
+		s.Close()
+	case "store":
+		want := append([]string{ribsnap.ManifestName}, genFiles(seeded, shards)...)
+		if held != seeded {
+			want = append(want, genFiles(held, shards)...)
+		}
+		sort.Strings(want)
+		if files := listing(t, cacheDir); !reflect.DeepEqual(files, want) {
+			t.Errorf("store holds %v, want %v", files, want)
+		}
+		if live, ok := o.Store.Promoted(); !ok || live != held {
+			t.Errorf("promoted generation %x (%v), want %x", live[:8], ok, held[:8])
+		}
+		// A load that persisted nothing must not have touched the journal:
+		// the seeded generation is still the promoted one, not retired in
+		// favour of a generation that has no file.
+		if st := o.Store.Status(held); !ev.persists && st != ribsnap.GenPromoted {
+			t.Errorf("generation %x is %v in the journal, want promoted", held[:8], st)
+		}
+	}
+	if err != nil {
+		return
+	}
+
+	// The two callers over the same archive and cache. The facade has no
+	// store, so the store cells give it no cache.
+	iopts := dropscope.IngestOptions{Strict: strict, Shards: shards, Append: true}
+	if cacheKind == "file" {
+		iopts.SnapshotDir = cacheDir
+	}
+	cfg := dropscope.DefaultConfig()
+	cfg.Window = window
+	study, err := dropscope.LoadStudyWithOptions(dir, cfg, iopts)
+	if err != nil {
+		t.Fatalf("facade: %v", err)
+	}
+	defer study.Close()
+	sameIndex(t, "facade", ref.l.Pipeline.Index, study.Pipeline.Index, window)
+	gen, err := serve.Load(dir, opts())
+	if err != nil {
+		t.Fatalf("serve.Load: %v", err)
+	}
+	sameIndex(t, "serve.Load", ref.l.Pipeline.Index, gen.Pipeline().Index, window)
+	if !strings.HasPrefix(gen.DigestHex(), fmt.Sprintf("%x", current[:8])) {
+		t.Errorf("serve.Load generation %s, want %x", gen.DigestHex(), current[:8])
+	}
+}
+
+// TestDamagedLoadKeepsDeltaBase: a lenient load over a damaged
+// collector refuses to persist, so it has no generation to promote.
+// Journaling it live anyway would retire the last good generation and
+// leave the next load no base to extend.
+func TestDamagedLoadKeepsDeltaBase(t *testing.T) {
+	f := getFixture(t)
+	dir := f.archiveDir(t, "base")
+	st, err := ribsnap.OpenStore(filepath.Join(t.TempDir(), "ribsnap"), ribsnap.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(state string, want loader.Route) {
+		t.Helper()
+		f.setMRT(t, dir, state)
+		l, err := loader.Load(dir, loader.Options{Window: f.window, Health: ingest.NewHealth(), Store: st, Delta: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Snapshot.Close()
+		if l.Route != want {
+			t.Fatalf("%s archive loaded %v, want %v", state, l.Route, want)
+		}
+	}
+	load("base", loader.Cold)
+	load("damaged", loader.Cold)
+	seeded := f.digest(t, "base")
+	if live, ok := st.Promoted(); !ok || live != seeded || st.Status(seeded) != ribsnap.GenPromoted {
+		t.Fatalf("after the damaged load the live generation is %x (%v, %v), want the seeded %x still promoted",
+			live[:8], ok, st.Status(seeded), seeded[:8])
+	}
+	// The collector is repaired and a day has arrived: append-only growth
+	// past the seeded generation, which must still be there to extend.
+	load("grown", loader.Delta)
+}
+
+// TestUnshardedLoadOverShardedStore: the store holds the archive's
+// state only as a shard directory, which an unsharded load cannot map.
+// It rebuilds cold — and says why, in health (so /metrics) and through
+// the generation (so the daemon log), instead of silently costing a
+// cold build on every boot.
+func TestUnshardedLoadOverShardedStore(t *testing.T) {
+	f := getFixture(t)
+	dir := f.archiveDir(t, "base")
+	storeDir := filepath.Join(t.TempDir(), "ribsnap")
+	open := func() *ribsnap.Store {
+		t.Helper()
+		st, err := ribsnap.OpenStore(storeDir, ribsnap.StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	l, err := loader.Load(dir, loader.Options{Window: f.window, Health: ingest.NewHealth(), Store: open(), Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Snapshot.Close()
+
+	gen, err := serve.Load(dir, serve.LoadOptions{Window: f.window, Store: open()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen.DeltaBuilt() || gen.Shards() != nil {
+		t.Fatal("unsharded load over a sharded-only store did not rebuild cold")
+	}
+	var src *ingest.SourceReport
+	for i, s := range gen.Pipeline().HealthReport().Sources {
+		if s.Name == loader.SnapshotSource {
+			src = &gen.Pipeline().HealthReport().Sources[i]
+		}
+	}
+	if src == nil || src.Skips[ingest.Unsupported] != 1 || src.Skips.Total() != 1 {
+		t.Fatalf("snapshot source %+v, want exactly one unsupported skip", src)
+	}
+	if src.Note == "" || gen.LoadNote() != src.Note || !strings.Contains(src.Note, "sharded") {
+		t.Fatalf("rebuild is unexplained: health note %q, generation note %q", src.Note, gen.LoadNote())
+	}
+	// The rebuild wrote the single-file layout: the next unsharded load
+	// is warm and has nothing to explain.
+	l, err = loader.Load(dir, loader.Options{Window: f.window, Health: ingest.NewHealth(), Store: open()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Snapshot.Close()
+	if l.Route != loader.Warm || !l.Pipeline.HealthReport().Clean() {
+		t.Fatalf("follow-up load went %v with health %+v, want warm and clean", l.Route, l.Pipeline.HealthReport())
+	}
+}

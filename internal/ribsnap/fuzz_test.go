@@ -18,7 +18,7 @@ import (
 func FuzzSnapshotLoad(f *testing.F) {
 	ix, window := randomIndex(f, 5)
 	digest := [32]byte{5, 5, 5}
-	path := writeSnapshot(f, ix, window, digest)
+	path := writeTestSnapshot(f, ix, window, digest)
 	real, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)

@@ -13,7 +13,7 @@ import (
 func TestAcquireAfterCloseErrClosed(t *testing.T) {
 	ix, window := randomIndex(t, 11)
 	digest := [32]byte{1}
-	path := writeSnapshot(t, ix, window, digest)
+	path := writeTestSnapshot(t, ix, window, digest)
 	snap, err := Load(path, digest)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestConcurrentAcquireCloseRace(t *testing.T) {
 func TestLoadRecordsDigest(t *testing.T) {
 	ix, window := randomIndex(t, 12)
 	digest := [32]byte{9, 8, 7}
-	path := writeSnapshot(t, ix, window, digest)
+	path := writeTestSnapshot(t, ix, window, digest)
 	snap, err := Load(path, digest)
 	if err != nil {
 		t.Fatal(err)

@@ -92,7 +92,7 @@ func randomIndex(t testing.TB, seed uint64) (*rib.Index, timex.Range) {
 	return ix, window
 }
 
-func writeSnapshot(t testing.TB, ix *rib.Index, window timex.Range, digest [32]byte) string {
+func writeTestSnapshot(t testing.TB, ix *rib.Index, window timex.Range, digest [32]byte) string {
 	t.Helper()
 	frozen, err := ix.Frozen()
 	if err != nil {
@@ -121,7 +121,7 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ix, window := randomIndex(t, seed)
 			digest := [32]byte{1, 2, 3, byte(seed)}
-			path := writeSnapshot(t, ix, window, digest)
+			path := writeTestSnapshot(t, ix, window, digest)
 
 			snap, err := Load(path, digest)
 			if err != nil {
@@ -203,7 +203,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestLoadTruncated(t *testing.T) {
 	ix, window := randomIndex(t, 3)
 	digest := [32]byte{9}
-	path := writeSnapshot(t, ix, window, digest)
+	path := writeTestSnapshot(t, ix, window, digest)
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestLoadTruncated(t *testing.T) {
 func TestLoadFlippedBytes(t *testing.T) {
 	ix, window := randomIndex(t, 4)
 	digest := [32]byte{7}
-	path := writeSnapshot(t, ix, window, digest)
+	path := writeTestSnapshot(t, ix, window, digest)
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestLoadFlippedBytes(t *testing.T) {
 func TestLoadStaleDigest(t *testing.T) {
 	ix, window := randomIndex(t, 5)
 	digest := [32]byte{1}
-	path := writeSnapshot(t, ix, window, digest)
+	path := writeTestSnapshot(t, ix, window, digest)
 	if _, err := Load(path, [32]byte{2}); !errors.Is(err, ErrStale) {
 		t.Fatalf("error %v, want ErrStale", err)
 	}
@@ -275,7 +275,7 @@ func TestLoadStaleDigest(t *testing.T) {
 func TestLoadBadVersion(t *testing.T) {
 	ix, window := randomIndex(t, 6)
 	digest := [32]byte{1}
-	path := writeSnapshot(t, ix, window, digest)
+	path := writeTestSnapshot(t, ix, window, digest)
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -170,9 +170,11 @@ func writeShardManifestFS(fsys FS, dir string, m *ShardManifest) (err error) {
 
 // ShardSet manages the residency of one sharded generation directory.
 // Construct with OpenShardSet; hand queries to shards through Handles
-// (or Sharded). All residency state sits behind one mutex: faulting a
-// shard in is single-flight, and the resident fast path (one lock, one
-// refcount bump) allocates nothing.
+// (or Sharded). All residency state sits behind one mutex, which is
+// never held across file I/O: faulting a shard in is single-flight per
+// shard and runs outside the lock, so queries on resident shards do
+// not queue behind a neighbour's fault, and the resident fast path
+// (one lock, one refcount bump) allocates nothing.
 type ShardSet struct {
 	dir     string
 	digest  [32]byte
@@ -183,9 +185,10 @@ type ShardSet struct {
 	lineage *Lineage
 
 	mu          sync.Mutex
-	slots       []*Snapshot // nil = not resident
-	bad         []bool      // scrub found rot; fail fast, serve the rest
-	lastUse     []int64     // LRU clock value per shard
+	slots       []*Snapshot  // nil = not resident
+	bad         []bool       // scrub found rot; fail fast, serve the rest
+	lastUse     []int64      // LRU clock value per shard
+	loading     []*shardLoad // non-nil while shard i is being faulted in
 	tick        int64
 	maxResident int // <= 0 means unlimited
 	resident    int
@@ -220,6 +223,7 @@ func OpenShardSet(dir string, digest [32]byte, maxResident int) (*ShardSet, erro
 		slots:       make([]*Snapshot, k),
 		bad:         make([]bool, k),
 		lastUse:     make([]int64, k),
+		loading:     make([]*shardLoad, k),
 		maxResident: maxResident,
 	}
 	snap, err := Load(ss.ShardPath(0), digest)
@@ -267,42 +271,74 @@ func (ss *ShardSet) ShardPath(i int) string {
 // Manifest returns the decoded boundary table.
 func (ss *ShardSet) Manifest() *ShardManifest { return ss.man }
 
+// shardLoad is one in-flight fault-in: later acquirers of the same
+// shard wait on done instead of mapping the file again.
+type shardLoad struct {
+	done chan struct{}
+	err  error // set before done is closed
+}
+
 // AcquireIndex pins shard i's index: resident shards return
-// immediately (no allocation), evicted shards fault back in under the
-// set lock — single-flight, so a thundering herd of queries against a
-// cold range maps the file once. The returned release token must be
-// released exactly once; until then the index stays valid even if the
-// shard is evicted or the set closed underneath.
+// immediately (no allocation), evicted shards fault back in —
+// single-flight per shard, so a thundering herd of queries against a
+// cold range maps the file once, and outside the set lock, so the
+// herd's neighbours on resident shards are not held up by it. The
+// returned release token must be released exactly once; until then the
+// index stays valid even if the shard is evicted or the set closed
+// underneath.
 func (ss *ShardSet) AcquireIndex(i int) (*rib.Index, rib.ShardRelease, error) {
 	ss.mu.Lock()
-	if ss.closed {
-		ss.mu.Unlock()
-		return nil, nil, ErrClosed
-	}
-	if i < 0 || i >= len(ss.slots) {
-		ss.mu.Unlock()
-		return nil, nil, fmt.Errorf("ribsnap: shard %d of %d", i, len(ss.slots))
-	}
-	if ss.bad[i] {
-		ss.mu.Unlock()
-		return nil, nil, fmt.Errorf("%w: shard %d marked bad", ErrCorrupt, i)
-	}
-	if snap := ss.slots[i]; snap != nil {
-		if err := snap.Acquire(); err == nil {
-			ss.tick++
-			ss.lastUse[i] = ss.tick
+	for {
+		if err := ss.usableLocked(i); err != nil {
 			ss.mu.Unlock()
-			return snap.Index, snap, nil
+			return nil, nil, err
 		}
-		// Closed underneath (cannot happen while we hold the lock, but
-		// stay defensive): treat as evicted and fault back in.
-		ss.slots[i] = nil
-		ss.resident--
+		if snap := ss.slots[i]; snap != nil {
+			if err := snap.Acquire(); err == nil {
+				ss.tick++
+				ss.lastUse[i] = ss.tick
+				ss.mu.Unlock()
+				return snap.Index, snap, nil
+			}
+			// Closed underneath (cannot happen while we hold the lock, but
+			// stay defensive): treat as evicted and fault back in.
+			ss.slots[i] = nil
+			ss.resident--
+		}
+		ld := ss.loading[i]
+		if ld == nil {
+			break
+		}
+		ss.mu.Unlock()
+		<-ld.done
+		if ld.err != nil {
+			return nil, nil, ld.err
+		}
+		ss.mu.Lock() // resident now, unless it was evicted again already
 	}
+	ld := &shardLoad{done: make(chan struct{})}
+	ss.loading[i] = ld
+	ss.mu.Unlock()
+
 	snap, err := Load(ss.ShardPath(i), ss.digest)
 	if err != nil {
+		err = fmt.Errorf("ribsnap: shard %d: %w", i, err)
+	}
+
+	ss.mu.Lock()
+	ss.loading[i] = nil
+	if err == nil {
+		// The set may have been closed, or the shard marked bad, while
+		// the file was being mapped.
+		if err = ss.usableLocked(i); err != nil {
+			snap.Close()
+		}
+	}
+	if err != nil {
 		ss.mu.Unlock()
-		return nil, nil, fmt.Errorf("ribsnap: shard %d: %w", i, err)
+		ld.err = err
+		close(ld.done)
+		return nil, nil, err
 	}
 	ss.faults.Add(1)
 	ss.slots[i] = snap
@@ -312,12 +348,27 @@ func (ss *ShardSet) AcquireIndex(i int) (*rib.Index, rib.ShardRelease, error) {
 	snap.Acquire() // fresh snapshot: cannot fail
 	ss.evictLocked(i)
 	ss.mu.Unlock()
+	close(ld.done)
 	return snap.Index, snap, nil
+}
+
+// usableLocked reports why shard i cannot be acquired, nil when it can.
+func (ss *ShardSet) usableLocked(i int) error {
+	switch {
+	case ss.closed:
+		return ErrClosed
+	case i < 0 || i >= len(ss.slots):
+		return fmt.Errorf("ribsnap: shard %d of %d", i, len(ss.slots))
+	case ss.bad[i]:
+		return fmt.Errorf("%w: shard %d marked bad", ErrCorrupt, i)
+	}
+	return nil
 }
 
 // evictLocked closes least-recently-used shards (never keep) until the
 // budget holds. Closing a victim with readers in flight only marks it:
-// the last Release unmaps, so the budget is a target the set converges
+// the last Release unmaps, and a shard being faulted in is mapped
+// before it is counted, so the budget is a target the set converges
 // to, not a hard ceiling during overlap.
 func (ss *ShardSet) evictLocked(keep int) {
 	for ss.maxResident > 0 && ss.resident > ss.maxResident {

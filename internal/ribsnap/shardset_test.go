@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"dropscope/internal/netx"
 	"dropscope/internal/rib"
@@ -254,6 +255,79 @@ func TestShardSetMarkBad(t *testing.T) {
 		t.Fatal(err)
 	} else {
 		rel.Release()
+	}
+}
+
+// TestShardFaultInFlight pins the fault-in protocol by standing in for
+// a fault of shard 1 that is still mapping its file: a resident
+// neighbour is acquired without waiting for it, a second acquirer of
+// shard 1 waits instead of mapping the file again, and the fault's
+// outcome — a mapped shard, or its error — is what the waiter gets.
+func TestShardFaultInFlight(t *testing.T) {
+	d := dg(0xCC)
+	st, _, _ := shardFixture(t, 3, d)
+	ss, err := st.LoadShards(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+
+	begin := func() *shardLoad {
+		ld := &shardLoad{done: make(chan struct{})}
+		ss.mu.Lock()
+		ss.loading[1] = ld
+		ss.mu.Unlock()
+		return ld
+	}
+	finish := func(ld *shardLoad, err error) {
+		ss.mu.Lock()
+		ss.loading[1] = nil
+		ss.mu.Unlock()
+		ld.err = err
+		close(ld.done)
+	}
+	waiter := func() chan error {
+		got := make(chan error, 1)
+		go func() {
+			_, rel, err := ss.AcquireIndex(1)
+			if err == nil {
+				rel.Release()
+			}
+			got <- err
+		}()
+		select {
+		case err := <-got:
+			t.Fatalf("acquire of a shard being faulted in returned early: %v", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		return got
+	}
+
+	ld := begin()
+	if _, rel, err := ss.AcquireIndex(0); err != nil { // shard 0 is resident from open
+		t.Fatal(err)
+	} else {
+		rel.Release()
+	}
+	got := waiter()
+	faults := ss.Faults()
+	finish(ld, nil) // the stand-in mapped nothing, so the waiter faults the shard in itself
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	if f := ss.Faults(); f != faults+1 {
+		t.Fatalf("faults went %d -> %d, want one fault-in", faults, f)
+	}
+
+	ss.mu.Lock()
+	ss.slots[1].Close()
+	ss.slots[1], ss.resident = nil, ss.resident-1
+	ss.mu.Unlock()
+	ld = begin()
+	got = waiter()
+	finish(ld, ErrCorrupt)
+	if err := <-got; !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("waiter got %v, want the fault's ErrCorrupt", err)
 	}
 }
 

@@ -26,7 +26,7 @@ func TestCopyDecodePathMatchesZeroCopy(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		ix, window := randomIndex(t, seed)
 		digest := [32]byte{9, 9, byte(seed)}
-		path := writeSnapshot(t, ix, window, digest)
+		path := writeTestSnapshot(t, ix, window, digest)
 
 		load := func(on bool) *Snapshot {
 			t.Helper()
@@ -87,7 +87,7 @@ func TestCopyDecodePathMatchesZeroCopy(t *testing.T) {
 func TestCopyDecodeIsIndependentOfMapping(t *testing.T) {
 	ix, window := randomIndex(t, 3)
 	digest := [32]byte{7}
-	path := writeSnapshot(t, ix, window, digest)
+	path := writeTestSnapshot(t, ix, window, digest)
 
 	withZeroCopy(t, false, func() {
 		s, err := Load(path, digest)

@@ -18,6 +18,7 @@ import (
 
 	"dropscope/internal/analysis"
 	"dropscope/internal/bgp"
+	"dropscope/internal/loader"
 	"dropscope/internal/netx"
 	"dropscope/internal/ribsnap"
 	"dropscope/internal/rpki"
@@ -131,6 +132,18 @@ func (g *Generation) Shards() *ribsnap.ShardSet { return g.shards }
 // DeltaBuilt reports whether the generation was produced by the
 // incremental append path rather than a warm map or cold rebuild.
 func (g *Generation) DeltaBuilt() bool { return g.deltaBuilt }
+
+// LoadNote explains a load that rebuilt cold past a healthy cached
+// generation it could not use ("" otherwise) — the note the loader left
+// on the snapshot health source, for the daemon's log line.
+func (g *Generation) LoadNote() string {
+	for _, s := range g.pipe.HealthReport().Sources {
+		if s.Name == loader.SnapshotSource {
+			return s.Note
+		}
+	}
+	return ""
+}
 
 // buildROATable replays the ROA journal into flat parallel arrays. A
 // revoke closes the oldest open span of the same ROA — the same

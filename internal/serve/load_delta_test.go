@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dropscope/internal/archive"
+	"dropscope/internal/loader"
 	"dropscope/internal/ribsnap"
 	"dropscope/internal/scenario"
 	"dropscope/internal/session"
@@ -113,7 +114,7 @@ func TestDeltaLoadStoreMatchesCold(t *testing.T) {
 
 	// The delta generation's health must match a cache-off cold run:
 	// no discarded-snapshot skip.
-	if m := get(t, New(g2), "/metrics").Body.String(); strings.Contains(m, snapshotSource) {
+	if m := get(t, New(g2), "/metrics").Body.String(); strings.Contains(m, loader.SnapshotSource) {
 		t.Fatalf("delta load counted a snapshot skip:\n%s", m)
 	}
 

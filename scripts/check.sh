@@ -41,7 +41,14 @@ fmt() {
   fi
 }
 
-test_() { go test ./...; }
+# test also vets and short-tests benchmark/: it is a module of its own,
+# so the root `go test ./...` never compiles it, and a break of a
+# signature it calls (dropscope.LoadStudyWithOptions, serve.Load, ...)
+# would otherwise surface only in the benchmark pipeline.
+test_() {
+  go test ./...
+  (cd benchmark && go vet . && go test -short .)
+}
 
 race() { go test -race ./...; }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dropscope/internal/ingest"
+	"dropscope/internal/loader"
 )
 
 // writeArchivesWithSnapshot persists the cached study's archives, runs
@@ -27,7 +28,7 @@ func writeArchivesWithSnapshot(t *testing.T) (dir, snapDir string) {
 	if first.snap != nil {
 		t.Fatal("first cached load must be cold")
 	}
-	if _, err := os.Stat(filepath.Join(snapDir, snapshotFile)); err != nil {
+	if _, err := os.Stat(filepath.Join(snapDir, loader.SnapshotFile)); err != nil {
 		t.Fatalf("cold load did not write snapshot: %v", err)
 	}
 	return dir, snapDir
@@ -114,7 +115,7 @@ func TestWarmStartByteIdentical(t *testing.T) {
 // rendered health report, and whether the source appeared at all.
 func snapshotSkip(r Results) (ingest.Counters, bool) {
 	for _, src := range r.Health.Sources {
-		if src.Name == snapshotSource {
+		if src.Name == loader.SnapshotSource {
 			return src.Skips, true
 		}
 	}
@@ -127,7 +128,7 @@ func snapshotSkip(r Results) (ingest.Counters, bool) {
 // snapshot for the next run.
 func TestWarmStartDamagedSnapshotFallsBack(t *testing.T) {
 	dir, snapDir := writeArchivesWithSnapshot(t)
-	path := filepath.Join(snapDir, snapshotFile)
+	path := filepath.Join(snapDir, loader.SnapshotFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +169,7 @@ func TestWarmStartDamagedSnapshotFallsBack(t *testing.T) {
 // truncation, checking the skip lands on the Truncated counter.
 func TestWarmStartTruncatedSnapshotFallsBack(t *testing.T) {
 	dir, snapDir := writeArchivesWithSnapshot(t)
-	path := filepath.Join(snapDir, snapshotFile)
+	path := filepath.Join(snapDir, loader.SnapshotFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

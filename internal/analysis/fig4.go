@@ -105,7 +105,10 @@ func (p *Pipeline) Fig4RPKIValidHijacks() Fig4 {
 		out.Rows = append(out.Rows, Fig4Row{
 			Prefix: h.Prefix, Spans: tl, Signed: true, Listed: true,
 		})
-		for _, pfx := range p.Index.Prefixes() {
+		// Candidate siblings are the prefixes the case origin ever
+		// announced (the case prefix among them, so the entry exists), in
+		// address order; only their transit is left to check.
+		for _, pfx := range p.OriginActivity()[out.CaseOrigin].Prefixes {
 			if pfx == h.Prefix {
 				continue
 			}

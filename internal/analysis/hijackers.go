@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"dropscope/internal/bgp"
+	"dropscope/internal/netx"
 	"dropscope/internal/timex"
 )
 
@@ -32,9 +33,9 @@ type HijackerProfile struct {
 // operators announce persistently, even when their space is listed).
 // Results are sorted by listed count descending.
 func (p *Pipeline) SerialHijackers(minPrefixes int, minListedFraction float64, maxMedianSpanDays int) []HijackerProfile {
-	listed := make(map[string]bool)
+	listed := make(map[netx.Prefix]bool, len(p.Listings))
 	for _, l := range p.Listings {
-		listed[l.Prefix.String()] = true
+		listed[l.Prefix] = true
 	}
 
 	var out []HijackerProfile
@@ -43,20 +44,13 @@ func (p *Pipeline) SerialHijackers(minPrefixes int, minListedFraction float64, m
 			continue
 		}
 		prof := HijackerProfile{Origin: origin, PrefixCount: len(act.Prefixes)}
-		var spanLens []int
 		for _, pfx := range act.Prefixes {
-			if listed[pfx.String()] {
+			if listed[pfx] {
 				prof.ListedCount++
 			}
-			for _, s := range p.Index.OriginTimeline(pfx) {
-				if s.Origin == origin {
-					spanLens = append(spanLens, int(s.To-s.From))
-				}
-			}
 		}
-		sort.Ints(spanLens)
-		if len(spanLens) > 0 {
-			prof.MedianSpanDays = spanLens[len(spanLens)/2]
+		if n := len(act.SpanDays); n > 0 {
+			prof.MedianSpanDays = int(act.SpanDays[n/2])
 		}
 		prof.ListedFraction = float64(prof.ListedCount) / float64(prof.PrefixCount)
 		if prof.ListedFraction >= minListedFraction && prof.MedianSpanDays <= maxMedianSpanDays {

@@ -9,10 +9,12 @@ import (
 	"dropscope/internal/timex"
 )
 
-// queryCache memoizes the whole-index day queries that several
-// experiments repeat against the same closed Index: the routed-space
-// set (Fig5's sweep plus three end-of-window analyses), the MOAS sweep,
-// and the per-origin activity aggregation. The experiment fan-out runs
+// queryCache memoizes the whole-index products that several
+// experiments share over the same closed Index: the routed-space set
+// (Fig5's sweep plus three end-of-window analyses), the MOAS sweep, and
+// the per-origin activity aggregation (Fig 4's sibling candidates, the
+// hijacker profiles). An experiment reads these; it never re-derives a
+// whole-index product per item. The experiment fan-out runs
 // on concurrent goroutines sharing one Pipeline, so each key resolves
 // through its own sync.Once — the first caller computes, everyone else
 // blocks briefly and shares the result. Cached values are shared and
@@ -77,8 +79,10 @@ func (p *Pipeline) MOASConflictsAt(d timex.Day) []rib.MOAS {
 	return e.ms
 }
 
-// OriginActivity is Index.ByOrigin memoized. The returned map and its
-// activities are shared across callers and must not be mutated.
+// OriginActivity is Index.ByOrigin memoized: the run's one sweep over
+// every prefix's origination timeline, with each origin's prefixes, day
+// sum and sorted span lengths. The returned map and its activities are
+// shared across callers and must not be mutated.
 func (p *Pipeline) OriginActivity() map[bgp.ASN]*rib.OriginActivity {
 	p.cache.originsOnce.Do(func() { p.cache.origins = p.Index.ByOrigin() })
 	return p.cache.origins

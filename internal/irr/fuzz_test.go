@@ -42,6 +42,11 @@ func FuzzParseJournal(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("%ADD zzz\nroute: x\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ParseJournal(data)
+		db, err := ParseJournal(data)
+		if err != nil {
+			return
+		}
+		// The routes parsed at append must answer as the journal text does.
+		checkRouteHistory(t, db)
 	})
 }

@@ -7,8 +7,10 @@ package irr
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -283,7 +285,16 @@ type Event struct {
 // queries then reconstruct the registry state at any day.
 type DB struct {
 	events  []Event
+	routes  []routeEvent // the route-class events, parsed once at append
 	lastDay timex.Day
+}
+
+// routeEvent is one journal entry of a route object that parses, in
+// journal order.
+type routeEvent struct {
+	day   timex.Day
+	op    Op
+	route Route
 }
 
 // Add journals the creation of obj on day d.
@@ -292,12 +303,20 @@ func (db *DB) Add(d timex.Day, obj *Object) error { return db.append(Event{d, Op
 // Del journals the removal of obj (matched by class and key) on day d.
 func (db *DB) Del(d timex.Day, obj *Object) error { return db.append(Event{d, OpDel, obj}) }
 
+// append is the journal's single entry point. A route object that does
+// not parse stays in the journal but is invisible to route queries; it
+// is never an error here.
 func (db *DB) append(e Event) error {
 	if len(db.events) > 0 && e.Day < db.lastDay {
 		return fmt.Errorf("irr: journal out of order: %v after %v", e.Day, db.lastDay)
 	}
 	db.events = append(db.events, e)
 	db.lastDay = e.Day
+	if e.Object.Class() == "route" {
+		if r, err := e.Object.AsRoute(); err == nil {
+			db.routes = append(db.routes, routeEvent{e.Day, e.Op, r})
+		}
+	}
 	return nil
 }
 
@@ -358,31 +377,32 @@ type RouteSpan struct {
 }
 
 // RouteHistory returns the lifetime of every route object whose prefix
-// equals p or is more specific than p, ordered by creation day. This is
-// the query behind the paper's §5 analysis ("exact match or a more
-// specific prefix").
+// equals p or is more specific than p, ordered by creation day (then
+// prefix, origin and removal, so the order is total). This is the query
+// behind the paper's §5 analysis ("exact match or a more specific
+// prefix").
 func (db *DB) RouteHistory(p netx.Prefix) []RouteSpan {
+	type key struct {
+		prefix netx.Prefix
+		origin bgp.ASN
+	}
 	type open struct {
 		r   Route
 		day timex.Day
 	}
-	opens := make(map[string]open)
+	opens := make(map[key]open)
 	var out []RouteSpan
-	for _, e := range db.events {
-		if e.Object.Class() != "route" {
+	for _, e := range db.routes {
+		if !p.Covers(e.route.Prefix) {
 			continue
 		}
-		r, err := e.Object.AsRoute()
-		if err != nil || !p.Covers(r.Prefix) {
-			continue
-		}
-		k := r.Prefix.String() + "|" + r.Origin.String()
-		switch e.Op {
+		k := key{e.route.Prefix, e.route.Origin}
+		switch e.op {
 		case OpAdd:
-			opens[k] = open{r, e.Day}
+			opens[k] = open{e.route, e.day}
 		case OpDel:
 			if o, ok := opens[k]; ok {
-				out = append(out, RouteSpan{Route: o.r, Created: o.day, Removed: e.Day, HasRemoved: true})
+				out = append(out, RouteSpan{Route: o.r, Created: o.day, Removed: e.day, HasRemoved: true})
 				delete(opens, k)
 			}
 		}
@@ -390,13 +410,32 @@ func (db *DB) RouteHistory(p netx.Prefix) []RouteSpan {
 	for _, o := range opens {
 		out = append(out, RouteSpan{Route: o.r, Created: o.day})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Created != out[j].Created {
-			return out[i].Created < out[j].Created
-		}
-		return out[i].Route.Prefix.Compare(out[j].Route.Prefix) < 0
-	})
+	// A total order: still-open objects arrive in map order, and one
+	// prefix may hold several objects created the same day.
+	slices.SortStableFunc(out, compareRouteSpans)
 	return out
+}
+
+// compareRouteSpans orders by (Created, Prefix, Origin, HasRemoved,
+// Removed). Two spans equal under it are closed lifetimes of one object
+// and keep their journal order.
+func compareRouteSpans(a, b RouteSpan) int {
+	if a.Created != b.Created {
+		return cmp.Compare(a.Created, b.Created)
+	}
+	if c := a.Route.Prefix.Compare(b.Route.Prefix); c != 0 {
+		return c
+	}
+	if a.Route.Origin != b.Route.Origin {
+		return cmp.Compare(a.Route.Origin, b.Route.Origin)
+	}
+	if a.HasRemoved != b.HasRemoved {
+		if b.HasRemoved {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.Removed, b.Removed)
 }
 
 // RoutesAt returns the route objects live at day d whose prefix equals p

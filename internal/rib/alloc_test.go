@@ -58,6 +58,23 @@ func TestPointQueryAllocs(t *testing.T) {
 	}
 }
 
+// TestOriginTimelineAllocs pins a timeline on a closed index at one
+// allocation — the returned slice, sorted and merged in place. The
+// daemon's /v1/origins handler pays it per request.
+func TestOriginTimelineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	ix := closedTestIndex(t)
+	if avg := testing.AllocsPerRun(500, func() {
+		if len(ix.OriginTimeline(pfx)) != 2 {
+			t.Fatal("expected two spans")
+		}
+	}); avg != 1 {
+		t.Errorf("OriginTimeline allocates %.2f objects/op after Close; want 1", avg)
+	}
+}
+
 // TestCloseIdempotent pins the satellite contract: a second Close must
 // not re-sort, re-intern, or re-clamp anything — same backing arrays,
 // same answers, and crucially the open spans stay clamped to the FIRST

@@ -37,9 +37,11 @@
 package rib
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -931,29 +933,36 @@ func (ix *Index) OriginTimeline(p netx.Prefix) []OriginSpan {
 	if len(spans) == 0 {
 		return nil
 	}
-	all := make([]OriginSpan, 0, len(spans))
+	return ix.timelineInto(make([]OriginSpan, 0, len(spans)), spans)
+}
+
+// timelineInto builds the merged origination history of one prefix's
+// spans over dst's storage and returns it: sorted and merged in place,
+// so a dst with room for len(spans) entries makes it allocation-free.
+func (ix *Index) timelineInto(dst []OriginSpan, spans []Span) []OriginSpan {
+	dst = dst[:0]
 	for _, s := range spans {
 		m := ix.paths.Meta(s.Path)
-		all = append(all, OriginSpan{From: s.From, To: s.To, Origin: m.Origin, Transit: m.Transit})
+		dst = append(dst, OriginSpan{From: s.From, To: s.To, Origin: m.Origin, Transit: m.Transit})
 	}
 	// Full-key comparison: ties must order identically however the spans
 	// arrived, or merged timelines would depend on arrival order.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].From != all[j].From {
-			return all[i].From < all[j].From
+	slices.SortFunc(dst, func(a, b OriginSpan) int {
+		if a.From != b.From {
+			return cmp.Compare(a.From, b.From)
 		}
-		if all[i].Origin != all[j].Origin {
-			return all[i].Origin < all[j].Origin
+		if a.Origin != b.Origin {
+			return cmp.Compare(a.Origin, b.Origin)
 		}
-		if all[i].Transit != all[j].Transit {
-			return all[i].Transit < all[j].Transit
+		if a.Transit != b.Transit {
+			return cmp.Compare(a.Transit, b.Transit)
 		}
-		return all[i].To < all[j].To
+		return cmp.Compare(a.To, b.To)
 	})
-	var merged []OriginSpan
-	for _, s := range all {
-		if n := len(merged); n > 0 {
-			m := &merged[n-1]
+	n := 0
+	for _, s := range dst {
+		if n > 0 {
+			m := &dst[n-1]
 			if m.Origin == s.Origin && m.Transit == s.Transit && s.From <= m.To {
 				if s.To > m.To {
 					m.To = s.To
@@ -961,9 +970,10 @@ func (ix *Index) OriginTimeline(p netx.Prefix) []OriginSpan {
 				continue
 			}
 		}
-		merged = append(merged, s)
+		dst[n] = s
+		n++
 	}
-	return merged
+	return dst[:n]
 }
 
 // FirstObserved returns the first day any peer observed p, if ever.
@@ -1086,22 +1096,28 @@ func (ix *Index) MOASConflicts(d timex.Day) []MOAS {
 }
 
 // OriginActivity summarizes one origin AS's footprint over the whole
-// index: the prefixes it originated and its total originated days.
+// index: the prefixes it originated, its total originated days, and the
+// length of every merged origination span it holds.
 type OriginActivity struct {
 	Origin         bgp.ASN
 	Prefixes       []netx.Prefix // sorted, deduplicated
 	OriginatedDays int           // sum of span lengths across prefixes and peers' merged spans
+	SpanDays       []int32       // length of each merged span across its prefixes, ascending
 }
 
-// ByOrigin aggregates origination activity per origin AS. Iteration
-// order (interner order before Close, address order after) does not
-// leak into the result: the per-origin prefix lists are sorted and the
-// day sums are order-independent.
+// ByOrigin aggregates origination activity per origin AS in one sweep:
+// each prefix's timeline is derived exactly once, into a scratch buffer
+// reused across prefixes. Iteration order (interner order before Close,
+// address order after) does not leak into the result: the per-origin
+// prefix lists and span lengths are sorted and the day sums are
+// order-independent.
 func (ix *Index) ByOrigin() map[bgp.ASN]*OriginActivity {
 	out := make(map[bgp.ASN]*OriginActivity)
+	var tl []OriginSpan
 	for i, n := 0, ix.NumPrefixes(); i < n; i++ {
 		p := ix.prefixAt(i)
-		for _, span := range ix.OriginTimeline(p) {
+		tl = ix.timelineInto(tl, ix.spansOf(p))
+		for _, span := range tl {
 			act := out[span.Origin]
 			if act == nil {
 				act = &OriginActivity{Origin: span.Origin}
@@ -1112,11 +1128,17 @@ func (ix *Index) ByOrigin() map[bgp.ASN]*OriginActivity {
 				act.Prefixes = append(act.Prefixes, p)
 			}
 			act.OriginatedDays += int(span.To - span.From)
+			act.SpanDays = append(act.SpanDays, int32(span.To-span.From))
 		}
 	}
 	for _, act := range out {
-		netx.SortPrefixes(act.Prefixes)
-		act.Prefixes = dedupPrefixes(act.Prefixes)
+		// A built index visits prefixes in address order, so the lists
+		// are already sorted and free of duplicates.
+		if !ix.built {
+			netx.SortPrefixes(act.Prefixes)
+			act.Prefixes = dedupPrefixes(act.Prefixes)
+		}
+		slices.Sort(act.SpanDays)
 	}
 	return out
 }

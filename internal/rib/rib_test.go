@@ -1,6 +1,8 @@
 package rib
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -370,27 +372,56 @@ func TestByOrigin(t *testing.T) {
 	other := netx.MustParsePrefix("198.51.100.0/24")
 	err := ix.Load("rv1", []mrt.Record{
 		peerTable(),
-		announce(day0, 0, bgp.Sequence(64500, 100), pfx),
+		// other sorts after pfx but is interned first: the un-closed
+		// sweep has to sort, the closed one visits in address order.
 		announce(day0, 0, bgp.Sequence(64500, 100), other),
-		announce(day0+5, 1, bgp.Sequence(64501, 100), pfx), // same origin, second peer
+		announce(day0, 0, bgp.Sequence(64500, 100), pfx),
+		announce(day0+5, 1, bgp.Sequence(64501, 100), pfx), // same origin, second peer and transit
+		announce(day0+7, 1, bgp.Sequence(64501, 200), other),
 		withdraw(day0+10, 0, pfx),
 		withdraw(day0+10, 1, pfx),
+		withdraw(day0+8, 1, other),
 		withdraw(day0+20, 0, other),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := map[bgp.ASN]*OriginActivity{
+		100: {Origin: 100, Prefixes: []netx.Prefix{pfx, other}, OriginatedDays: 35, SpanDays: []int32{5, 10, 20}},
+		200: {Origin: 200, Prefixes: []netx.Prefix{other}, OriginatedDays: 1, SpanDays: []int32{1}},
+	}
+	// Every span is withdrawn, so Close clamps nothing and both sweeps
+	// must give the same answer.
+	if got := ix.ByOrigin(); !reflect.DeepEqual(got, want) {
+		t.Errorf("before Close: %+v %+v", got[100], got[200])
+	}
 	ix.Close(day0 + 100)
+	if got := ix.ByOrigin(); !reflect.DeepEqual(got, want) {
+		t.Errorf("after Close: %+v %+v", got[100], got[200])
+	}
+}
 
+// TestByOriginSpanDays checks the one-sweep span lengths against the
+// derivation they replace: one OriginTimeline per (origin, prefix).
+// TestShardedByteIdentical holds the sharded sweep to this one.
+func TestByOriginSpanDays(t *testing.T) {
+	ix := buildShardTestIndex(t)
 	acts := ix.ByOrigin()
-	act := acts[100]
-	if act == nil {
-		t.Fatal("no activity for origin 100")
+	if len(acts) == 0 {
+		t.Fatal("no origins")
 	}
-	if len(act.Prefixes) != 2 {
-		t.Errorf("prefixes = %v", act.Prefixes)
-	}
-	if act.OriginatedDays <= 0 {
-		t.Errorf("days = %d", act.OriginatedDays)
+	for origin, act := range acts {
+		var want []int32
+		for _, p := range act.Prefixes {
+			for _, s := range ix.OriginTimeline(p) {
+				if s.Origin == origin {
+					want = append(want, int32(s.To-s.From))
+				}
+			}
+		}
+		slices.Sort(want)
+		if !slices.Equal(act.SpanDays, want) {
+			t.Errorf("AS%d SpanDays = %v, want %v", origin, act.SpanDays, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package rib
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -517,7 +518,9 @@ func (s *Sharded) MOASConflicts(d timex.Day) []MOAS {
 // ByOrigin fans out and merges per-origin activity. Per-shard prefix
 // lists are sorted and deduplicated over disjoint ascending ranges, so
 // concatenating them in shard order reproduces the globally sorted,
-// deduplicated list; day sums are order-independent.
+// deduplicated list; day sums are order-independent and the
+// concatenated span lengths are sorted again (one pass where an origin
+// lives in a single shard).
 func (s *Sharded) ByOrigin() map[bgp.ASN]*OriginActivity {
 	parts := make([]map[bgp.ASN]*OriginActivity, len(s.shards))
 	s.fanOut(func(i int, ix *Index) { parts[i] = ix.ByOrigin() })
@@ -526,16 +529,16 @@ func (s *Sharded) ByOrigin() map[bgp.ASN]*OriginActivity {
 		for asn, act := range part {
 			g := out[asn]
 			if g == nil {
-				out[asn] = &OriginActivity{
-					Origin:         asn,
-					Prefixes:       act.Prefixes,
-					OriginatedDays: act.OriginatedDays,
-				}
+				out[asn] = act
 				continue
 			}
 			g.Prefixes = append(g.Prefixes, act.Prefixes...)
 			g.OriginatedDays += act.OriginatedDays
+			g.SpanDays = append(g.SpanDays, act.SpanDays...)
 		}
+	}
+	for _, g := range out {
+		slices.Sort(g.SpanDays)
 	}
 	return out
 }

@@ -309,9 +309,9 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request, g *Generatio
 }
 
 // handleOrigins answers GET /v1/origins?prefix=P: the merged
-// origination timeline of P across all peers. The timeline query
-// allocates (it sorts and merges spans); the response is still built on
-// the pooled buffer.
+// origination timeline of P across all peers. The timeline query makes
+// one allocation (the returned spans, sorted and merged in place); the
+// response is built on the pooled buffer.
 func (s *Server) handleOrigins(w http.ResponseWriter, r *http.Request, g *Generation) {
 	st := s.pool.Get().(*reqState)
 	defer s.pool.Put(st)

@@ -1,70 +1,9 @@
-# Convenience wrappers over scripts/check.sh — the same commands CI runs
-# (.github/workflows/ci.yml), so a green `make all` locally means a green
-# gate.
-.PHONY: all build vet fmt test race bench benchgate fuzz faults chaos warmstart serve soak crash overload shard shardgate delta deltaratio lint loadtest
+# Every target is a scripts/check.sh subcommand — the same commands CI
+# runs (.github/workflows/ci.yml), so a green `make all` locally means a
+# green gate. The target list is read from check.sh, not repeated here.
+CHECKS := $(shell sed -n 's/^SUBCOMMANDS="\(.*\)"$$/\1/p' scripts/check.sh)
 
-all:
-	scripts/check.sh all
-
-build:
-	scripts/check.sh build
-
-vet:
-	scripts/check.sh vet
-
-fmt:
-	scripts/check.sh fmt
-
-test:
-	scripts/check.sh test
-
-race:
-	scripts/check.sh race
-
-bench:
-	scripts/check.sh bench
-
-benchgate:
-	scripts/check.sh benchgate
-
-fuzz:
-	scripts/check.sh fuzz
-
-faults:
-	scripts/check.sh faults
-
-chaos:
-	scripts/check.sh chaos
-
-warmstart:
-	scripts/check.sh warmstart
-
-serve:
-	scripts/check.sh serve
-
-soak:
-	scripts/check.sh soak
-
-crash:
-	scripts/check.sh crash
-
-overload:
-	scripts/check.sh overload
-
-shard:
-	scripts/check.sh shard
-
-shardgate:
-	scripts/check.sh shardgate
-
-delta:
-	scripts/check.sh delta
-
-deltaratio:
-	scripts/check.sh deltaratio
-
-lint:
-	scripts/check.sh lint
-
-loadtest:
-	scripts/loadtest.sh
+.DEFAULT_GOAL := all
+.PHONY: $(CHECKS)
+$(CHECKS):
+	scripts/check.sh $@

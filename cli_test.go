@@ -86,10 +86,24 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 
 	// -mem-budget bounds the residency of the store's shard files; with
-	// no store there is nothing to bound, and the daemon must say so
-	// instead of silently serving unbounded.
-	out, err = run("dropscoped", "-archive", world, "-snapshot", "off", "-shards", "4", "-mem-budget", "2")
-	if exitErr, ok := err.(*exec.ExitError); !ok || exitErr.ExitCode() == 0 || !strings.Contains(out, "-mem-budget") {
-		t.Errorf("dropscoped -snapshot off -mem-budget 2: err=%v out=%q, want a refusal naming -mem-budget", err, out)
+	// no store, or with a single-file generation, there is nothing to
+	// bound, and the daemon must say so instead of silently serving
+	// unbounded.
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-snapshot", "off", "-shards", "4", "-mem-budget", "2"}, []string{"-mem-budget"}},
+		{[]string{"-mem-budget", "2"}, []string{"-mem-budget", "-shards"}},
+	} {
+		out, err = run("dropscoped", append([]string{"-archive", world}, tc.args...)...)
+		exitErr, ok := err.(*exec.ExitError)
+		refused := ok && exitErr.ExitCode() != 0
+		for _, w := range tc.want {
+			refused = refused && strings.Contains(out, w)
+		}
+		if !refused {
+			t.Errorf("dropscoped %v: err=%v out=%q, want a refusal naming %v", tc.args, err, out, tc.want)
+		}
 	}
 }

@@ -12,8 +12,6 @@
 //	           [-request-timeout D] [-watch D] [-drain-timeout D] [-retain N]
 //	           [-scrub] [-scrub-chunk N] [-scrub-interval D] [-scrub-pass-interval D]
 //	           [-read-header-timeout D] [-read-timeout D] [-write-timeout D] [-idle-timeout D]
-//	dropscoped -archive DIR -loadtest [-clients N] [-duration D] [-seed N] [-ring N]
-//	           [-swaps M] [-overload]
 //
 // The daemon serves behind an overload-resilient request path: a
 // bounded-inflight admission gate with a short wait queue (excess load
@@ -61,28 +59,19 @@
 // how many shards stay memory-mapped at once: cold ranges fault back
 // in on first touch and the least recently used shard is evicted, so
 // an archive larger than RAM serves from bounded residency; the budget
-// bounds files of the snapshot store, so it is refused without one
-// (-snapshot off). The scrubber verifies shard files individually, and
-// a damaged shard degrades only its prefix range (visible per shard in
-// /healthz) while the reload supervisor rebuilds.
+// bounds shard files of the snapshot store, so it is refused without
+// -shards 2 or more and without a store (-snapshot off). The scrubber
+// verifies shard files individually, and a damaged shard degrades only
+// its prefix range (visible per shard in /healthz) while the reload
+// supervisor rebuilds.
 //
 // SIGINT/SIGTERM drain gracefully: new arrivals answer 503 while
 // requests already admitted run to completion, bounded by
 // -drain-timeout.
-//
-// -loadtest boots the daemon on a loopback listener, drives a seeded
-// deterministic request mix against it for -duration, and prints a QPS
-// and latency-percentile summary as JSON — the measurement behind
-// BENCH_PR6.json and the CI serve gate. -swaps M additionally performs
-// M in-process generation swaps spread over the run. -overload counts
-// 503 responses as shed load instead of failures — combined with a
-// small -max-inflight and many -clients it measures the admission
-// gate: shed rate and the p99 of admitted requests (BENCH_PR7.json).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -119,11 +108,10 @@ func main() {
 		memBudget  = flag.Int("mem-budget", 0, "with -shards: max shards kept memory-mapped at once (0 = all resident; cold ranges fault back in)")
 		deltaOn    = flag.Bool("delta", true, "incremental reloads: when the archive grew append-only since the served generation, decode only the appended bytes and merge onto it instead of rebuilding cold (rewritten archives fall back cold)")
 
-		maxInflight  = flag.Int("max-inflight", 256, "admission: max concurrently executing requests")
-		queue        = flag.Int("queue", 0, "admission: max queued requests waiting for a slot (0 = max-inflight)")
-		queueWait    = flag.Duration("queue-wait", 100*time.Millisecond, "admission: max time a queued request waits before it is shed")
-		reqTimeout   = flag.Duration("request-timeout", 5*time.Second, "deadline for allocating endpoints (origins, figures); negative disables")
-		serviceFloor = flag.Duration("service-floor", 0, "loadtest only: minimum in-gate service time per admitted query (simulates production query cost in overload measurements)")
+		maxInflight = flag.Int("max-inflight", 256, "admission: max concurrently executing requests")
+		queue       = flag.Int("queue", 0, "admission: max queued requests waiting for a slot (0 = max-inflight)")
+		queueWait   = flag.Duration("queue-wait", 100*time.Millisecond, "admission: max time a queued request waits before it is shed")
+		reqTimeout  = flag.Duration("request-timeout", 5*time.Second, "deadline for allocating endpoints (origins, figures); negative disables")
 
 		readHeaderTimeout = flag.Duration("read-header-timeout", 5*time.Second, "http: slowloris bound on reading request headers")
 		readTimeout       = flag.Duration("read-timeout", 30*time.Second, "http: bound on reading a whole request")
@@ -138,14 +126,6 @@ func main() {
 		scrubChunk    = flag.Int("scrub-chunk", 1<<20, "scrub: payload bytes verified per step")
 		scrubInterval = flag.Duration("scrub-interval", 50*time.Millisecond, "scrub: pause between steps (the rate limit)")
 		scrubPass     = flag.Duration("scrub-pass-interval", time.Minute, "scrub: idle time between completed passes")
-
-		loadtest = flag.Bool("loadtest", false, "run the deterministic load driver and exit")
-		clients  = flag.Int("clients", 8, "loadtest: concurrent clients")
-		duration = flag.Duration("duration", 2*time.Second, "loadtest: run length")
-		seed     = flag.Uint64("seed", 1, "loadtest: request-mix seed")
-		ring     = flag.Int("ring", 4096, "loadtest: distinct requests in the mix")
-		swaps    = flag.Int("swaps", 0, "loadtest: in-process generation swaps during the run")
-		overload = flag.Bool("overload", false, "loadtest: treat 503 as shed load, not failure (overload measurement)")
 	)
 	flag.Parse()
 	if *archiveDir == "" {
@@ -197,8 +177,8 @@ func main() {
 		}
 	}
 
-	if *serviceFloor > 0 && !*loadtest {
-		fatal(errors.New("-service-floor is a loadtest-only knob; refusing to slow a real daemon"))
+	if *memBudget > 0 && *shards < 2 {
+		fatal(errors.New("-mem-budget bounds how many shards stay mapped; it needs -shards 2 or more, because a single-file generation is always fully resident"))
 	}
 	if *memBudget > 0 && opts.Store == nil {
 		fatal(errors.New("-mem-budget bounds how many shard files of the snapshot store stay mapped; without a usable store (-snapshot off, or the store failed to open) there is no residency to bound"))
@@ -217,7 +197,6 @@ func main() {
 			QueueWait:   *queueWait,
 		},
 		RequestTimeout: *reqTimeout,
-		ServiceFloor:   *serviceFloor,
 	})
 	log.Printf("dropscoped: loaded generation %s in %v (window %s)",
 		gen.DigestHex()[:12], time.Since(t0).Round(time.Millisecond), gen.Window())
@@ -230,14 +209,6 @@ func main() {
 		ReadTimeout:       *readTimeout,
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       *idleTimeout,
-	}
-
-	if *loadtest {
-		runLoadtest(mw, gen, *archiveDir, opts, httpCfg, loadtestOptions{
-			clients: *clients, duration: *duration, seed: *seed,
-			ring: *ring, swaps: *swaps, overload: *overload,
-		})
-		return
 	}
 
 	reloader := serve.NewReloader(srv, serve.ReloadConfig{
@@ -297,75 +268,5 @@ func main() {
 	if err := httpSrv.Shutdown(dctx); err != nil {
 		log.Printf("dropscoped: drain timed out, closing: %v", err)
 		httpSrv.Close()
-	}
-}
-
-type loadtestOptions struct {
-	clients  int
-	duration time.Duration
-	seed     uint64
-	ring     int
-	swaps    int
-	overload bool
-}
-
-// runLoadtest boots a loopback listener, drives the seeded request mix,
-// and prints the LoadResult JSON. With swaps > 0 it reloads the archive
-// and swaps generations mid-load at even intervals, so the run also
-// proves swap-under-load keeps every request whole. With overload set,
-// 503 responses count as shed load — the admission-gate measurement.
-func runLoadtest(mw *serve.Middleware, gen *serve.Generation, archiveDir string, opts serve.LoadOptions, httpCfg serve.HTTPConfig, lt loadtestOptions) {
-	srv := mw.Server()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	httpSrv := serve.NewHTTPServer(mw, httpCfg)
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-
-	paths := serve.RequestMix(gen, lt.seed, lt.ring)
-	done := make(chan struct{})
-	if lt.swaps > 0 {
-		go func() {
-			interval := lt.duration / time.Duration(lt.swaps+1)
-			for i := 0; i < lt.swaps; i++ {
-				select {
-				case <-done:
-					return
-				case <-time.After(interval):
-				}
-				next, err := serve.Load(archiveDir, opts)
-				if err != nil {
-					log.Printf("dropscoped: loadtest swap %d failed: %v", i+1, err)
-					continue
-				}
-				srv.Swap(next)
-			}
-		}()
-	}
-	res, err := serve.RunLoad("http://"+ln.Addr().String(), paths, serve.RunOptions{
-		Clients:   lt.clients,
-		Duration:  lt.duration,
-		AllowShed: lt.overload,
-	})
-	close(done)
-	if err != nil {
-		fatal(err)
-	}
-	out := struct {
-		serve.LoadResult
-		Swaps       uint64 `json:"swaps"`
-		Clients     int    `json:"clients"`
-		Seed        uint64 `json:"seed"`
-		MaxInflight int    `json:"max_inflight,omitempty"`
-	}{res, srv.Swaps(), lt.clients, lt.seed, 0}
-	if lt.overload {
-		out.MaxInflight = mw.Gate().MaxInflight()
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
 	}
 }

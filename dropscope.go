@@ -88,11 +88,11 @@ func newStudy(cfg Config, workers int) (*Study, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dropscope: generate: %w", err)
 	}
-	p, err := analysis.NewWithConcurrency(analysis.Dataset{
+	p, err := analysis.NewWithOptions(analysis.Dataset{
 		Window: cfg.Window,
 		DROP:   w.DROP, SBL: w.SBL, IRR: w.IRR, RPKI: w.RPKI, RIR: w.RIR,
 		MRT: w.MRT,
-	}, workers)
+	}, analysis.Options{Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("dropscope: pipeline: %w", err)
 	}

@@ -99,41 +99,22 @@ type Options struct {
 
 // New builds the pipeline: loads every collector's MRT stream into a RIB
 // index, extracts DROP listing events, classifies SBL records, and
-// annotates listings with registry and allocation state.
-//
-// The per-collector RIB reassembly — the dominant cost — runs on a
-// bounded pool of runtime.GOMAXPROCS(0) workers; the per-collector
-// results are merged in sorted collector order, so the built pipeline is
-// identical to the serial path's byte for byte. Use NewSerial (or
-// NewWithConcurrency with workers = 1) to load on the calling goroutine
-// only.
+// annotates listings with registry and allocation state. It is
+// NewWithOptions with the zero Options: a strict build on a bounded pool
+// of runtime.GOMAXPROCS(0) workers.
 func New(ds Dataset) (*Pipeline, error) {
-	return NewWithConcurrency(ds, 0)
-}
-
-// NewSerial is New with the RIB-loading worker pool disabled: every
-// collector loads sequentially on the calling goroutine. It exists as the
-// single-threaded escape hatch and as the reference the parallel path is
-// benchmarked and differentially tested against.
-func NewSerial(ds Dataset) (*Pipeline, error) {
-	return NewWithConcurrency(ds, 1)
-}
-
-// NewWithConcurrency is New with an explicit worker bound. workers <= 0
-// means runtime.GOMAXPROCS(0); workers == 1 loads serially. Whatever the
-// bound, results are deterministic: collector RIBs merge in sorted name
-// order.
-func NewWithConcurrency(ds Dataset, workers int) (*Pipeline, error) {
-	return NewWithOptions(ds, Options{Workers: workers})
+	return NewWithOptions(ds, Options{})
 }
 
 // NewWithOptions is New under explicit build options. A strict build
 // (the default) fails on the first unappliable record, exactly as New
 // does; a lenient build skips and counts damage per collector,
 // quarantines collectors beyond their skip budget, and records
-// everything in Pipeline.Health. Whatever the options, collector RIBs
-// merge in sorted name order, so serial and parallel builds over the
-// same (possibly damaged) dataset are identical.
+// everything in Pipeline.Health. The per-collector RIB reassembly — the
+// dominant cost — runs on Options.Workers goroutines; whatever the
+// options, collector RIBs merge in sorted name order, so serial
+// (Workers: 1) and parallel builds over the same (possibly damaged)
+// dataset are identical byte for byte.
 func NewWithOptions(ds Dataset, opts Options) (*Pipeline, error) {
 	if ds.DROP == nil || ds.SBL == nil || ds.IRR == nil || ds.RPKI == nil || ds.RIR == nil {
 		return nil, fmt.Errorf("analysis: incomplete dataset")

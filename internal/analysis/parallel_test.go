@@ -31,7 +31,7 @@ func smallDataset(t *testing.T) Dataset {
 // to the concurrent loader.
 func TestParallelNewMatchesSerial(t *testing.T) {
 	ds := smallDataset(t)
-	serial, err := NewSerial(ds)
+	serial, err := NewWithOptions(ds, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +73,12 @@ func TestParallelNewMatchesSerial(t *testing.T) {
 // index, including bounds above the collector count.
 func TestParallelNewWorkerSweep(t *testing.T) {
 	ds := smallDataset(t)
-	ref, err := NewSerial(ds)
+	ref, err := NewWithOptions(ds, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 64} {
-		p, err := NewWithConcurrency(ds, workers)
+		p, err := NewWithOptions(ds, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -120,7 +120,7 @@ func TestParallelLoadErrorMatchesSerial(t *testing.T) {
 	}
 	ds.MRT = broken
 
-	_, errSerial := NewSerial(ds)
+	_, errSerial := NewWithOptions(ds, Options{Workers: 1})
 	_, errParallel := New(ds)
 	if errSerial == nil || errParallel == nil {
 		t.Fatalf("both paths should fail: serial=%v parallel=%v", errSerial, errParallel)

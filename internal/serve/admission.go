@@ -92,9 +92,6 @@ func (g *Gate) Enter(ctx context.Context) bool {
 	}
 }
 
-// MaxInflight reports the gate's inflight capacity.
-func (g *Gate) MaxInflight() int { return cap(g.sem) }
-
 // Leave releases the slot claimed by a successful Enter.
 func (g *Gate) Leave() {
 	g.stats.Inflight.Add(-1)

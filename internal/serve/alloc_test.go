@@ -38,7 +38,8 @@ func TestPointHandlerAllocs(t *testing.T) {
 	}
 	g := loadGen(t)
 	s := Wrap(New(g), MiddlewareConfig{})
-	p := escapePrefix(g.samples[len(g.samples)/2])
+	ps := samples(g)
+	p := escapePrefix(ps[len(ps)/2])
 	day := g.window.Last.String()
 
 	cases := []struct {

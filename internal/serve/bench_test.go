@@ -15,7 +15,8 @@ import (
 func BenchmarkServe(b *testing.B) {
 	g := loadGen(b)
 	s := New(g)
-	p := escapePrefix(g.samples[len(g.samples)/2])
+	ps := samples(g)
+	p := escapePrefix(ps[len(ps)/2])
 	day := g.window.Last.String()
 
 	cases := []struct {

@@ -57,10 +57,6 @@ type Generation struct {
 	// DROP listing intervals, same layout.
 	dropPrefixes []netx.Prefix
 	dropSpans    []dropSpan
-
-	// samples is the address-ordered prefix universe of the index — the
-	// request universe for the load generator and the /healthz count.
-	samples []netx.Prefix
 }
 
 // roaSpan is one ROA's lifetime, flattened for validation. The trust
@@ -98,7 +94,6 @@ func newGeneration(snap *ribsnap.Snapshot, shards *ribsnap.ShardSet, pipe *analy
 		shards:    shards,
 		digestHex: hex.EncodeToString(snap.Digest[:]),
 		window:    pipe.Window(),
-		samples:   pipe.Index.Prefixes(),
 	}
 	g.buildROATable(pipe.Dataset().RPKI)
 	g.buildDropTable(pipe)

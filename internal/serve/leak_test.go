@@ -109,11 +109,11 @@ func TestGenerationLifecycleLeak(t *testing.T) {
 	const swapsWanted = 3
 	var retired []*Generation
 	for epoch := 0; epoch <= swapsWanted; epoch++ {
-		g := srv.Generation()
+		ps := samples(srv.Generation())
 		day := window.First.String()
 		for i := 0; i < 20; i++ {
 			get(fmt.Sprintf("/v1/visibility?prefix=%s&day=%s",
-				escapePrefix(g.samples[i%len(g.samples)]), day), 200)
+				escapePrefix(ps[i%len(ps)]), day), 200)
 		}
 		for i := 0; i < 3; i++ {
 			get("/v1/panic", 500)

@@ -38,7 +38,6 @@ type Middleware struct {
 	gate       *Gate
 	stats      *Stats
 	timeout    time.Duration
-	floor      time.Duration
 	retryAfter string
 	draining   chan struct{} // closed by StartDrain
 }
@@ -52,15 +51,6 @@ type MiddlewareConfig struct {
 	RequestTimeout time.Duration
 	// RetryAfter is the hint sent with shed responses.
 	RetryAfter time.Duration
-	// ServiceFloor, when positive, holds every admitted query request in
-	// the gate for at least this long. Measurement only (the -overload
-	// load runs): the synthetic archive's point queries answer in under
-	// a microsecond on loopback, so no realistic client count can
-	// saturate the gate; the floor stands in for the service time of a
-	// production query against a full-scale archive, making shed rate
-	// and admitted-p99 measurements meaningful. Never set it on a real
-	// daemon.
-	ServiceFloor time.Duration
 }
 
 // Wrap installs the robustness middleware over srv, sharing its Stats.
@@ -76,17 +66,10 @@ func Wrap(srv *Server, cfg MiddlewareConfig) *Middleware {
 		gate:       NewGate(cfg.Gate, srv.stats),
 		stats:      srv.stats,
 		timeout:    cfg.RequestTimeout,
-		floor:      cfg.ServiceFloor,
 		retryAfter: strconv.Itoa(int(cfg.RetryAfter.Round(time.Second) / time.Second)),
 		draining:   make(chan struct{}),
 	}
 }
-
-// Server returns the wrapped query server.
-func (m *Middleware) Server() *Server { return m.srv }
-
-// Gate returns the admission gate, for tests and wiring.
-func (m *Middleware) Gate() *Gate { return m.gate }
 
 // StartDrain flips the middleware into drain mode: every subsequent
 // request answers 503 while already-admitted requests finish. Safe to
@@ -146,9 +129,6 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer m.gate.Leave()
-	if m.floor > 0 {
-		time.Sleep(m.floor)
-	}
 	if m.timeout > 0 && slowEndpoint(path) {
 		// Belt and braces: a context deadline the handler can consult,
 		// and a connection write deadline so even a handler that never

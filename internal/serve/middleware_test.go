@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -39,7 +40,7 @@ func TestAdmissionShed(t *testing.T) {
 		RetryAfter: 3 * time.Second,
 	})
 	day := g.window.Last.String()
-	point := "/v1/visibility?prefix=" + escapePrefix(g.samples[0]) + "&day=" + day
+	point := "/v1/visibility?prefix=" + escapePrefix(samples(g)[0]) + "&day=" + day
 
 	// Hold the only slot from a blocked request.
 	entered := make(chan struct{})
@@ -99,7 +100,7 @@ func TestAdmissionQueueAdmits(t *testing.T) {
 	m, g := mwServer(t, MiddlewareConfig{
 		Gate: GateConfig{MaxInflight: 1, MaxQueue: 1, QueueWait: 5 * time.Second},
 	})
-	point := "/v1/drop?prefix=" + escapePrefix(g.samples[1]) + "&day=" + g.window.Last.String()
+	point := "/v1/drop?prefix=" + escapePrefix(samples(g)[1]) + "&day=" + g.window.Last.String()
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -142,13 +143,111 @@ func TestAdmissionQueueAdmits(t *testing.T) {
 	}
 }
 
+// overloadBurst offers n copies of one point query to a fresh middleware
+// behind gate, open loop: request i is due at start + i*every whether or
+// not earlier ones have finished, so a backlog can form. Service time
+// comes from the server's test hook, which runs inside the gate. It
+// returns the latency of every admitted (200) reply, measured from the
+// request's due time, the number of well-formed shed replies (503 with
+// Retry-After and the overloaded body), and the middleware for its
+// stats; any other reply is a test error.
+func overloadBurst(t *testing.T, gate GateConfig, service time.Duration, n int, every time.Duration) (m *Middleware, admitted []time.Duration, shed uint64) {
+	t.Helper()
+	m, g := mwServer(t, MiddlewareConfig{Gate: gate})
+	m.srv.testHook = func(*http.Request) { time.Sleep(service) }
+	point := "/v1/visibility?prefix=" + escapePrefix(samples(g)[0]) + "&day=" + g.window.Last.String()
+
+	codes := make([]int, n)
+	lats := make([]time.Duration, n)
+	start := time.Now().Add(10 * time.Millisecond)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			due := start.Add(time.Duration(i) * every)
+			time.Sleep(time.Until(due))
+			w := getMW(m, point)
+			lats[i] = time.Since(due)
+			codes[i] = w.Code
+			if w.Code == 503 && (w.Header().Get("Retry-After") == "" || !strings.Contains(w.Body.String(), `"overloaded"`)) {
+				t.Errorf("request %d: malformed shed reply: %v %q", i, w.Header(), w.Body.String())
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, code := range codes {
+		switch code {
+		case 200:
+			admitted = append(admitted, lats[i])
+		case 503:
+			shed++
+		default:
+			t.Errorf("request %d: status %d, want 200 or 503", i, code)
+		}
+	}
+	sort.Slice(admitted, func(i, j int) bool { return admitted[i] < admitted[j] })
+	return m, admitted, shed
+}
+
+// TestAdmissionOverloadBurst is the overload contract end to end: offered
+// four times what the gate can serve, the daemon sheds the excess with
+// 503s and the requests it does admit stay fast. Four slots and a 5 ms
+// service time make capacity 800/s; 1600 requests arrive at 3200/s.
+// The admitted p99 must stay within 10x (queue wait + service). The
+// control arm runs the same burst against a gate that queues everything
+// and never gives up on a wait: its p99 is the backlog (~1.5 s) and must
+// exceed that same bound, which shows, on the machine the test runs on,
+// that the bound separates a gate that sheds from one that does not.
+func TestAdmissionOverloadBurst(t *testing.T) {
+	const (
+		slots     = 4
+		service   = 5 * time.Millisecond
+		queueWait = 10 * time.Millisecond
+		n         = 1600
+		every     = service / (4 * slots) // 4x capacity
+		bound     = 10 * (queueWait + service)
+	)
+	p99 := func(sorted []time.Duration) time.Duration { return sorted[len(sorted)*99/100] }
+
+	// Both ways the gate sheds are held to the contract: a queue as
+	// short as the slots sheds at the queue bound (waits never reach
+	// queueWait), a queue that takes the whole burst sheds only when a
+	// wait expires.
+	for _, maxQueue := range []int{slots, n} {
+		m, admitted, shed := overloadBurst(t, GateConfig{MaxInflight: slots, MaxQueue: maxQueue, QueueWait: queueWait}, service, n, every)
+		if shed == 0 || len(admitted) == 0 {
+			t.Fatalf("queue %d: admitted %d, shed %d of %d: want both non-zero at 4x capacity", maxQueue, len(admitted), shed, n)
+		}
+		t.Logf("queue %d: admitted %d, shed %d, admitted p99 %v (bound %v)", maxQueue, len(admitted), shed, p99(admitted), bound)
+		if got := m.stats.Shed.Load(); got != shed {
+			t.Errorf("queue %d: shed counter %d, clients saw %d 503s", maxQueue, got, shed)
+		}
+		if got := p99(admitted); got > bound {
+			t.Errorf("queue %d: admitted p99 %v under overload, want <= %v", maxQueue, got, bound)
+		}
+		if in, q := m.stats.Inflight.Load(), m.stats.Queued.Load(); in != 0 || q != 0 {
+			t.Errorf("queue %d: after the burst inflight %d queued %d, want 0/0", maxQueue, in, q)
+		}
+	}
+
+	_, admitted, shed := overloadBurst(t, GateConfig{MaxInflight: slots, MaxQueue: n, QueueWait: time.Minute}, service, n, every)
+	if shed != 0 || len(admitted) != n {
+		t.Fatalf("control gate: admitted %d, shed %d, want all %d admitted", len(admitted), shed, n)
+	}
+	t.Logf("control gate: admitted %d, p99 %v", len(admitted), p99(admitted))
+	if got := p99(admitted); got <= bound {
+		t.Errorf("control gate that never sheds: p99 %v <= %v; the bound cannot tell shedding from queueing on this machine", got, bound)
+	}
+}
+
 // TestDrainRejectsNewArrivals pins the shutdown contract: once
 // StartDrain is called every new request — the query endpoints and
 // /healthz alike, so load balancers eject the instance — answers 503,
 // while a request already admitted runs to completion.
 func TestDrainRejectsNewArrivals(t *testing.T) {
 	m, g := mwServer(t, MiddlewareConfig{})
-	point := "/v1/visibility?prefix=" + escapePrefix(g.samples[2]) + "&day=" + g.window.First.String()
+	point := "/v1/visibility?prefix=" + escapePrefix(samples(g)[2]) + "&day=" + g.window.First.String()
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -247,7 +346,7 @@ func TestPanicReleasesGeneration(t *testing.T) {
 	}
 	// And the server still works.
 	g := s.Generation()
-	point := "/v1/drop?prefix=" + escapePrefix(g.samples[0]) + "&day=" + window.Last.String()
+	point := "/v1/drop?prefix=" + escapePrefix(samples(g)[0]) + "&day=" + window.Last.String()
 	if w := getMW(m, point); w.Code != 200 {
 		t.Fatalf("post-panic request: status %d", w.Code)
 	}
@@ -273,8 +372,8 @@ func TestRequestDeadlines(t *testing.T) {
 		}
 	}
 	day := g.window.Last.String()
-	getMW(m, "/v1/visibility?prefix="+escapePrefix(g.samples[0])+"&day="+day)
-	getMW(m, "/v1/origins?prefix="+escapePrefix(g.samples[0]))
+	getMW(m, "/v1/visibility?prefix="+escapePrefix(samples(g)[0])+"&day="+day)
+	getMW(m, "/v1/origins?prefix="+escapePrefix(samples(g)[0]))
 	getMW(m, "/v1/figures/"+day)
 
 	mu.Lock()
@@ -317,7 +416,7 @@ func TestMetricsExportsResilienceCounters(t *testing.T) {
 	wg.Add(1)
 	go func() { defer wg.Done(); getMW(m, "/v1/hold") }()
 	<-entered
-	getMW(m, "/v1/visibility?prefix="+escapePrefix(g.samples[0])) // shed
+	getMW(m, "/v1/visibility?prefix="+escapePrefix(samples(g)[0])) // shed
 	close(release)
 	wg.Wait()
 	getMW(m, "/v1/panic")

@@ -111,7 +111,7 @@ func TestScrubDetectsBitrotAndHeals(t *testing.T) {
 
 	// Query load for the duration: every response must succeed.
 	var queries, failures atomic.Uint64
-	prefix := srv.Generation().samples[0]
+	prefix := samples(srv.Generation())[0]
 	target := fmt.Sprintf("/v1/visibility?prefix=%s", prefix)
 	stopLoad := make(chan struct{})
 	for i := 0; i < 4; i++ {

@@ -408,7 +408,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, g *Generation) {
 	b = append(b, `","window_last":"`...)
 	b = appendDay(b, g.window.Last)
 	b = append(b, `","prefixes":`...)
-	b = strconv.AppendInt(b, int64(len(g.samples)), 10)
+	b = strconv.AppendInt(b, int64(g.pipe.Index.NumPrefixes()), 10)
 	b = append(b, `,"peers":`...)
 	b = strconv.AppendInt(b, int64(g.pipe.Index.NumPeers()), 10)
 	if ss := g.shards; ss != nil {

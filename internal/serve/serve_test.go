@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
@@ -86,6 +87,14 @@ func loadGen(t testing.TB) *Generation {
 	return cachedGen
 }
 
+// samples is the generation's address-ordered prefix universe, the pool
+// the tests draw request prefixes from.
+func samples(g *Generation) []netx.Prefix { return g.pipe.Index.Prefixes() }
+
+// escapePrefix percent-encodes a prefix for a query value, so the
+// requests also exercise the server's unescaper.
+func escapePrefix(p netx.Prefix) string { return url.QueryEscape(p.String()) }
+
 // sampleDays spreads k probe days across the window, including both
 // edges.
 func sampleDays(w timex.Range, k int) []timex.Day {
@@ -105,7 +114,7 @@ func TestROVMatchesArchive(t *testing.T) {
 	days := sampleDays(g.window, 6)
 	as0TALs := append(append([]rpki.TrustAnchor{}, rpki.DefaultTALs...), rpki.TAAPNICAS0, rpki.TALACNICAS0)
 	checked := 0
-	for i, p := range g.samples {
+	for i, p := range samples(g) {
 		if i%7 != 0 { // sample the universe; full cross-product is slow
 			continue
 		}
@@ -165,7 +174,7 @@ func TestDropListedMatchesArchive(t *testing.T) {
 func TestVisibilityMatchesIndex(t *testing.T) {
 	g := loadGen(t)
 	days := sampleDays(g.window, 5)
-	for i, p := range g.samples {
+	for i, p := range samples(g) {
 		if i%13 != 0 {
 			continue
 		}
@@ -212,7 +221,8 @@ func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 func TestEndpointsOverHTTP(t *testing.T) {
 	g := loadGen(t)
 	s := New(g)
-	p := g.samples[len(g.samples)/2]
+	ps := samples(g)
+	p := ps[len(ps)/2]
 	day := g.window.First + timex.Day(g.window.Days()/2)
 
 	w := get(t, s, "/v1/visibility?prefix="+escapePrefix(p)+"&day="+day.String())
@@ -327,7 +337,7 @@ func TestEndpointsOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &hr); err != nil {
 		t.Fatal(err)
 	}
-	if hr.Status != "ok" || hr.Prefixes != len(g.samples) || hr.Generation != g.DigestHex() {
+	if hr.Status != "ok" || hr.Prefixes != len(samples(g)) || hr.Generation != g.DigestHex() {
 		t.Fatalf("healthz mismatch: %+v", hr)
 	}
 
@@ -358,7 +368,7 @@ func TestROVDerivedOrigin(t *testing.T) {
 	s := New(g)
 	day := g.window.Last
 	var probed bool
-	for _, p := range g.samples {
+	for _, p := range samples(g) {
 		origin, ok := g.pipe.Index.OriginAt(p, day)
 		if !ok {
 			continue
@@ -427,34 +437,5 @@ func TestErrorStatuses(t *testing.T) {
 	empty := New(nil)
 	if w := get(t, empty, "/healthz"); w.Code != 503 {
 		t.Errorf("no generation: %d, want 503", w.Code)
-	}
-}
-
-// TestRequestMixDeterministic pins the load driver's reproducibility:
-// same seed, same ring.
-func TestRequestMixDeterministic(t *testing.T) {
-	g := loadGen(t)
-	a := RequestMix(g, 42, 256)
-	b := RequestMix(g, 42, 256)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("mix diverges at %d: %q vs %q", i, a[i], b[i])
-		}
-	}
-	c := RequestMix(g, 43, 256)
-	same := 0
-	for i := range a {
-		if a[i] == c[i] {
-			same++
-		}
-	}
-	if same == len(a) {
-		t.Fatal("different seeds produced identical mixes")
-	}
-	s := New(g)
-	for _, path := range a[:64] {
-		if w := get(t, s, path); w.Code != 200 && w.Code != 404 {
-			t.Fatalf("mix request %q: status %d: %s", path, w.Code, w.Body.String())
-		}
 	}
 }

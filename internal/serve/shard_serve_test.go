@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,9 +52,10 @@ func shardedFixture(t *testing.T, k, memBudget int) (*Generation, *ribsnap.Store
 func queryPaths(g *Generation) []string {
 	var paths []string
 	days := []timex.Day{g.window.First, g.window.First + timex.Day(g.window.Days()/2), g.window.Last}
-	step := len(g.samples)/24 + 1
-	for i := 0; i < len(g.samples); i += step {
-		p := escapePrefix(g.samples[i])
+	ps := samples(g)
+	step := len(ps)/24 + 1
+	for i := 0; i < len(ps); i += step {
+		p := escapePrefix(ps[i])
 		for _, d := range days {
 			paths = append(paths,
 				"/v1/visibility?prefix="+p+"&day="+d.String(),
@@ -137,6 +139,7 @@ func TestShardedMetricsAndHealth(t *testing.T) {
 func TestShardScrubDegradesOneRange(t *testing.T) {
 	warm, store, _, _ := shardedFixture(t, 4, 0)
 	srv := New(warm)
+	prefixes := fmt.Sprintf(`"prefixes":%d,`, len(samples(warm)))
 
 	// Flip a payload byte in shard 2's file. The mapped copy is
 	// untouched; the scrubber reads the disk bytes.
@@ -177,6 +180,9 @@ func TestShardScrubDegradesOneRange(t *testing.T) {
 	if !strings.Contains(h, `"shard_degraded":[false,false,true,false]`) {
 		t.Fatalf("/healthz does not isolate the degraded shard:\n%s", h)
 	}
+	if !strings.Contains(h, prefixes) {
+		t.Fatalf("/healthz prefix count moved with a shard quarantined, want %s:\n%s", prefixes, h)
+	}
 	if st := store.Status(warm.snap.Digest); st != ribsnap.GenCorrupt {
 		t.Fatalf("generation status = %v, want corrupt", st)
 	}
@@ -188,7 +194,7 @@ func TestShardScrubDegradesOneRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	served := 0
-	for _, p := range warm.samples {
+	for _, p := range samples(warm) {
 		if owner := sh.ShardFor(p); owner == 2 {
 			continue
 		}

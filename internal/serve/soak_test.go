@@ -51,12 +51,13 @@ func TestChaosSoakServe(t *testing.T) {
 
 	refA := loadDir(t, dirA, window)
 	refB := loadDir(t, dirB, window)
+	ps := samples(refA)
 	paths := []string{
-		"/v1/visibility?prefix=" + escapePrefix(refA.samples[0]) + "&day=" + window.First.String(),
-		"/v1/visibility?prefix=" + escapePrefix(refA.samples[len(refA.samples)/2]) + "&day=" + window.Last.String(),
-		"/v1/rov?prefix=" + escapePrefix(refA.samples[1]) + "&origin=64500&day=" + window.Last.String(),
-		"/v1/rov?prefix=" + escapePrefix(refA.samples[2]) + "&origin=0&day=" + window.First.String(),
-		"/v1/drop?prefix=" + escapePrefix(refA.samples[3]) + "&day=" + window.Last.String(),
+		"/v1/visibility?prefix=" + escapePrefix(ps[0]) + "&day=" + window.First.String(),
+		"/v1/visibility?prefix=" + escapePrefix(ps[len(ps)/2]) + "&day=" + window.Last.String(),
+		"/v1/rov?prefix=" + escapePrefix(ps[1]) + "&origin=64500&day=" + window.Last.String(),
+		"/v1/rov?prefix=" + escapePrefix(ps[2]) + "&origin=0&day=" + window.First.String(),
+		"/v1/drop?prefix=" + escapePrefix(ps[3]) + "&day=" + window.Last.String(),
 	}
 	expect := map[string]map[string][]byte{
 		refA.DigestHex(): make(map[string][]byte),

@@ -65,12 +65,13 @@ func TestSwapUnderLoad(t *testing.T) {
 		t.Fatal("worlds share a digest; swap would be invisible")
 	}
 
+	ps := samples(refA)
 	paths := []string{
-		"/v1/visibility?prefix=" + escapePrefix(refA.samples[0]) + "&day=" + window.First.String(),
-		"/v1/visibility?prefix=" + escapePrefix(refA.samples[len(refA.samples)/2]) + "&day=" + window.Last.String(),
-		"/v1/rov?prefix=" + escapePrefix(refA.samples[1]) + "&origin=64500&day=" + window.Last.String(),
-		"/v1/rov?prefix=" + escapePrefix(refA.samples[2]) + "&origin=0&day=" + window.First.String(),
-		"/v1/drop?prefix=" + escapePrefix(refA.samples[3]) + "&day=" + window.Last.String(),
+		"/v1/visibility?prefix=" + escapePrefix(ps[0]) + "&day=" + window.First.String(),
+		"/v1/visibility?prefix=" + escapePrefix(ps[len(ps)/2]) + "&day=" + window.Last.String(),
+		"/v1/rov?prefix=" + escapePrefix(ps[1]) + "&origin=64500&day=" + window.Last.String(),
+		"/v1/rov?prefix=" + escapePrefix(ps[2]) + "&origin=0&day=" + window.First.String(),
+		"/v1/drop?prefix=" + escapePrefix(ps[3]) + "&day=" + window.Last.String(),
 	}
 	expect := map[string]map[string][]byte{
 		refA.DigestHex(): make(map[string][]byte),
@@ -180,7 +181,7 @@ func TestSwapPostStateByteIdentical(t *testing.T) {
 	if cold.DigestHex() != s.Generation().DigestHex() {
 		t.Fatal("cold load and swapped generation disagree on digest")
 	}
-	for _, p := range cold.samples[:32] {
+	for _, p := range samples(cold)[:32] {
 		for _, path := range []string{
 			"/v1/visibility?prefix=" + escapePrefix(p) + "&day=" + window.Last.String(),
 			"/v1/rov?prefix=" + escapePrefix(p) + "&origin=64500",

@@ -1,11 +1,18 @@
 #!/usr/bin/env bash
 # check.sh — the single source of truth for every repo check. CI
 # (.github/workflows/ci.yml) and the Makefile both run these commands, so
-# local runs and the gate stay in lockstep.
+# local runs and the gate stay in lockstep. Nothing here measures: the
+# checks pass or fail on behaviour (tests, byte-identical renders), and
+# timings come from `sh benchmark/run.sh` in alternating parent/change
+# pairs.
 #
-# Usage: scripts/check.sh [build|vet|fmt|test|race|bench|fuzz|faults|chaos|warmstart|serve|soak|crash|overload|shard|shardgate|delta|deltaratio|all]
+# Usage: scripts/check.sh [SUBCOMMAND]   (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Every subcommand, in one place: the dispatch at the bottom, the usage
+# message and the Makefile's targets all read this line.
+SUBCOMMANDS="build vet fmt test race bench fuzz faults chaos warmstart serve soak crash shard delta lifecycle lint all"
 
 # Every native fuzz target in the repo, one "package target" pair per
 # line. `go test -fuzz` accepts a single target per invocation, hence the
@@ -52,22 +59,9 @@ test_() {
 
 race() { go test -race ./...; }
 
-# bench compiles and runs every benchmark exactly once — a smoke guard
-# for bench_test.go, not a measurement. CI uploads the output as the
-# BENCH_* trajectory artifact.
+# bench compiles and runs every Benchmark* function exactly once — a
+# smoke guard against rot, not a measurement.
 bench() { go test -bench=. -benchtime=1x -run='^$' ./...; }
-
-# benchgate is the allocation-regression gate: the zero-alloc unit tests
-# (mrt.Reader.Next in reuse mode, the post-Close rib point queries) plus
-# scripts/bench.sh check, which re-measures BenchmarkPipelineNew,
-# BenchmarkEndToEnd, and BenchmarkWarmStart and fails if allocs/op
-# regresses more than BENCH_ALLOC_TOLERANCE % over the committed
-# BENCH_PR5.json numbers.
-benchgate() {
-  go test -run 'TestReaderNextReuseAllocs' ./internal/mrt
-  go test -run 'TestPointQueryAllocs' ./internal/rib
-  scripts/bench.sh check
-}
 
 # fuzz runs each seed corpus plus FUZZ_SMOKE_TIME (default 10s) of new
 # inputs per target.
@@ -110,10 +104,7 @@ chaos() {
 # CLI. It saves an archive, renders it with the index cache disabled,
 # renders it once more with the cache on (a cold build that writes the
 # snapshot), then renders three warm loads — parallel, serial, strict —
-# and requires all five reports byte-identical. It finishes by checking
-# the committed BENCH_PR5.json holds the warm-start bar: WarmStart at
-# most WARM_RATIO % (default 20) of PipelineNew/serial in both ns/op
-# and allocs/op.
+# and requires all five reports byte-identical.
 warmstart() {
   local tmp scale
   tmp="$(mktemp -d)"
@@ -142,46 +133,13 @@ warmstart() {
     fi
   done
   echo "--- warmstart: all renders byte-identical"
-  warmratio
-}
-
-# warmratio checks the committed warm/cold ratio in BENCH_PR5.json.
-warmratio() {
-  if [ ! -f BENCH_PR5.json ]; then
-    echo "BENCH_PR5.json missing; nothing to gate against" >&2
-    return 1
-  fi
-  awk -v tol="${WARM_RATIO:-20}" '
-    /"bench"/ {
-      name = $0; sub(/.*"bench": *"/, "", name); sub(/".*/, "", name)
-      after = $0; sub(/.*"after": *{/, "", after)
-      ns = after; sub(/.*"ns_op": */, "", ns); sub(/[,}].*/, "", ns)
-      al = after; sub(/.*"allocs_op": */, "", al); sub(/[,}].*/, "", al)
-      NS[name] = ns; AL[name] = al
-    }
-    END {
-      if (NS["WarmStart"] == "" || NS["PipelineNew/serial"] == "") {
-        print "warmratio: WarmStart or PipelineNew/serial missing from BENCH_PR5.json" > "/dev/stderr"
-        exit 1
-      }
-      rns = NS["WarmStart"] / NS["PipelineNew/serial"] * 100
-      ral = AL["WarmStart"] / AL["PipelineNew/serial"] * 100
-      printf "warm/cold committed ratio: %.1f%% ns/op, %.1f%% allocs/op (bar %d%%)\n", rns, ral, tol
-      if (rns > tol || ral > tol) {
-        print "WARM GATE FAIL: warm start exceeds the ratio bar" > "/dev/stderr"
-        exit 1
-      }
-      print "WARM GATE OK"
-    }' BENCH_PR5.json
 }
 
 # serve is the serving-layer acceptance gate, driven through the real
 # daemon binary. It boots dropscoped over a synthgen archive, probes
 # every endpoint, then exercises the SIGHUP generation swap while a
 # request loop runs against the daemon — the swap must change the
-# reported generation digest without a single failed request. It
-# finishes with a measured load run (scripts/loadtest.sh) gated against
-# the committed BENCH_PR6.json by servegate.
+# reported generation digest without a single failed request.
 serve() {
   local tmp scale addr pid
   tmp="$(mktemp -d)"
@@ -279,49 +237,6 @@ serve() {
   echo "--- serve: swapped to generation ${gen2:0:12} with zero dropped requests"
   kill "$pid"
   wait "$pid" 2>/dev/null || true
-
-  echo "--- serve: measured load run"
-  scripts/loadtest.sh "$tmp/load.json"
-  cat "$tmp/load.json"
-  servegate "$tmp/load.json"
-}
-
-# servegate compares a loadtest JSON against the committed BENCH_PR6.json
-# baseline: QPS may not fall below baseline/SERVE_RATIO and p99 may not
-# exceed baseline*SERVE_RATIO (default factor 5 — CI runners vary widely
-# in absolute speed; a real serving regression blows past 5x).
-servegate() {
-  local f="${1:-}"
-  if [ ! -f BENCH_PR6.json ]; then
-    echo "BENCH_PR6.json missing; nothing to gate against" >&2
-    return 1
-  fi
-  if [ -z "$f" ] || [ ! -f "$f" ]; then
-    echo "servegate: usage: servegate LOADTEST.json" >&2
-    return 1
-  fi
-  awk -v tol="${SERVE_RATIO:-5}" '
-    function val(s) { sub(/.*: */, "", s); sub(/[,}].*/, "", s); return s + 0 }
-    FNR == 1 { file++ }
-    /"qps"/ { q[file] = val($0) }
-    /"p99_us"/ { p[file] = val($0) }
-    END {
-      if (q[1] == 0 || p[1] == 0 || q[2] == 0 || p[2] == 0) {
-        print "servegate: qps/p99_us missing from baseline or run" > "/dev/stderr"
-        exit 1
-      }
-      printf "serve gate: qps %.0f (baseline %.0f, floor %.0f), p99 %.0f us (baseline %.0f, ceiling %.0f)\n",
-        q[2], q[1], q[1] / tol, p[2], p[1], p[1] * tol
-      if (q[2] < q[1] / tol) {
-        print "SERVE GATE FAIL: QPS below baseline/" tol > "/dev/stderr"
-        exit 1
-      }
-      if (p[2] > p[1] * tol) {
-        print "SERVE GATE FAIL: p99 above baseline*" tol > "/dev/stderr"
-        exit 1
-      }
-      print "SERVE GATE OK"
-    }' BENCH_PR6.json "$f"
 }
 
 # soak runs the serving-layer robustness suite under the race detector:
@@ -329,7 +244,8 @@ servegate() {
 # writes/truncation while generations swap and deliberate panics fire;
 # every admitted response byte-identical, every retired generation
 # drained to refcount zero, zero goroutine leaks), the lifecycle leak
-# test, panic isolation, admission shed/queue behavior, drain, the
+# test, panic isolation, admission shed/queue behavior including the
+# open-loop overload burst (TestAdmissionOverloadBurst), drain, the
 # self-healing reload supervisor on a fake clock, and slowloris
 # resistance.
 soak() {
@@ -352,96 +268,6 @@ crash() {
     ./internal/ribsnap
   go test -race -count=1 -run 'TestDiskFS' ./internal/ingest/faultinject
   go test -race -count=1 -timeout 10m -run 'TestScrub' ./internal/serve
-}
-
-# overload is the admission-control acceptance gate. It measures two
-# load runs over the same archive on the same machine: a baseline at the
-# gate's capacity (8 clients, 8 inflight slots) and a 4x overload run
-# (32 clients against the same gate, 503s counted as shed). The gate
-# requires (a) the overload run actually shed — excess load answers 503,
-# it does not queue up; (b) admitted p99 under overload stays within
-# OVERLOAD_P99X (default 8) of the same-machine baseline p99 — shedding
-# is what keeps the admitted tail bounded. The tolerance is wide on
-# purpose: the measured latency is client-side, so with 4x the client
-# goroutines contending for the same cores it includes client scheduling
-# delay on top of queue wait + service floor (on a 1-CPU runner the
-# observed ratio is ~5x). The disaster the gate must catch is the
-# no-shedding alternative, where 4x offered load queues up and p99
-# degrades unboundedly (~4x the duration of the run, hundreds of x).
-# And (c) the overload run holds against the committed BENCH_PR7.json
-# within OVERLOAD_RATIO (default 5, absolute cross-machine tolerance).
-overload() {
-  local tmp
-  tmp="$(mktemp -d)"
-  # shellcheck disable=SC2064 -- expand now: $tmp is a function local.
-  trap "rm -rf '$tmp'" EXIT
-  echo "--- overload: baseline run (8 clients, 8 slots)"
-  CLIENTS=8 MAX_INFLIGHT=8 scripts/loadtest.sh --overload "$tmp/base.json"
-  cat "$tmp/base.json"
-  echo "--- overload: 4x overload run (32 clients, 8 slots)"
-  CLIENTS=32 MAX_INFLIGHT=8 scripts/loadtest.sh --overload "$tmp/over.json"
-  cat "$tmp/over.json"
-  awk -v tol="${OVERLOAD_P99X:-8}" '
-    function val(s) { sub(/.*: */, "", s); sub(/[,}].*/, "", s); return s + 0 }
-    FNR == 1 { file++ }
-    /"p99_us"/ { p[file] = val($0) }
-    /"shed"/ && !/"shed_rate"/ { s[file] = val($0) }
-    END {
-      if (p[1] == 0 || p[2] == 0) {
-        print "overload: p99_us missing from a run" > "/dev/stderr"
-        exit 1
-      }
-      printf "overload gate: admitted p99 %.0f us under 4x load vs %.0f us baseline (ceiling %.0fx), shed %d\n",
-        p[2], p[1], tol, s[2]
-      if (s[2] == 0) {
-        print "OVERLOAD GATE FAIL: overload run shed nothing; the gate is not engaging" > "/dev/stderr"
-        exit 1
-      }
-      if (p[2] > p[1] * tol) {
-        print "OVERLOAD GATE FAIL: admitted p99 degraded more than " tol "x under overload" > "/dev/stderr"
-        exit 1
-      }
-      print "OVERLOAD GATE OK (same-machine)"
-    }' "$tmp/base.json" "$tmp/over.json"
-  overloadgate "$tmp/over.json"
-}
-
-# overloadgate compares an overload loadtest JSON against the committed
-# BENCH_PR7.json baseline: the run must shed (shed > 0) and its admitted
-# p99 may not exceed baseline*OVERLOAD_RATIO (default 5 — same
-# cross-machine tolerance rationale as servegate).
-overloadgate() {
-  local f="${1:-}"
-  if [ ! -f BENCH_PR7.json ]; then
-    echo "BENCH_PR7.json missing; nothing to gate against" >&2
-    return 1
-  fi
-  if [ -z "$f" ] || [ ! -f "$f" ]; then
-    echo "overloadgate: usage: overloadgate OVERLOAD.json" >&2
-    return 1
-  fi
-  awk -v tol="${OVERLOAD_RATIO:-5}" '
-    function val(s) { sub(/.*: */, "", s); sub(/[,}].*/, "", s); return s + 0 }
-    FNR == 1 { file++ }
-    /"p99_us"/ { p[file] = val($0) }
-    /"shed"/ && !/"shed_rate"/ { s[file] = val($0) }
-    END {
-      if (p[1] == 0 || p[2] == 0) {
-        print "overloadgate: p99_us missing from baseline or run" > "/dev/stderr"
-        exit 1
-      }
-      printf "overload gate: admitted p99 %.0f us (baseline %.0f, ceiling %.0f), shed %d (baseline %d)\n",
-        p[2], p[1], p[1] * tol, s[2], s[1]
-      if (s[2] == 0) {
-        print "OVERLOAD GATE FAIL: run shed nothing" > "/dev/stderr"
-        exit 1
-      }
-      if (p[2] > p[1] * tol) {
-        print "OVERLOAD GATE FAIL: admitted p99 above baseline*" tol > "/dev/stderr"
-        exit 1
-      }
-      print "OVERLOAD GATE OK (vs committed baseline)"
-    }' BENCH_PR7.json "$f"
 }
 
 # shard is the sharded-index acceptance gate. It runs the boundary
@@ -486,40 +312,6 @@ shard() {
     fi
   done
   echo "--- shard: all renders byte-identical"
-}
-
-# shardgate is the parallel-build performance gate: BenchmarkShardFreeze
-# must show the 4-way sharded freeze+persist at least SHARD_RATIO x
-# (default 1.5) faster than the single-file path. The win comes from
-# building and encoding shards on the worker pool, so the gate only
-# engages on machines with 4+ cores — below that there is no
-# parallelism to measure and the shard overhead dominates.
-shardgate() {
-  local cores
-  cores="$(nproc 2>/dev/null || echo 1)"
-  if [ "$cores" -lt 4 ]; then
-    echo "shardgate: $cores core(s) < 4; parallel shard build gate skipped"
-    return 0
-  fi
-  go test -run '^$' -bench 'BenchmarkShardFreeze' \
-    -benchtime "${SHARD_BENCHTIME:-3x}" -count "${SHARD_COUNT:-3}" . | tee shard-bench.txt
-  awk -v want="${SHARD_RATIO:-1.5}" '
-    $1 ~ /ShardFreeze\/single/ && $4 == "ns/op" { s += $3; sn++ }
-    $1 ~ /ShardFreeze\/sharded/ && $4 == "ns/op" { p += $3; pn++ }
-    END {
-      if (sn == 0 || pn == 0) {
-        print "shardgate: benchmark output missing single or sharded runs" > "/dev/stderr"
-        exit 1
-      }
-      r = (s / sn) / (p / pn)
-      printf "shard gate: single %.0f ns/op, sharded %.0f ns/op, speedup %.2fx (floor %.1fx)\n",
-        s / sn, p / pn, r, want
-      if (r < want) {
-        print "SHARD GATE FAIL: sharded build under " want "x the single-file build" > "/dev/stderr"
-        exit 1
-      }
-      print "SHARD GATE OK"
-    }' shard-bench.txt
 }
 
 # delta is the incremental-ingest acceptance gate. It runs the
@@ -578,60 +370,6 @@ delta() {
   echo "--- delta: all append renders byte-identical to the cold rebuild"
 }
 
-# deltaratio is the incremental-ingest performance gate. It first
-# checks the committed append/cold ratio in BENCH_PR10.json (an append
-# must cost at most DELTA_RATIO % — default 30 — of the cold rebuild it
-# replaces), then re-measures BenchmarkIncrementalAppend live and holds
-# the fresh ratio to the same bar. The live half self-skips on
-# undersized runners (< 2 cores): a box saturated by the harness
-# measures scheduler noise, not the decode saving.
-deltaratio() {
-  if [ ! -f BENCH_PR10.json ]; then
-    echo "BENCH_PR10.json missing; nothing to gate against" >&2
-    return 1
-  fi
-  awk -v tol="${DELTA_RATIO:-30}" '
-    /"cold_ns_op"/ { c = $0; sub(/.*: */, "", c); sub(/[,}].*/, "", c) }
-    /"append_ns_op"/ { a = $0; sub(/.*: */, "", a); sub(/[,}].*/, "", a) }
-    END {
-      if (c + 0 == 0 || a + 0 == 0) {
-        print "deltaratio: cold_ns_op or append_ns_op missing from BENCH_PR10.json" > "/dev/stderr"
-        exit 1
-      }
-      r = a / c * 100
-      printf "append/cold committed ratio: %.1f%% ns/op (bar %d%%)\n", r, tol
-      if (r > tol) {
-        print "DELTA GATE FAIL: committed append cost exceeds the ratio bar" > "/dev/stderr"
-        exit 1
-      }
-      print "DELTA GATE OK (committed)"
-    }' BENCH_PR10.json
-  local cores
-  cores="$(nproc 2>/dev/null || echo 1)"
-  if [ "$cores" -lt 2 ]; then
-    echo "deltaratio: $cores core(s) < 2; live re-measure skipped"
-    return 0
-  fi
-  go test -run '^$' -bench 'BenchmarkIncrementalAppend' \
-    -benchtime "${DELTA_BENCHTIME:-3x}" -count "${DELTA_COUNT:-3}" . | tee delta-bench.txt
-  awk -v tol="${DELTA_RATIO:-30}" '
-    $1 ~ /IncrementalAppend\/cold/ && $4 == "ns/op" { c += $3; cn++ }
-    $1 ~ /IncrementalAppend\/append/ && $4 == "ns/op" { a += $3; an++ }
-    END {
-      if (cn == 0 || an == 0) {
-        print "deltaratio: benchmark output missing cold or append runs" > "/dev/stderr"
-        exit 1
-      }
-      r = (a / an) / (c / cn) * 100
-      printf "append/cold measured ratio: %.1f%% ns/op (bar %d%%)\n", r, tol
-      if (r > tol) {
-        print "DELTA GATE FAIL: measured append cost exceeds the ratio bar" > "/dev/stderr"
-        exit 1
-      }
-      print "DELTA GATE OK (measured)"
-    }' delta-bench.txt
-}
-
 # lint runs gofmt/vet plus staticcheck (correctness checks) and
 # govulncheck when installed. CI installs both pinned; locally they are
 # optional and skipped with a notice, never fetched implicitly.
@@ -658,35 +396,29 @@ lint() {
   fi
 }
 
+# lifecycle runs every gate that drives a whole lifecycle — damaged
+# input, live sessions, warm start, the daemon, soak, crash recovery,
+# sharding, delta ingest. Each runs as a child process: four of them set
+# an EXIT trap for their temp dir (and, in serve, the daemon), and one
+# shell has one EXIT trap.
+lifecycle() {
+  local s
+  for s in faults chaos warmstart serve soak crash shard delta; do
+    echo "=== lifecycle: $s"
+    scripts/check.sh "$s"
+  done
+}
+
 all() { build; vet; fmt; test_; race; bench; }
 
-case "${1:-all}" in
-  build) build ;;
-  vet) vet ;;
-  fmt) fmt ;;
-  test) test_ ;;
-  race) race ;;
-  bench) bench ;;
-  benchgate) benchgate ;;
-  fuzz) fuzz ;;
-  faults) faults ;;
-  chaos) chaos ;;
-  warmstart) warmstart ;;
-  warmratio) warmratio ;;
-  serve) serve ;;
-  servegate) shift; servegate "${1:-}" ;;
-  soak) soak ;;
-  crash) crash ;;
-  overload) overload ;;
-  overloadgate) shift; overloadgate "${1:-}" ;;
-  shard) shard ;;
-  shardgate) shardgate ;;
-  delta) delta ;;
-  deltaratio) deltaratio ;;
-  lint) lint ;;
-  all) all ;;
+cmd="${1:-all}"
+case " $SUBCOMMANDS " in
+  *" $cmd "*) ;;
   *)
-    echo "usage: $0 [build|vet|fmt|test|race|bench|benchgate|fuzz|faults|chaos|warmstart|serve|soak|crash|overload|shard|shardgate|delta|deltaratio|lint|all]" >&2
+    echo "usage: $0 [${SUBCOMMANDS// /|}]" >&2
     exit 2
     ;;
 esac
+# test would shadow the shell builtin, so its function is test_.
+[ "$cmd" = test ] && cmd=test_
+"$cmd"

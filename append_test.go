@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"dropscope/internal/loader"
 )
 
 // growableArchive generates a private world (never the shared cached
@@ -34,16 +32,13 @@ func growableArchive(t *testing.T) (s *Study, dir, snapDir string) {
 	return s, dir, snapDir
 }
 
-// copySnapshot clones the seeded snapshot into a fresh directory, so
-// each mode of the append test starts from the same stale base.
+// copySnapshot clones the seeded snapshot store into a fresh
+// directory, so each mode of the append test starts from the same stale
+// base.
 func copySnapshot(t *testing.T, snapDir string) string {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join(snapDir, loader.SnapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
 	clone := t.TempDir()
-	if err := os.WriteFile(filepath.Join(clone, loader.SnapshotFile), raw, 0o644); err != nil {
+	if err := os.CopyFS(clone, os.DirFS(snapDir)); err != nil {
 		t.Fatal(err)
 	}
 	return clone

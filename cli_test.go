@@ -85,25 +85,28 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Errorf("roacheck invalid case: err=%v out=%q", err, out)
 	}
 
-	// -mem-budget bounds the residency of the store's shard files; with
-	// no store, or with a single-file generation, there is nothing to
-	// bound, and the daemon must say so instead of silently serving
-	// unbounded.
+	// -mem-budget bounds the residency of the store's shard files, and
+	// -shards cuts the store's generations; with no store, or with a
+	// one-shard generation, there is nothing to bound or cut, and the
+	// programs must say so instead of silently serving something else.
 	for _, tc := range []struct {
+		tool string
 		args []string
 		want []string
 	}{
-		{[]string{"-snapshot", "off", "-shards", "4", "-mem-budget", "2"}, []string{"-mem-budget"}},
-		{[]string{"-mem-budget", "2"}, []string{"-mem-budget", "-shards"}},
+		{"dropscoped", []string{"-archive", world, "-snapshot", "off", "-shards", "4", "-mem-budget", "2"}, []string{"-mem-budget"}},
+		{"dropscoped", []string{"-archive", world, "-mem-budget", "2"}, []string{"-mem-budget", "-shards"}},
+		{"dropscoped", []string{"-archive", world, "-snapshot", "off", "-shards", "4"}, []string{"-shards", "-snapshot"}},
+		{"dropscope", []string{"-load", world, "-index-cache", "off", "-shards", "4"}, []string{"-shards", "-index-cache"}},
 	} {
-		out, err = run("dropscoped", append([]string{"-archive", world}, tc.args...)...)
+		out, err = run(tc.tool, tc.args...)
 		exitErr, ok := err.(*exec.ExitError)
 		refused := ok && exitErr.ExitCode() != 0
 		for _, w := range tc.want {
 			refused = refused && strings.Contains(out, w)
 		}
 		if !refused {
-			t.Errorf("dropscoped %v: err=%v out=%q, want a refusal naming %v", tc.args, err, out, tc.want)
+			t.Errorf("%s %v: err=%v out=%q, want a refusal naming %v", tc.tool, tc.args, err, out, tc.want)
 		}
 	}
 }

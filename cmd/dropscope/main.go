@@ -19,34 +19,43 @@
 // record index and byte offset. Over undamaged archives the two modes
 // print byte-identical reports.
 //
-// Loads warm-start from a persistent index snapshot: the default
-// -index-cache auto keeps DIR/ribsnap/index.ribsnap next to the archives
-// loaded with -load DIR, keyed on a digest of the MRT bytes. A matching
-// snapshot skips MRT decode and index construction entirely (the
-// dominant load cost); a missing, stale, or damaged one falls back to a
-// cold build and is rewritten. Reports are byte-identical either way.
-// -index-cache off disables the cache; any other value names an explicit
-// snapshot directory.
+// Loads warm-start from a persistent index cache: the default
+// -index-cache auto keeps a snapshot store in DIR/ribsnap next to the
+// archives loaded with -load DIR — a manifest journal and one
+// gen-<digest>/ directory of shard snapshots per archive state, keyed
+// on a digest of the MRT bytes, the layout dropscoped -snapshot keeps.
+// A matching generation skips MRT decode and index construction
+// entirely (the dominant load cost); a missing, stale, or damaged one
+// falls back to a cold build and is rewritten. Reports are
+// byte-identical either way. -index-cache off disables the cache; any
+// other value names an explicit store directory.
 //
 // -append extends the cache to growing archives: when the MRT files
-// gained bytes at their tails since the snapshot was written (old bytes
-// untouched), only the appended bytes are decoded and merged onto the
-// snapshotted index — days already ingested are never re-decoded — and
-// the merged index replaces the snapshot. The report is byte-identical
-// to a cold rebuild; any non-append change falls back to one.
+// gained bytes at their tails since the cached generation was written
+// (old bytes untouched), only the appended bytes are decoded and merged
+// onto its index — days already ingested are never re-decoded — and the
+// merged index becomes the next generation. The report is
+// byte-identical to a cold rebuild; any non-append change falls back to
+// one.
+//
+// -shards N cuts the generations the run writes into N prefix-range
+// shards and serves such a generation sharded; it needs the index
+// cache, and takes effect at the next generation written, because a
+// cached generation is served in the shard count it was written with.
 //
 // The profiling flags wrap the whole run: -cpuprofile and -memprofile
 // write pprof profiles (the heap profile is taken at exit, after a GC),
 // -trace writes a runtime execution trace. Because a warm start shifts
 // work from decode-time CPU to a file mapping, comparing cold and warm
 // heap profiles of the same archive (two runs, -memprofile each) is the
-// quickest way to see what the snapshot saves; scripts/bench.sh compare
-// automates the allocation side. Inspect profiles with `go tool pprof` /
-// `go tool trace`.
+// quickest way to see what the cache saves; TestLoadPathAllocs (root
+// package) pins the allocation side per route. Inspect profiles with
+// `go tool pprof` / `go tool trace`.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -164,6 +173,9 @@ func run(scale int, seed int64, load, save string, asJSON, serial bool, workers 
 		err   error
 	)
 	if load != "" {
+		if shards > 1 && idxCache == "off" {
+			return errors.New("-shards cuts the generations the index cache writes; with -index-cache off there is none to cut")
+		}
 		opts := dropscope.IngestOptions{
 			Strict:      strict,
 			MaxSkip:     maxSkip,

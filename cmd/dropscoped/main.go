@@ -40,30 +40,37 @@
 // /metrics as delta_reloads_total, and any non-append change (a
 // rewritten file, a removed collector) falls back to a cold rebuild.
 //
-// The snapshot directory is a crash-safe generation store: snapshots
-// are written durably (fsync, atomic rename, directory sync), recorded
-// in an append-only checksummed manifest journal, and swept and
-// reconciled at startup, so a crash at any point of a write leaves
-// either the old or the new complete generation — never garbage. A
-// background scrubber (-scrub, on by default) continuously re-verifies
-// the live generation's bytes against its checksums; on a mismatch the
-// daemon reports itself degraded, journals the generation corrupt so
-// it is never re-adopted, and cold-rebuilds a replacement through the
-// reload supervisor. Degraded, never down.
+// The snapshot directory is a crash-safe generation store, the same
+// layout dropscope -index-cache keeps: one directory per generation
+// (gen-<digest>/, K shard snapshots and the shards.manifest that
+// publishes them; a monolith is K = 1), written durably (fsync, atomic
+// rename, directory sync), recorded in an append-only checksummed
+// manifest journal, and swept and reconciled at startup, so a crash at
+// any point of a write leaves either the old or the new complete
+// generation, or none — never garbage. A background scrubber (-scrub,
+// on by default) continuously re-verifies the live generation's shard
+// files against their checksums; on a mismatch the daemon reports
+// itself degraded, journals the generation corrupt so it is never
+// re-adopted, and cold-rebuilds a replacement through the reload
+// supervisor. Degraded, never down.
 //
-// -shards N serves from a prefix-range sharded index: the frozen index
-// is cut into N independently mmap-able shard snapshots persisted as a
-// generation directory in the snapshot store, point queries route to
-// the owning shard, and sweep queries fan out in parallel — answers
-// are byte-identical to the single-index daemon's. -mem-budget M caps
+// -shards N cuts the generations the daemon writes into N prefix-range
+// shards, and a generation cut that way is served sharded: point
+// queries route to the owning shard, and sweep queries fan out in
+// parallel — answers are byte-identical to the single-index daemon's.
+// A generation is served in the shard count it was written with, so a
+// changed -shards takes effect at the next generation written (a cold
+// rebuild or a delta reload); the boot log names the served count.
+// Sharded generations exist only in the snapshot store, so -shards 2
+// or more is refused without one (-snapshot off). -mem-budget M caps
 // how many shards stay memory-mapped at once: cold ranges fault back
 // in on first touch and the least recently used shard is evicted, so
 // an archive larger than RAM serves from bounded residency; the budget
 // bounds shard files of the snapshot store, so it is refused without
-// -shards 2 or more and without a store (-snapshot off). The scrubber
-// verifies shard files individually, and a damaged shard degrades only
-// its prefix range (visible per shard in /healthz) while the reload
-// supervisor rebuilds.
+// -shards 2 or more and without a store. The scrubber verifies shard
+// files individually, and a damaged shard degrades only its prefix
+// range (visible per shard in /healthz) while the reload supervisor
+// rebuilds.
 //
 // SIGINT/SIGTERM drain gracefully: new arrivals answer 503 while
 // requests already admitted run to completion, bounded by
@@ -178,10 +185,13 @@ func main() {
 	}
 
 	if *memBudget > 0 && *shards < 2 {
-		fatal(errors.New("-mem-budget bounds how many shards stay mapped; it needs -shards 2 or more, because a single-file generation is always fully resident"))
+		fatal(errors.New("-mem-budget bounds how many shards stay mapped; it needs -shards 2 or more, because a one-shard generation is always fully resident"))
 	}
 	if *memBudget > 0 && opts.Store == nil {
 		fatal(errors.New("-mem-budget bounds how many shard files of the snapshot store stay mapped; without a usable store (-snapshot off, or the store failed to open) there is no residency to bound"))
+	}
+	if *shards > 1 && opts.Store == nil {
+		fatal(errors.New("-shards cuts the generations of the snapshot store; without a usable store (-snapshot off, or the store failed to open) there is none to cut"))
 	}
 
 	t0 := time.Now()
@@ -198,11 +208,12 @@ func main() {
 		},
 		RequestTimeout: *reqTimeout,
 	})
-	log.Printf("dropscoped: loaded generation %s in %v (window %s)",
-		gen.DigestHex()[:12], time.Since(t0).Round(time.Millisecond), gen.Window())
-	if note := gen.LoadNote(); note != "" {
-		log.Printf("dropscoped: %s", note)
+	served := 0 // built in memory
+	if ss := gen.Shards(); ss != nil {
+		served = ss.NumShards()
 	}
+	log.Printf("dropscoped: loaded generation %s in %v (window %s, %d shards)",
+		gen.DigestHex()[:12], time.Since(t0).Round(time.Millisecond), gen.Window(), served)
 
 	httpCfg := serve.HTTPConfig{
 		ReadHeaderTimeout: *readHeaderTimeout,

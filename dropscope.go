@@ -48,14 +48,15 @@ type Study struct {
 	World    *scenario.World
 	Pipeline *analysis.Pipeline
 
-	// snap is the index snapshot a warm-started study was loaded from;
-	// nil after a generated or cold-built study. It is retained because
-	// the pipeline's index may alias the snapshot's file mapping.
+	// snap is the cached generation the study's index is served from;
+	// nil after a generated study or one built in memory. It is retained
+	// because the pipeline's index aliases the generation's file
+	// mappings.
 	snap *ribsnap.Snapshot
 }
 
 // Close releases resources the study holds beyond the Go heap —
-// currently the snapshot file mapping behind a warm-started index.
+// currently the file mappings behind an index served from the cache.
 // The study must not be used afterwards. Close is a no-op (and always
 // safe) on generated or cold-built studies.
 func (s *Study) Close() error {
@@ -124,24 +125,29 @@ type IngestOptions struct {
 	// (archive.LoadOptions.Workers): <= 0 means runtime.GOMAXPROCS(0),
 	// 1 loads serially.
 	Workers int
-	// SnapshotDir enables warm starts. When non-empty, the loader keeps a
-	// persistent snapshot of the frozen RIB index at
-	// SnapshotDir/index.ribsnap, keyed on a digest of the archive's MRT
-	// bytes. When the snapshot matches, MRT decode and index construction
-	// are skipped entirely and the index is served from the snapshot
+	// SnapshotDir enables warm starts. When non-empty, it is opened as a
+	// snapshot store — the layout dropscoped's -snapshot uses: a manifest
+	// journal plus one gen-<digest>/ directory of shard snapshots per
+	// archive state, keyed on a digest of the archive's MRT bytes. When
+	// the store holds the archive's generation, MRT decode and index
+	// construction are skipped entirely and the index is served from it
 	// (memory-mapped and used in place on little-endian platforms); the
 	// study's rendered output is byte-identical to a cold build's. When
-	// the snapshot is missing, stale, version-skewed, or damaged, the
+	// the generation is missing, stale, version-skewed, or damaged, the
 	// loader falls back to a cold build — never to wrong results — counts
-	// the discarded snapshot in the health report (lenient mode), and
-	// rewrites the snapshot after a clean rebuild.
+	// the discarded generation in the health report (lenient mode), and
+	// writes the generation after a clean rebuild. A store that cannot
+	// be opened leaves the load cache-off.
 	SnapshotDir string
-	// Shards, when > 1, serves the study from a prefix-range sharded
-	// index: the frozen index is cut into Shards pieces, point queries
-	// route to the owning shard, and sweeps fan out in parallel. The
-	// rendered output is byte-identical to the single-index study's;
-	// the cut exists for parallel build and bounded-memory serving
-	// (see internal/rib.Sharded and the dropscoped daemon's
+	// Shards, when > 1, cuts the generations the load writes into Shards
+	// prefix-range pieces, and a generation cut that way is served as a
+	// sharded index: point queries route to the owning shard, and sweeps
+	// fan out in parallel. It needs SnapshotDir — a sharded index exists
+	// only as a store generation — and takes effect at the next
+	// generation written, because a stored generation is served in the
+	// shard count it was written with. The rendered output is
+	// byte-identical to the single-index study's (see
+	// internal/rib.Sharded and the dropscoped daemon's
 	// -shards/-mem-budget flags).
 	Shards int
 	// Append, with SnapshotDir, enables incremental delta ingest: when
@@ -170,20 +176,26 @@ func LoadStudyWithOptions(dir string, cfg Config, opts IngestOptions) (*Study, e
 	if !opts.Strict {
 		h = ingest.NewHealth()
 	}
+	var store *ribsnap.Store
+	if opts.SnapshotDir != "" {
+		// A cache that cannot be opened costs time, never the load: it
+		// runs cache-off, as dropscoped's does.
+		store, _ = ribsnap.OpenStore(opts.SnapshotDir, ribsnap.StoreOptions{})
+	}
 	l, err := loader.Load(dir, loader.Options{
-		Window:      cfg.Window,
-		Health:      h,
-		MaxSkip:     opts.MaxSkip,
-		Workers:     opts.Workers,
-		SnapshotDir: opts.SnapshotDir,
-		Shards:      opts.Shards,
-		Delta:       opts.Append,
+		Window:  cfg.Window,
+		Health:  h,
+		MaxSkip: opts.MaxSkip,
+		Workers: opts.Workers,
+		Store:   store,
+		Shards:  opts.Shards,
+		Delta:   opts.Append,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dropscope: %w", err)
 	}
 	st := &Study{Pipeline: l.Pipeline}
-	if l.Route != loader.Cold {
+	if l.Shards != nil {
 		st.snap = l.Snapshot
 	}
 	return st, nil

@@ -2,9 +2,9 @@
 // is the one implementation of the resolve → delta | warm | cold →
 // persist state machine that both the batch facade
 // (dropscope.LoadStudyWithOptions) and the query daemon (serve.Load)
-// run. The two callers differ only in where index generations live —
-// a bare SnapshotDir/index.ribsnap or a manifest-backed ribsnap.Store
-// — and that is the only seam (see cache.go).
+// run. Index generations are cached in one layout whoever opened the
+// cache: a ribsnap.Store of generation directories, a monolith being a
+// one-shard generation (see cache.go).
 //
 // Every route serves the index a cache-off cold build would: a cached
 // generation can cost time, never correctness. DESIGN.md ("The load
@@ -29,14 +29,9 @@ import (
 	"dropscope/internal/timex"
 )
 
-const (
-	// SnapshotSource is the ingest.Health source a discarded cached
-	// generation is accounted under.
-	SnapshotSource = "ribsnap/index"
-	// SnapshotFile is the file name of the single-file snapshot inside
-	// Options.SnapshotDir.
-	SnapshotFile = "index.ribsnap"
-)
+// SnapshotSource is the ingest.Health source a discarded cached
+// generation is accounted under.
+const SnapshotSource = "ribsnap/index"
 
 // Route names how Load obtained the index.
 type Route uint8
@@ -70,19 +65,17 @@ type Options struct {
 	// Workers bounds the RIB-loading pool, the archive's text load and
 	// the sharded index's fan-out pool (<= 0 = runtime.GOMAXPROCS(0)).
 	Workers int
-	// SnapshotDir, when non-empty, caches the index as the single file
-	// SnapshotDir/index.ribsnap: the single-owner batch layout.
-	SnapshotDir string
-	// Store, when non-nil, supersedes SnapshotDir: generations are read,
-	// written and promoted through the manifest-backed store, which
-	// refuses generations journaled corrupt, adopts a legacy
-	// index.ribsnap read-only, and is the only cache with a sharded
-	// layout. This is the daemon's cache.
+	// Store, when non-nil, caches index generations: each is read,
+	// written and promoted through the manifest-backed store as a
+	// generation directory (gen-<digest>/shard-<i>.ribsnap +
+	// shards.manifest), and one journaled corrupt is refused. Nil loads
+	// cache-off.
 	Store *ribsnap.Store
-	// Shards, when > 1, serves a prefix-range sharded index. With a
-	// Store the shards are files (gen-<digest>/shard-<i>.ribsnap +
-	// shards.manifest) mapped on demand; otherwise the index is cut in
-	// memory. Query results are identical to the single index's.
+	// Shards is how many prefix-range shards the generations this load
+	// writes are cut into (<= 1 = one, the monolith); more than one needs
+	// a Store. A generation is served in the K it was written with, so a
+	// changed Shards takes effect at the next generation written — a cold
+	// or delta load. Query results are identical whatever the K.
 	Shards int
 	// MemBudget caps how many file-backed shards stay mapped at once
 	// (<= 0 keeps them all resident).
@@ -98,12 +91,12 @@ type Options struct {
 type Loaded struct {
 	Pipeline *analysis.Pipeline
 	// Snapshot owns whatever the index aliases and carries the archive
-	// digest: the mapped file after a warm or delta load, the master of
-	// Shards when that is set, and a mapping-free wrapper otherwise, so
-	// every caller closes (or refcounts) one thing.
+	// digest: the master of Shards when that is set, and a mapping-free
+	// wrapper over the in-memory index otherwise, so every caller closes
+	// (or refcounts) one thing.
 	Snapshot *ribsnap.Snapshot
-	// Shards is the residency manager of a file-backed sharded
-	// generation, nil otherwise.
+	// Shards is the residency manager of the store generation the index
+	// is served from, nil for an index built in memory.
 	Shards *ribsnap.ShardSet
 	Route  Route
 }
@@ -111,9 +104,10 @@ type Loaded struct {
 var (
 	errNoGrowth = errors.New("loader: archive did not grow append-only past the previous generation")
 	errWindow   = fmt.Errorf("%w: cached generation covers another study window", ribsnap.ErrStale)
-	// errShardedOnly is the one discard that leaves a healthy file in
-	// place, so its text becomes the health source's note.
-	errShardedOnly = errors.New("the store holds this archive state only as a sharded generation, which an unsharded load cannot map: rebuilt cold")
+	// errShardsNeedStore refuses Shards > 1 without a Store: sharded
+	// generations exist only as store directories, and no load cuts an
+	// index in memory.
+	errShardsNeedStore = errors.New("loader: Shards > 1 needs a Store: a sharded index is served only from a snapshot store's generation directories")
 )
 
 // Load builds the study over the archive directory dir. The route
@@ -123,8 +117,10 @@ var (
 // warm lookup; a miss builds cold and, when MRT ingest was clean,
 // persists the generation for the next load.
 func Load(dir string, o Options) (*Loaded, error) {
-	h := o.Health
-	c := newCache(o)
+	h, st := o.Health, o.Store
+	if o.Shards > 1 && st == nil {
+		return nil, errShardsNeedStore
+	}
 	mrtDir := filepath.Join(dir, "mrt")
 	var (
 		l       = &Loaded{}
@@ -132,9 +128,9 @@ func Load(dir string, o Options) (*Loaded, error) {
 		keyed   bool // digest is the archive's
 		cursors []ribsnap.ArchiveCursor
 	)
-	if c != nil && o.Delta {
-		if l.Snapshot, l.Shards = tryDelta(c, o, mrtDir); l.Snapshot != nil {
-			l.Route, digest, keyed = Delta, l.Snapshot.Digest, true
+	if st != nil && o.Delta {
+		if l.Shards = tryDelta(st, o, mrtDir); l.Shards != nil {
+			l.Route, digest, keyed = Delta, l.Shards.Digest(), true
 		}
 	}
 	if !keyed {
@@ -143,24 +139,27 @@ func Load(dir string, o Options) (*Loaded, error) {
 		// directory) falls through: the archive load reports it.
 		if cur, err := ribsnap.ArchiveCursors(mrtDir); err == nil {
 			cursors, digest, keyed = cur, ribsnap.DigestCursors(cur), true
-			if c != nil {
-				if l.Snapshot, l.Shards = warm(c, o, digest); l.Snapshot != nil {
+			if st != nil {
+				if l.Shards = warm(st, o, digest); l.Shards != nil {
 					l.Route = Warm
 				}
 			}
 		}
 	}
+	if l.Shards != nil {
+		l.Snapshot = l.Shards.Master()
+	}
 
-	b, err := archive.LoadWithOptions(dir, archive.LoadOptions{Health: h, SkipMRT: l.Snapshot != nil, Workers: o.Workers})
+	b, err := archive.LoadWithOptions(dir, archive.LoadOptions{Health: h, SkipMRT: l.Shards != nil, Workers: o.Workers})
 	if err != nil {
 		l.close()
 		return nil, fmt.Errorf("load: %w", err)
 	}
 	aopts := analysis.Options{Workers: o.Workers, Lenient: h != nil, MaxSkip: o.MaxSkip, Health: h}
-	if l.Snapshot != nil {
-		if aopts.Index, err = index(l.Snapshot, l.Shards, o.Workers); err != nil {
+	if l.Shards != nil {
+		if aopts.Index, err = l.Shards.Querier(o.Workers); err != nil {
 			l.close()
-			return nil, fmt.Errorf("sharded index: %w", err)
+			return nil, fmt.Errorf("cached index: %w", err)
 		}
 	}
 	p, err := analysis.NewWithOptions(analysis.Dataset{
@@ -174,7 +173,7 @@ func Load(dir string, o Options) (*Loaded, error) {
 	}
 	l.Pipeline = p
 
-	if l.Snapshot != nil {
+	if l.Shards != nil {
 		if h != nil {
 			// Replay the per-collector record counts the generation
 			// preserved, so health reports what a cold build would.
@@ -188,36 +187,28 @@ func Load(dir string, o Options) (*Loaded, error) {
 		// A partial index must never masquerade as the archive's: only
 		// clean MRT ingest is persisted. Best-effort beyond that — a
 		// failed write leaves the load unaffected.
-		if c != nil && keyed && mrtClean(h) {
+		if st != nil && keyed && mrtClean(h) {
 			lin := &ribsnap.Lineage{MaxDay: ix.MaxDay(), Cursors: cursors}
-			if persist(c, o, ix, digest, collectorCounts(b, h), lin) == nil && shardStore(c, o) != nil {
+			if persist(st, o, ix, digest, collectorCounts(b, h), lin) == nil && o.Shards > 1 {
 				// Serve the reopened, file-backed shards, so a cold build
 				// and the warm start after it answer from identical bytes.
-				if snap, ss, err := open(c, o, digest); err == nil {
-					if q, err := index(snap, ss, o.Workers); err == nil {
-						p.Index, l.Snapshot, l.Shards = q, snap, ss
+				if ss, err := st.LoadShards(digest, o.MemBudget); err == nil {
+					if q, err := ss.Querier(o.Workers); err == nil {
+						p.Index, l.Snapshot, l.Shards = q, ss.Master(), ss
 					} else {
-						snap.Close()
+						ss.Close()
 					}
 				}
 			}
 		}
 	}
-	// In-memory cut: sharding was asked for and the index is still one
-	// piece (no store, a single-file generation, a failed sharded
-	// persist). Queries run the same fan-out paths, minus the budget.
-	if ix, ok := p.Index.(*rib.Index); ok && o.Shards > 1 {
-		fs, err := ix.FrozenShards(o.Shards, o.Workers)
-		if err == nil {
-			p.Index, err = rib.ShardedFromFrozen(fs, o.Workers)
-		}
-		if err != nil {
-			l.close()
-			return nil, fmt.Errorf("shard: %w", err)
-		}
-	}
-	if c != nil && keyed {
-		c.promote(digest)
+	// Journal digest live only when the store holds it: a load that
+	// refused to persist (damaged MRT ingest) or failed to must not
+	// retire the last good generation — the next delta's base — in
+	// favour of nothing. A journal failure is operational, not a serving
+	// problem; the next promote retries.
+	if st != nil && keyed && st.HasShards(digest) {
+		_ = st.Promote(digest)
 	}
 	return l, nil
 }
@@ -229,144 +220,68 @@ func (l *Loaded) close() {
 	}
 }
 
-// index returns the query view over an opened generation.
-func index(snap *ribsnap.Snapshot, ss *ribsnap.ShardSet, workers int) (rib.Querier, error) {
-	if ss != nil {
-		return ss.Sharded(workers)
-	}
-	return snap.Index, nil
-}
-
-// shardStore returns the store the load's generations are laid out
-// sharded in, nil when they are single files: the sharded layout needs
-// both Shards > 1 and a cache that has one.
-func shardStore(c cache, o Options) *ribsnap.Store {
-	if o.Shards > 1 {
-		return c.store()
-	}
-	return nil
-}
-
-// persist writes ix as the generation for digest, in the layout
-// shardStore selects.
-func persist(c cache, o Options, ix *rib.Index, digest [32]byte, counts []ribsnap.CollectorCount, lin *ribsnap.Lineage) error {
-	if st := shardStore(c, o); st != nil {
-		fs, err := ix.FrozenShards(o.Shards, o.Workers)
-		if err != nil {
-			return err
-		}
-		return st.WriteShardsLineage(fs, o.Window, digest, counts, o.Workers, lin)
-	}
-	f, err := ix.Frozen()
-	if err != nil {
-		return err
-	}
-	return c.write(f, o.Window, digest, counts, lin)
-}
-
-// open maps the generation for digest in the layout shardStore
-// selects. A shard set comes back with its master snapshot, so both
-// layouts close the same way.
-func open(c cache, o Options, digest [32]byte) (*ribsnap.Snapshot, *ribsnap.ShardSet, error) {
-	if st := shardStore(c, o); st != nil {
-		ss, err := st.LoadShards(digest, o.MemBudget)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ss.Master(), ss, nil
-	}
-	s, err := c.load(digest)
-	return s, nil, err
-}
-
-// usable returns s when it opened and covers the window; otherwise it
-// closes s, counts the discard and returns nil.
-func usable(o Options, s *ribsnap.Snapshot, err error) *ribsnap.Snapshot {
-	if err == nil && s.Window != o.Window {
-		s.Close()
+// warm maps the store's generation for digest, in whatever K it was
+// written with. It returns nil, counting the discard, when the
+// generation does not open or covers another window. A miss while
+// another generation is promoted is the archive having changed under
+// the cache without the delta path extending it: counted as stale,
+// once, so a lenient report says why the load went cold.
+func warm(st *ribsnap.Store, o Options, digest [32]byte) *ribsnap.ShardSet {
+	ss, err := st.LoadShards(digest, o.MemBudget)
+	if err == nil && ss.Window() != o.Window {
+		ss.Close()
 		err = errWindow
+	}
+	if prev, ok := st.Promoted(); os.IsNotExist(err) && ok && prev != digest {
+		err = ribsnap.ErrStale
 	}
 	if err != nil {
 		countSnapshotSkip(o.Health, err)
 		return nil
 	}
-	return s
-}
-
-// warm looks the digest up in the cache: the sharded set first (a
-// generation directory with a manifest is complete by construction),
-// then the single snapshot, which a sharded load over a store upgrades
-// in place.
-func warm(c cache, o Options, digest [32]byte) (*ribsnap.Snapshot, *ribsnap.ShardSet) {
-	st := c.store()
-	hasShards := st != nil && st.HasShards(digest)
-	if hasShards && o.Shards > 1 {
-		snap, ss, err := open(c, o, digest)
-		if snap = usable(o, snap, err); snap != nil {
-			return snap, ss
-		}
-	}
-	s, err := c.load(digest)
-	if hasShards && o.Shards <= 1 && os.IsNotExist(err) {
-		err = errShardedOnly
-	}
-	snap := usable(o, s, err)
-	if snap == nil || shardStore(c, o) == nil {
-		return snap, nil
-	}
-	// A single-file generation under Shards: the mapped monolith is
-	// already the frozen index, so cut it, persist the sharded layout
-	// and reopen under the budget — sharding an existing deployment
-	// takes effect on the first restart. Any failure keeps the single
-	// mapping (the in-memory cut still gives fan-out).
-	if persist(c, o, snap.Index, digest, snap.Counts, snap.Lineage) == nil {
-		if up, ss, err := open(c, o, digest); err == nil {
-			snap.Close()
-			return up, ss
-		}
-	}
-	return snap, nil
+	return ss
 }
 
 // tryDelta takes the incremental path when the archive grew
-// append-only past the cache's previous generation: merge the appended
+// append-only past the store's promoted generation: merge the appended
 // bytes onto it, persist the result under the digest the merge's own
-// pass derived, and map it back. It returns nils when the delta cannot
+// pass derived, and map it back. It returns nil when the delta cannot
 // be taken — no previous generation, no lineage, no growth, a
 // rewritten prefix, a decode error in the suffix, a window that moved
 // backwards, a persist failure — and the caller carries on with the
 // hash-and-look-up routes.
-func tryDelta(c cache, o Options, mrtDir string) (*ribsnap.Snapshot, *ribsnap.ShardSet) {
-	b := c.previous()
+func tryDelta(st *ribsnap.Store, o Options, mrtDir string) *ribsnap.ShardSet {
+	b := previous(st)
 	if b == nil {
-		return nil, nil
+		return nil
 	}
 	// The merged index aliases the base until it is persisted; the
 	// served mapping must never alias a retired one. So: write, release
 	// the base, then map the result from disk.
-	digest, err := b.extend(c, o, mrtDir)
+	digest, err := b.extend(st, o, mrtDir)
 	b.close()
 	if err != nil {
-		return nil, nil
+		return nil
 	}
-	snap, ss, err := open(c, o, digest)
+	ss, err := st.LoadShards(digest, o.MemBudget)
 	if err != nil {
-		return nil, nil
+		return nil
 	}
-	return snap, ss
+	return ss
 }
 
 // extend merges the archive's appended bytes onto the base, if sizes
 // say it grew, and persists the result under the digest it returns.
-func (b *base) extend(c cache, o Options, mrtDir string) ([32]byte, error) {
-	if b.lin == nil || !archiveGrew(mrtDir, b.lin.Cursors) {
+func (b *base) extend(st *ribsnap.Store, o Options, mrtDir string) ([32]byte, error) {
+	lin := b.ss.Lineage()
+	if lin == nil || !archiveGrew(mrtDir, lin.Cursors) {
 		return [32]byte{}, errNoGrowth
 	}
 	f, err := b.frozen()
 	if err != nil {
 		return [32]byte{}, err
 	}
-	res, err := delta.Build(mrtDir, f, b.lin, b.counts, b.window, o.Window, b.digest)
+	res, err := delta.Build(mrtDir, f, lin, b.ss.Counts(), b.ss.Window(), o.Window, b.ss.Digest())
 	if err != nil {
 		return [32]byte{}, err
 	}
@@ -374,7 +289,7 @@ func (b *base) extend(c cache, o Options, mrtDir string) ([32]byte, error) {
 	if err != nil {
 		return [32]byte{}, err
 	}
-	return res.Digest, persist(c, o, ix, res.Digest, res.Counts, res.Lineage)
+	return res.Digest, persist(st, o, ix, res.Digest, res.Counts, res.Lineage)
 }
 
 // archiveGrew reports whether the MRT files under mrtDir moved forward
@@ -425,9 +340,6 @@ func countSnapshotSkip(h *ingest.Health, err error) {
 	switch {
 	case errors.Is(err, ribsnap.ErrTruncated):
 		src.Skip(ingest.Truncated)
-	case errors.Is(err, errShardedOnly):
-		src.Skip(ingest.Unsupported)
-		src.Note = err.Error()
 	case errors.Is(err, ribsnap.ErrVersion), errors.Is(err, ribsnap.ErrStale):
 		src.Skip(ingest.Unsupported)
 	default:

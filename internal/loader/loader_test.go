@@ -312,15 +312,13 @@ func listing(t *testing.T, dir string) []string {
 	return out
 }
 
-// genFiles lists what the store holds for one generation in the layout
-// a load with the given shard count writes.
-func genFiles(digest [32]byte, shards int) []string {
-	if shards <= 1 {
-		return []string{ribsnap.GenName(digest)}
-	}
-	out := []string{filepath.Join(ribsnap.GenDirName(digest), "shards.manifest")}
-	for i := 0; i < shards; i++ {
-		out = append(out, filepath.Join(ribsnap.GenDirName(digest), ribsnap.ShardFileName(i)))
+// genFiles lists what the store holds for one generation cut into k
+// shards: the shard manifest and the shard files, in one directory.
+func genFiles(digest [32]byte, k int) []string {
+	dir := ribsnap.GenDirName(digest)
+	out := []string{filepath.Join(dir, "shards.manifest")}
+	for i := 0; i < k; i++ {
+		out = append(out, filepath.Join(dir, ribsnap.ShardFileName(i)))
 	}
 	return out
 }
@@ -329,13 +327,17 @@ type event struct {
 	name  string
 	state string // archive state the load under test sees
 	route loader.Route
-	// fileSkip and storeSkip are the snapshot-source skip a lenient load
-	// counts with the bare-file and the store cache; nil counts none. A
-	// stale bare file is discarded (it is keyed on the old digest); the
-	// store looks the new digest up and simply misses.
-	fileSkip, storeSkip *ingest.Reason
+	// skip is the snapshot-source skip a lenient load counts; nil counts
+	// none. Whoever opened the cache, a generation keyed on another
+	// digest than the archive's — stale — counts one, unless the delta
+	// path extended it.
+	skip *ingest.Reason
 	// persists is false when the load must leave the cache as seeded.
 	persists bool
+	// reshard seeds the cache with the other shard count (4 in a cell of
+	// 1, 1 in a cell of 4): a generation is served in the K it was
+	// written with, and only the next one written takes the cell's.
+	reshard bool
 }
 
 func reason(r ingest.Reason) *ingest.Reason { return &r }
@@ -343,23 +345,30 @@ func reason(r ingest.Reason) *ingest.Reason { return &r }
 // TestRouteMatrix drives the one loader through every combination of
 // cache, shard count, archive event and strictness, asserting the route
 // taken, the health report (a cache-off cold build's, plus exactly the
-// documented snapshot skip), what is on disk afterwards, and that the
-// loader, the batch facade and serve.Load all serve the index the
-// cache-off cold build does.
+// documented snapshot skip), the shard count served, what is on disk
+// afterwards, and that the loader, the batch facade and serve.Load all
+// serve the index the cache-off cold build does. The cache is none, a
+// snapshot store directory reopened for every load — what each batch
+// run does ("file") — or one store handle kept across the loads, as
+// the daemon keeps it ("store"); the two count and route identically.
+// Without a cache, Shards > 1 is refused.
 func TestRouteMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several hundred loads")
 	}
 	f := getFixture(t)
+	unsupported := reason(ingest.Unsupported)
 	events := []event{
 		{name: "first run", state: "base", route: loader.Cold, persists: true},
 		{name: "repeat", state: "base", route: loader.Warm, persists: true},
 		{name: "append-only growth", state: "grown", route: loader.Delta, persists: true},
-		{name: "rewritten file", state: "rewritten", route: loader.Cold, fileSkip: reason(ingest.Unsupported), persists: true},
-		{name: "removed collector", state: "removed", route: loader.Cold, fileSkip: reason(ingest.Unsupported), persists: true},
-		{name: "bit-flipped snapshot", state: "base", route: loader.Cold, fileSkip: reason(ingest.Corrupt), storeSkip: reason(ingest.Corrupt), persists: true},
-		{name: "window change", state: "base", route: loader.Cold, fileSkip: reason(ingest.Unsupported), storeSkip: reason(ingest.Unsupported), persists: true},
-		{name: "damaged collector", state: "damaged", route: loader.Cold, fileSkip: reason(ingest.Unsupported)},
+		{name: "rewritten file", state: "rewritten", route: loader.Cold, skip: unsupported, persists: true},
+		{name: "removed collector", state: "removed", route: loader.Cold, skip: unsupported, persists: true},
+		{name: "bit-flipped snapshot", state: "base", route: loader.Cold, skip: reason(ingest.Corrupt), persists: true},
+		{name: "window change", state: "base", route: loader.Cold, skip: unsupported, persists: true},
+		{name: "damaged collector", state: "damaged", route: loader.Cold, skip: unsupported},
+		{name: "other shard count", state: "base", route: loader.Warm, persists: true, reshard: true},
+		{name: "other shard count, append-only growth", state: "grown", route: loader.Delta, persists: true, reshard: true},
 	}
 	for _, cacheKind := range []string{"none", "file", "store"} {
 		for _, shards := range []int{1, 4} {
@@ -377,26 +386,55 @@ func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, s
 	dir := f.archiveDir(t, "base")
 	cacheDir := filepath.Join(t.TempDir(), "ribsnap")
 	window := f.window
-	opts := func() loader.Options {
-		o := loader.Options{Window: window, Shards: shards, Delta: true}
+	openStore := func() *ribsnap.Store {
+		st, err := ribsnap.OpenStore(cacheDir, ribsnap.StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	var shared *ribsnap.Store
+	if cacheKind == "store" {
+		shared = openStore()
+	}
+	opts := func(k int) loader.Options {
+		o := loader.Options{Window: window, Shards: k, Delta: true, Store: shared}
 		if !strict {
 			o.Health = ingest.NewHealth()
 		}
-		switch cacheKind {
-		case "file":
-			o.SnapshotDir = cacheDir
-		case "store":
-			st, err := ribsnap.OpenStore(cacheDir, ribsnap.StoreOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			o.Store = st
+		if cacheKind == "file" {
+			o.Store = openStore()
 		}
 		return o
 	}
-	seeded := f.digest(t, "base")
-	if ev.name != "first run" {
-		l, err := loader.Load(dir, opts())
+	cfg := dropscope.DefaultConfig()
+	iopts := dropscope.IngestOptions{Strict: strict, Shards: shards, Append: true}
+	if cacheKind != "none" {
+		iopts.SnapshotDir = cacheDir
+	}
+
+	if cacheKind == "none" && shards > 1 {
+		// No cache, no sharded index: every entry point refuses by name.
+		_, lerr := loader.Load(dir, opts(shards))
+		_, serr := serve.Load(dir, opts(shards))
+		_, ferr := dropscope.LoadStudyWithOptions(dir, cfg, iopts)
+		for _, err := range []error{lerr, serr, ferr} {
+			if err == nil || !strings.Contains(err.Error(), "Shards") || !strings.Contains(err.Error(), "Store") {
+				t.Errorf("Shards %d without a store: err = %v, want a refusal naming Shards and Store", shards, err)
+			}
+		}
+		if files := listing(t, cacheDir); len(files) != 0 {
+			t.Errorf("refused load wrote %v", files)
+		}
+		return
+	}
+
+	seeded, seedK := f.digest(t, "base"), shards
+	if ev.reshard {
+		seedK = 5 - shards
+	}
+	if cacheKind != "none" && ev.name != "first run" {
+		l, err := loader.Load(dir, opts(seedK))
 		if err != nil {
 			t.Fatalf("seeding load: %v", err)
 		}
@@ -407,15 +445,10 @@ func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, s
 	}
 	switch ev.name {
 	case "bit-flipped snapshot":
-		// The file a warm start opens first: the single snapshot, or
-		// shard 0 (the shard whose header the set reads at open).
-		switch {
-		case cacheKind == "file":
-			flipMiddle(t, filepath.Join(cacheDir, loader.SnapshotFile))
-		case cacheKind == "store" && shards > 1:
+		// The file a warm start opens first: shard 0, whose header the set
+		// reads at open.
+		if cacheKind != "none" {
 			flipMiddle(t, filepath.Join(cacheDir, ribsnap.GenDirName(seeded), ribsnap.ShardFileName(0)))
-		case cacheKind == "store":
-			flipMiddle(t, filepath.Join(cacheDir, ribsnap.GenName(seeded)))
 		}
 	case "window change":
 		window.Last--
@@ -425,19 +458,14 @@ func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, s
 	current := f.digest(t, ev.state)
 
 	ref := f.reference(t, ev.state, window, strict)
-	o := opts()
+	o := opts(shards)
 	got, err := loader.Load(dir, o)
 	if (err != nil) != (ref.err != nil) {
 		t.Fatalf("load error %v, cache-off cold build error %v", err, ref.err)
 	}
-	wantRoute, wantSkip := ev.route, (*ingest.Reason)(nil)
-	switch cacheKind {
-	case "none":
-		wantRoute = loader.Cold
-	case "file":
-		wantSkip = ev.fileSkip
-	case "store":
-		wantSkip = ev.storeSkip
+	wantRoute, wantSkip := ev.route, ev.skip
+	if cacheKind == "none" {
+		wantRoute, wantSkip = loader.Cold, nil
 	}
 	if err == nil {
 		defer got.Snapshot.Close()
@@ -447,8 +475,24 @@ func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, s
 		if got.Snapshot.Digest != current {
 			t.Errorf("loaded generation carries digest %x, the archive's is %x", got.Snapshot.Digest[:8], current[:8])
 		}
-		if fileBacked := got.Shards != nil; fileBacked != (cacheKind == "store" && shards > 1 && ev.persists) {
-			t.Errorf("file-backed shard set = %v", fileBacked)
+		// The shard count served: the stored generation's own on a warm
+		// start, the cell's for a generation just written, none for an
+		// index built in memory (an unsharded cold build serves the index
+		// it built).
+		wantServed := 0
+		switch {
+		case cacheKind == "none":
+		case got.Route == loader.Warm:
+			wantServed = seedK
+		case got.Route == loader.Delta, shards > 1 && ev.persists:
+			wantServed = shards
+		}
+		served := 0
+		if got.Shards != nil {
+			served = got.Shards.NumShards()
+		}
+		if served != wantServed {
+			t.Errorf("served %d shards from the store, want %d", served, wantServed)
 		}
 		sameIndex(t, "loader", ref.l.Pipeline.Index, got.Pipeline.Index, window)
 		if !strict {
@@ -475,28 +519,19 @@ func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, s
 		}
 	}
 
-	// What is on disk afterwards. A load that must not persist (damaged
+	// What is on disk afterwards: the journal and generation
+	// directories, nothing else. A load that must not persist (damaged
 	// MRT ingest, or a strict load that failed) leaves the seeded state.
 	held := current
 	if !ev.persists {
 		held = seeded
 	}
-	switch cacheKind {
-	case "none":
+	if cacheKind == "none" {
 		if files := listing(t, cacheDir); len(files) != 0 {
 			t.Errorf("cache-off load wrote %v", files)
 		}
-	case "file":
-		if files := listing(t, cacheDir); !reflect.DeepEqual(files, []string{loader.SnapshotFile}) {
-			t.Errorf("snapshot dir holds %v", files)
-		}
-		s, lerr := ribsnap.Load(filepath.Join(cacheDir, loader.SnapshotFile), held)
-		if lerr != nil {
-			t.Fatalf("index.ribsnap does not hold generation %x: %v", held[:8], lerr)
-		}
-		s.Close()
-	case "store":
-		want := append([]string{ribsnap.ManifestName}, genFiles(seeded, shards)...)
+	} else {
+		want := append([]string{ribsnap.ManifestName}, genFiles(seeded, seedK)...)
 		if held != seeded {
 			want = append(want, genFiles(held, shards)...)
 		}
@@ -504,35 +539,25 @@ func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, s
 		if files := listing(t, cacheDir); !reflect.DeepEqual(files, want) {
 			t.Errorf("store holds %v, want %v", files, want)
 		}
-		if live, ok := o.Store.Promoted(); !ok || live != held {
+		st := openStore()
+		if live, ok := st.Promoted(); !ok || live != held {
 			t.Errorf("promoted generation %x (%v), want %x", live[:8], ok, held[:8])
 		}
 		// A load that persisted nothing must not have touched the journal:
 		// the seeded generation is still the promoted one, not retired in
-		// favour of a generation that has no file.
-		if st := o.Store.Status(held); !ev.persists && st != ribsnap.GenPromoted {
-			t.Errorf("generation %x is %v in the journal, want promoted", held[:8], st)
+		// favour of a generation that has no directory.
+		if s := st.Status(held); !ev.persists && s != ribsnap.GenPromoted {
+			t.Errorf("generation %x is %v in the journal, want promoted", held[:8], s)
 		}
 	}
 	if err != nil {
 		return
 	}
 
-	// The two callers over the same archive and cache. The facade has no
-	// store, so the store cells give it no cache.
-	iopts := dropscope.IngestOptions{Strict: strict, Shards: shards, Append: true}
-	if cacheKind == "file" {
-		iopts.SnapshotDir = cacheDir
-	}
-	cfg := dropscope.DefaultConfig()
-	cfg.Window = window
-	study, err := dropscope.LoadStudyWithOptions(dir, cfg, iopts)
-	if err != nil {
-		t.Fatalf("facade: %v", err)
-	}
-	defer study.Close()
-	sameIndex(t, "facade", ref.l.Pipeline.Index, study.Pipeline.Index, window)
-	gen, err := serve.Load(dir, opts())
+	// The two callers over the same archive and cache: the daemon's, on
+	// the cell's store handle, then the facade's, which opens the
+	// directory itself.
+	gen, err := serve.Load(dir, opts(shards))
 	if err != nil {
 		t.Fatalf("serve.Load: %v", err)
 	}
@@ -540,6 +565,13 @@ func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, s
 	if !strings.HasPrefix(gen.DigestHex(), fmt.Sprintf("%x", current[:8])) {
 		t.Errorf("serve.Load generation %s, want %x", gen.DigestHex(), current[:8])
 	}
+	cfg.Window = window
+	study, err := dropscope.LoadStudyWithOptions(dir, cfg, iopts)
+	if err != nil {
+		t.Fatalf("facade: %v", err)
+	}
+	defer study.Close()
+	sameIndex(t, "facade", ref.l.Pipeline.Index, study.Pipeline.Index, window)
 }
 
 // TestDamagedLoadKeepsDeltaBase: a lenient load over a damaged
@@ -575,58 +607,4 @@ func TestDamagedLoadKeepsDeltaBase(t *testing.T) {
 	// The collector is repaired and a day has arrived: append-only growth
 	// past the seeded generation, which must still be there to extend.
 	load("grown", loader.Delta)
-}
-
-// TestUnshardedLoadOverShardedStore: the store holds the archive's
-// state only as a shard directory, which an unsharded load cannot map.
-// It rebuilds cold — and says why, in health (so /metrics) and through
-// the generation (so the daemon log), instead of silently costing a
-// cold build on every boot.
-func TestUnshardedLoadOverShardedStore(t *testing.T) {
-	f := getFixture(t)
-	dir := f.archiveDir(t, "base")
-	storeDir := filepath.Join(t.TempDir(), "ribsnap")
-	open := func() *ribsnap.Store {
-		t.Helper()
-		st, err := ribsnap.OpenStore(storeDir, ribsnap.StoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	l, err := loader.Load(dir, loader.Options{Window: f.window, Health: ingest.NewHealth(), Store: open(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Snapshot.Close()
-
-	gen, err := serve.Load(dir, serve.LoadOptions{Window: f.window, Store: open()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen.DeltaBuilt() || gen.Shards() != nil {
-		t.Fatal("unsharded load over a sharded-only store did not rebuild cold")
-	}
-	var src *ingest.SourceReport
-	for i, s := range gen.Pipeline().HealthReport().Sources {
-		if s.Name == loader.SnapshotSource {
-			src = &gen.Pipeline().HealthReport().Sources[i]
-		}
-	}
-	if src == nil || src.Skips[ingest.Unsupported] != 1 || src.Skips.Total() != 1 {
-		t.Fatalf("snapshot source %+v, want exactly one unsupported skip", src)
-	}
-	if src.Note == "" || gen.LoadNote() != src.Note || !strings.Contains(src.Note, "sharded") {
-		t.Fatalf("rebuild is unexplained: health note %q, generation note %q", src.Note, gen.LoadNote())
-	}
-	// The rebuild wrote the single-file layout: the next unsharded load
-	// is warm and has nothing to explain.
-	l, err = loader.Load(dir, loader.Options{Window: f.window, Health: ingest.NewHealth(), Store: open()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Snapshot.Close()
-	if l.Route != loader.Warm || !l.Pipeline.HealthReport().Clean() {
-		t.Fatalf("follow-up load went %v with health %+v, want warm and clean", l.Route, l.Pipeline.HealthReport())
-	}
 }

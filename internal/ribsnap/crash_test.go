@@ -1,16 +1,21 @@
-// Crash-recovery property tests for the durable write path: a
-// fail-stop crash at *every* operation of the write protocol must
-// leave the snapshot path holding either the old complete snapshot or
-// the new complete snapshot — never a torn file, and never an adopted
-// temp. External test package: the disk injector lives in faultinject,
-// which imports ribsnap.
+// Crash-recovery property tests for the durable write path — the one a
+// generation is written through, Store.WriteShardsLineage: a fail-stop
+// crash at *every* operation of the write protocol must leave the
+// store, once reopened, serving the old complete generation, the new
+// complete generation, or a miss — never a torn shard, never an adopted
+// temp, and never a mix of the two writes' shards and manifests.
+// External test package: the disk injector lives in faultinject, which
+// imports ribsnap.
 package ribsnap_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"dropscope/internal/bgp"
@@ -22,28 +27,28 @@ import (
 	"dropscope/internal/timex"
 )
 
-// tinyFrozen builds the smallest closed index worth snapshotting.
-func tinyFrozen(t testing.TB) (*rib.Frozen, timex.Range) {
+// crashDigest keys every generation the crash tests write: the
+// interesting rewrites are the ones over a directory of the same name.
+var crashDigest = digestOf(0xC4)
+
+// crashIndex builds a closed index with enough prefixes to cut four
+// ways.
+func crashIndex(t testing.TB) *rib.Index {
 	t.Helper()
 	day0 := timex.MustParseDay("2019-06-05")
-	window := timex.Range{First: day0, Last: day0 + 10}
 	ix := rib.NewIndex()
 	peers := []mrt.Peer{{Addr: netx.AddrFrom4(203, 0, 113, 1), AS: 64500}}
-	recs := []mrt.Record{
-		&mrt.PeerIndexTable{When: day0.Time(), Peers: peers},
-		&mrt.RIBPrefix{When: day0.Time(), Prefix: netx.MustParsePrefix("192.0.2.0/24"),
+	recs := []mrt.Record{&mrt.PeerIndexTable{When: day0.Time(), Peers: peers}}
+	for i := 0; i < 8; i++ {
+		recs = append(recs, &mrt.RIBPrefix{When: day0.Time(), Prefix: netx.PrefixFrom(netx.AddrFrom4(10, byte(i), 0, 0), 16),
 			Entries: []mrt.RIBEntry{{PeerIndex: 0, OriginatedTime: (day0 - 5).Time(),
-				Attrs: bgp.Attrs{Path: bgp.Sequence(64500, 100)}}}},
+				Attrs: bgp.Attrs{Path: bgp.Sequence(64500, bgp.ASN(100+i))}}}})
 	}
 	if err := ix.Load("rv0", recs); err != nil {
 		t.Fatal(err)
 	}
-	ix.Close(window.Last)
-	f, err := ix.Frozen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f, window
+	ix.Close(day0 + 10)
+	return ix
 }
 
 func digestOf(b byte) (d [32]byte) {
@@ -53,173 +58,298 @@ func digestOf(b byte) (d [32]byte) {
 	return d
 }
 
-// loadDigest loads and immediately closes, reporting only the error.
-func loadDigest(path string, d [32]byte) error {
-	s, err := ribsnap.Load(path, d)
+// genSpec is one way the generation can be written: a study window and
+// a shard count.
+type genSpec struct {
+	window timex.Range
+	k      int
+}
+
+func (g genSpec) String() string { return fmt.Sprintf("K=%d/window=%d", g.k, g.window.Days()) }
+
+var (
+	crashDay0 = timex.MustParseDay("2019-06-05")
+	windowA   = timex.Range{First: crashDay0, Last: crashDay0 + 10}
+	windowB   = timex.Range{First: crashDay0, Last: crashDay0 + 9}
+)
+
+// write writes the generation as spec through fsys (nil = the real
+// filesystem) into the store under dir.
+func (g genSpec) write(t testing.TB, ix *rib.Index, fsys ribsnap.FS, dir string) error {
+	t.Helper()
+	shards, err := ix.FrozenShards(g.k, 1)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	return s.Close()
+	st, err := ribsnap.OpenStore(dir, ribsnap.StoreOptions{FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := []ribsnap.CollectorCount{{Collector: "rv0", Records: 9}}
+	return st.WriteShardsLineage(shards, g.window, crashDigest, counts, 1, nil)
+}
+
+// files reads a generation directory: file name -> contents.
+func files(t testing.TB, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
+}
+
+// reference is the complete generation spec writes, file for file.
+func (g genSpec) reference(t testing.TB, ix *rib.Index) map[string][]byte {
+	t.Helper()
+	dir := t.TempDir()
+	if err := g.write(t, ix, nil, dir); err != nil {
+		t.Fatal(err)
+	}
+	return files(t, filepath.Join(dir, ribsnap.GenDirName(crashDigest)))
+}
+
+func sameFiles(a, b map[string][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name, body := range a {
+		if !bytes.Equal(body, b[name]) {
+			return false
+		}
+	}
+	return true
+}
+
+// recovered reopens the store under dir — the reboot — and reports
+// which of the candidate generations it serves, "" for a miss. Anything
+// else (a generation that fails to load, a directory matching no
+// candidate file for file, debris in the store) fails the test.
+func recovered(t *testing.T, dir string, ix *rib.Index, candidates map[string]map[string][]byte) string {
+	t.Helper()
+	st, err := ribsnap.OpenStore(dir, ribsnap.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if name != ribsnap.ManifestName && name != ribsnap.GenDirName(crashDigest) {
+			t.Fatalf("debris survived recovery: %v", names)
+		}
+	}
+	ss, err := st.LoadShards(crashDigest, 0)
+	if os.IsNotExist(err) {
+		return ""
+	}
+	if err != nil {
+		t.Fatalf("recovered generation does not load: %v", err)
+	}
+	defer ss.Close()
+	q, err := ss.Querier(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.NumPrefixes() != ix.NumPrefixes() {
+		t.Fatalf("recovered generation holds %d prefixes, want %d", q.NumPrefixes(), ix.NumPrefixes())
+	}
+	got := files(t, st.GenDirPath(crashDigest))
+	for name, want := range candidates {
+		if sameFiles(got, want) {
+			return name
+		}
+	}
+	var listing []string
+	for name := range got {
+		listing = append(listing, name)
+	}
+	sort.Strings(listing)
+	t.Fatalf("recovered generation (%d shards, window %v, files %v) is no complete write: a mix",
+		ss.NumShards(), ss.Window(), listing)
+	return ""
+}
+
+// rewrites are the over-existing cases: for K in {1, 4}, a generation
+// of the same digest already on disk with the other K, or with another
+// window.
+func rewrites() [][2]genSpec {
+	var out [][2]genSpec
+	for _, k := range []int{1, 4} {
+		out = append(out,
+			[2]genSpec{{windowA, 5 - k}, {windowA, k}},
+			[2]genSpec{{windowB, k}, {windowA, k}})
+	}
+	return out
 }
 
 // TestCrashAtEveryWriteStep is the central recovery property: for every
 // prefix of the write protocol's operation sequence, a fail-stop crash
-// immediately after that prefix leaves the path loadable as exactly one
-// complete snapshot — the old one if the rename had not happened yet,
-// the new one after — and the startup sweep leaves no temp debris.
+// immediately after that prefix — while rewriting a generation that is
+// already on disk under the same digest — leaves the reopened store
+// serving exactly one complete generation, the old or the new, or
+// nothing at all.
 func TestCrashAtEveryWriteStep(t *testing.T) {
-	f, window := tinyFrozen(t)
-	oldDigest, newDigest := digestOf(0xAA), digestOf(0xBB)
+	ix := crashIndex(t)
+	for _, rw := range rewrites() {
+		old, next := rw[0], rw[1]
+		t.Run(fmt.Sprintf("%v_over_%v", next, old), func(t *testing.T) {
+			candidates := map[string]map[string][]byte{"old": old.reference(t, ix), "new": next.reference(t, ix)}
 
-	// A clean instrumented run measures the protocol length.
-	clean := faultinject.NewDiskFS(nil, faultinject.DiskOpts{})
-	cleanDir := t.TempDir()
-	cleanPath := filepath.Join(cleanDir, "index.ribsnap")
-	if err := ribsnap.WriteFS(clean, cleanPath, f, window, newDigest, nil); err != nil {
-		t.Fatalf("clean write: %v", err)
-	}
-	nOps := clean.Ops()
-	if nOps < 5 {
-		t.Fatalf("suspiciously short protocol: %d ops", nOps)
-	}
-	t.Logf("write protocol is %d operations", nOps)
-
-	for k := 0; k < nOps; k++ {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "index.ribsnap")
-		if err := ribsnap.Write(path, f, window, oldDigest, nil); err != nil {
-			t.Fatalf("k=%d: seeding old snapshot: %v", k, err)
-		}
-
-		disk := faultinject.NewDiskFS(nil, faultinject.DiskOpts{Crash: true, CrashAfter: k})
-		err := ribsnap.WriteFS(disk, path, f, window, newDigest, nil)
-		if !errors.Is(err, faultinject.ErrCrashed) {
-			t.Fatalf("k=%d: want simulated crash, got %v", k, err)
-		}
-
-		// "Reboot": the startup sweep collects orphaned temps.
-		if _, err := ribsnap.SweepTemps(dir); err != nil {
-			t.Fatalf("k=%d: sweep: %v", k, err)
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if e.Name() != "index.ribsnap" {
-				t.Fatalf("k=%d: debris survived recovery: %s", k, e.Name())
+			// A clean instrumented run measures the protocol length.
+			cleanDir := t.TempDir()
+			if err := old.write(t, ix, nil, cleanDir); err != nil {
+				t.Fatal(err)
 			}
-		}
-
-		// Exactly one of the two generations must load completely.
-		switch err := loadDigest(path, newDigest); {
-		case err == nil:
-			// Crash after the rename: the new snapshot won.
-		case errors.Is(err, ribsnap.ErrStale):
-			// Still the old generation; it must be fully intact.
-			if err := loadDigest(path, oldDigest); err != nil {
-				t.Fatalf("k=%d: old snapshot damaged: %v", k, err)
+			clean := faultinject.NewDiskFS(nil, faultinject.DiskOpts{})
+			if err := next.write(t, ix, clean, cleanDir); err != nil {
+				t.Fatalf("clean write: %v", err)
 			}
-		default:
-			t.Fatalf("k=%d: path holds garbage: %v", k, err)
-		}
+			nOps := clean.Ops()
+			if nOps < 10 {
+				t.Fatalf("suspiciously short protocol: %d ops", nOps)
+			}
+
+			seen := map[string]bool{}
+			for k := 0; k < nOps; k++ {
+				dir := t.TempDir()
+				if err := old.write(t, ix, nil, dir); err != nil {
+					t.Fatalf("k=%d: seeding the old generation: %v", k, err)
+				}
+				disk := faultinject.NewDiskFS(nil, faultinject.DiskOpts{Crash: true, CrashAfter: k})
+				if err := next.write(t, ix, disk, dir); !errors.Is(err, faultinject.ErrCrashed) {
+					t.Fatalf("k=%d: want simulated crash, got %v", k, err)
+				}
+				seen[recovered(t, dir, ix, candidates)] = true
+			}
+			// The protocol passes through all three states: the crash
+			// points cover the old generation, the unpublished window
+			// and the new one.
+			if !seen["old"] || !seen[""] || !seen["new"] {
+				t.Fatalf("over %d crash points recovery saw %v, want old, a miss and new", nOps, seen)
+			}
+		})
 	}
 }
 
-// TestCrashWithoutPredecessor covers first-boot crashes: no old
-// snapshot exists, so recovery must find either nothing (plus no
-// debris) or the complete new snapshot.
+// TestCrashWithoutPredecessor covers first-write crashes: no old
+// generation exists, so recovery must find either nothing or the
+// complete new generation, and no debris.
 func TestCrashWithoutPredecessor(t *testing.T) {
-	f, window := tinyFrozen(t)
-	newDigest := digestOf(0xCC)
-
-	clean := faultinject.NewDiskFS(nil, faultinject.DiskOpts{})
-	if err := ribsnap.WriteFS(clean, filepath.Join(t.TempDir(), "x.ribsnap"), f, window, newDigest, nil); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < clean.Ops(); k++ {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "index.ribsnap")
-		disk := faultinject.NewDiskFS(nil, faultinject.DiskOpts{Crash: true, CrashAfter: k})
-		if err := ribsnap.WriteFS(disk, path, f, window, newDigest, nil); !errors.Is(err, faultinject.ErrCrashed) {
-			t.Fatalf("k=%d: want simulated crash, got %v", k, err)
-		}
-		if _, err := ribsnap.SweepTemps(dir); err != nil {
-			t.Fatal(err)
-		}
-		if _, statErr := os.Stat(path); statErr == nil {
-			if err := loadDigest(path, newDigest); err != nil {
-				t.Fatalf("k=%d: renamed snapshot damaged: %v", k, err)
+	ix := crashIndex(t)
+	for _, k := range []int{1, 4} {
+		spec := genSpec{windowA, k}
+		t.Run(spec.String(), func(t *testing.T) {
+			candidates := map[string]map[string][]byte{"new": spec.reference(t, ix)}
+			clean := faultinject.NewDiskFS(nil, faultinject.DiskOpts{})
+			if err := spec.write(t, ix, clean, t.TempDir()); err != nil {
+				t.Fatal(err)
 			}
-		} else if !os.IsNotExist(statErr) {
-			t.Fatal(statErr)
-		}
-		entries, _ := os.ReadDir(dir)
-		for _, e := range entries {
-			if e.Name() != "index.ribsnap" {
-				t.Fatalf("k=%d: debris survived recovery: %s", k, e.Name())
+			for k := 0; k < clean.Ops(); k++ {
+				dir := t.TempDir()
+				disk := faultinject.NewDiskFS(nil, faultinject.DiskOpts{Crash: true, CrashAfter: k})
+				if err := spec.write(t, ix, disk, dir); !errors.Is(err, faultinject.ErrCrashed) {
+					t.Fatalf("k=%d: want simulated crash, got %v", k, err)
+				}
+				recovered(t, dir, ix, candidates)
 			}
-		}
+		})
 	}
 }
 
 // TestWriteENOSPC: an exhausted disk fails the write, and recovery
-// leaves the old snapshot untouched.
+// finds the old generation or a miss, never a partial one.
 func TestWriteENOSPC(t *testing.T) {
-	f, window := tinyFrozen(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "index.ribsnap")
-	oldDigest := digestOf(0x11)
-	if err := ribsnap.Write(path, f, window, oldDigest, nil); err != nil {
-		t.Fatal(err)
-	}
-	disk := faultinject.NewDiskFS(nil, faultinject.DiskOpts{SpaceBytes: 256})
-	err := ribsnap.WriteFS(disk, path, f, window, digestOf(0x22), nil)
-	if !errors.Is(err, faultinject.ErrNoSpace) {
-		t.Fatalf("want ErrNoSpace, got %v", err)
-	}
-	if _, err := ribsnap.SweepTemps(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := loadDigest(path, oldDigest); err != nil {
-		t.Fatalf("old snapshot damaged by failed write: %v", err)
+	ix := crashIndex(t)
+	for _, rw := range rewrites() {
+		old, next := rw[0], rw[1]
+		t.Run(fmt.Sprintf("%v_over_%v", next, old), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := old.write(t, ix, nil, dir); err != nil {
+				t.Fatal(err)
+			}
+			disk := faultinject.NewDiskFS(nil, faultinject.DiskOpts{SpaceBytes: 256})
+			if err := next.write(t, ix, disk, dir); !errors.Is(err, faultinject.ErrNoSpace) {
+				t.Fatalf("want ErrNoSpace, got %v", err)
+			}
+			recovered(t, dir, ix, map[string]map[string][]byte{"old": old.reference(t, ix)})
+		})
 	}
 }
 
 // TestWriteShortWrite: a half-written buffer fails the write rather
-// than producing a silently truncated temp that could ever be renamed.
+// than producing a silently truncated shard that could ever be
+// published.
 func TestWriteShortWrite(t *testing.T) {
-	f, window := tinyFrozen(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "index.ribsnap")
-	disk := faultinject.NewDiskFS(nil, faultinject.DiskOpts{ShortEvery: 3})
-	err := ribsnap.WriteFS(disk, path, f, window, digestOf(0x33), nil)
-	if !errors.Is(err, io.ErrShortWrite) {
-		t.Fatalf("want ErrShortWrite, got %v", err)
-	}
-	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
-		t.Fatalf("short write must not produce a snapshot: %v", statErr)
+	ix := crashIndex(t)
+	for _, k := range []int{1, 4} {
+		spec := genSpec{windowA, k}
+		t.Run(spec.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			disk := faultinject.NewDiskFS(nil, faultinject.DiskOpts{ShortEvery: 3})
+			if err := spec.write(t, ix, disk, dir); !errors.Is(err, io.ErrShortWrite) {
+				t.Fatalf("want ErrShortWrite, got %v", err)
+			}
+			if got := recovered(t, dir, ix, nil); got != "" {
+				t.Fatalf("short write published a generation")
+			}
+		})
 	}
 }
 
 // TestWriteBitFlips: silent write-time corruption survives the write
-// call (the disk lied) but can never be loaded — the CRC catches it.
+// call (the disk lied) but can never be loaded — the CRCs of the shard
+// manifest and of every shard catch it.
 func TestWriteBitFlips(t *testing.T) {
-	f, window := tinyFrozen(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "index.ribsnap")
-	d := digestOf(0x44)
-	disk := faultinject.NewDiskFS(nil, faultinject.DiskOpts{FlipBits: 4, FlipSeed: 7})
-	if err := ribsnap.WriteFS(disk, path, f, window, d, nil); err != nil {
-		t.Fatalf("silent corruption must not fail the write: %v", err)
+	ix := crashIndex(t)
+	typed := func(err error) bool {
+		return errors.Is(err, ribsnap.ErrCorrupt) || errors.Is(err, ribsnap.ErrTruncated) ||
+			errors.Is(err, ribsnap.ErrStale) || errors.Is(err, ribsnap.ErrVersion)
 	}
-	err := loadDigest(path, d)
-	if err == nil {
-		t.Fatal("corrupted snapshot loaded cleanly")
-	}
-	if !errors.Is(err, ribsnap.ErrCorrupt) && !errors.Is(err, ribsnap.ErrTruncated) &&
-		!errors.Is(err, ribsnap.ErrStale) && !errors.Is(err, ribsnap.ErrVersion) {
-		t.Fatalf("want a typed load failure, got %v", err)
+	for _, k := range []int{1, 4} {
+		spec := genSpec{windowA, k}
+		t.Run(spec.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			disk := faultinject.NewDiskFS(nil, faultinject.DiskOpts{FlipBits: 4, FlipSeed: 7})
+			if err := spec.write(t, ix, disk, dir); err != nil {
+				t.Fatalf("silent corruption must not fail the write: %v", err)
+			}
+			gen := filepath.Join(dir, ribsnap.GenDirName(crashDigest))
+			if _, err := ribsnap.OpenShardSet(gen, crashDigest, 0); !typed(err) {
+				t.Fatalf("corrupted generation: open = %v, want a typed failure", err)
+			}
+			for i := 0; i < k; i++ {
+				if s, err := ribsnap.Load(filepath.Join(gen, ribsnap.ShardFileName(i)), crashDigest); !typed(err) {
+					if s != nil {
+						s.Close()
+					}
+					t.Fatalf("shard %d: load = %v, want a typed failure", i, err)
+				}
+			}
+			// Nor does recovery ever serve it.
+			st, err := ribsnap.OpenStore(dir, ribsnap.StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ss, err := st.LoadShards(crashDigest, 0); err == nil {
+				ss.Close()
+				t.Fatal("recovery served a corrupted generation")
+			}
+		})
 	}
 }
 

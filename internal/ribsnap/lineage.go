@@ -140,15 +140,3 @@ func DigestCursors(cursors []ArchiveCursor) [32]byte {
 	h.Sum(out[:0])
 	return out
 }
-
-// LoadAt loads the snapshot at path keyed on whatever archive digest
-// it was written with — the entry point for adopting a stale-but-valid
-// snapshot as a delta base, where the caller knows the archive moved
-// on and wants the previous state rather than a staleness error.
-func LoadAt(path string) (*Snapshot, error) {
-	digest, err := readHeaderDigest(path)
-	if err != nil {
-		return nil, err
-	}
-	return Load(path, digest)
-}

@@ -7,36 +7,31 @@ import (
 	"syscall"
 )
 
-// mapFile maps path read-only and returns the still-open file alongside
-// the mapping. The returned release function unmaps; until it runs,
-// slices derived from the data stay valid. A read-only private mapping
-// means a concurrent rewrite of the file (snapshots are replaced
-// atomically by rename) never mutates loaded pages. The file handle is
-// kept open so the background scrubber can re-read the exact inode the
-// mapping was taken over; the caller closes it when the snapshot is
-// released.
-func mapFile(path string) ([]byte, *os.File, func() error, error) {
+// mapFile maps path read-only. The returned release function unmaps;
+// until it runs, slices derived from the data stay valid. A read-only
+// private mapping means a concurrent rewrite of the file (snapshots are
+// replaced atomically by rename) never mutates loaded pages. The
+// mapping outlives the file descriptor, which is closed on return.
+func mapFile(path string) ([]byte, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
+	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	size := st.Size()
-	if size == 0 {
+	if st.Size() == 0 {
 		// mmap rejects zero-length maps; an empty file is just a
 		// truncated snapshot.
-		return nil, f, nil, nil
+		return nil, nil, nil
 	}
-	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_PRIVATE)
+	data, err := syscall.Mmap(int(f.Fd()), 0, int(st.Size()), syscall.PROT_READ, syscall.MAP_PRIVATE)
 	if err != nil {
-		f.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return data, f, func() error { return syscall.Munmap(data) }, nil
+	return data, func() error { return syscall.Munmap(data) }, nil
 }
 
 // dropPages releases the mapping's resident pages back to the OS.

@@ -2,27 +2,14 @@
 
 package ribsnap
 
-import (
-	"io"
-	"os"
-)
+import "os"
 
 // mapFile reads the whole file on platforms without the mmap path. The
 // zero-copy casts still apply to the read buffer when aligned, so only
-// the one-time file read costs more than the mapped variant. The file
-// handle is kept open (and returned) so the background scrubber can
-// re-verify the same inode; the caller closes it on release.
-func mapFile(path string) ([]byte, *os.File, func() error, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, nil, err
-	}
-	return data, f, nil, nil
+// the one-time file read costs more than the mapped variant.
+func mapFile(path string) ([]byte, func() error, error) {
+	data, err := os.ReadFile(path)
+	return data, nil, err
 }
 
 // dropPages is a no-op without a mapping to advise on.

@@ -141,15 +141,6 @@ type Snapshot struct {
 	// served but never extended incrementally.
 	Lineage *Lineage
 
-	// File-backed identity, retained for the background scrubber: the
-	// open handle pins the exact inode the mapping reads, so scrub
-	// verification is immune to the file being renamed over or
-	// unlinked. Zero for cold-built (mapping-free) snapshots.
-	path   string
-	file   *os.File
-	paylen uint64
-	crc    uint32
-
 	// mapped is the raw mapping when the snapshot is mmap-backed; it
 	// exists so eviction can hint the pages out (DropPages) before the
 	// refcount drains the mapping itself.
@@ -161,10 +152,6 @@ type Snapshot struct {
 	refs   int
 	closed bool
 }
-
-// Path returns the snapshot file the mapping was loaded from ("" for a
-// cold-built snapshot).
-func (s *Snapshot) Path() string { return s.path }
 
 // Acquire registers a reader. It fails with ErrClosed once Close has
 // run; on success the caller must Release exactly once when done, and
@@ -344,34 +331,18 @@ func (e *sectionEncoder) bytesPad4(b []byte) {
 	}
 }
 
-// Write persists a frozen index, the study window it was closed with,
-// and per-collector record counts as a snapshot at path, atomically
-// and durably: the payload is streamed to an O_EXCL temp file, the
-// temp is fsynced before the rename, and the parent directory is
-// fsynced after it, so a crash (or power loss) at any step leaves
-// either the old complete snapshot or the new complete snapshot at
-// path — never a torn file. digest must be DigestMRT of the archive
-// the index was built from.
-func Write(path string, f *rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount) error {
-	return WriteLineageFS(OS, path, f, window, digest, counts, nil)
-}
-
-// WriteFS is Write over an explicit filesystem seam — the entry point
-// the disk-fault injector drives. See fs.go for the durability
-// rationale.
-func WriteFS(fsys FS, path string, f *rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount) error {
-	return WriteLineageFS(fsys, path, f, window, digest, counts, nil)
-}
-
-// WriteLineage is Write with the snapshot's lineage attached: the
-// archive cursors the delta-append path resumes decoding from, the
-// index's largest record day, and — for a delta-built generation — the
-// parent digest. A nil lineage writes the exact pre-lineage layout.
-func WriteLineage(path string, f *rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount, lin *Lineage) error {
-	return WriteLineageFS(OS, path, f, window, digest, counts, lin)
-}
-
-// WriteLineageFS is WriteLineage over an explicit filesystem seam.
+// WriteLineageFS persists a frozen index, the study window it was
+// closed with, per-collector record counts and (when lin is non-nil)
+// the lineage — the archive cursors the delta-append path resumes
+// decoding from, the index's largest record day and, for a delta-built
+// generation, the parent digest — as a snapshot at path, atomically and
+// durably: the payload is streamed to an O_EXCL temp file, the temp is
+// fsynced before the rename, and the parent directory is fsynced after
+// it, so a crash (or power loss) at any step leaves either the old
+// complete snapshot or the new complete snapshot at path — never a
+// torn file. digest must be DigestMRT of the archive the index was
+// built from. Every write goes through fsys, the seam the disk-fault
+// injector drives (see fs.go).
 func WriteLineageFS(fsys FS, path string, f *rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount, lin *Lineage) (err error) {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -631,33 +602,21 @@ func WriteLineageFS(fsys FS, path string, f *rib.Frozen, window timex.Range, dig
 // columns without copying (keep the Snapshot alive — and un-Closed —
 // as long as the index is in use); elsewhere the file is read whole.
 func Load(path string, digest [32]byte) (*Snapshot, error) {
-	data, f, unmap, err := mapFile(path)
+	data, unmap, err := mapFile(path)
 	if err != nil {
 		return nil, err
-	}
-	release := func() error {
-		var uerr error
-		if unmap != nil {
-			uerr = unmap()
-		}
-		if f != nil {
-			if cerr := f.Close(); uerr == nil {
-				uerr = cerr
-			}
-		}
-		return uerr
 	}
 	snap, err := decode(data, digest)
 	if err != nil {
-		release()
+		if unmap != nil {
+			unmap()
+		}
 		return nil, err
 	}
-	snap.path = path
-	snap.file = f
 	if unmap != nil {
 		snap.mapped = data
 	}
-	snap.unmap = release
+	snap.unmap = unmap
 	return snap, nil
 }
 
@@ -690,8 +649,6 @@ func decode(data []byte, digest [32]byte) (*Snapshot, error) {
 	if hdr.digest != digest {
 		return nil, ErrStale
 	}
-	snapDigest := hdr.digest
-	snapCRC := hdr.crc
 
 	if nsec < 0 || nsec*tableEntry > len(payload) {
 		return nil, fmt.Errorf("%w: section table overruns payload", ErrCorrupt)
@@ -718,10 +675,7 @@ func decode(data []byte, digest [32]byte) (*Snapshot, error) {
 		return b, nil
 	}
 
-	var snap Snapshot
-	snap.Digest = snapDigest
-	snap.paylen = paylen
-	snap.crc = snapCRC
+	snap := Snapshot{Digest: hdr.digest}
 
 	meta, err := need(secMeta)
 	if err != nil {

@@ -100,7 +100,7 @@ func writeTestSnapshot(t testing.TB, ix *rib.Index, window timex.Range, digest [
 	}
 	path := filepath.Join(t.TempDir(), "index.ribsnap")
 	counts := []CollectorCount{{Collector: "rv0", Records: 42}, {Collector: "rv1", Records: 7}}
-	if err := Write(path, frozen, window, digest, counts); err != nil {
+	if err := WriteLineageFS(OS, path, frozen, window, digest, counts, nil); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -1,24 +1,23 @@
-// Background scrub support: incremental re-verification of a loaded
-// snapshot's bytes against the checksums in its header, long after the
+// Background scrub support: incremental re-verification of a snapshot
+// file's bytes against the checksum in its header, long after the
 // load-time check passed. A snapshot that verified once can still rot —
 // disk bitrot, a torn overwrite, an operator truncating the file — and
 // a mapped generation serves whatever the page cache hands it, so the
-// serving layer re-reads the backing file in small rate-limited steps
+// serving layer re-reads every shard file in small rate-limited steps
 // and compares the running CRC-32C against the header.
 //
-// The scrub reads through the *retained file handle* (the fd Load kept
-// open), not the mapping and not the path:
+// A pass reads through its own file handle, never a mapping:
 //
-//   - Reading the fd goes through the same page cache the MAP_PRIVATE
-//     mapping is backed by, so resident pages are verified exactly as
-//     served, and evicted pages are re-read from disk — which is where
-//     rot is caught.
+//   - Reading the fd goes through the same page cache a MAP_PRIVATE
+//     mapping of the file is backed by, so resident pages are verified
+//     exactly as served, and evicted pages are re-read from disk — which
+//     is where rot is caught.
 //   - Reading the fd never faults a mapped page, so a file truncated
-//     underneath the mapping surfaces as a short read (ErrTruncated),
-//     not a SIGBUS in the scrubber.
-//   - The fd pins the inode, so a snapshot renamed-over or unlinked
-//     mid-scrub is still verified as the generation being served, not
-//     confused with its replacement.
+//     underneath a mapping surfaces as a short read (ErrTruncated), not
+//     a SIGBUS in the scrubber.
+//   - The fd pins the inode for the pass, so a file renamed over or
+//     unlinked mid-pass is verified to the end as the file the pass
+//     started on, not confused with its replacement.
 
 package ribsnap
 
@@ -29,37 +28,23 @@ import (
 	"os"
 )
 
-// Scrub is one incremental verification pass over a file-backed
-// snapshot. Step it until done; any error means the backing bytes no
-// longer match what was loaded. A Scrub made with NewScrub holds no
-// resources beyond the snapshot's own retained handle, so abandoning
-// one mid-pass is free; a Scrub made with OpenScrub owns its file
-// handle and must be Closed.
+// Scrub is one incremental verification pass over a snapshot file.
+// Step it until done; any error means the file's bytes no longer match
+// its header. The pass owns its file handle: Close it when the pass
+// completes or is abandoned.
 type Scrub struct {
-	s    *Snapshot
-	off  uint64 // payload bytes verified so far
-	crc  uint32
-	done bool
-	owns bool // OpenScrub path: the fd is ours to close
-}
-
-// NewScrub starts a verification pass. It returns nil for cold-built
-// (mapping-free) snapshots, which have no backing file to verify.
-func (s *Snapshot) NewScrub() *Scrub {
-	if s.file == nil {
-		return nil
-	}
-	return &Scrub{s: s}
+	f      *os.File
+	paylen uint64 // payload bytes the header declares
+	want   uint32 // payload CRC the header declares
+	off    uint64 // payload bytes verified so far
+	crc    uint32
 }
 
 // OpenScrub starts a verification pass over the snapshot file at path
-// without loading it — the path the sharded scrubber takes, where a
-// shard may be evicted (no retained handle exists) yet its on-disk
-// bytes still need periodic re-verification. The expected identity is
-// taken from the file's own header at open; Step then proves the
-// payload matches that header, exactly as the loaded-snapshot pass
-// does. The returned Scrub owns its file handle: Close it when the
-// pass completes or is abandoned.
+// without loading it, so a shard that is not resident is verified
+// straight from disk without faulting it into the residency budget.
+// The header is checked at open; Step then proves the payload matches
+// it.
 func OpenScrub(path string) (*Scrub, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -75,93 +60,47 @@ func OpenScrub(path string) (*Scrub, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Scrub{
-		s:    &Snapshot{Digest: h.digest, path: path, file: f, paylen: h.paylen, crc: h.crc},
-		owns: true,
-	}, nil
+	return &Scrub{f: f, paylen: h.paylen, want: h.crc}, nil
 }
 
-// Close releases an OpenScrub handle; a NewScrub pass has nothing to
-// release and Close is a no-op.
-func (sc *Scrub) Close() error {
-	if !sc.owns || sc.s.file == nil {
-		return nil
-	}
-	f := sc.s.file
-	sc.s.file = nil
-	return f.Close()
-}
+// Close releases the pass's file handle.
+func (sc *Scrub) Close() error { return sc.f.Close() }
 
-// Step verifies up to n more payload bytes (plus, on the first step,
-// the 64-byte header) and reports whether the pass is complete. A
-// header that no longer matches the loaded identity, a short read, or
-// a final CRC mismatch returns an error wrapping ErrCorrupt or
-// ErrTruncated; the pass is then dead and the snapshot's bytes must be
-// considered damaged.
+// Step verifies up to n more payload bytes and reports whether the
+// pass is complete. A short read or a final CRC mismatch returns an
+// error wrapping ErrTruncated or ErrCorrupt; the pass is then dead and
+// the file's bytes must be considered damaged.
 func (sc *Scrub) Step(n int) (done bool, err error) {
-	if sc.done {
-		return true, nil
-	}
 	if n <= 0 {
 		n = 1 << 20
 	}
-	if sc.off == 0 {
-		if err := sc.checkHeader(); err != nil {
-			return false, err
-		}
-	}
-	remaining := sc.s.paylen - sc.off
-	if uint64(n) > remaining {
+	if remaining := sc.paylen - sc.off; uint64(n) > remaining {
 		n = int(remaining)
 	}
 	if n > 0 {
 		buf := make([]byte, n)
-		rn, rerr := sc.s.file.ReadAt(buf, int64(headerSize)+int64(sc.off))
+		rn, rerr := sc.f.ReadAt(buf, int64(headerSize)+int64(sc.off))
 		if rn != n {
 			return false, fmt.Errorf("%w: scrub: payload short at %d/%d bytes: %v",
-				ErrTruncated, sc.off+uint64(rn), sc.s.paylen, rerr)
+				ErrTruncated, sc.off+uint64(rn), sc.paylen, rerr)
 		}
 		sc.crc = crc32.Update(sc.crc, castagnoli, buf)
 		sc.off += uint64(n)
 	}
-	if sc.off < sc.s.paylen {
+	if sc.off < sc.paylen {
 		return false, nil
 	}
-	if sc.crc != sc.s.crc {
+	if sc.crc != sc.want {
 		return false, fmt.Errorf("%w: scrub: payload CRC %08x, header says %08x",
-			ErrCorrupt, sc.crc, sc.s.crc)
+			ErrCorrupt, sc.crc, sc.want)
 	}
-	sc.done = true
 	return true, nil
 }
 
 // Offset reports how many payload bytes the pass has verified.
 func (sc *Scrub) Offset() uint64 { return sc.off }
 
-// Size reports the payload size the pass will cover.
-func (sc *Scrub) Size() uint64 { return sc.s.paylen }
-
-// checkHeader re-reads the 64-byte header and compares it against the
-// identity captured at load: magic, version, digest, payload length,
-// and stored CRC. Any drift means the file is no longer the snapshot
-// that was loaded.
-func (sc *Scrub) checkHeader() error {
-	var hdr [headerSize]byte
-	if n, err := sc.s.file.ReadAt(hdr[:], 0); n != headerSize {
-		return fmt.Errorf("%w: scrub: header short (%d bytes): %v", ErrTruncated, n, err)
-	}
-	fresh, err := decodeHeader(hdr[:])
-	if err != nil {
-		return fmt.Errorf("scrub: header no longer parses: %w", err)
-	}
-	if fresh.digest != sc.s.Digest || fresh.paylen != sc.s.paylen || fresh.crc != sc.s.crc {
-		return fmt.Errorf("%w: scrub: header drifted from the loaded identity", ErrCorrupt)
-	}
-	return nil
-}
-
-// header is the parsed fixed header, shared by decode and the scrub
-// path.
+// header is the parsed fixed header, shared by decode and OpenScrub.
 type header struct {
 	version uint32
 	nsec    uint32

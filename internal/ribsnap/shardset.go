@@ -1,13 +1,14 @@
-// Sharded generation layout: one generation directory
-// (gen-<digest16>/) holding K independently mmap-able shard snapshots
-// (shard-<i>.ribsnap, each a standard snapshot file over one prefix
-// range) plus a small shard manifest (shards.manifest) recording the
-// boundary table — the first prefix and prefix count of every shard —
-// keyed to the archive digest. The per-shard files reuse the exact v1
+// Generation layout: one generation directory (gen-<digest16>/) holding
+// K independently mmap-able shard snapshots (shard-<i>.ribsnap, each a
+// standard snapshot file over one prefix range) plus a small shard
+// manifest (shards.manifest) recording the boundary table — the first
+// prefix and prefix count of every shard — keyed to the archive digest.
+// A monolith is K = 1, and its shard-0.ribsnap is byte for byte the
+// snapshot of the whole index. The shard files use the exact v1
 // snapshot format, so the durable-write discipline, load-time CRC and
-// digest checks, and the incremental scrubber all extend per shard
-// without new code paths; the manifest is the only new on-disk record
-// and is written with the same temp+fsync+rename+syncdir sequence.
+// digest checks, and the incremental scrubber apply per shard; the
+// manifest is written with the same temp+fsync+rename+syncdir
+// sequence.
 //
 // ShardSet is the residency manager over one such directory: shards
 // fault in on first touch (Load + mmap), a memory budget caps how many
@@ -45,9 +46,7 @@ const shardManifestVersion = 1
 
 var shardMagic = [8]byte{'D', 'S', 'S', 'H', 'M', 'A', 'N', 'I'}
 
-// GenDirName returns the sharded generation directory name for a
-// digest. It deliberately lacks the .ribsnap suffix, so single-file
-// and sharded generations of the same digest coexist without clashing.
+// GenDirName returns the generation directory name for a digest.
 func GenDirName(digest [32]byte) string {
 	return "gen-" + hex.EncodeToString(digest[:8])
 }
@@ -168,7 +167,7 @@ func writeShardManifestFS(fsys FS, dir string, m *ShardManifest) (err error) {
 	return nil
 }
 
-// ShardSet manages the residency of one sharded generation directory.
+// ShardSet manages the residency of one generation directory.
 // Construct with OpenShardSet; hand queries to shards through Handles
 // (or Sharded). All residency state sits behind one mutex, which is
 // never held across file I/O: faulting a shard in is single-flight per
@@ -193,12 +192,13 @@ type ShardSet struct {
 	maxResident int // <= 0 means unlimited
 	resident    int
 	closed      bool
+	pin         rib.ShardRelease // Querier's hold on a K = 1 set's shard
 
 	faults    atomic.Int64 // shards faulted in (including the eager first)
 	evictions atomic.Int64 // shards evicted for budget
 }
 
-// OpenShardSet opens the sharded generation under dir, verifying the
+// OpenShardSet opens the generation under dir, verifying the
 // manifest against the expected archive digest. maxResident caps how
 // many shards stay mapped at once (<= 0 means all of them). The first
 // shard is faulted in eagerly: its header supplies the window and
@@ -480,12 +480,17 @@ func (ss *ShardSet) Close() error {
 		}
 	}
 	ss.resident = 0
+	pin := ss.pin
+	ss.pin = nil
 	ss.mu.Unlock()
 	var err error
 	for _, snap := range snaps {
 		if cerr := snap.Close(); err == nil {
 			err = cerr
 		}
+	}
+	if pin != nil {
+		pin.Release()
 	}
 	return err
 }
@@ -522,10 +527,30 @@ func (ss *ShardSet) Sharded(workers int) (*rib.Sharded, error) {
 	return rib.NewSharded(ss.Handles(), bounds, counts, ss.peers, workers)
 }
 
+// Querier returns the set's query view, to be taken once. For K > 1 it
+// is the fan-out querier (Sharded). A K = 1 set is the monolith, served
+// as its one shard's own index, pinned until Close: the resident
+// request path has no fan-out and no per-query acquire, and once
+// MarkBad quarantines the shard it keeps answering from the pinned
+// mapping while the reload supervisor rebuilds.
+func (ss *ShardSet) Querier(workers int) (rib.Querier, error) {
+	if len(ss.slots) > 1 {
+		return ss.Sharded(workers)
+	}
+	ix, rel, err := ss.AcquireIndex(0)
+	if err != nil {
+		return nil, err
+	}
+	ss.mu.Lock()
+	ss.pin = rel
+	ss.mu.Unlock()
+	return ix, nil
+}
+
 // Master wraps the set behind a mapping-free Snapshot whose lifecycle
 // closes it: the serving layer's generation plumbing (refcount pinning,
-// Close-on-swap, drain accounting) then manages a sharded generation
-// exactly like a single-file one — the set shuts down when the old
+// Close-on-swap, drain accounting) then manages a store generation
+// exactly like an in-memory one — the set shuts down when the old
 // generation's last in-flight request releases.
 func (ss *ShardSet) Master() *Snapshot {
 	return &Snapshot{

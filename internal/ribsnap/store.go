@@ -1,15 +1,17 @@
-// Store: the manifest-backed snapshot directory the serving layer
-// loads and reloads through. One directory holds per-generation
-// snapshot files (gen-<digest16>.ribsnap), the manifest journal, and —
-// for archives written by the batch CLI — the legacy single-file
-// index.ribsnap, which the store still adopts as a fallback so the two
-// write paths interoperate.
+// Store: the manifest-backed snapshot directory every cached load goes
+// through, the batch CLI's and the daemon's alike. One directory holds
+// the manifest journal and one generation directory per archive state
+// (gen-<digest16>/: K shard snapshots plus the shards.manifest that
+// publishes them, see shardset.go). A monolith is K = 1; there is no
+// other layout.
 //
 // Opening a store is the crash-recovery point: orphaned write temps
-// are swept, the manifest's torn tail (if any) is truncated, snapshot
-// files that exist without a manifest record (a crash between the
-// durable rename and the journal append) are adopted as written, and
-// records whose file has vanished are marked removed. After OpenStore
+// are swept, the manifest's torn tail (if any) is truncated,
+// generation directories that exist without a manifest record (a
+// crash between the shard manifest's rename and the journal append)
+// are adopted as written, directories without a readable shard
+// manifest (a writer that died mid-write) are removed, and records
+// whose directory has vanished are marked removed. After OpenStore
 // returns, the directory and the journal agree.
 package ribsnap
 
@@ -33,7 +35,7 @@ const DefaultRetain = 2
 
 // StoreOptions configures OpenStore.
 type StoreOptions struct {
-	// Retain caps how many non-live generation files survive GC.
+	// Retain caps how many non-live generations survive GC.
 	// 0 means DefaultRetain; negative keeps everything.
 	Retain int
 	// FS is the filesystem seam for writes; nil means the real OS.
@@ -50,11 +52,6 @@ type Store struct {
 	fsys   FS
 	m      *Manifest
 	retain int
-}
-
-// GenName returns the snapshot file name for a generation digest.
-func GenName(digest [32]byte) string {
-	return "gen-" + hex.EncodeToString(digest[:8]) + ".ribsnap"
 }
 
 // OpenStore opens (creating if needed) the snapshot store under dir
@@ -108,28 +105,27 @@ func (st *Store) Promoted() ([32]byte, bool) {
 	return st.m.Promoted()
 }
 
-// GenPath returns the path a generation's snapshot file lives at.
-func (st *Store) GenPath(digest [32]byte) string {
-	return filepath.Join(st.dir, GenName(digest))
-}
-
-// GenDirPath returns the directory a sharded generation lives under.
+// GenDirPath returns the directory a generation lives under.
 func (st *Store) GenDirPath(digest [32]byte) string {
 	return filepath.Join(st.dir, GenDirName(digest))
 }
 
-// HasShards reports whether the generation exists in the sharded
-// layout (a generation directory with a readable shard manifest).
+// HasShards reports whether the store holds the generation: a
+// generation directory with a shard manifest.
 func (st *Store) HasShards(digest [32]byte) bool {
 	_, err := os.Stat(filepath.Join(st.GenDirPath(digest), shardManifestName))
 	return err == nil
 }
 
-// reconcile aligns the journal with the directory: a generation file
-// with no record was written durably just before a crash killed the
-// journal append — adopt it; a record whose file is gone (operator
-// deletion, partial GC) is marked removed so loads stop considering
-// it.
+// reconcile aligns the journal with the directory. A generation's
+// identity lives in its shard manifest, written last and durably: a
+// directory with a valid one was fully written — adopt it if the crash
+// came before the journal heard of it; one without is the debris of a
+// writer that died mid-write — remove it. A record whose directory is
+// gone (operator deletion, partial GC) is marked removed so loads stop
+// considering it. Anything else in the directory, such as a snapshot
+// file from before generation directories, is not the store's and is
+// left alone.
 func (st *Store) reconcile() error {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -138,132 +134,31 @@ func (st *Store) reconcile() error {
 	onDisk := make(map[string]bool)
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() {
-			// A sharded generation directory. Its identity lives in the
-			// shard manifest (written last, durably): a directory with a
-			// valid manifest was fully written — adopt it; one without is
-			// the debris of a writer that died mid-fan-out — remove it.
-			if !strings.HasPrefix(name, "gen-") || strings.HasSuffix(name, ".ribsnap") {
-				continue
-			}
-			man, merr := ReadShardManifest(filepath.Join(st.dir, name, shardManifestName))
-			if merr != nil {
-				if rerr := os.RemoveAll(filepath.Join(st.dir, name)); rerr != nil {
-					return rerr
-				}
-				continue
-			}
-			onDisk[name] = true
-			if st.m.Status(man.Digest) == GenUnknown {
-				if err := st.m.Append(GenWritten, man.Digest); err != nil {
-					return err
-				}
-			}
+		if !e.IsDir() || !strings.HasPrefix(name, "gen-") {
 			continue
 		}
-		if !strings.HasPrefix(name, "gen-") || !strings.HasSuffix(name, ".ribsnap") {
+		man, merr := ReadShardManifest(filepath.Join(st.dir, name, shardManifestName))
+		if merr != nil {
+			if rerr := os.RemoveAll(filepath.Join(st.dir, name)); rerr != nil {
+				return rerr
+			}
 			continue
 		}
 		onDisk[name] = true
-		hexPart := strings.TrimSuffix(strings.TrimPrefix(name, "gen-"), ".ribsnap")
-		raw, herr := hex.DecodeString(hexPart)
-		if herr != nil || len(raw) != 8 {
-			continue // foreign file; leave it alone
-		}
-		// Adoption needs the full digest, which only the file header
-		// holds (the name carries a prefix). Read the header; a file
-		// that cannot even produce one is write debris — remove it.
-		digest, derr := readHeaderDigest(filepath.Join(st.dir, name))
-		if derr != nil {
-			if rerr := st.fsys.Remove(filepath.Join(st.dir, name)); rerr != nil {
-				return rerr
-			}
-			delete(onDisk, name)
-			continue
-		}
-		if st.m.Status(digest) == GenUnknown {
-			if err := st.m.Append(GenWritten, digest); err != nil {
+		if st.m.Status(man.Digest) == GenUnknown {
+			if err := st.m.Append(GenWritten, man.Digest); err != nil {
 				return err
 			}
 		}
 	}
 	for _, rec := range st.m.Generations() {
-		if rec.Op == GenRemoved {
-			continue
-		}
-		if !onDisk[GenName(rec.Digest)] && !onDisk[GenDirName(rec.Digest)] {
+		if rec.Op != GenRemoved && !onDisk[GenDirName(rec.Digest)] {
 			if err := st.m.Append(GenRemoved, rec.Digest); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// readHeaderDigest pulls the archive digest out of a snapshot file's
-// header without loading the payload.
-func readHeaderDigest(path string) ([32]byte, error) {
-	var zero [32]byte
-	f, err := os.Open(path)
-	if err != nil {
-		return zero, err
-	}
-	defer f.Close()
-	var hdr [headerSize]byte
-	if n, rerr := f.ReadAt(hdr[:], 0); n != headerSize {
-		return zero, fmt.Errorf("%w: %d header bytes: %v", ErrTruncated, n, rerr)
-	}
-	h, err := decodeHeader(hdr[:])
-	if err != nil {
-		return zero, err
-	}
-	return h.digest, nil
-}
-
-// legacyName is the single-file snapshot the batch CLI maintains; the
-// store adopts it read-only when it has no generation of its own for a
-// digest.
-const legacyName = "index.ribsnap"
-
-// Load returns the snapshot for digest: the store's own generation
-// file when the manifest says it is intact, else the legacy
-// index.ribsnap. A generation the manifest marks corrupt fails
-// immediately with ErrCorrupt — the whole point of the mark is that a
-// damaged file must not be re-adopted just because its CRC happens to
-// re-verify against damaged expectations, or the damage is in a
-// region load-time verification does not reach until queried.
-func (st *Store) Load(digest [32]byte) (*Snapshot, error) {
-	st.mu.Lock()
-	status := st.m.Status(digest)
-	st.mu.Unlock()
-	switch status {
-	case GenCorrupt:
-		return nil, fmt.Errorf("%w: generation %s marked corrupt in manifest",
-			ErrCorrupt, hex.EncodeToString(digest[:8]))
-	case GenWritten, GenPromoted, GenRetired:
-		return Load(st.GenPath(digest), digest)
-	}
-	return Load(filepath.Join(st.dir, legacyName), digest)
-}
-
-// Write durably persists a new generation snapshot and journals it as
-// written. It does not promote; callers promote after deciding the
-// generation is the one to serve.
-func (st *Store) Write(f *rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount) error {
-	return st.WriteLineage(f, window, digest, counts, nil)
-}
-
-// WriteLineage is Write with the generation's lineage embedded in the
-// snapshot and — when the lineage names a parent — journaled as a
-// derived record, so the manifest carries the delta-append ancestry
-// chain.
-func (st *Store) WriteLineage(f *rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount, lin *Lineage) error {
-	if err := WriteLineageFS(st.fsys, st.GenPath(digest), f, window, digest, counts, lin); err != nil {
-		return err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.journalWritten(digest, lin)
 }
 
 // journalWritten appends the written (or derived) record for a fresh
@@ -283,13 +178,14 @@ func (st *Store) Parent(digest [32]byte) ([32]byte, bool) {
 	return st.m.Parent(digest)
 }
 
-// WriteShards durably persists a sharded generation — shards cut with
+// WriteShards durably persists a generation — shards cut with
 // rib.FrozenShards written in parallel on a bounded pool (workers <= 0
 // means one per shard), then the shard manifest, then the parent
 // directory fsync — and journals it as written. The manifest is
 // written last, so crash recovery has a single rule: a generation
 // directory with a valid manifest is complete, one without is debris.
-// Like Write, it does not promote.
+// It does not promote; callers promote after deciding the generation
+// is the one to serve.
 func (st *Store) WriteShards(shards []*rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount, workers int) error {
 	return st.WriteShardsLineage(shards, window, digest, counts, workers, nil)
 }
@@ -303,6 +199,20 @@ func (st *Store) WriteShardsLineage(shards []*rib.Frozen, window timex.Range, di
 	}
 	dir := st.GenDirPath(digest)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	// Rewriting a generation in place (same digest: another window or K,
+	// or a rebuild of one journaled corrupt) first unpublishes it. With
+	// its shard manifest durably gone, a crash anywhere below leaves
+	// debris reconcile removes — never new shards behind the old
+	// manifest. Shard files past the new K go with it.
+	if err := st.fsys.Remove(filepath.Join(dir, shardManifestName)); err == nil {
+		if err := st.fsys.SyncDir(dir); err != nil {
+			return err
+		}
+		for i := len(shards); st.fsys.Remove(filepath.Join(dir, ShardFileName(i))) == nil; i++ {
+		}
+	} else if !os.IsNotExist(err) {
 		return err
 	}
 	if workers <= 0 || workers > len(shards) {
@@ -351,9 +261,12 @@ func (st *Store) WriteShardsLineage(shards []*rib.Frozen, window timex.Range, di
 	return st.journalWritten(digest, lin)
 }
 
-// LoadShards opens the sharded generation for digest as a ShardSet.
-// The manifest refuses generations journaled corrupt, exactly as Load
-// does for single-file generations.
+// LoadShards opens the generation for digest as a ShardSet, in the K it
+// was written with. A generation the journal marks corrupt fails
+// immediately with ErrCorrupt — the whole point of the mark is that a
+// damaged file must not be re-adopted just because its CRC happens to
+// re-verify against damaged expectations, or the damage is in a region
+// load-time verification does not reach until queried.
 func (st *Store) LoadShards(digest [32]byte, maxResident int) (*ShardSet, error) {
 	st.mu.Lock()
 	status := st.m.Status(digest)
@@ -388,7 +301,7 @@ func (st *Store) Promote(digest [32]byte) error {
 }
 
 // MarkCorrupt journals a generation as damaged (scrub mismatch, load
-// failure). Subsequent Store.Load calls for the digest fail with
+// failure). Subsequent LoadShards calls for the digest fail with
 // ErrCorrupt until a rewrite supersedes the mark.
 func (st *Store) MarkCorrupt(digest [32]byte) error {
 	st.mu.Lock()
@@ -396,7 +309,7 @@ func (st *Store) MarkCorrupt(digest [32]byte) error {
 	return st.m.Append(GenCorrupt, digest)
 }
 
-// GC removes non-live generation files beyond the retention cap,
+// GC removes non-live generation directories beyond the retention cap,
 // oldest records first, journaling each removal. Corrupt generations
 // are kept within the same cap — they are forensic evidence — but are
 // first in line for eviction.
@@ -426,18 +339,11 @@ func (st *Store) gc() error {
 		return ci && !cj
 	})
 	for _, rec := range evictable[:len(evictable)-st.retain] {
-		path := st.GenPath(rec.Digest)
-		if err := st.fsys.Remove(path); err != nil && !os.IsNotExist(err) {
+		// Recursive removal stays outside the fault-injection seam: each
+		// file inside was written through it, but GC of a retired tree is
+		// not a durability edge the crash suite needs to cut.
+		if err := os.RemoveAll(st.GenDirPath(rec.Digest)); err != nil {
 			return err
-		}
-		// A sharded generation is a directory; recursive removal stays
-		// outside the fault-injection seam (each file inside was written
-		// through it, but GC of a retired tree is not a durability edge
-		// the crash suite needs to cut).
-		if dirPath := st.GenDirPath(rec.Digest); dirPath != "" {
-			if err := os.RemoveAll(dirPath); err != nil {
-				return err
-			}
 		}
 		if err := st.m.Append(GenRemoved, rec.Digest); err != nil {
 			return err

@@ -4,21 +4,32 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dropscope/internal/rib"
 	"dropscope/internal/timex"
 )
 
-// storeFixture builds a frozen index once for the store tests.
-func storeFixture(t testing.TB) (*rib.Frozen, timex.Range) {
+// storeFixture builds a frozen index once for the store tests: the
+// monolith, one shard.
+func storeFixture(t testing.TB) ([]*rib.Frozen, timex.Range) {
 	t.Helper()
 	ix, window := randomIndex(t, 99)
 	frozen, err := ix.Frozen()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return frozen, window
+	return []*rib.Frozen{frozen}, window
+}
+
+// loadGen maps a generation and closes it, reporting only the error.
+func loadGen(st *Store, d [32]byte) error {
+	ss, err := st.LoadShards(d, 0)
+	if err != nil {
+		return err
+	}
+	return ss.Close()
 }
 
 func TestStoreWritePromoteLoad(t *testing.T) {
@@ -29,7 +40,7 @@ func TestStoreWritePromoteLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := dg(0xA1)
-	if err := st.Write(frozen, window, a, nil); err != nil {
+	if err := st.WriteShards(frozen, window, a, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Manifest().Status(a); got != GenWritten {
@@ -48,11 +59,9 @@ func TestStoreWritePromoteLoad(t *testing.T) {
 		t.Fatal("idempotent promote grew the journal")
 	}
 
-	snap, err := st.Load(a)
-	if err != nil {
+	if err := loadGen(st, a); err != nil {
 		t.Fatal(err)
 	}
-	snap.Close()
 
 	// A fresh open (the restart path) recovers the same live generation.
 	st2, err := OpenStore(dir, StoreOptions{})
@@ -71,33 +80,37 @@ func TestStoreCorruptMarkBlocksLoadUntilRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := dg(0xA2)
-	if err := st.Write(frozen, window, a, nil); err != nil {
+	if err := st.WriteShards(frozen, window, a, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.MarkCorrupt(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Load(a); !errors.Is(err, ErrCorrupt) {
+	if err := loadGen(st, a); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("load of corrupt generation = %v, want ErrCorrupt", err)
 	}
 	// A rewrite supersedes the mark — the cold-rebuild recovery cycle.
-	if err := st.Write(frozen, window, a, nil); err != nil {
+	if err := st.WriteShards(frozen, window, a, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := st.Load(a)
-	if err != nil {
+	if err := loadGen(st, a); err != nil {
 		t.Fatalf("load after rewrite: %v", err)
 	}
-	snap.Close()
 }
 
 func TestStoreAdoptsUnrecordedGeneration(t *testing.T) {
 	frozen, window := storeFixture(t)
 	dir := t.TempDir()
 	a := dg(0xA3)
-	// Simulate a crash between the durable rename and the journal
-	// append: the generation file exists, the manifest never heard of it.
-	if err := Write(filepath.Join(dir, GenName(a)), frozen, window, a, nil); err != nil {
+	// Simulate a crash between the shard manifest's durable rename and
+	// the journal append: the generation directory is complete, the
+	// journal never heard of it.
+	gen := filepath.Join(dir, GenDirName(a))
+	if err := WriteLineageFS(OS, filepath.Join(gen, ShardFileName(0)), frozen[0], window, a, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	man := &ShardManifest{Digest: a, Window: window, Shards: []ShardInfo{{NumPrefixes: len(frozen[0].Prefixes)}}}
+	if err := writeShardManifestFS(OS, gen, man); err != nil {
 		t.Fatal(err)
 	}
 	st, err := OpenStore(dir, StoreOptions{})
@@ -107,11 +120,9 @@ func TestStoreAdoptsUnrecordedGeneration(t *testing.T) {
 	if got := st.Manifest().Status(a); got != GenWritten {
 		t.Fatalf("adopted status = %v, want written", got)
 	}
-	snap, err := st.Load(a)
-	if err != nil {
+	if err := loadGen(st, a); err != nil {
 		t.Fatal(err)
 	}
-	snap.Close()
 }
 
 func TestStoreMarksMissingFilesRemoved(t *testing.T) {
@@ -122,10 +133,10 @@ func TestStoreMarksMissingFilesRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := dg(0xA4)
-	if err := st.Write(frozen, window, a, nil); err != nil {
+	if err := st.WriteShards(frozen, window, a, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(st.GenPath(a)); err != nil {
+	if err := os.RemoveAll(st.GenDirPath(a)); err != nil {
 		t.Fatal(err)
 	}
 	st2, err := OpenStore(dir, StoreOptions{})
@@ -137,38 +148,32 @@ func TestStoreMarksMissingFilesRemoved(t *testing.T) {
 	}
 }
 
+// TestStoreRemovesHeaderlessDebris: a generation directory whose shard
+// manifest never landed, or does not parse, is the debris of a writer
+// that died mid-write, and recovery removes it whole.
 func TestStoreRemovesHeaderlessDebris(t *testing.T) {
 	dir := t.TempDir()
-	debris := filepath.Join(dir, "gen-00000000000000ff.ribsnap")
-	if err := os.WriteFile(debris, []byte("not a snapshot"), 0o644); err != nil {
+	torn := filepath.Join(dir, "gen-00000000000000fe")
+	junk := filepath.Join(dir, "gen-00000000000000ff")
+	for _, d := range []string{torn, junk} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(torn, ShardFileName(0)), []byte("half a shard"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(junk, shardManifestName), []byte("not a manifest"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenStore(dir, StoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(debris); !os.IsNotExist(err) {
-		t.Fatalf("headerless debris survived recovery: %v", err)
+	for _, d := range []string{torn, junk} {
+		if _, err := os.Stat(d); !os.IsNotExist(err) {
+			t.Fatalf("debris %s survived recovery: %v", filepath.Base(d), err)
+		}
 	}
-}
-
-func TestStoreLegacyFallback(t *testing.T) {
-	frozen, window := storeFixture(t)
-	dir := t.TempDir()
-	a := dg(0xA5)
-	// The batch CLI wrote its single-file snapshot; the daemon's store
-	// must serve it even with no generation of its own.
-	if err := Write(filepath.Join(dir, legacyName), frozen, window, a, nil); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := st.Load(a)
-	if err != nil {
-		t.Fatalf("legacy fallback load: %v", err)
-	}
-	snap.Close()
 }
 
 func TestStoreGCRetention(t *testing.T) {
@@ -180,7 +185,7 @@ func TestStoreGCRetention(t *testing.T) {
 	}
 	a, b, c := dg(0xB1), dg(0xB2), dg(0xB3)
 	for _, d := range [][32]byte{a, b, c} {
-		if err := st.Write(frozen, window, d, nil); err != nil {
+		if err := st.WriteShards(frozen, window, d, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Promote(d); err != nil {
@@ -194,14 +199,14 @@ func TestStoreGCRetention(t *testing.T) {
 	if got := st.Manifest().Status(a); got != GenRemoved {
 		t.Fatalf("a status = %v, want removed", got)
 	}
-	if _, err := os.Stat(st.GenPath(a)); !os.IsNotExist(err) {
-		t.Fatalf("a's file survived GC: %v", err)
+	if _, err := os.Stat(st.GenDirPath(a)); !os.IsNotExist(err) {
+		t.Fatalf("a's directory survived GC: %v", err)
 	}
 	if got := st.Manifest().Status(b); got != GenRetired {
 		t.Fatalf("b status = %v, want retired", got)
 	}
-	if _, err := os.Stat(st.GenPath(b)); err != nil {
-		t.Fatalf("b's file should be retained: %v", err)
+	if _, err := os.Stat(st.GenDirPath(b)); err != nil {
+		t.Fatalf("b's directory should be retained: %v", err)
 	}
 
 	// Corrupt generations are first in the eviction line.
@@ -209,7 +214,7 @@ func TestStoreGCRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dg(0xB4)
-	if err := st.Write(frozen, window, d, nil); err != nil {
+	if err := st.WriteShards(frozen, window, d, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Promote(d); err != nil {
@@ -234,14 +239,16 @@ func TestStoreSweepsTempsOnOpen(t *testing.T) {
 	}
 }
 
-// TestStoreGCMixedShardedAndLegacy pins retention across the three
-// on-disk layouts at once: sharded generation directories are evicted
-// (recursively) under the same Retain cap as single-file generations,
-// and the batch CLI's legacy index.ribsnap — which the manifest never
-// owns — survives every GC pass.
+// TestStoreGCMixedShardedAndLegacy pins retention across generations of
+// different K at once — every generation is a directory, evicted
+// recursively under the one Retain cap, and served in the K it was
+// written with — and pins that snapshot files from before generation
+// directories (a bare index.ribsnap, a gen-<digest>.ribsnap) are not
+// the store's: never adopted, never served, never touched by GC or
+// recovery.
 func TestStoreGCMixedShardedAndLegacy(t *testing.T) {
 	ix, window := randomIndex(t, 99)
-	frozen, err := ix.Frozen()
+	monolith, err := ix.FrozenShards(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,70 +258,55 @@ func TestStoreGCMixedShardedAndLegacy(t *testing.T) {
 	}
 	dir := t.TempDir()
 	legacy := dg(0xC0)
-	if err := Write(filepath.Join(dir, legacyName), frozen, window, legacy, nil); err != nil {
-		t.Fatal(err)
+	legacyFiles := []string{"index.ribsnap", "gen-" + strings.Repeat("c0", 8) + ".ribsnap"}
+	for _, name := range legacyFiles {
+		if err := WriteLineageFS(OS, filepath.Join(dir, name), monolith[0], window, legacy, nil, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st, err := OpenStore(dir, StoreOptions{Retain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// a sharded, b single-file, c sharded; promoted in order, so after c
-	// the non-live set {a, b} exceeds Retain: 1 and a — the oldest — is
-	// evicted even though it is a directory, not a file.
+	// a K=3, b K=1, c K=3; promoted in order, so after c the non-live
+	// set {a, b} exceeds Retain: 1 and a — the oldest — is evicted.
 	a, b, c := dg(0xC1), dg(0xC2), dg(0xC3)
-	if err := st.WriteShards(shards, window, a, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Promote(a); err != nil {
-		t.Fatal(err)
-	}
-	if !st.HasShards(a) {
-		t.Fatal("sharded generation a not recognized after write")
-	}
-	if err := st.Write(frozen, window, b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Promote(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteShards(shards, window, c, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Promote(c); err != nil {
-		t.Fatal(err)
+	for _, g := range []struct {
+		d  [32]byte
+		fs []*rib.Frozen
+	}{{a, shards}, {b, monolith}, {c, shards}} {
+		if err := st.WriteShards(g.fs, window, g.d, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Promote(g.d); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	if got := st.Status(a); got != GenRemoved {
 		t.Fatalf("a status = %v, want removed", got)
 	}
 	if _, err := os.Stat(st.GenDirPath(a)); !os.IsNotExist(err) {
-		t.Fatalf("a's shard directory survived GC: %v", err)
+		t.Fatalf("a's generation directory survived GC: %v", err)
 	}
 	if got := st.Status(b); got != GenRetired {
 		t.Fatalf("b status = %v, want retired", got)
 	}
-	if _, err := os.Stat(st.GenPath(b)); err != nil {
-		t.Fatalf("retired b's file should be retained: %v", err)
+	if err := loadGen(st, b); err != nil {
+		t.Fatalf("retired K=1 generation b should be retained: %v", err)
 	}
 	set, err := st.LoadShards(c, 0)
 	if err != nil {
-		t.Fatalf("live sharded generation c: %v", err)
+		t.Fatalf("live generation c: %v", err)
+	}
+	if set.NumShards() != 3 {
+		t.Fatalf("c served with %d shards, want the 3 it was written with", set.NumShards())
 	}
 	set.Close()
 
-	// The legacy single-file snapshot is not a generation: GC must not
-	// touch it, and digest-based fallback loads still work.
-	if _, err := os.Stat(filepath.Join(dir, legacyName)); err != nil {
-		t.Fatalf("legacy snapshot did not survive GC: %v", err)
-	}
-	snap, err := st.Load(legacy)
-	if err != nil {
-		t.Fatalf("legacy fallback load after GC: %v", err)
-	}
-	snap.Close()
-
-	// Restart: recovery re-adopts the survivors and keeps the removals.
+	// Restart: recovery re-adopts the survivors, keeps the removals, and
+	// leaves the pre-directory snapshot files where they were, unread.
 	st2, err := OpenStore(dir, StoreOptions{Retain: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -324,6 +316,17 @@ func TestStoreGCMixedShardedAndLegacy(t *testing.T) {
 	}
 	if got := st2.Status(a); got != GenRemoved {
 		t.Fatalf("recovered a status = %v, want removed", got)
+	}
+	if got := st2.Status(legacy); got != GenUnknown {
+		t.Fatalf("a pre-directory snapshot file was adopted as %v", got)
+	}
+	if err := loadGen(st2, legacy); !os.IsNotExist(err) {
+		t.Fatalf("load of a digest only a pre-directory file holds = %v, want a miss", err)
+	}
+	for _, name := range legacyFiles {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("%s was touched: %v", name, err)
+		}
 	}
 }
 
@@ -339,14 +342,14 @@ func TestStoreDerivedLineageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	base, child := dg(0xD1), dg(0xD2)
-	if err := st.WriteLineage(frozen, window, base, nil, &Lineage{MaxDay: 3}); err != nil {
+	if err := st.WriteShardsLineage(frozen, window, base, nil, 0, &Lineage{MaxDay: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st.Parent(base); ok {
 		t.Fatal("parentless lineage must not journal ancestry")
 	}
 	lin := &Lineage{HasParent: true, Parent: base, MaxDay: 5}
-	if err := st.WriteLineage(frozen, window, child, nil, lin); err != nil {
+	if err := st.WriteShardsLineage(frozen, window, child, nil, 0, lin); err != nil {
 		t.Fatal(err)
 	}
 	if p, ok := st.Parent(child); !ok || p != base {

@@ -18,7 +18,6 @@ import (
 
 	"dropscope/internal/analysis"
 	"dropscope/internal/bgp"
-	"dropscope/internal/loader"
 	"dropscope/internal/netx"
 	"dropscope/internal/ribsnap"
 	"dropscope/internal/rpki"
@@ -33,10 +32,10 @@ type Generation struct {
 	snap *ribsnap.Snapshot
 	pipe *analysis.Pipeline
 
-	// shards is non-nil for a prefix-range sharded generation: the
-	// residency manager over the generation directory's shard files. The
-	// snap above is then the mapping-free master snapshot whose lifecycle
-	// closes the set (see ribsnap.ShardSet.Master).
+	// shards is non-nil for a generation served from the snapshot store:
+	// the residency manager over its directory's shard files (one, for a
+	// monolith). The snap above is then the mapping-free master snapshot
+	// whose lifecycle closes the set (see ribsnap.ShardSet.Master).
 	shards *ribsnap.ShardSet
 
 	digestHex string // lower-case hex of the archive digest
@@ -85,8 +84,9 @@ type dropSpan struct {
 }
 
 // newGeneration wraps a loaded snapshot and its pipeline. The snapshot
-// may be mapping-free (a cold-built index, or the master of a sharded
-// set); the lifecycle protocol is identical either way.
+// is mapping-free — the wrapper of an index built in memory, or the
+// master of a store generation's shard set — and the lifecycle protocol
+// is identical either way.
 func newGeneration(snap *ribsnap.Snapshot, shards *ribsnap.ShardSet, pipe *analysis.Pipeline) *Generation {
 	g := &Generation{
 		snap:      snap,
@@ -121,24 +121,12 @@ func (g *Generation) Window() timex.Range { return g.window }
 func (g *Generation) Pipeline() *analysis.Pipeline { return g.pipe }
 
 // Shards exposes the generation's shard residency manager, nil for a
-// single-file (or cold in-memory) generation.
+// generation built in memory.
 func (g *Generation) Shards() *ribsnap.ShardSet { return g.shards }
 
 // DeltaBuilt reports whether the generation was produced by the
 // incremental append path rather than a warm map or cold rebuild.
 func (g *Generation) DeltaBuilt() bool { return g.deltaBuilt }
-
-// LoadNote explains a load that rebuilt cold past a healthy cached
-// generation it could not use ("" otherwise) — the note the loader left
-// on the snapshot health source, for the daemon's log line.
-func (g *Generation) LoadNote() string {
-	for _, s := range g.pipe.HealthReport().Sources {
-		if s.Name == loader.SnapshotSource {
-			return s.Note
-		}
-	}
-	return ""
-}
 
 // buildROATable replays the ROA journal into flat parallel arrays. A
 // revoke closes the oldest open span of the same ROA — the same

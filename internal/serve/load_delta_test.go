@@ -72,7 +72,7 @@ func requireSameResponses(t *testing.T, want, got *Server, g *Generation) {
 }
 
 // TestDeltaLoadStoreMatchesCold is the end-to-end append contract for
-// the store-backed single-file daemon path: cold load, archive grows
+// the store-backed unsharded daemon path: cold load, archive grows
 // append-only, and the next load takes the delta path — decoding only
 // the appended bytes — yet serves every endpoint byte-identically to a
 // from-scratch cold rebuild of the grown archive. The manifest must
@@ -133,10 +133,9 @@ func TestDeltaLoadStoreMatchesCold(t *testing.T) {
 	}
 }
 
-// TestDeltaLoadShardedMatchesCold runs the same contract through the
-// sharded layout: the base generation is a shard directory, the merge
-// concatenates the shards, and the merged generation is re-persisted
-// sharded.
+// TestDeltaLoadShardedMatchesCold runs the same contract over a K=5
+// generation: the merge concatenates the shards, and the merged
+// generation is re-persisted sharded.
 func TestDeltaLoadShardedMatchesCold(t *testing.T) {
 	w, dir, window := growableWorld(t, 32)
 	store, err := ribsnap.OpenStore(filepath.Join(t.TempDir(), "ribsnap"), ribsnap.StoreOptions{})
@@ -172,25 +171,30 @@ func TestDeltaLoadShardedMatchesCold(t *testing.T) {
 	requireSameResponses(t, New(cold), New(g2), cold)
 }
 
-// TestDeltaLoadBareSnapshotDir exercises the store-less batch path: a
-// stale index.ribsnap is adopted as the delta base under its own
-// digest instead of being discarded.
+// TestDeltaLoadBareSnapshotDir exercises the batch path: every load
+// opens the snapshot directory afresh, as each CLI run does, so the
+// stale generation is found as the delta base through the journal
+// replayed from disk, not a long-lived store handle.
 func TestDeltaLoadBareSnapshotDir(t *testing.T) {
 	w, dir, window := growableWorld(t, 33)
 	snapDir := t.TempDir()
-	opts := LoadOptions{Window: window, SnapshotDir: snapDir, Delta: true}
-	g1, err := Load(dir, opts)
-	if err != nil {
-		t.Fatal(err)
+	load := func() *Generation {
+		t.Helper()
+		store, err := ribsnap.OpenStore(snapDir, ribsnap.StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Load(dir, LoadOptions{Window: window, Store: store, Delta: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
-	g1.snap.Close()
+	load().snap.Close()
 
 	grow(t, dir, w, 8, 99)
 
-	g2, err := Load(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2 := load()
 	if !g2.DeltaBuilt() {
 		t.Fatal("bare snapshot-dir load did not take the delta path")
 	}

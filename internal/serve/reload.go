@@ -170,9 +170,6 @@ func (r *Reloader) cycle(ctx context.Context) {
 		}
 		r.event(fmt.Sprintf("reload: %s generation %s in %v (attempt %d)",
 			how, g.DigestHex()[:12], time.Since(t0).Round(time.Millisecond), retries+1))
-		if note := g.LoadNote(); note != "" {
-			r.event("reload: " + note)
-		}
 		return nil
 	}, session.Config{
 		Backoff:     r.cfg.Backoff,

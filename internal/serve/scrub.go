@@ -10,21 +10,24 @@ import (
 )
 
 // Scrubber is the background integrity loop: it incrementally re-reads
-// the live generation's backing snapshot file in small, rate-limited
-// steps and re-verifies the payload CRC against the header, catching
-// bitrot and torn overwrites long after the load-time check passed.
-// Every step runs with the generation pinned (Acquire/Release), and the
-// verification reads go through the snapshot's retained file handle —
-// never the mapping — so a damaged or truncated file surfaces as a
-// typed error in the scrubber, not a SIGBUS in a query handler.
+// the live generation's shard files, one at a time in small,
+// rate-limited steps, and re-verifies each payload CRC against its
+// header, catching bitrot and torn overwrites long after the load-time
+// check passed. Every step runs with the generation pinned
+// (Acquire/Release), and the verification reads go through a file
+// handle of their own — never a mapping — so a damaged or truncated
+// file surfaces as a typed error in the scrubber, not a SIGBUS in a
+// query handler. A generation built in memory has no files and is not
+// scrubbed.
 //
-// On a mismatch the scrubber marks the generation corrupt in the
-// snapshot store (so no future load re-adopts the damaged file), flips
-// the daemon to degraded, and hands the reload supervisor a trigger:
-// the reload finds the store refusing the corrupt generation, cold-
-// rebuilds from the archive, rewrites the snapshot, and swaps it in.
-// Degraded, never down: queries keep answering from the mapped (page-
-// cache-pinned) generation throughout.
+// On a mismatch the scrubber quarantines the shard, marks the
+// generation corrupt in the snapshot store (so no future load
+// re-adopts the damaged files), flips the daemon to degraded, and hands
+// the reload supervisor a trigger: the reload finds the store refusing
+// the corrupt generation, cold-rebuilds from the archive, rewrites the
+// generation, and swaps it in. Degraded, never down: a quarantined
+// shard's range fails fast while the rest keeps answering, and a
+// monolith's one shard keeps answering from its pinned mapping.
 type Scrubber struct {
 	srv   *Server
 	cfg   ScrubConfig
@@ -78,9 +81,8 @@ func (s *Scrubber) Run(ctx context.Context) error {
 	t := s.clock.NewTimer(s.cfg.Interval)
 	defer t.Stop()
 	var (
-		cur   *Generation // generation the in-progress pass belongs to
-		pass  *ribsnap.Scrub
-		spass *shardPass
+		cur  *Generation // generation the in-progress pass belongs to
+		pass *shardPass
 	)
 	for {
 		select {
@@ -89,90 +91,35 @@ func (s *Scrubber) Run(ctx context.Context) error {
 		case <-t.C():
 		}
 
-		g := s.srv.Generation()
-		if g != cur {
+		if g := s.srv.Generation(); g != cur {
 			// A swap landed (or the first generation arrived): abandon
 			// any stale pass and open one over the new generation.
-			cur, pass = g, nil
-			spass.close()
-			spass = nil
-			if g != nil {
-				if ss := g.shards; ss != nil {
-					spass = &shardPass{ss: ss}
-					s.event(fmt.Sprintf("scrub: starting sharded pass over generation %s (%d shards)",
-						g.DigestHex()[:12], ss.NumShards()))
-				} else if err := g.Acquire(); err == nil {
-					pass = g.snap.NewScrub()
-					g.Release()
-				}
+			cur = g
+			pass.close()
+			pass = nil
+			if g != nil && g.shards != nil {
+				pass = &shardPass{ss: g.shards}
+				s.event(fmt.Sprintf("scrub: starting pass over generation %s (%d shards)",
+					g.DigestHex()[:12], g.shards.NumShards()))
 			}
-			if pass != nil {
-				s.event(fmt.Sprintf("scrub: starting pass over generation %s (%d payload bytes)",
-					g.DigestHex()[:12], pass.Size()))
-			}
-		}
-		if spass != nil {
-			done, retired := s.stepShards(cur, spass)
-			switch {
-			case retired:
-				cur, spass = nil, nil
-				t.Reset(s.cfg.Interval)
-			case done:
-				s.stats.ScrubPasses.Add(1)
-				s.event(fmt.Sprintf("scrub: sharded pass over generation %s complete (%d bytes)",
-					cur.DigestHex()[:12], spass.bytes))
-				// Forget the generation so the next tick starts a fresh
-				// pass — rot accumulates with time, not with swaps.
-				cur, spass = nil, nil
-				t.Reset(s.cfg.PassInterval)
-			default:
-				t.Reset(s.cfg.Interval)
-			}
-			continue
 		}
 		if pass == nil {
-			// Nothing to verify: no generation yet, a cold-built
-			// (file-less) generation, or a finding we already reported.
+			// Nothing to verify: no generation yet, or one built in
+			// memory with no files behind it.
 			t.Reset(s.cfg.PassInterval)
 			continue
 		}
-
-		if err := cur.Acquire(); err != nil {
-			// Retired under us; re-probe for the replacement shortly.
+		done, retired := s.stepShards(cur, pass)
+		switch {
+		case retired:
 			cur, pass = nil, nil
 			t.Reset(s.cfg.Interval)
-			continue
-		}
-		before := pass.Offset()
-		done, err := pass.Step(s.cfg.Chunk)
-		cur.Release()
-		s.stats.ScrubBytes.Add(pass.Offset() - before)
-
-		switch {
-		case err != nil:
-			s.stats.CorruptTotal.Add(1)
-			s.stats.SetScrubError(err.Error())
-			s.stats.Degraded.Store(true)
-			s.event(fmt.Sprintf("scrub: corruption on live generation %s: %v",
-				cur.DigestHex()[:12], err))
-			if s.cfg.Store != nil {
-				if merr := s.cfg.Store.MarkCorrupt(cur.snap.Digest); merr != nil {
-					s.event(fmt.Sprintf("scrub: recording corruption: %v", merr))
-				}
-			}
-			if s.cfg.Reloader != nil {
-				s.cfg.Reloader.Trigger()
-			}
-			// Keep cur: the damaged generation is scrubbed exactly once.
-			// The pass restarts when a replacement is swapped in.
-			pass = nil
-			t.Reset(s.cfg.PassInterval)
 		case done:
 			s.stats.ScrubPasses.Add(1)
 			s.event(fmt.Sprintf("scrub: pass over generation %s complete (%d bytes)",
-				cur.DigestHex()[:12], pass.Size()))
+				cur.DigestHex()[:12], pass.bytes))
 			// Forget the generation so the next tick starts a fresh pass
-			// over it — rot accumulates with time, not with swaps.
+			// — rot accumulates with time, not with swaps.
 			cur, pass = nil, nil
 			t.Reset(s.cfg.PassInterval)
 		default:
@@ -187,11 +134,10 @@ func (s *Scrubber) event(msg string) {
 	}
 }
 
-// shardPass walks a sharded generation one shard file at a time. Each
-// shard is verified with its own self-owned scrub handle (OpenScrub),
-// so an evicted shard is re-read straight from disk without faulting
-// it back into the residency budget, and a resident one is verified
-// through the same inode its mapping came from.
+// shardPass walks a generation one shard file at a time. Each shard is
+// verified through its own scrub handle (OpenScrub), so an evicted
+// shard is re-read straight from disk without faulting it back into
+// the residency budget.
 type shardPass struct {
 	ss    *ribsnap.ShardSet
 	next  int            // next shard to open
@@ -208,12 +154,10 @@ func (sp *shardPass) close() {
 	}
 }
 
-// stepShards advances a sharded pass by one chunk. Unlike the
-// single-file path — where a finding kills the whole generation's pass
-// — a damaged shard is marked bad (failing fast for its prefix range
-// only) and the pass moves on to the next shard: the rest of the
-// address space keeps its integrity coverage while the reload
-// supervisor rebuilds.
+// stepShards advances a pass by one chunk. A damaged shard is marked
+// bad and the pass moves on to the next shard: the rest of the address
+// space keeps its integrity coverage while the reload supervisor
+// rebuilds.
 func (s *Scrubber) stepShards(cur *Generation, sp *shardPass) (done, retired bool) {
 	if err := cur.Acquire(); err != nil {
 		sp.close()
@@ -255,9 +199,9 @@ func (s *Scrubber) stepShards(cur *Generation, sp *shardPass) (done, retired boo
 
 // shardCorrupt records a scrub finding against one shard: the shard is
 // quarantined in the set (queries on its range fail fast, the rest of
-// the generation keeps serving), the generation is journaled corrupt
-// so no future load re-adopts it, and the reload supervisor is
-// triggered to rebuild.
+// the generation keeps serving; a monolith's pinned shard keeps
+// answering), the generation is journaled corrupt so no future load
+// re-adopts it, and the reload supervisor is triggered to rebuild.
 func (s *Scrubber) shardCorrupt(cur *Generation, i int, err error) {
 	s.stats.CorruptTotal.Add(1)
 	s.stats.SetScrubError(fmt.Sprintf("shard %d: %v", i, err))

@@ -2,10 +2,10 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,9 +27,9 @@ func waitLong(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// scrubFixture loads a file-backed (warm, mmap'd) generation through a
-// manifest store: a first load cold-builds and persists the generation
-// file, a second one maps it.
+// scrubFixture loads a file-backed (warm, mmap'd) monolith — a one-shard
+// generation — through a manifest store: a first load cold-builds and
+// persists the generation, a second one maps it.
 func scrubFixture(t *testing.T) (*Server, *ribsnap.Store, [32]byte, string, LoadOptions) {
 	t.Helper()
 	dir, window := writeWorld(t, 1)
@@ -47,8 +47,8 @@ func scrubFixture(t *testing.T) (*Server, *ribsnap.Store, [32]byte, string, Load
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.snap.NewScrub() == nil {
-		t.Fatal("second load is not file-backed; nothing would scrub")
+	if ss := warm.Shards(); ss == nil || ss.NumShards() != 1 {
+		t.Fatal("second load is not a file-backed one-shard generation; nothing would scrub")
 	}
 	return New(warm), store, warm.snap.Digest, dir, opts
 }
@@ -83,11 +83,12 @@ func TestScrubCleanPass(t *testing.T) {
 }
 
 // TestScrubDetectsBitrotAndHeals is the acceptance soak: a byte of the
-// live generation's snapshot file is flipped while query load runs.
-// The scrubber must detect it, journal the generation corrupt, flip
-// /healthz to degraded, and trigger a reload that cold-rebuilds and
-// swaps a clean generation in — degraded then healthy, zero failed
-// queries, zero crashes.
+// live monolith's one shard file is flipped while query load runs. The
+// scrubber must detect it, quarantine the shard, journal the generation
+// corrupt, flip /healthz to degraded, and trigger a reload that
+// cold-rebuilds and swaps a clean generation in — degraded then
+// healthy, zero failed queries (the quarantined shard keeps answering
+// from its pinned mapping), zero crashes.
 func TestScrubDetectsBitrotAndHeals(t *testing.T) {
 	srv, store, digest, dir, opts := scrubFixture(t)
 	stats := srv.Stats()
@@ -109,10 +110,22 @@ func TestScrubDetectsBitrotAndHeals(t *testing.T) {
 	go func() { defer wg.Done(); r.Run(ctx) }()
 	go func() { defer wg.Done(); sc.Run(ctx) }()
 
-	// Query load for the duration: every response must succeed.
+	// Query load for the duration: every response must succeed and
+	// answer what the intact generation answers — an observed prefix,
+	// so a quarantine that silenced the shard would show.
 	var queries, failures atomic.Uint64
-	prefix := samples(srv.Generation())[0]
-	target := fmt.Sprintf("/v1/visibility?prefix=%s", prefix)
+	g := srv.Generation()
+	var target string
+	for _, p := range samples(g) {
+		if g.Pipeline().Index.Observed(p, g.Window().Last) {
+			target = "/v1/visibility?prefix=" + escapePrefix(p)
+			break
+		}
+	}
+	want := get(t, srv, target).Body.String()
+	if !strings.Contains(want, `"observed":true`) {
+		t.Fatalf("probe answers %s, want an observed prefix", want)
+	}
 	stopLoad := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -127,7 +140,7 @@ func TestScrubDetectsBitrotAndHeals(t *testing.T) {
 				rec := httptest.NewRecorder()
 				srv.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
 				queries.Add(1)
-				if rec.Code != 200 {
+				if rec.Code != 200 || rec.Body.String() != want {
 					failures.Add(1)
 				}
 			}
@@ -139,7 +152,7 @@ func TestScrubDetectsBitrotAndHeals(t *testing.T) {
 	// Flip one payload byte in place (WriteAt, no truncation: the file
 	// is mmap'd by the live generation, and shrinking it would be the
 	// harness SIGBUSing the daemon rather than simulating bitrot).
-	path := store.GenPath(digest)
+	path := srv.Generation().Shards().ShardPath(0)
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -186,13 +199,13 @@ func TestScrubDetectsBitrotAndHeals(t *testing.T) {
 	wg.Wait()
 
 	if failures.Load() != 0 {
-		t.Fatalf("%d of %d queries failed during the corruption/heal cycle",
+		t.Fatalf("%d of %d queries failed or answered differently during the corruption/heal cycle",
 			failures.Load(), queries.Load())
 	}
 	if queries.Load() == 0 {
 		t.Fatal("load generator ran no queries")
 	}
-	if !log.contains("scrub: corruption on live generation") {
+	if !log.contains("scrub: corruption on generation") {
 		t.Fatalf("no corruption event: %v", log.msgs)
 	}
 	if !log.contains("swapped in generation") {
@@ -200,8 +213,8 @@ func TestScrubDetectsBitrotAndHeals(t *testing.T) {
 	}
 }
 
-// TestScrubSkipsColdGeneration: a mapping-free generation has no
-// backing file; the scrubber must idle, not error.
+// TestScrubSkipsColdGeneration: a generation built in memory has no
+// backing files; the scrubber must idle, not error.
 func TestScrubSkipsColdGeneration(t *testing.T) {
 	dir, window := writeWorld(t, 1)
 	g, err := Load(dir, LoadOptions{Window: window}) // no store, no snapshot: cold

@@ -496,8 +496,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, g *Generation) {
 	b = strconv.AppendUint(b, s.stats.ScrubBytes.Load(), 10)
 	b = append(b, `,"corrupt_total":`...)
 	b = strconv.AppendUint(b, s.stats.CorruptTotal.Load(), 10)
-	// Shard residency: all zero for a single-file generation, so the
-	// metric schema is stable across layouts.
+	// Shard residency: all zero for a generation built in memory, so the
+	// metric schema is the same whatever serves the index.
 	b = append(b, `,"shards":`...)
 	if ss := g.shards; ss != nil {
 		b = strconv.AppendInt(b, int64(ss.NumShards()), 10)

@@ -93,9 +93,9 @@ func TestShardedServeByteIdentity(t *testing.T) {
 }
 
 // TestShardedMetricsAndHealth checks the observability surface: the
-// metrics schema is stable (shard fields always present, zero when
-// unsharded) and /healthz carries per-shard residency and degradation
-// only when sharded.
+// metrics schema is stable (shard fields always present, zero for a
+// generation built in memory) and /healthz carries per-shard residency
+// and degradation only for a generation served from the store.
 func TestShardedMetricsAndHealth(t *testing.T) {
 	ref := New(loadGen(t))
 	warm, _, _, _ := shardedFixture(t, 7, 4)
@@ -104,7 +104,7 @@ func TestShardedMetricsAndHealth(t *testing.T) {
 	m := get(t, ref, "/metrics").Body.String()
 	for _, want := range []string{`"shards":0`, `"resident_shards":0`, `"shard_faults_total":0`, `"shard_evictions_total":0`} {
 		if !strings.Contains(m, want) {
-			t.Fatalf("unsharded /metrics missing %s:\n%s", want, m)
+			t.Fatalf("in-memory /metrics missing %s:\n%s", want, m)
 		}
 	}
 	m = get(t, sharded, "/metrics").Body.String()
@@ -119,7 +119,7 @@ func TestShardedMetricsAndHealth(t *testing.T) {
 
 	h := get(t, ref, "/healthz").Body.String()
 	if strings.Contains(h, "shard_resident") {
-		t.Fatalf("unsharded /healthz leaks shard fields:\n%s", h)
+		t.Fatalf("in-memory /healthz leaks shard fields:\n%s", h)
 	}
 	h = get(t, sharded, "/healthz").Body.String()
 	for _, want := range []string{`"shards":7`, `"shard_resident":[`, `"shard_degraded":[`} {
@@ -206,72 +206,5 @@ func TestShardScrubDegradesOneRange(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("no sample prefix fell outside the damaged shard")
-	}
-}
-
-// TestShardUpgradeFromSingleFile covers enabling -shards on an
-// existing deployment: the store already holds a single-file
-// generation from an unsharded run, and the first sharded load must
-// upgrade it in place — cut the mapped monolith, persist the sharded
-// layout, and serve under the residency budget — rather than fall back
-// to an in-memory cut with no budget and no per-shard observability.
-func TestShardUpgradeFromSingleFile(t *testing.T) {
-	dir, window := writeWorld(t, 1)
-	store, err := ribsnap.OpenStore(filepath.Join(t.TempDir(), "ribsnap"), ribsnap.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := Load(dir, LoadOptions{Window: window, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.Shards() != nil {
-		t.Fatal("unsharded load produced a shard set")
-	}
-	baseline := New(single)
-	paths := queryPaths(single)
-	type resp struct {
-		code int
-		body string
-	}
-	want := make(map[string]resp, len(paths))
-	for _, p := range paths {
-		w := get(t, baseline, p)
-		want[p] = resp{w.Code, w.Body.String()}
-	}
-	single.snap.Close()
-
-	upgraded, err := Load(dir, LoadOptions{Window: window, Store: store, Shards: 5, MemBudget: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer upgraded.snap.Close()
-	ss := upgraded.Shards()
-	if ss == nil {
-		t.Fatal("sharded load over a single-file generation did not upgrade to a shard set")
-	}
-	if got := ss.NumShards(); got != 5 {
-		t.Fatalf("NumShards = %d, want 5", got)
-	}
-	if r := ss.Resident(); r > 2 {
-		t.Fatalf("resident = %d, budget 2", r)
-	}
-	s := New(upgraded)
-	for _, p := range paths {
-		w := get(t, s, p)
-		if w.Code != want[p].code || w.Body.String() != want[p].body {
-			t.Fatalf("upgraded %s: code %d vs %d, body diverges from single-file baseline", p, w.Code, want[p].code)
-		}
-	}
-
-	// The upgrade persisted: a fresh load maps the sharded generation
-	// directly.
-	warm, err := Load(dir, LoadOptions{Window: window, Store: store, Shards: 5, MemBudget: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.snap.Close()
-	if warm.Shards() == nil || warm.Shards().NumShards() != 5 {
-		t.Fatal("restart after upgrade did not map the persisted sharded generation")
 	}
 }

@@ -29,7 +29,11 @@ func swapWorlds(t *testing.T) (dirA, dirB string, window timex.Range) {
 
 func loadDir(t *testing.T, dir string, window timex.Range) *Generation {
 	t.Helper()
-	g, err := Load(dir, LoadOptions{Window: window, SnapshotDir: dir + "/ribsnap"})
+	store, err := ribsnap.OpenStore(dir+"/ribsnap", ribsnap.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Load(dir, LoadOptions{Window: window, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}

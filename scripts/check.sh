@@ -102,9 +102,10 @@ chaos() {
 
 # warmstart is the warm-start acceptance gate, driven through the real
 # CLI. It saves an archive, renders it with the index cache disabled,
-# renders it once more with the cache on (a cold build that writes the
-# snapshot), then renders three warm loads — parallel, serial, strict —
-# and requires all five reports byte-identical.
+# renders it once more with the cache on (a cold build that writes a
+# generation into the snapshot store), then renders three warm loads —
+# parallel, serial, strict — and requires all five reports
+# byte-identical.
 warmstart() {
   local tmp scale
   tmp="$(mktemp -d)"
@@ -115,10 +116,10 @@ warmstart() {
   go run ./cmd/dropscope -scale "$scale" -save "$tmp/arch" >/dev/null
   echo "--- warmstart: cold render, cache off"
   go run ./cmd/dropscope -load "$tmp/arch" -index-cache off >"$tmp/cold.txt"
-  echo "--- warmstart: first cached load (cold build, writes snapshot)"
+  echo "--- warmstart: first cached load (cold build, writes a generation)"
   go run ./cmd/dropscope -load "$tmp/arch" >"$tmp/first.txt"
-  if [ ! -f "$tmp/arch/ribsnap/index.ribsnap" ]; then
-    echo "warmstart: snapshot was not written" >&2
+  if ! ls "$tmp"/arch/ribsnap/gen-*/shards.manifest >/dev/null 2>&1; then
+    echo "warmstart: no generation was written" >&2
     return 1
   fi
   echo "--- warmstart: warm loads (parallel, serial, strict)"
@@ -276,7 +277,7 @@ crash() {
 # shard-set residency/eviction tests (the soak under -race), and the
 # sharded serving tests; then it drives the real CLI over a
 # volume-amplified synthgen archive and requires the sharded renders —
-# cold and warm, through the persisted sharded generation — to be
+# cold and warm, through the stored 7-shard generation — to be
 # byte-identical to the unsharded render.
 shard() {
   echo "--- shard: boundary property suite (K in {1,2,7})"
@@ -297,9 +298,9 @@ shard() {
   go run ./cmd/synthgen -dir "$tmp/arch" -scale "$scale" -seed 1 -volume 2048 >/dev/null
   echo "--- shard: unsharded render (cache off)"
   go run ./cmd/dropscope -load "$tmp/arch" -index-cache off >"$tmp/unsharded.txt"
-  echo "--- shard: sharded cold render (K=7, writes the snapshot)"
+  echo "--- shard: sharded cold render (K=7, writes the generation)"
   go run ./cmd/dropscope -load "$tmp/arch" -shards 7 >"$tmp/sharded-cold.txt"
-  echo "--- shard: sharded warm render (K=7, mapped snapshot)"
+  echo "--- shard: sharded warm render (K=7, mapped generation)"
   go run ./cmd/dropscope -load "$tmp/arch" -shards 7 >"$tmp/sharded-warm.txt"
   echo "--- shard: sharded serial and strict renders (K=7)"
   go run ./cmd/dropscope -load "$tmp/arch" -shards 7 -serial >"$tmp/sharded-serial.txt"
@@ -317,12 +318,15 @@ shard() {
 # delta is the incremental-ingest acceptance gate. It runs the
 # overlay/merge property suite, the append-only contract tests, and the
 # daemon delta-reload tests; then it drives the real CLI: a snapshot
-# seeded on the base archive must serve an append load over the grown
-# archive — decoding only the appended bytes — whose renders are
-# byte-identical to a cache-off cold rebuild of the grown archive, in
-# parallel, serial, strict, and sharded modes. A delta that silently
-# fell back cold cannot pass the lenient comparisons: the fallback
-# counts a discarded-snapshot skip, which surfaces in the report's
+# store seeded on the base archive, copied whole for each mode, must
+# serve an append load over the grown archive — decoding only the
+# appended bytes — whose renders are byte-identical to a cache-off cold
+# rebuild of the grown archive, in parallel, serial, strict, and
+# sharded modes (the sharded append extends the seeded one-shard
+# generation and writes a 7-shard one). A delta that silently fell back
+# cold cannot pass the lenient comparisons: the store's promoted
+# generation is keyed on the base archive, so a fallback counts it as a
+# stale discarded generation, which surfaces in the report's
 # data-health section and breaks the byte comparison.
 delta() {
   echo "--- delta: overlay/merge and append-contract suites"
@@ -344,16 +348,15 @@ delta() {
   go run ./cmd/synthgen -dir "$tmp/grown" -scale "$scale" -seed 1 -volume 1024 >/dev/null
   echo "--- delta: cold render of the grown archive (cache off)"
   go run ./cmd/dropscope -load "$tmp/grown" -index-cache off >"$tmp/cold.txt"
-  echo "--- delta: seeding the snapshot on the base archive"
+  echo "--- delta: seeding the snapshot store on the base archive"
   go run ./cmd/dropscope -load "$tmp/arch" >/dev/null
-  if [ ! -f "$tmp/arch/ribsnap/index.ribsnap" ]; then
-    echo "delta: base snapshot was not written" >&2
+  if ! ls "$tmp"/arch/ribsnap/gen-*/shards.manifest >/dev/null 2>&1; then
+    echo "delta: no base generation was written" >&2
     return 1
   fi
   local mode
   for mode in par serial strict sharded; do
-    mkdir -p "$tmp/snap-$mode"
-    cp "$tmp/arch/ribsnap/index.ribsnap" "$tmp/snap-$mode/"
+    cp -R "$tmp/arch/ribsnap" "$tmp/snap-$mode"
   done
   echo "--- delta: append loads over the grown archive (parallel, serial, strict, sharded)"
   go run ./cmd/dropscope -load "$tmp/grown" -index-cache "$tmp/snap-par" -append >"$tmp/append.txt"

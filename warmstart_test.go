@@ -8,11 +8,24 @@ import (
 
 	"dropscope/internal/ingest"
 	"dropscope/internal/loader"
+	"dropscope/internal/ribsnap"
 )
 
+// shardFile returns the path of the one generation's first shard in the
+// snapshot store under snapDir — the file a warm start maps first —
+// failing unless the store holds exactly one generation.
+func shardFile(t *testing.T, snapDir string) string {
+	t.Helper()
+	gens, err := filepath.Glob(filepath.Join(snapDir, "gen-*", ribsnap.ShardFileName(0)))
+	if err != nil || len(gens) != 1 {
+		t.Fatalf("snapshot store holds generations %v (%v), want one", gens, err)
+	}
+	return gens[0]
+}
+
 // writeArchivesWithSnapshot persists the cached study's archives, runs
-// one cold cached load to seed the snapshot, and returns the archive and
-// snapshot directories.
+// one cold cached load to seed the snapshot store, and returns the
+// archive and store directories.
 func writeArchivesWithSnapshot(t *testing.T) (dir, snapDir string) {
 	t.Helper()
 	s := study(t)
@@ -28,9 +41,7 @@ func writeArchivesWithSnapshot(t *testing.T) (dir, snapDir string) {
 	if first.snap != nil {
 		t.Fatal("first cached load must be cold")
 	}
-	if _, err := os.Stat(filepath.Join(snapDir, loader.SnapshotFile)); err != nil {
-		t.Fatalf("cold load did not write snapshot: %v", err)
-	}
+	shardFile(t, snapDir)
 	return dir, snapDir
 }
 
@@ -128,7 +139,7 @@ func snapshotSkip(r Results) (ingest.Counters, bool) {
 // snapshot for the next run.
 func TestWarmStartDamagedSnapshotFallsBack(t *testing.T) {
 	dir, snapDir := writeArchivesWithSnapshot(t)
-	path := filepath.Join(snapDir, loader.SnapshotFile)
+	path := shardFile(t, snapDir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +180,7 @@ func TestWarmStartDamagedSnapshotFallsBack(t *testing.T) {
 // truncation, checking the skip lands on the Truncated counter.
 func TestWarmStartTruncatedSnapshotFallsBack(t *testing.T) {
 	dir, snapDir := writeArchivesWithSnapshot(t)
-	path := filepath.Join(snapDir, loader.SnapshotFile)
+	path := shardFile(t, snapDir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

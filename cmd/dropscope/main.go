@@ -4,13 +4,12 @@
 //
 // Usage:
 //
-//	dropscope [-scale N] [-seed N] [-load DIR] [-save DIR] [-json] [-serial] [-workers N] [-strict] [-max-skip N]
+//	dropscope [-scale N] [-seed N] [-load DIR] [-save DIR] [-json] [-serial] [-strict] [-max-skip N]
 //	          [-index-cache DIR|auto|off] [-append] [-shards N] [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //
 // By default RIB loading and the experiment suite run in parallel across
-// the available CPUs; -serial forces the single-threaded reference path
-// and -workers caps the experiment fan-out (0 = GOMAXPROCS). Both paths
-// print byte-identical reports.
+// the available CPUs; -serial forces the single-threaded reference path.
+// Both paths print byte-identical reports.
 //
 // Archives loaded with -load are read leniently: corrupt records and
 // malformed lines are skipped and counted, collectors damaged beyond the
@@ -130,7 +129,6 @@ func main() {
 		save     = flag.String("save", "", "after generating, persist archives to this directory")
 		asJSON   = flag.Bool("json", false, "emit the machine-readable summary instead of the text report")
 		serial   = flag.Bool("serial", false, "disable all parallelism: serial RIB loading and experiment execution")
-		workers  = flag.Int("workers", 0, "experiment fan-out bound (0 = GOMAXPROCS, 1 = serial experiments)")
 		strict   = flag.Bool("strict", false, "with -load: fail on the first corrupt record instead of skipping leniently")
 		maxSkip  = flag.Int("max-skip", 0, "with -load: per-collector skip budget before quarantine (0 = default 100, negative = unlimited)")
 		idxCache = flag.String("index-cache", "auto", "with -load: index snapshot directory for warm starts; auto = DIR/ribsnap under -load, off = disabled")
@@ -144,7 +142,7 @@ func main() {
 	flag.Parse()
 
 	stop := profiling(*cpuprofile, *memprofile, *traceFile)
-	err := run(*scale, *seed, *load, *save, *asJSON, *serial, *workers, *strict, *maxSkip, *idxCache, *appendI, *shards)
+	err := run(*scale, *seed, *load, *save, *asJSON, *serial, *strict, *maxSkip, *idxCache, *appendI, *shards)
 	stop()
 	if err != nil {
 		fatal(err)
@@ -163,7 +161,7 @@ func snapshotDir(idxCache, load string) string {
 	}
 }
 
-func run(scale int, seed int64, load, save string, asJSON, serial bool, workers int, strict bool, maxSkip int, idxCache string, appendIngest bool, shards int) error {
+func run(scale int, seed int64, load, save string, asJSON, serial, strict bool, maxSkip int, idxCache string, appendIngest bool, shards int) error {
 	cfg := dropscope.DefaultConfig()
 	cfg.Scale = scale
 	cfg.Seed = seed
@@ -202,12 +200,11 @@ func run(scale int, seed int64, load, save string, asJSON, serial bool, workers 
 		}
 		fmt.Fprintf(os.Stderr, "archives written to %s\n", save)
 	}
-	var results dropscope.Results
+	experiments := study.Results
 	if serial {
-		results = study.ResultsSerial()
-	} else {
-		results = study.ResultsWithConcurrency(workers)
+		experiments = study.ResultsSerial
 	}
+	results := experiments()
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

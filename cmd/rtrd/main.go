@@ -39,8 +39,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Only bundle.RPKI is read, so the MRT streams stay undecoded.
-	bundle, err := archive.LoadWithOptions(*dir, archive.LoadOptions{SkipMRT: true})
+	bundle, err := archive.LoadWithOptions(*dir, archive.LoadOptions{})
 	if err != nil {
 		fatal(err)
 	}

@@ -42,9 +42,8 @@ func TestExperimentsDeriveOnce(t *testing.T) {
 	ds := analysis.Dataset{
 		Window: w.Params.Window,
 		DROP:   w.DROP, SBL: w.SBL, IRR: w.IRR, RPKI: w.RPKI, RIR: w.RIR,
-		MRT: w.MRT,
 	}
-	built, err := analysis.New(ds)
+	ix, err := rib.Build(rib.Streams(w.MRT), ds.Window.Last, 0, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestExperimentsDeriveOnce(t *testing.T) {
 		"parallel": (*Study).Results,
 	}
 	for name, run := range runs {
-		q := &countingQuerier{Querier: built.Index}
+		q := &countingQuerier{Querier: ix}
 		p, err := analysis.NewWithOptions(ds, analysis.Options{Index: q})
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +68,7 @@ func TestExperimentsDeriveOnce(t *testing.T) {
 		limit := int64(1 + len(p.OriginActivity()[r.Fig4.CaseOrigin].Prefixes))
 		if n := q.timelines.Load(); n > limit {
 			t.Errorf("%s: OriginTimeline called %d times, want at most %d (%d origins, %d prefixes)",
-				name, n, limit, len(p.OriginActivity()), built.Index.NumPrefixes())
+				name, n, limit, len(p.OriginActivity()), ix.NumPrefixes())
 		}
 	}
 }

@@ -34,7 +34,7 @@ func TestResultsSerialMatchesParallel(t *testing.T) {
 	s := study(t)
 	serial := renderBytes(t, s.ResultsSerial())
 	for _, workers := range []int{0, 2, 3, 16} {
-		parallel := renderBytes(t, s.ResultsWithConcurrency(workers))
+		parallel := renderBytes(t, runExperiments(s.Pipeline, workers))
 		if !bytes.Equal(serial, parallel) {
 			t.Fatalf("workers=%d: parallel render diverged from serial (%d vs %d bytes)",
 				workers, len(parallel), len(serial))

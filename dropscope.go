@@ -32,6 +32,7 @@ import (
 	"dropscope/internal/archive"
 	"dropscope/internal/ingest"
 	"dropscope/internal/loader"
+	"dropscope/internal/rib"
 	"dropscope/internal/ribsnap"
 	"dropscope/internal/scenario"
 )
@@ -89,11 +90,14 @@ func newStudy(cfg Config, workers int) (*Study, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dropscope: generate: %w", err)
 	}
+	ix, err := rib.Build(rib.Streams(w.MRT), cfg.Window.Last, workers, nil, 0)
+	if err != nil {
+		return nil, fmt.Errorf("dropscope: pipeline: %w", err)
+	}
 	p, err := analysis.NewWithOptions(analysis.Dataset{
 		Window: cfg.Window,
 		DROP:   w.DROP, SBL: w.SBL, IRR: w.IRR, RPKI: w.RPKI, RIR: w.RIR,
-		MRT: w.MRT,
-	}, analysis.Options{Workers: workers})
+	}, analysis.Options{Index: ix})
 	if err != nil {
 		return nil, fmt.Errorf("dropscope: pipeline: %w", err)
 	}
@@ -276,12 +280,6 @@ func (s *Study) Results() Results {
 // Output is identical to Results.
 func (s *Study) ResultsSerial() Results {
 	return runExperiments(s.Pipeline, 1)
-}
-
-// ResultsWithConcurrency runs every experiment with an explicit worker
-// bound: <= 0 means runtime.GOMAXPROCS(0), 1 is ResultsSerial.
-func (s *Study) ResultsWithConcurrency(workers int) Results {
-	return runExperiments(s.Pipeline, workers)
 }
 
 // Render writes every table and figure as text to w. Rendering is a pure

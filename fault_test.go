@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"dropscope/internal/archive"
 	"dropscope/internal/ingest/faultinject"
+	"dropscope/internal/mrt"
 )
 
 // writeDamagedArchives persists the cached study's archives and then
@@ -117,6 +119,76 @@ func TestStrictRunOverDamagedArchivesFails(t *testing.T) {
 	if !regexp.MustCompile(`record \d+ at offset 0x[0-9a-f]+`).MatchString(err.Error()) {
 		t.Errorf("strict error %q lacks record index and byte offset", err)
 	}
+}
+
+// TestStrictLoadErrorOrder pins which error a strict load reports when
+// several sources are damaged, serial or with the MRT build overlapping
+// the text load: the first collector, in name order, whose MRT does not
+// decode — record index and byte offset included — ahead of a damaged
+// text archive; the text archive's error once the MRT is whole; and a
+// missing mrt/ directory.
+func TestStrictLoadErrorOrder(t *testing.T) {
+	dir, _ := writeDamagedArchives(t, 2)
+	drops, err := filepath.Glob(filepath.Join(dir, "drop", "*.txt"))
+	if err != nil || len(drops) == 0 {
+		t.Fatalf("no drop snapshots: %v", err)
+	}
+	if err := os.WriteFile(drops[0], []byte("not-a-prefix ; SBL1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The expected errors, derived independently: each collector decoded
+	// whole, in name order, and the text archives loaded alone.
+	files, err := filepath.Glob(filepath.Join(dir, "mrt", "*.mrt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files)
+	var decodeErr string
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mrt.ReadAll(bytes.NewReader(raw)); err != nil {
+			decodeErr = "dropscope: load: archive: " + filepath.Base(path) + ": " + err.Error()
+			break
+		}
+	}
+	if decodeErr == "" {
+		t.Fatal("the damaged collectors all decode")
+	}
+	_, textErr := archive.LoadWithOptions(dir, archive.LoadOptions{})
+	if textErr == nil {
+		t.Fatal("the damaged drop snapshot loads")
+	}
+	load := func(want string) {
+		t.Helper()
+		for _, workers := range []int{1, 0} {
+			_, err := LoadStudyWithOptions(dir, smallConfig(), IngestOptions{Strict: true, Workers: workers})
+			if err == nil || err.Error() != want {
+				t.Errorf("workers=%d: error %v, want %s", workers, err, want)
+			}
+		}
+	}
+	load(decodeErr)
+
+	clean := t.TempDir()
+	if err := study(t).WriteArchives(clean); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "mrt")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(clean, "mrt"), filepath.Join(dir, "mrt")); err != nil {
+		t.Fatal(err)
+	}
+	load("dropscope: load: " + textErr.Error())
+
+	// A missing mrt/ outranks the damaged text archive.
+	if err := os.RemoveAll(filepath.Join(dir, "mrt")); err != nil {
+		t.Fatal(err)
+	}
+	load("dropscope: load: open " + filepath.Join(dir, "mrt") + ": no such file or directory")
 }
 
 // TestLenientCleanArchivesByteIdenticalToStrict is the compatibility

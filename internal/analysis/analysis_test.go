@@ -21,11 +21,8 @@ func pipeline(t *testing.T) (*scenario.World, *Pipeline) {
 		if err != nil {
 			t.Fatalf("generate: %v", err)
 		}
-		p, err := New(Dataset{
-			Window: w.Params.Window,
-			DROP:   w.DROP, SBL: w.SBL, IRR: w.IRR, RPKI: w.RPKI, RIR: w.RIR,
-			MRT: w.MRT,
-		})
+		ds, streams := worldDataset(w)
+		p, err := newPipeline(ds, streams, 0)
 		if err != nil {
 			t.Fatalf("pipeline: %v", err)
 		}
@@ -42,7 +39,7 @@ func near(t *testing.T, name string, got, want, tol float64) {
 }
 
 func TestPipelineRejectsIncompleteDataset(t *testing.T) {
-	if _, err := New(Dataset{}); err == nil {
+	if _, err := NewWithOptions(Dataset{}, Options{}); err == nil {
 		t.Error("empty dataset should fail")
 	}
 }

@@ -5,12 +5,31 @@ import (
 	"testing"
 
 	"dropscope/internal/mrt"
+	"dropscope/internal/rib"
 	"dropscope/internal/scenario"
 )
 
+// newPipeline reassembles the streams into an index on a pool of
+// workers (rib.Build, strict) and builds the pipeline over it.
+func newPipeline(ds Dataset, streams map[string][]mrt.Record, workers int) (*Pipeline, error) {
+	ix, err := rib.Build(rib.Streams(streams), ds.Window.Last, workers, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return NewWithOptions(ds, Options{Index: ix})
+}
+
+// worldDataset is w's dataset and its MRT streams.
+func worldDataset(w *scenario.World) (Dataset, map[string][]mrt.Record) {
+	return Dataset{
+		Window: w.Params.Window,
+		DROP:   w.DROP, SBL: w.SBL, IRR: w.IRR, RPKI: w.RPKI, RIR: w.RIR,
+	}, w.MRT
+}
+
 // smallDataset generates a reduced world (large Scale divisor = small
 // background population) so the parallel/serial comparisons stay fast.
-func smallDataset(t *testing.T) Dataset {
+func smallDataset(t *testing.T) (Dataset, map[string][]mrt.Record) {
 	t.Helper()
 	cfg := scenario.DefaultParams()
 	cfg.Scale = 512
@@ -18,24 +37,20 @@ func smallDataset(t *testing.T) Dataset {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	return Dataset{
-		Window: w.Params.Window,
-		DROP:   w.DROP, SBL: w.SBL, IRR: w.IRR, RPKI: w.RPKI, RIR: w.RIR,
-		MRT: w.MRT,
-	}
+	return worldDataset(w)
 }
 
 // TestParallelNewMatchesSerial builds the pipeline both ways over the
 // same archives and checks the reassembled index and a spread of
-// experiment outputs are identical — the guarantee that lets New default
-// to the concurrent loader.
+// experiment outputs are identical — the guarantee that lets the build
+// default to its concurrent pool.
 func TestParallelNewMatchesSerial(t *testing.T) {
-	ds := smallDataset(t)
-	serial, err := NewWithOptions(ds, Options{Workers: 1})
+	ds, streams := smallDataset(t)
+	serial, err := newPipeline(ds, streams, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := New(ds)
+	parallel, err := newPipeline(ds, streams, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +87,13 @@ func TestParallelNewMatchesSerial(t *testing.T) {
 // TestParallelNewWorkerSweep checks every worker bound produces the same
 // index, including bounds above the collector count.
 func TestParallelNewWorkerSweep(t *testing.T) {
-	ds := smallDataset(t)
-	ref, err := NewWithOptions(ds, Options{Workers: 1})
+	ds, streams := smallDataset(t)
+	ref, err := newPipeline(ds, streams, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 64} {
-		p, err := NewWithOptions(ds, Options{Workers: workers})
+		p, err := newPipeline(ds, streams, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -95,12 +110,12 @@ func TestParallelNewWorkerSweep(t *testing.T) {
 // checks the parallel loader surfaces the same error, wrapped the same
 // way, as the serial path.
 func TestParallelLoadErrorMatchesSerial(t *testing.T) {
-	ds := smallDataset(t)
+	ds, streams := smallDataset(t)
 	// Rebuild the MRT map with one collector's stream truncated so a RIB
 	// record precedes its peer index table.
-	broken := make(map[string][]mrt.Record, len(ds.MRT))
+	broken := make(map[string][]mrt.Record, len(streams))
 	corrupted := ""
-	for name, recs := range ds.MRT {
+	for name, recs := range streams {
 		broken[name] = recs
 	}
 	for name, recs := range broken {
@@ -118,10 +133,8 @@ func TestParallelLoadErrorMatchesSerial(t *testing.T) {
 	if corrupted == "" {
 		t.Skip("no RIB record found to corrupt")
 	}
-	ds.MRT = broken
-
-	_, errSerial := NewWithOptions(ds, Options{Workers: 1})
-	_, errParallel := New(ds)
+	_, errSerial := newPipeline(ds, broken, 1)
+	_, errParallel := newPipeline(ds, broken, 0)
 	if errSerial == nil || errParallel == nil {
 		t.Fatalf("both paths should fail: serial=%v parallel=%v", errSerial, errParallel)
 	}

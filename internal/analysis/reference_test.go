@@ -118,11 +118,8 @@ func TestDerivedOnceMatchesReference(t *testing.T) {
 			t.Fatalf("generate: %v", err)
 		}
 		scenario.AmplifyVolume(w, 2048, seed)
-		base, err := New(Dataset{
-			Window: w.Params.Window,
-			DROP:   w.DROP, SBL: w.SBL, IRR: w.IRR, RPKI: w.RPKI, RIR: w.RIR,
-			MRT: w.MRT,
-		})
+		ds, streams := worldDataset(w)
+		base, err := newPipeline(ds, streams, 0)
 		if err != nil {
 			t.Fatalf("pipeline: %v", err)
 		}

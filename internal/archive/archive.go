@@ -9,9 +9,9 @@
 //	  rpki/<YYYYMMDD>.csv           ROA snapshots, changed days only
 //	  rirstats/<YYYYMMDD>/delegated-<rir>-extended  RIR stats, changed days
 //
-// Loading reconstructs every journaled store by diffing consecutive
+// Loading reconstructs every journaled text store by diffing consecutive
 // snapshots — the same reassembly the paper's pipeline performed over the
-// public archives.
+// public archives. The RIB build decodes the MRT streams.
 package archive
 
 import (
@@ -37,7 +37,8 @@ import (
 	"dropscope/internal/timex"
 )
 
-// Bundle is the set of stores the archive directory holds.
+// Bundle is the set of stores the archive directory holds. MRT is
+// written, never loaded: the RIB build streams the files itself.
 type Bundle struct {
 	MRT  map[string][]mrt.Record
 	DROP *drop.Archive
@@ -72,46 +73,25 @@ func Write(dir string, b *Bundle) error {
 	return writeRIRStats(filepath.Join(dir, "rirstats"), b.RIR)
 }
 
-// Load reads a bundle previously persisted with Write. Any corrupt
-// record or malformed line fails the load; use LoadWithHealth to read
-// damaged archives.
-func Load(dir string) (*Bundle, error) {
-	return load(dir, LoadOptions{})
-}
-
-// LoadWithHealth is the lenient variant of Load: corrupt MRT records and
-// malformed text lines are skipped rather than fatal, with every skip
-// classified per source in h (source names are archive-relative paths
-// like "mrt/rv1" or "drop/20190605.txt"). The caller decides afterwards
-// — from h's per-source counters — whether any source is too damaged to
-// use. h must not be nil.
-func LoadWithHealth(dir string, h *ingest.Health) (*Bundle, error) {
-	return LoadWithOptions(dir, LoadOptions{Health: h})
-}
-
 // LoadOptions configures LoadWithOptions.
 type LoadOptions struct {
-	// Health enables lenient loading with per-source skip accounting, as
-	// in LoadWithHealth. Nil loads strictly.
+	// Health enables lenient loading: malformed lines are skipped, not
+	// fatal, and classified per source (archive-relative paths like
+	// "drop/20190605.txt") for the caller to judge. Nil loads strictly.
 	Health *ingest.Health
-	// SkipMRT leaves Bundle.MRT nil and never opens the mrt/
-	// subdirectory. Warm-start callers set it when a verified index
-	// snapshot already carries everything the MRT streams would be
-	// decoded into.
+	// SkipMRT does nothing: no load opens mrt/, which the RIB build
+	// decodes (internal/loader). It is kept for callers that set it.
 	SkipMRT bool
 	// Workers bounds the goroutines parsing rirstats day directories;
-	// <= 0 means runtime.GOMAXPROCS(0). Above 1 the six sources also
+	// <= 0 means runtime.GOMAXPROCS(0). Above 1 the five sources also
 	// load concurrently with each other; at 1 the whole load runs on the
 	// calling goroutine, one source after another.
 	Workers int
 }
 
-// LoadWithOptions is Load under explicit options.
+// LoadWithOptions reads the text archives of a bundle previously
+// persisted with Write; Bundle.MRT stays nil.
 func LoadWithOptions(dir string, opts LoadOptions) (*Bundle, error) {
-	return load(dir, opts)
-}
-
-func load(dir string, opts LoadOptions) (*Bundle, error) {
 	h := opts.Health
 	workers := opts.Workers
 	if workers <= 0 {
@@ -121,12 +101,6 @@ func load(dir string, opts LoadOptions) (*Bundle, error) {
 	// One loader per source, each filling its own field of b, in the
 	// order their errors are reported.
 	loaders := []func() error{
-		func() (err error) {
-			if !opts.SkipMRT {
-				b.MRT, err = loadMRT(filepath.Join(dir, "mrt"), h)
-			}
-			return err
-		},
 		func() error { return loadDROP(filepath.Join(dir, "drop"), b.DROP, h) },
 		func() error { return loadSBL(filepath.Join(dir, "sbl", "records.txt"), b.SBL, h) },
 		func() error { return loadIRR(filepath.Join(dir, "irr", "journal.rpsl"), b.IRR, h) },
@@ -189,35 +163,6 @@ func writeMRT(dir string, streams map[string][]mrt.Record) error {
 		}
 	}
 	return nil
-}
-
-func loadMRT(dir string, h *ingest.Health) (map[string][]mrt.Record, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]mrt.Record)
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".mrt") {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		collector := strings.TrimSuffix(e.Name(), ".mrt")
-		var opts []mrt.Option
-		if h != nil {
-			opts = []mrt.Option{mrt.Lenient(), mrt.WithSource(h.Source("mrt/" + collector))}
-		}
-		recs, err := mrt.ReadAll(bufio.NewReader(f), opts...)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("archive: %s: %w", e.Name(), err)
-		}
-		out[collector] = recs
-	}
-	return out, nil
 }
 
 // --- DROP ---------------------------------------------------------------

@@ -1,10 +1,14 @@
 package archive
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"dropscope/internal/analysis"
+	"dropscope/internal/mrt"
+	"dropscope/internal/rib"
 	"dropscope/internal/scenario"
 	"dropscope/internal/timex"
 )
@@ -26,7 +30,7 @@ func TestRoundTripThroughDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := Load(dir)
+	loaded, err := LoadWithOptions(dir, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +92,33 @@ func TestRoundTripThroughDisk(t *testing.T) {
 		}
 	}
 
-	// MRT streams byte-equivalent record counts.
+	// MRT streams byte-equivalent record counts. The load leaves them to
+	// the RIB build; decode them here.
+	streams := make(map[string][]mrt.Record, len(w.MRT))
 	for name, recs := range w.MRT {
-		if got := len(loaded.MRT[name]); got != len(recs) {
+		raw, err := os.ReadFile(filepath.Join(dir, "mrt", name+".mrt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if streams[name], err = mrt.ReadAll(bytes.NewReader(raw)); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(streams[name]); got != len(recs) {
 			t.Errorf("MRT %s: %d != %d records", name, got, len(recs))
 		}
 	}
 
 	// The reloaded dataset drives the full pipeline to the same headline
 	// numbers as the in-memory one.
-	run := func(b *Bundle) (int, float64) {
-		pl, err := analysis.New(analysis.Dataset{
+	run := func(b *Bundle, streams map[string][]mrt.Record) (int, float64) {
+		ix, err := rib.Build(rib.Streams(streams), p.Window.Last, 0, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := analysis.NewWithOptions(analysis.Dataset{
 			Window: p.Window, DROP: b.DROP, SBL: b.SBL, IRR: b.IRR,
-			RPKI: b.RPKI, RIR: b.RIR, MRT: b.MRT,
-		})
+			RPKI: b.RPKI, RIR: b.RIR,
+		}, analysis.Options{Index: ix})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,8 +126,8 @@ func TestRoundTripThroughDisk(t *testing.T) {
 		f2 := pl.Fig2Visibility()
 		return f1.WithRecord, f2.WithdrawnWithin30
 	}
-	wr1, wd1 := run(bundle)
-	wr2, wd2 := run(loaded)
+	wr1, wd1 := run(bundle, w.MRT)
+	wr2, wd2 := run(loaded, streams)
 	if wr1 != wr2 || wd1 != wd2 {
 		t.Errorf("pipeline results differ: (%d, %.4f) vs (%d, %.4f)", wr1, wd1, wr2, wd2)
 	}

@@ -13,17 +13,20 @@
 package loader
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"dropscope/internal/analysis"
 	"dropscope/internal/archive"
 	"dropscope/internal/delta"
 	"dropscope/internal/ingest"
+	"dropscope/internal/mrt"
 	"dropscope/internal/rib"
 	"dropscope/internal/ribsnap"
 	"dropscope/internal/timex"
@@ -150,13 +153,38 @@ func Load(dir string, o Options) (*Loaded, error) {
 		l.Snapshot = l.Shards.Master()
 	}
 
-	b, err := archive.LoadWithOptions(dir, archive.LoadOptions{Health: h, SkipMRT: l.Shards != nil, Workers: o.Workers})
-	if err != nil {
+	// A cold load builds the index from mrt/ while the text archives load,
+	// as the text sources overlap one another; at Workers 1, one after
+	// the other.
+	var (
+		b               *archive.Bundle
+		ix              *rib.Index
+		counts          []ribsnap.CollectorCount
+		textErr, mrtErr error
+	)
+	text := func() { b, textErr = archive.LoadWithOptions(dir, archive.LoadOptions{Health: h, Workers: o.Workers}) }
+	switch {
+	case l.Shards != nil:
+		text()
+	case o.Workers == 1:
+		ix, counts, mrtErr = build(mrtDir, o)
+		text()
+	default:
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			text()
+		}()
+		ix, counts, mrtErr = build(mrtDir, o)
+		<-done
+	}
+	if err := loadError(mrtErr, textErr); err != nil {
 		l.close()
 		return nil, fmt.Errorf("load: %w", err)
 	}
-	aopts := analysis.Options{Workers: o.Workers, Lenient: h != nil, MaxSkip: o.MaxSkip, Health: h}
+	aopts := analysis.Options{Health: h, Index: ix}
 	if l.Shards != nil {
+		var err error
 		if aopts.Index, err = l.Shards.Querier(o.Workers); err != nil {
 			l.close()
 			return nil, fmt.Errorf("cached index: %w", err)
@@ -165,7 +193,6 @@ func Load(dir string, o Options) (*Loaded, error) {
 	p, err := analysis.NewWithOptions(analysis.Dataset{
 		Window: o.Window,
 		DROP:   b.DROP, SBL: b.SBL, IRR: b.IRR, RPKI: b.RPKI, RIR: b.RIR,
-		MRT: b.MRT,
 	}, aopts)
 	if err != nil {
 		l.close()
@@ -182,14 +209,13 @@ func Load(dir string, o Options) (*Loaded, error) {
 			}
 		}
 	} else {
-		ix, _ := p.Index.(*rib.Index)
 		l.Snapshot = &ribsnap.Snapshot{Index: ix, Window: o.Window, Digest: digest}
 		// A partial index must never masquerade as the archive's: only
 		// clean MRT ingest is persisted. Best-effort beyond that — a
 		// failed write leaves the load unaffected.
 		if st != nil && keyed && mrtClean(h) {
 			lin := &ribsnap.Lineage{MaxDay: ix.MaxDay(), Cursors: cursors}
-			if persist(st, o, ix, digest, collectorCounts(b, h), lin) == nil && o.Shards > 1 {
+			if persist(st, o, ix, digest, counts, lin) == nil && o.Shards > 1 {
 				// Serve the reopened, file-backed shards, so a cold build
 				// and the warm start after it answer from identical bytes.
 				if ss, err := st.LoadShards(digest, o.MemBudget); err == nil {
@@ -362,21 +388,89 @@ func mrtClean(h *ingest.Health) bool {
 	return true
 }
 
-// collectorCounts flattens the per-collector record counts for the
-// snapshot header, sorted by collector name.
-func collectorCounts(b *archive.Bundle, h *ingest.Health) []ribsnap.CollectorCount {
-	names := make([]string, 0, len(b.MRT))
-	for name := range b.MRT {
-		names = append(names, name)
+// build decodes each collector's MRT file once, through a pooled
+// reader, straight into its RIB (rib.Build), and returns the closed
+// index with the per-collector record counts a generation header keeps,
+// in collector order.
+func build(mrtDir string, o Options) (*rib.Index, []ribsnap.CollectorCount, error) {
+	entries, err := os.ReadDir(mrtDir)
+	if err != nil {
+		return nil, nil, readError{err}
 	}
-	sort.Strings(names)
-	counts := make([]ribsnap.CollectorCount, 0, len(names))
-	for _, name := range names {
-		n := uint64(len(b.MRT[name]))
-		if h != nil {
-			n = h.Source("mrt/" + name).Records
+	var (
+		files   []*mrtFile
+		streams []rib.Stream
+	)
+	for _, e := range entries {
+		if name, ok := strings.CutSuffix(e.Name(), ".mrt"); ok && !e.IsDir() {
+			f := &mrtFile{path: filepath.Join(mrtDir, e.Name())}
+			files = append(files, f)
+			streams = append(streams, rib.Stream{Name: name, Open: f.open})
 		}
-		counts = append(counts, ribsnap.CollectorCount{Collector: name, Records: n})
 	}
-	return counts
+	ix, err := rib.Build(streams, o.Window.Last, o.Workers, o.Health, o.MaxSkip)
+	if err != nil {
+		return nil, nil, err
+	}
+	counts := make([]ribsnap.CollectorCount, len(files))
+	for i, f := range files {
+		counts[i] = ribsnap.CollectorCount{Collector: streams[i].Name, Records: f.records}
+	}
+	slices.SortFunc(counts, func(a, b ribsnap.CollectorCount) int { return strings.Compare(a.Collector, b.Collector) })
+	return ix, counts, nil
+}
+
+// mrtFile is one collector's archive file as a rib.Stream: opened by the
+// worker that reassembles it and decoded through a pooled reader, so no
+// record outlives the next one.
+type mrtFile struct {
+	path    string
+	f       *os.File
+	r       *mrt.Reader
+	records uint64 // records decoded
+}
+
+func (m *mrtFile) open(src *ingest.Source) (rib.RecordSource, error) {
+	f, err := os.Open(m.path)
+	if err != nil {
+		return nil, readError{err}
+	}
+	opts := []mrt.Option{mrt.ReuseRecords()}
+	if src != nil {
+		opts = append(opts, mrt.Lenient(), mrt.WithSource(src))
+	}
+	m.f, m.r = f, mrt.NewReader(bufio.NewReaderSize(f, 64<<10), opts...)
+	return m, nil
+}
+
+func (m *mrtFile) Next() (mrt.Record, error) {
+	rec, err := m.r.Next()
+	switch {
+	case err == nil:
+		m.records++
+	case err != io.EOF:
+		err = readError{fmt.Errorf("archive: %s: %w", filepath.Base(m.path), err)}
+	}
+	return rec, err
+}
+
+func (m *mrtFile) Close() error {
+	m.r.Release()
+	return m.f.Close()
+}
+
+// readError is a failure to read the MRT archive: a directory or file
+// that does not open, a record that does not decode.
+type readError struct{ error }
+
+func (e readError) Unwrap() error { return e.error }
+
+// loadError is the error a load reports, in one order whatever ran
+// concurrently: the MRT archive's bytes, then the text archives (in
+// archive.LoadWithOptions's source order), then reassembly.
+func loadError(mrtErr, textErr error) error {
+	if textErr == nil || errors.As(mrtErr, new(readError)) {
+		return mrtErr
+	}
+	return textErr
 }

@@ -2,6 +2,7 @@ package mrt
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -112,4 +113,67 @@ func FuzzReaderLenient(f *testing.F) {
 			t.Fatalf("source counters diverged: %+v vs %d/%d", src, records, r.Skipped())
 		}
 	})
+}
+
+// FuzzReaderReuse holds the pooled decode (ReuseRecords), which recycles
+// record storage between Next calls, to the allocating one over the same
+// bytes, strict and lenient: record for record the same bytes when
+// re-encoded, the same error, and the same source counters.
+func FuzzReaderReuse(f *testing.F) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	_ = w.Write(samplePeerIndex())
+	_ = w.Write(sampleRIB())
+	_ = w.Write(sampleBGP4MP())
+	short := sampleRIB()
+	short.Entries = short.Entries[:1]
+	_ = w.Write(short) // fewer entries than the slot storage holds
+	_ = w.Write(sampleRIB())
+	withdraw := sampleBGP4MP()
+	withdraw.Update = &bgp.Update{Withdrawn: []netx.Prefix{netx.MustParsePrefix("132.255.0.0/22")}}
+	_ = w.Write(withdraw) // no attributes after a message with some
+	_ = w.Write(sampleBGP4MP())
+	clean := buf.Bytes()
+	f.Add(clean)
+	f.Add(faultinject.New(1).DamageMRT(clean))
+	f.Add(faultinject.New(2).FlipBits(clean, 64))
+	f.Add(clean[:len(clean)-5])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, lenient := range []bool{false, true} {
+			var alloc, pooled ingest.Source
+			opts := func(src *ingest.Source) []Option {
+				if lenient {
+					return []Option{Lenient(), WithSource(src)}
+				}
+				return []Option{WithSource(src)}
+			}
+			ra := NewReader(bytes.NewReader(data), opts(&alloc)...)
+			rp := NewReader(bytes.NewReader(data), append(opts(&pooled), ReuseRecords())...)
+			for i := 0; ; i++ {
+				a, aerr := ra.Next()
+				p, perr := rp.Next()
+				if fmt.Sprint(aerr) != fmt.Sprint(perr) {
+					t.Fatalf("lenient=%v record %d: error %v, pooled %v", lenient, i, aerr, perr)
+				}
+				if aerr != nil {
+					break
+				}
+				ab, aw := encodeRecord(a)
+				pb, pw := encodeRecord(p)
+				if !bytes.Equal(ab, pb) || fmt.Sprint(aw) != fmt.Sprint(pw) {
+					t.Fatalf("lenient=%v record %d re-encodes to %x (%v), pooled %x (%v)", lenient, i, ab, aw, pb, pw)
+				}
+			}
+			rp.Release()
+			if alloc != pooled || ra.Skipped() != rp.Skipped() {
+				t.Fatalf("lenient=%v: counters %+v (%d skipped), pooled %+v (%d skipped)", lenient, alloc, ra.Skipped(), pooled, rp.Skipped())
+			}
+		}
+	})
+}
+
+func encodeRecord(rec Record) ([]byte, error) {
+	var out bytes.Buffer
+	err := NewWriter(&out).Write(rec)
+	return out.Bytes(), err
 }

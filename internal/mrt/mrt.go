@@ -284,8 +284,8 @@ func WithSource(src *ingest.Source) Option { return func(r *Reader) { r.src = sr
 // (and everything it references — peer lists, RIB entries, attributes,
 // AS paths, prefixes) is valid only until the following Next call;
 // callers must copy or intern whatever they keep. Call Release when
-// done to return the scratch to the pool. Do not combine with ReadAll
-// or AppendRecords, which retain every record.
+// done to return the scratch to the pool. Do not combine with ReadAll,
+// which retains every record.
 func ReuseRecords() Option { return func(r *Reader) { r.reuse = true } }
 
 // Release returns a reusing Reader's scratch storage to the shared
@@ -319,9 +319,6 @@ func NewReader(r io.Reader, opts ...Option) *Reader {
 // Skipped returns how many records the Reader has skipped so far (always
 // 0 in strict mode, where the first bad record aborts instead).
 func (r *Reader) Skipped() int { return r.skipped }
-
-// Offset returns the absolute byte offset of the next unread byte.
-func (r *Reader) Offset() int64 { return r.off }
 
 // recordError is a classified per-record failure. It carries the record
 // index and starting byte offset, wraps the underlying cause (so
@@ -790,16 +787,9 @@ func decodeBGP4MPInto(ts time.Time, b []byte, m *BGP4MPMessage, upd *bgp.Update)
 // caller hitting a truncated archive keeps the good prefix — check the
 // slice even when err != nil. Options are forwarded to the underlying
 // Reader; with Lenient() the error can only be a skip-budget overrun.
+// Because the records are retained, do not pass ReuseRecords here.
 func ReadAll(r io.Reader, opts ...Option) ([]Record, error) {
-	return AppendRecords(nil, r, opts...)
-}
-
-// AppendRecords drains r, appending every decoded record to dst and
-// returning the extended slice. Like ReadAll its contract is
-// partial-result: on error the returned slice still ends with every
-// record parsed so far. Because the records are retained, do not pass
-// the ReuseRecords option here.
-func AppendRecords(dst []Record, r io.Reader, opts ...Option) ([]Record, error) {
+	var dst []Record
 	mr := NewReader(r, opts...)
 	for {
 		rec, err := mr.Next()

@@ -2,11 +2,11 @@ package rib
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 
 	"dropscope/internal/bgp"
+	"dropscope/internal/ingest"
 	"dropscope/internal/mrt"
 	"dropscope/internal/netx"
 )
@@ -115,27 +115,12 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-// sliceSource adapts a []mrt.Record to the RecordSource stream API.
-type sliceSource struct {
-	recs []mrt.Record
-	i    int
-}
-
-func (s *sliceSource) Next() (mrt.Record, error) {
-	if s.i >= len(s.recs) {
-		return nil, io.EOF
-	}
-	r := s.recs[s.i]
-	s.i++
-	return r, nil
-}
-
-// TestLoadCollectorFromMatchesLoadCollector proves the streaming load
-// path equals the slice path, both over a plain record slice and over a
-// real mrt.Reader in ReuseRecords mode — the mode that recycles record
-// storage between Next calls, which is exactly what the interning copy
-// discipline has to survive.
-func TestLoadCollectorFromMatchesLoadCollector(t *testing.T) {
+// TestLoadCollectorPooledReaderMatchesSlice proves a collector loaded
+// off a real mrt.Reader in ReuseRecords mode — the mode that recycles
+// record storage between Next calls, which is exactly what the
+// interning copy discipline has to survive — equals one loaded from the
+// record slice, strict and lenient.
+func TestLoadCollectorPooledReaderMatchesSlice(t *testing.T) {
 	recs := []mrt.Record{
 		peerTable(),
 		announce(day0, 0, bgp.Sequence(64500, 100), pfx),
@@ -145,15 +130,8 @@ func TestLoadCollectorFromMatchesLoadCollector(t *testing.T) {
 	}
 
 	want := queriesOf(t, mustLoad(t, func() (*CollectorRIB, error) {
-		return LoadCollector("c", recs)
+		return LoadCollector("c", &records{recs: recs}, nil)
 	}))
-
-	got := queriesOf(t, mustLoad(t, func() (*CollectorRIB, error) {
-		return LoadCollectorFrom("c", &sliceSource{recs: recs})
-	}))
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("slice-backed LoadCollectorFrom differs:\n got %+v\nwant %+v", got, want)
-	}
 
 	var buf bytes.Buffer
 	w := mrt.NewWriter(&buf)
@@ -162,13 +140,22 @@ func TestLoadCollectorFromMatchesLoadCollector(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := mrt.NewReader(bytes.NewReader(buf.Bytes()), mrt.ReuseRecords())
-	defer r.Release()
-	got = queriesOf(t, mustLoad(t, func() (*CollectorRIB, error) {
-		return LoadCollectorFrom("c", r)
-	}))
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("mrt.Reader-backed LoadCollectorFrom differs:\n got %+v\nwant %+v", got, want)
+	for _, src := range []*ingest.Source{nil, {}} {
+		opts := []mrt.Option{mrt.ReuseRecords()}
+		if src != nil {
+			opts = append(opts, mrt.Lenient(), mrt.WithSource(src))
+		}
+		r := mrt.NewReader(bytes.NewReader(buf.Bytes()), opts...)
+		got := queriesOf(t, mustLoad(t, func() (*CollectorRIB, error) {
+			return LoadCollector("c", r, src)
+		}))
+		r.Release()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("lenient=%v: pooled mrt.Reader load differs:\n got %+v\nwant %+v", src != nil, got, want)
+		}
+		if src != nil && (src.Records != uint64(len(recs)) || src.Skipped() != 0) {
+			t.Errorf("clean stream counted %d records, %d skips", src.Records, src.Skipped())
+		}
 	}
 }
 

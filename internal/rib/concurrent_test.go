@@ -69,7 +69,7 @@ func buildParallel(t testing.TB, n int) *Index {
 		go func(i int) {
 			defer wg.Done()
 			name, recs := collectorStream(i)
-			c, err := LoadCollector(name, recs)
+			c, err := LoadCollector(name, &records{recs: recs}, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -155,7 +155,7 @@ func TestMergeSameCollectorTwice(t *testing.T) {
 
 	merged := NewIndex()
 	for i := 0; i < 2; i++ {
-		c, err := LoadCollector(name, recs)
+		c, err := LoadCollector(name, &records{recs: recs}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestMergeSameCollectorTwice(t *testing.T) {
 
 func TestMergeAfterCloseFails(t *testing.T) {
 	name, recs := collectorStream(0)
-	c, err := LoadCollector(name, recs)
+	c, err := LoadCollector(name, &records{recs: recs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestConcurrentReaders(t *testing.T) {
 func TestLoadCollectorErrorsMatchLoad(t *testing.T) {
 	bad := []mrt.Record{&mrt.RIBPrefix{When: at(day0), Prefix: pfx,
 		Entries: []mrt.RIBEntry{{PeerIndex: 0}}}}
-	_, errC := LoadCollector("rv1", bad)
+	_, errC := LoadCollector("rv1", &records{recs: bad}, nil)
 	errL := NewIndex().Load("rv1", bad)
 	if errC == nil || errL == nil {
 		t.Fatal("both paths should fail")

@@ -29,11 +29,12 @@
 // LoadCollector calls may run concurrently. Merging CollectorRIBs into an
 // Index and calling Close must happen on a single goroutine; merging in a
 // fixed collector order yields an Index identical to serial loading in
-// that order. After Close the Index is immutable (Close builds the
-// columnar store eagerly; covering queries binary-search its sorted
-// prefix column), so every query method is safe for unlimited
-// concurrent readers. Close is idempotent: repeated calls do not
-// re-sort or re-intern anything.
+// that order. Build does all of it: one pass per collector stream, then
+// the merge in name order and Close. After Close the Index is immutable
+// (Close builds the columnar store eagerly; covering queries
+// binary-search its sorted prefix column), so every query method is
+// safe for unlimited concurrent readers. Close is idempotent: repeated
+// calls do not re-sort or re-intern anything.
 package rib
 
 import (
@@ -184,18 +185,7 @@ type CollectorRIB struct {
 	spans     []Span
 	open      map[openKey]int32 // (prefix, peer) -> index+1 of its open span
 	maxDay    timex.Day         // largest day stamped on any applied record
-	// copyPaths forces a deep copy when interning paths. Loading from a
-	// materialized []mrt.Record aliases the records' path storage (as the
-	// pre-interning representation did); a streaming source recycles
-	// record storage between records, so LoadCollectorFrom sets this.
-	copyPaths bool
 }
-
-// Collector returns the collector name the RIB was loaded from.
-func (c *CollectorRIB) Collector() string { return c.collector }
-
-// NumPrefixes returns the number of distinct prefixes the collector saw.
-func (c *CollectorRIB) NumPrefixes() int { return c.prefixes.Len() }
 
 func (c *CollectorRIB) peerID(ref PeerRef) int {
 	if id, ok := c.peerIDs[ref]; ok {
@@ -215,60 +205,28 @@ func newCollectorRIB(collector string) *CollectorRIB {
 	}
 }
 
-// LoadCollector consumes one collector's MRT record stream into a
-// standalone CollectorRIB: a PEER_INDEX_TABLE declares the peer set,
-// RIB_IPV4_UNICAST records seed routes, and BGP4MP messages open and close
-// presence intervals. Records must be in timestamp order within the
-// stream. The first record that cannot be applied fails the load; use
-// LoadCollectorHealth to skip and count such records instead.
-func LoadCollector(collector string, recs []mrt.Record) (*CollectorRIB, error) {
-	return loadCollector(collector, recs, nil)
-}
-
-// LoadCollectorHealth is the lenient variant of LoadCollector: records
-// that decoded but cannot be applied (a RIB entry before any peer index
-// table, a peer index beyond the table, an unsupported record type) are
-// skipped and classified on src rather than failing the whole collector.
-// src must not be nil and must not be shared with a concurrent loader.
-func LoadCollectorHealth(collector string, recs []mrt.Record, src *ingest.Source) (*CollectorRIB, error) {
-	return loadCollector(collector, recs, src)
-}
-
-func loadCollector(collector string, recs []mrt.Record, src *ingest.Source) (*CollectorRIB, error) {
-	c := newCollectorRIB(collector)
-	for _, rec := range recs {
-		if err := c.apply(rec, src); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
 // RecordSource is a stream of decoded MRT records ending in io.EOF —
 // *mrt.Reader satisfies it directly.
 type RecordSource interface {
 	Next() (mrt.Record, error)
 }
 
-// LoadCollectorFrom streams one collector's records straight off a
-// RecordSource into a CollectorRIB without ever materializing a
-// []mrt.Record. Because apply interns every prefix and path it keeps,
-// the source may recycle record storage between Next calls — pair this
-// with an mrt.Reader in ReuseRecords mode for an allocation-free decode
-// loop. Errors from the source (other than io.EOF) abort the load.
-func LoadCollectorFrom(collector string, rs RecordSource) (*CollectorRIB, error) {
-	return loadCollectorFrom(collector, rs, nil)
-}
-
-// LoadCollectorFromHealth is the lenient variant of LoadCollectorFrom:
-// records that cannot be applied are skipped and classified on src.
-func LoadCollectorFromHealth(collector string, rs RecordSource, src *ingest.Source) (*CollectorRIB, error) {
-	return loadCollectorFrom(collector, rs, src)
-}
-
-func loadCollectorFrom(collector string, rs RecordSource, src *ingest.Source) (*CollectorRIB, error) {
+// LoadCollector consumes one collector's MRT record stream into a
+// standalone CollectorRIB: a PEER_INDEX_TABLE declares the peer set,
+// RIB_IPV4_UNICAST records seed routes, and BGP4MP messages open and close
+// presence intervals. Records must be in timestamp order within the
+// stream. Every prefix and path kept is interned (copied), so the source
+// may recycle record storage between Next calls — an mrt.Reader in
+// ReuseRecords mode makes the decode loop allocation-free. An error from
+// the source (other than io.EOF) aborts the load.
+//
+// With a nil src the first record that cannot be applied (a RIB entry
+// before any peer index table, a peer index beyond the table, an
+// unsupported record type) fails the load; otherwise such records are
+// skipped and classified on src, which must not be shared with a
+// concurrent loader.
+func LoadCollector(collector string, rs RecordSource, src *ingest.Source) (*CollectorRIB, error) {
 	c := newCollectorRIB(collector)
-	c.copyPaths = true
 	for {
 		rec, err := rs.Next()
 		if err == io.EOF {
@@ -338,19 +296,14 @@ func (c *CollectorRIB) apply(rec mrt.Record, src *ingest.Source) error {
 			src.Skip(ingest.Unsupported)
 			return nil
 		}
-		return fmt.Errorf("rib: unsupported record %T", rec)
+		return fmt.Errorf("rib: %s: unsupported record %T", c.collector, rec)
 	}
 	return nil
 }
 
 // openSpan starts (or re-points) the peer's route for the prefix.
 func (c *CollectorRIB) openSpan(pfx uint32, pid int, day timex.Day, path bgp.ASPath) {
-	var id bgp.PathID
-	if c.copyPaths {
-		id = c.paths.Intern(path)
-	} else {
-		id = c.paths.InternShared(path)
-	}
+	id := c.paths.Intern(path)
 	k := openKey{prefix: pfx, peer: int32(pid)}
 	if si := c.open[k]; si != 0 {
 		s := &c.spans[si-1]
@@ -436,13 +389,14 @@ func (ix *Index) Merge(c *CollectorRIB) error {
 // Load consumes one collector's MRT record stream: a PEER_INDEX_TABLE
 // declares the peer set, RIB_IPV4_UNICAST records seed routes, and
 // BGP4MP messages open and close presence intervals. Records must be in
-// timestamp order within the stream. Load is the serial path; it is
-// exactly LoadCollector followed by Merge.
+// timestamp order within the stream. Load is the serial path over an
+// in-memory stream; it is exactly a strict LoadCollector followed by
+// Merge.
 func (ix *Index) Load(collector string, recs []mrt.Record) error {
 	if ix.closed {
 		return fmt.Errorf("rib: index already closed")
 	}
-	c, err := LoadCollector(collector, recs)
+	c, err := LoadCollector(collector, &records{recs: recs}, nil)
 	if err != nil {
 		return err
 	}

@@ -25,6 +25,7 @@ internal/irr FuzzParse
 internal/irr FuzzParseJournal
 internal/mrt FuzzReader
 internal/mrt FuzzReaderLenient
+internal/mrt FuzzReaderReuse
 internal/netx FuzzParsePrefix
 internal/netx FuzzParseAddr
 internal/ribsnap FuzzSnapshotLoad

@@ -12,8 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"dropscope/internal/bgp"
 	"dropscope/internal/netx"
@@ -46,15 +44,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	asnStr := strings.TrimPrefix(strings.ToUpper(*origin), "AS")
-	asn, err := strconv.ParseUint(asnStr, 10, 32)
+	asn, err := bgp.ParseASN(*origin)
 	if err != nil {
 		fatal(fmt.Errorf("bad origin %q", *origin))
 	}
 
-	tals := append([]rpki.TrustAnchor{}, rpki.DefaultTALs...)
+	tals := rpki.DefaultTALs
 	if *withAS0 {
-		tals = append(tals, rpki.TAAPNICAS0, rpki.TALACNICAS0)
+		tals = rpki.WithAS0TALs
 	}
 	allowed := make(map[rpki.TrustAnchor]bool, len(tals))
 	for _, ta := range tals {
@@ -67,8 +64,8 @@ func main() {
 		}
 	}
 
-	v := rpki.Validate(p, bgp.ASN(asn), candidates)
-	fmt.Printf("%s origin AS%d: %s\n", p, asn, v)
+	v := rpki.Validate(p, asn, candidates)
+	fmt.Printf("%s origin AS%d: %s\n", p, uint32(asn), v)
 	for _, r := range candidates {
 		if r.Prefix.Covers(p) {
 			fmt.Printf("  covering ROA: %s\n", r)

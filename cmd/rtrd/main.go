@@ -43,9 +43,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tals := append([]rpki.TrustAnchor{}, rpki.DefaultTALs...)
+	tals := rpki.DefaultTALs
 	if *withAS0 {
-		tals = append(tals, rpki.TAAPNICAS0, rpki.TALACNICAS0)
+		tals = rpki.WithAS0TALs
 	}
 	vrps := rtr.SnapshotVRPs(bundle.RPKI, day, tals)
 

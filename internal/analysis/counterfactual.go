@@ -30,8 +30,6 @@ type ROVImpact struct {
 // announcement against the ROA archive as of its listing day.
 func (p *Pipeline) ROVCounterfactual() ROVImpact {
 	var out ROVImpact
-	as0TALs := append(append([]rpki.TrustAnchor{}, rpki.DefaultTALs...),
-		rpki.TAAPNICAS0, rpki.TALACNICAS0)
 	for _, l := range p.NonIncident() {
 		origin, routed := p.originAtListing(l)
 		switch {
@@ -56,7 +54,7 @@ func (p *Pipeline) ROVCounterfactual() ROVImpact {
 			if p.ds.RPKI.ValidateAt(l.Prefix, origin, l.Added, rpki.DefaultTALs) == rpki.Invalid {
 				out.SquatsBlockedDefault++
 			}
-			if p.ds.RPKI.ValidateAt(l.Prefix, origin, l.Added, as0TALs) == rpki.Invalid {
+			if p.ds.RPKI.ValidateAt(l.Prefix, origin, l.Added, rpki.WithAS0TALs) == rpki.Invalid {
 				out.SquatsBlockedWithAS0++
 			}
 		}

@@ -21,6 +21,35 @@ const AS0 ASN = 0
 // String renders the ASN in the canonical "AS64500" form.
 func (a ASN) String() string { return fmt.Sprintf("AS%d", uint32(a)) }
 
+// ParseASN parses an AS number: an optional "AS" prefix in either case,
+// then decimal digits no larger than 2³²−1. No sign, no spaces.
+func ParseASN(s string) (ASN, error) { return parseASN(s) }
+
+// ParseASNBytes is ParseASN over a field of a larger buffer, without
+// converting it to a string.
+func ParseASNBytes(b []byte) (ASN, error) { return parseASN(b) }
+
+func parseASN[S string | []byte](s S) (ASN, error) {
+	digits := s
+	if len(digits) >= 2 && (digits[0] == 'A' || digits[0] == 'a') && (digits[1] == 'S' || digits[1] == 's') {
+		digits = digits[2:]
+	}
+	if len(digits) == 0 {
+		return 0, fmt.Errorf("bgp: bad AS number %q", s)
+	}
+	var n uint64
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return 0, fmt.Errorf("bgp: bad AS number %q", s)
+		}
+		if n = n*10 + uint64(c-'0'); n > 1<<32-1 {
+			return 0, fmt.Errorf("bgp: AS number %q out of range", s)
+		}
+	}
+	return ASN(n), nil
+}
+
 // Message type codes from RFC 4271 §4.1.
 const (
 	TypeOpen         = 1

@@ -2,6 +2,8 @@ package bgp
 
 import (
 	"bytes"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dropscope/internal/netx"
@@ -58,6 +60,34 @@ func FuzzReadMessage(f *testing.F) {
 			_, _ = DecodeNotification(msg.Body)
 		case TypeUpdate:
 			_, _ = DecodeUpdate(msg.Raw)
+		}
+	})
+}
+
+// FuzzParseASN holds the string and byte forms of the AS number parser
+// to one answer and one error text, and accepted input to the rule:
+// an optional AS prefix in either case, then decimal digits that
+// strconv reads as a uint32.
+func FuzzParseASN(f *testing.F) {
+	for _, seed := range []string{
+		"AS64500", "as0", "aS12", "4294967295", "AS4294967296", "ASX", "AS", "",
+		"+5", "-1", "0012", "AS 5", "ASAS5", "99999999999999999999",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		a, err := ParseASN(s)
+		ab, errb := ParseASNBytes([]byte(s))
+		if ab != a || (err == nil) != (errb == nil) || (err != nil && err.Error() != errb.Error()) {
+			t.Fatalf("ParseASN(%q) = %v, %v; ParseASNBytes = %v, %v", s, a, err, ab, errb)
+		}
+		digits := s
+		if len(s) >= 2 && strings.EqualFold(s[:2], "AS") {
+			digits = s[2:]
+		}
+		n, perr := strconv.ParseUint(digits, 10, 32)
+		if (perr == nil) != (err == nil) || (perr == nil && ASN(n) != a) {
+			t.Fatalf("ParseASN(%q) = %v, %v; strconv reads %q as %d, %v", s, a, err, digits, n, perr)
 		}
 	})
 }

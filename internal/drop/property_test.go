@@ -104,3 +104,68 @@ func TestListingsReconstructSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestListedAtMatchesListings holds ListedAt, the daemon's /v1/drop
+// answer, to the listing intervals Listings diffs out of the same
+// snapshots: a prefix is listed on day d iff one of its listings has
+// Added <= d < Removed. Snapshots land on sparse days, so most days
+// fall between two snapshots, and a prefix can leave and come back.
+// Each listing's own boundary days are probed explicitly.
+func TestListedAtMatchesListings(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	day0 := timex.MustParseDay("2020-01-01")
+	for trial := 0; trial < 20; trial++ {
+		prefixes := make([]netx.Prefix, 8)
+		for i := range prefixes {
+			prefixes[i] = netx.PrefixFrom(netx.AddrFrom4(10, byte(trial), byte(i), 0), 24)
+		}
+		a := NewArchive()
+		day := day0
+		for s := 0; s < 15; s++ {
+			day += timex.Day(1 + rng.Intn(6))
+			var entries []Entry
+			for _, p := range prefixes {
+				if rng.Intn(3) > 0 {
+					entries = append(entries, Entry{Prefix: p})
+				}
+			}
+			if err := a.AddSnapshot(day, entries); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last := day
+
+		listings := a.Listings()
+		inListing := func(p netx.Prefix, d timex.Day) bool {
+			for _, l := range listings {
+				if l.Prefix == p && l.Added <= d && (!l.HasRemoved || d < l.Removed) {
+					return true
+				}
+			}
+			return false
+		}
+		for _, p := range append(prefixes, netx.MustParsePrefix("203.0.113.0/24")) {
+			for d := day0 - 1; d <= last+1; d++ {
+				if got, want := a.ListedAt(p, d), inListing(p, d); got != want {
+					t.Fatalf("trial %d: ListedAt(%v, %v) = %v, listings say %v", trial, p, d, got, want)
+				}
+			}
+		}
+		type probe struct {
+			d    timex.Day
+			want bool
+		}
+		for _, l := range listings {
+			probes := []probe{{l.Added - 1, false}, {l.Added, true}}
+			if l.HasRemoved {
+				probes = append(probes, probe{l.Removed - 1, true}, probe{l.Removed, false})
+			}
+			for _, pr := range probes {
+				if got := a.ListedAt(l.Prefix, pr.d); got != pr.want {
+					t.Fatalf("trial %d: listing %v [%v, %v): ListedAt on %v = %v, want %v",
+						trial, l.Prefix, l.Added, l.Removed, pr.d, got, pr.want)
+				}
+			}
+		}
+	}
+}

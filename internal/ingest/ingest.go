@@ -150,12 +150,6 @@ func (s *Source) RetainStale(n uint64) { s.StaleRetained += n }
 // SweepStale counts n retained routes swept unrefreshed.
 func (s *Source) SweepStale(n uint64) { s.StaleSwept += n }
 
-// CountShed counts n requests rejected by admission control.
-func (s *Source) CountShed(n uint64) { s.Shed += n }
-
-// CountPanic counts one contained handler panic.
-func (s *Source) CountPanic() { s.Panics++ }
-
 // CountReloadRetry counts one failed, retried reload attempt.
 func (s *Source) CountReloadRetry() { s.ReloadRetries++ }
 

@@ -60,17 +60,6 @@ func (o *Object) Get(name string) (string, bool) {
 	return "", false
 }
 
-// GetAll returns every value of the named attribute.
-func (o *Object) GetAll(name string) []string {
-	var out []string
-	for _, a := range o.Attrs {
-		if a.Name == name {
-			out = append(out, a.Value)
-		}
-	}
-	return out
-}
-
 // Add appends an attribute.
 func (o *Object) Add(name, value string) {
 	o.Attrs = append(o.Attrs, Attr{name, value})

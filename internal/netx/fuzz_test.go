@@ -7,11 +7,16 @@ func FuzzParsePrefix(f *testing.F) {
 		"192.0.2.0/24", "0.0.0.0/0", "255.255.255.255/32", "10.0.0.0/8",
 		"", "/", "1.2.3.4", "1.2.3.4/", "999.0.0.0/8", "1.2.3.4/33",
 		"1.2.3.4/-1", "a.b.c.d/24", "1..2.3/8", "192.0.2.1/24",
+		"10.0.0.0/+8", "0.0.0.0/-0", "10.0.0.0/008", "10.0.0.0/99999999999999999999",
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		p, err := ParsePrefix(s)
+		pb, errb := ParsePrefixBytes([]byte(s))
+		if pb != p || (err == nil) != (errb == nil) || (err != nil && err.Error() != errb.Error()) {
+			t.Fatalf("ParsePrefix(%q) = %v, %v; ParsePrefixBytes = %v, %v", s, p, err, pb, errb)
+		}
 		if err != nil {
 			return
 		}

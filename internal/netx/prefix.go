@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Addr is an IPv4 address held as a big-endian 32-bit integer.
@@ -107,18 +106,38 @@ func maskOf(bits int) Addr {
 }
 
 // ParsePrefix parses a CIDR string such as "192.0.2.0/24".
-// Host bits below the mask must be zero (as in routing data).
-func ParsePrefix(s string) (Prefix, error) {
-	slash := strings.IndexByte(s, '/')
+// Host bits below the mask must be zero (as in routing data), and the
+// length is plain decimal digits: no sign.
+func ParsePrefix(s string) (Prefix, error) { return parsePrefix(s) }
+
+// ParsePrefixBytes is ParsePrefix over a field of a larger buffer,
+// without converting it to a string.
+func ParsePrefixBytes(b []byte) (Prefix, error) { return parsePrefix(b) }
+
+func parsePrefix[S string | []byte](s S) (Prefix, error) {
+	slash := -1
+	for i := 0; i < len(s); i++ {
+		if s[i] == '/' {
+			slash = i
+			break
+		}
+	}
 	if slash < 0 {
 		return Prefix{}, fmt.Errorf("%w: %q missing '/'", ErrBadPrefix, s)
 	}
-	addr, err := ParseAddr(s[:slash])
+	addr, err := parseAddr(s[:slash])
 	if err != nil {
 		return Prefix{}, fmt.Errorf("%w: %v", ErrBadPrefix, err)
 	}
-	bits, err := strconv.Atoi(s[slash+1:])
-	if err != nil || bits < 0 || bits > 32 {
+	digits, bits := s[slash+1:], 0
+	for i := 0; i < len(digits) && bits <= 32; i++ {
+		if c := digits[i]; c >= '0' && c <= '9' {
+			bits = bits*10 + int(c-'0')
+		} else {
+			bits = 33
+		}
+	}
+	if len(digits) == 0 || bits > 32 {
 		return Prefix{}, fmt.Errorf("%w: bad length in %q", ErrBadPrefix, s)
 	}
 	if addr&^maskOf(bits) != 0 {
@@ -253,7 +272,7 @@ func (a Addr) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (a *Addr) UnmarshalText(b []byte) error {
-	parsed, err := ParseAddr(string(b))
+	parsed, err := ParseAddrBytes(b)
 	if err != nil {
 		return err
 	}
@@ -267,7 +286,7 @@ func (p Prefix) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (p *Prefix) UnmarshalText(b []byte) error {
-	parsed, err := ParsePrefix(string(b))
+	parsed, err := ParsePrefixBytes(b)
 	if err != nil {
 		return err
 	}

@@ -61,6 +61,8 @@ func TestParsePrefix(t *testing.T) {
 		{"192.0.2.1/24", false}, // host bits set
 		{"192.0.2.0/33", false},
 		{"192.0.2.0/-1", false},
+		{"192.0.2.0/+24", false}, // the length is bare digits
+		{"0.0.0.0/-0", false},
 		{"192.0.2.0", false},
 		{"bogus/24", false},
 		{"192.0.2.0/abc", false},

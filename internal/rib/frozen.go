@@ -73,19 +73,18 @@ func FromFrozen(f *Frozen) (*Index, error) {
 		return nil, fmt.Errorf("rib: frozen offset tables do not cover their columns")
 	}
 	ix := &Index{
-		peers:      f.Peers,
-		peerIDs:    make(map[PeerRef]int, len(f.Peers)),
-		peerTables: make(map[string][]int),
-		paths:      bgp.FrozenPathInterner(f.Paths),
-		closed:     true,
-		built:      true,
-		sorted:     f.Prefixes,
-		col:        f.Col,
-		spanOff:    f.SpanOff,
-		evDay:      f.EvDay,
-		evCount:    f.EvCount,
-		evOff:      f.EvOff,
-		maxDay:     f.MaxDay,
+		peers:   f.Peers,
+		peerIDs: make(map[PeerRef]int, len(f.Peers)),
+		paths:   bgp.FrozenPathInterner(f.Paths),
+		closed:  true,
+		built:   true,
+		sorted:  f.Prefixes,
+		col:     f.Col,
+		spanOff: f.SpanOff,
+		evDay:   f.EvDay,
+		evCount: f.EvCount,
+		evOff:   f.EvOff,
+		maxDay:  f.MaxDay,
 	}
 	for id, ref := range f.Peers {
 		ix.peerIDs[ref] = id

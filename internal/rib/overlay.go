@@ -93,9 +93,6 @@ func NewDeltaBase(f *Frozen, baseEnd timex.Day) (*DeltaBase, error) {
 	return db, nil
 }
 
-// BaseEnd returns the close day the base was frozen at.
-func (db *DeltaBase) BaseEnd() timex.Day { return db.baseEnd }
-
 // Overlay replays one collector's appended record suffix against the
 // delta base, accumulating exactly the state MergeFrozen needs: new
 // spans keyed on base dictionaries (with overlay-local extensions for

@@ -41,10 +41,8 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"dropscope/internal/bgp"
 	"dropscope/internal/ingest"
@@ -110,8 +108,6 @@ type openKey struct {
 type Index struct {
 	peers   []PeerRef
 	peerIDs map[PeerRef]int
-	// peerTables maps collector name -> MRT peer index -> global peer id.
-	peerTables map[string][]int
 
 	prefixes netx.Interner
 	paths    *bgp.PathInterner
@@ -141,9 +137,8 @@ type Index struct {
 // NewIndex returns an empty Index.
 func NewIndex() *Index {
 	return &Index{
-		peerIDs:    make(map[PeerRef]int),
-		peerTables: make(map[string][]int),
-		paths:      &bgp.PathInterner{},
+		peerIDs: make(map[PeerRef]int),
+		paths:   &bgp.PathInterner{},
 	}
 }
 
@@ -352,13 +347,6 @@ func (ix *Index) Merge(c *CollectorRIB) error {
 	if c.maxDay > ix.maxDay {
 		ix.maxDay = c.maxDay
 	}
-	if c.table != nil {
-		table := make([]int, len(c.table))
-		for i, lid := range c.table {
-			table[i] = remap[lid]
-		}
-		ix.peerTables[c.collector] = table
-	}
 	pathRemap := make([]bgp.PathID, c.paths.Len())
 	for i := range pathRemap {
 		// The collector interner's canonical copies are immutable, so the
@@ -497,100 +485,31 @@ func (ix *Index) build() {
 	ix.col = col
 	ix.spanOff = offs
 
-	ix.buildEvents(0)
+	ix.buildEvents()
 	ix.built = true
 }
-
-// minPrefixesPerWorker bounds the buildEvents fan-out: below this many
-// prefixes per worker the goroutine and stitching overhead outweighs
-// the per-prefix interval-union work.
-const minPrefixesPerWorker = 64
 
 // buildEvents derives, per prefix, a sorted event list (day, peer count
 // from that day on). A peer's spans may overlap — the same collector
 // merged twice, or duplicated dump records — so each peer's intervals
 // are unioned first, keeping every peer's contribution to the count in
 // {0, 1} exactly as the per-peer observedBy scan behaved.
-//
-// Each prefix's event list depends only on that prefix's own span
-// bucket, so the union is embarrassingly parallel: workers (<= 0 means
-// runtime.GOMAXPROCS(0), clamped so every worker gets at least
-// minPrefixesPerWorker prefixes) each process one contiguous sid range
-// into worker-local buffers, which are then stitched back in sid order.
-// The output is byte-identical to the serial pass whatever the worker
-// count, and workers share only the immutable columnar store.
-func (ix *Index) buildEvents(workers int) {
+func (ix *Index) buildEvents() {
 	n := len(ix.sorted)
 	ix.evOff = make([]uint32, n+1)
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if max := n / minPrefixesPerWorker; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		ix.evDay = ix.evDay[:0]
-		ix.evCount = ix.evCount[:0]
-		var sc evScratch
-		for sid := 0; sid < n; sid++ {
-			ix.evDay, ix.evCount = appendPrefixEvents(
-				ix.evDay, ix.evCount, ix.col[ix.spanOff[sid]:ix.spanOff[sid+1]], &sc)
-			ix.evOff[sid+1] = uint32(len(ix.evDay))
-		}
-		return
-	}
-
-	type evChunk struct {
-		lo, hi    int // sid range [lo, hi)
-		days      []timex.Day
-		counts    []int32
-		perPrefix []uint32 // events emitted per prefix in the range
-	}
-	chunks := make([]evChunk, workers)
-	for w := range chunks {
-		chunks[w].lo = n * w / workers
-		chunks[w].hi = n * (w + 1) / workers
-		chunks[w].perPrefix = make([]uint32, chunks[w].hi-chunks[w].lo)
-	}
-	var wg sync.WaitGroup
-	for w := range chunks {
-		wg.Add(1)
-		go func(c *evChunk) {
-			defer wg.Done()
-			var sc evScratch
-			for sid := c.lo; sid < c.hi; sid++ {
-				before := len(c.days)
-				c.days, c.counts = appendPrefixEvents(
-					c.days, c.counts, ix.col[ix.spanOff[sid]:ix.spanOff[sid+1]], &sc)
-				c.perPrefix[sid-c.lo] = uint32(len(c.days) - before)
-			}
-		}(&chunks[w])
-	}
-	wg.Wait()
-
-	total := 0
-	for i := range chunks {
-		total += len(chunks[i].days)
-	}
-	ix.evDay = make([]timex.Day, 0, total)
-	ix.evCount = make([]int32, 0, total)
-	off, sid := uint32(0), 0
-	for i := range chunks {
-		c := &chunks[i]
-		ix.evDay = append(ix.evDay, c.days...)
-		ix.evCount = append(ix.evCount, c.counts...)
-		for _, cnt := range c.perPrefix {
-			off += cnt
-			sid++
-			ix.evOff[sid] = off
-		}
+	ix.evDay = ix.evDay[:0]
+	ix.evCount = ix.evCount[:0]
+	var sc evScratch
+	for sid := 0; sid < n; sid++ {
+		ix.evDay, ix.evCount = appendPrefixEvents(
+			ix.evDay, ix.evCount, ix.col[ix.spanOff[sid]:ix.spanOff[sid+1]], &sc)
+		ix.evOff[sid+1] = uint32(len(ix.evDay))
 	}
 }
 
-// evScratch is one worker's reusable sorter and interval scratch; the
-// closure-based sort helpers allocate per call, which at one call per
-// prefix dominated the whole build, so each worker reuses one typed
+// evScratch is the event build's reusable sorter and interval scratch;
+// the closure-based sort helpers allocate per call, which at one call
+// per prefix dominated the whole build, so the build reuses one typed
 // sorter and one interval buffer across its prefixes.
 type evScratch struct {
 	es  evSorter
@@ -598,10 +517,7 @@ type evScratch struct {
 }
 
 // appendPrefixEvents unions one prefix's span bucket into (day, count)
-// events appended to days/counts, returning the grown slices. It is a
-// pure function of the bucket, so concurrent calls over different
-// buckets (with distinct scratch) produce identical output to a serial
-// sweep.
+// events appended to days/counts, returning the grown slices.
 func appendPrefixEvents(days []timex.Day, counts []int32, spans []Span, sc *evScratch) ([]timex.Day, []int32) {
 	evs := sc.es.evs[:0]
 	ivs := sc.ivs

@@ -31,7 +31,7 @@ func shardFixture(t testing.TB, k int, digest [32]byte) (*Store, *rib.Index, tim
 		t.Fatal(err)
 	}
 	counts := []CollectorCount{{Collector: "rv0", Records: 11}, {Collector: "rv1", Records: 5}}
-	if err := st.WriteShards(shards, window, digest, counts, 0); err != nil {
+	if err := st.WriteShardsLineage(shards, window, digest, counts, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	return st, ix, window
@@ -109,7 +109,7 @@ func TestWriteLoadShards(t *testing.T) {
 	d := dg(0xC4)
 	st, ix, window := shardFixture(t, 4, d)
 	if !st.HasShards(d) {
-		t.Fatal("HasShards = false after WriteShards")
+		t.Fatal("HasShards = false after WriteShardsLineage")
 	}
 	if st.HasShards(dg(0xEE)) {
 		t.Fatal("HasShards = true for unknown digest")

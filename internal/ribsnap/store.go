@@ -178,24 +178,19 @@ func (st *Store) Parent(digest [32]byte) ([32]byte, bool) {
 	return st.m.Parent(digest)
 }
 
-// WriteShards durably persists a generation — shards cut with
+// WriteShardsLineage durably persists a generation — shards cut with
 // rib.FrozenShards written in parallel on a bounded pool (workers <= 0
 // means one per shard), then the shard manifest, then the parent
 // directory fsync — and journals it as written. The manifest is
 // written last, so crash recovery has a single rule: a generation
 // directory with a valid manifest is complete, one without is debris.
 // It does not promote; callers promote after deciding the generation
-// is the one to serve.
-func (st *Store) WriteShards(shards []*rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount, workers int) error {
-	return st.WriteShardsLineage(shards, window, digest, counts, workers, nil)
-}
-
-// WriteShardsLineage is WriteShards with lineage: every shard file
-// carries an identical copy (like the window and counts), and a
-// parent-bearing lineage journals a derived record.
+// is the one to serve. Every shard file carries an identical copy of
+// lin (like the window and counts), and a parent-bearing lineage
+// journals a derived record; a nil lin writes none.
 func (st *Store) WriteShardsLineage(shards []*rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount, workers int, lin *Lineage) error {
 	if len(shards) == 0 {
-		return fmt.Errorf("ribsnap: WriteShards needs at least one shard")
+		return fmt.Errorf("ribsnap: WriteShardsLineage needs at least one shard")
 	}
 	dir := st.GenDirPath(digest)
 	if err := os.MkdirAll(dir, 0o755); err != nil {

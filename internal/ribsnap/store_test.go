@@ -40,7 +40,7 @@ func TestStoreWritePromoteLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := dg(0xA1)
-	if err := st.WriteShards(frozen, window, a, nil, 0); err != nil {
+	if err := st.WriteShardsLineage(frozen, window, a, nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Manifest().Status(a); got != GenWritten {
@@ -80,7 +80,7 @@ func TestStoreCorruptMarkBlocksLoadUntilRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := dg(0xA2)
-	if err := st.WriteShards(frozen, window, a, nil, 0); err != nil {
+	if err := st.WriteShardsLineage(frozen, window, a, nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.MarkCorrupt(a); err != nil {
@@ -90,7 +90,7 @@ func TestStoreCorruptMarkBlocksLoadUntilRewrite(t *testing.T) {
 		t.Fatalf("load of corrupt generation = %v, want ErrCorrupt", err)
 	}
 	// A rewrite supersedes the mark — the cold-rebuild recovery cycle.
-	if err := st.WriteShards(frozen, window, a, nil, 0); err != nil {
+	if err := st.WriteShardsLineage(frozen, window, a, nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := loadGen(st, a); err != nil {
@@ -133,7 +133,7 @@ func TestStoreMarksMissingFilesRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := dg(0xA4)
-	if err := st.WriteShards(frozen, window, a, nil, 0); err != nil {
+	if err := st.WriteShardsLineage(frozen, window, a, nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.RemoveAll(st.GenDirPath(a)); err != nil {
@@ -185,7 +185,7 @@ func TestStoreGCRetention(t *testing.T) {
 	}
 	a, b, c := dg(0xB1), dg(0xB2), dg(0xB3)
 	for _, d := range [][32]byte{a, b, c} {
-		if err := st.WriteShards(frozen, window, d, nil, 0); err != nil {
+		if err := st.WriteShardsLineage(frozen, window, d, nil, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Promote(d); err != nil {
@@ -214,7 +214,7 @@ func TestStoreGCRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dg(0xB4)
-	if err := st.WriteShards(frozen, window, d, nil, 0); err != nil {
+	if err := st.WriteShardsLineage(frozen, window, d, nil, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Promote(d); err != nil {
@@ -276,7 +276,7 @@ func TestStoreGCMixedShardedAndLegacy(t *testing.T) {
 		d  [32]byte
 		fs []*rib.Frozen
 	}{{a, shards}, {b, monolith}, {c, shards}} {
-		if err := st.WriteShards(g.fs, window, g.d, nil, 0); err != nil {
+		if err := st.WriteShardsLineage(g.fs, window, g.d, nil, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Promote(g.d); err != nil {

@@ -41,6 +41,10 @@ const (
 // by default: the five production RIR TALs, no AS0 TALs.
 var DefaultTALs = []TrustAnchor{TAAfrinic, TAAPNIC, TAARIN, TALACNIC, TARIPE}
 
+// WithAS0TALs is DefaultTALs plus the APNIC and LACNIC AS0 TALs: the set
+// a validator runs with once an operator opts in to AS0 filtering.
+var WithAS0TALs = []TrustAnchor{TAAfrinic, TAAPNIC, TAARIN, TALACNIC, TARIPE, TAAPNICAS0, TALACNICAS0}
+
 // IsAS0TAL reports whether ta is one of the informational AS0 trust
 // anchors that validators do not configure by default.
 func (ta TrustAnchor) IsAS0TAL() bool {
@@ -225,9 +229,26 @@ func talAllowed(ta TrustAnchor, tals []TrustAnchor) bool {
 }
 
 // ValidateAt runs RFC 6811 validation of (p, origin) against the ROAs
-// live on day d under the given trust anchors (nil = all).
+// live on day d under the given trust anchors (nil = all): the outcome
+// Validate gives over the same ROAs. It walks the covering ROAs in
+// place and stops at the first match, so it allocates nothing and the
+// daemon's point queries call it directly.
 func (a *Archive) ValidateAt(p netx.Prefix, origin bgp.ASN, d timex.Day, tals []TrustAnchor) Validity {
-	return Validate(p, origin, a.CoveringAt(p, d, tals))
+	v := NotFound
+	a.trie.Covering(p, func(_ netx.Prefix, lst []*roaSpan) bool {
+		for _, sp := range lst {
+			if !sp.liveAt(d) || !talAllowed(sp.roa.TA, tals) {
+				continue
+			}
+			v = Invalid
+			if p.Bits() <= sp.roa.MaxLength && sp.roa.ASN == origin && sp.roa.ASN != bgp.AS0 {
+				v = Valid
+				return false
+			}
+		}
+		return true
+	})
+	return v
 }
 
 // SignedAt reports whether any live ROA on day d covers p (any TA).

@@ -14,7 +14,6 @@ package serve
 
 import (
 	"encoding/hex"
-	"sort"
 
 	"dropscope/internal/analysis"
 	"dropscope/internal/bgp"
@@ -25,9 +24,8 @@ import (
 )
 
 // Generation is one immutable, refcounted snapshot of the study: the
-// mmap'd (or cold-built) RIB index, the analysis pipeline over it, and
-// flat side tables precomputed so the point-query handlers never
-// allocate. All fields are read-only after newGeneration returns.
+// mmap'd (or cold-built) RIB index and the analysis pipeline over it.
+// All fields are read-only after newGeneration returns.
 type Generation struct {
 	snap *ribsnap.Snapshot
 	pipe *analysis.Pipeline
@@ -45,42 +43,6 @@ type Generation struct {
 	// path (overlay replay + merge) rather than a warm map or a cold
 	// rebuild. Observability only — the bytes served are identical.
 	deltaBuilt bool
-
-	// ROA validity table: roaPrefixes is sorted (duplicates allowed) and
-	// parallel to roaSpans. The trie-based rpki.Archive queries allocate
-	// per call; this flat form answers RFC 6811 validation with binary
-	// searches over the ≤ bits+1 ancestor prefixes.
-	roaPrefixes []netx.Prefix
-	roaSpans    []roaSpan
-
-	// DROP listing intervals, same layout.
-	dropPrefixes []netx.Prefix
-	dropSpans    []dropSpan
-}
-
-// roaSpan is one ROA's lifetime, flattened for validation. The trust
-// anchor is reduced to the two bits validation needs: whether it is one
-// of the five production TALs validators configure by default, and
-// whether it is an informational AS0 TAL.
-type roaSpan struct {
-	created timex.Day
-	revoked timex.Day
-	open    bool
-	asn     bgp.ASN
-	maxLen  uint8
-	prod    bool
-	as0     bool
-}
-
-func (sp *roaSpan) liveAt(d timex.Day) bool {
-	return d >= sp.created && (sp.open || d < sp.revoked)
-}
-
-// dropSpan is one DROP listing interval [added, removed).
-type dropSpan struct {
-	added   timex.Day
-	removed timex.Day
-	open    bool
 }
 
 // newGeneration wraps a loaded snapshot and its pipeline. The snapshot
@@ -88,16 +50,13 @@ type dropSpan struct {
 // master of a store generation's shard set — and the lifecycle protocol
 // is identical either way.
 func newGeneration(snap *ribsnap.Snapshot, shards *ribsnap.ShardSet, pipe *analysis.Pipeline) *Generation {
-	g := &Generation{
+	return &Generation{
 		snap:      snap,
 		pipe:      pipe,
 		shards:    shards,
 		digestHex: hex.EncodeToString(snap.Digest[:]),
 		window:    pipe.Window(),
 	}
-	g.buildROATable(pipe.Dataset().RPKI)
-	g.buildDropTable(pipe)
-	return g
 }
 
 // Acquire pins the generation's mapping for the duration of one query.
@@ -128,138 +87,20 @@ func (g *Generation) Shards() *ribsnap.ShardSet { return g.shards }
 // incremental append path rather than a warm map or cold rebuild.
 func (g *Generation) DeltaBuilt() bool { return g.deltaBuilt }
 
-// buildROATable replays the ROA journal into flat parallel arrays. A
-// revoke closes the oldest open span of the same ROA — the same
-// first-match rule rpki.Archive.Revoke applies — so span lifetimes are
-// identical to the archive's.
-func (g *Generation) buildROATable(a *rpki.Archive) {
-	if a == nil {
-		return
-	}
-	open := make(map[rpki.ROA][]int)
-	for _, e := range a.Events() {
-		if e.Created {
-			open[e.ROA] = append(open[e.ROA], len(g.roaSpans))
-			g.roaPrefixes = append(g.roaPrefixes, e.ROA.Prefix)
-			g.roaSpans = append(g.roaSpans, roaSpan{
-				created: e.Day,
-				open:    true,
-				asn:     e.ROA.ASN,
-				maxLen:  uint8(e.ROA.MaxLength),
-				prod:    isProdTAL(e.ROA.TA),
-				as0:     e.ROA.TA.IsAS0TAL(),
-			})
-			continue
-		}
-		if idxs := open[e.ROA]; len(idxs) > 0 {
-			sp := &g.roaSpans[idxs[0]]
-			sp.revoked, sp.open = e.Day, false
-			open[e.ROA] = idxs[1:]
-		}
-	}
-	sort.Sort(&roaByPrefix{g.roaPrefixes, g.roaSpans})
-}
-
-func isProdTAL(ta rpki.TrustAnchor) bool {
-	switch ta {
-	case rpki.TAAfrinic, rpki.TAAPNIC, rpki.TAARIN, rpki.TALACNIC, rpki.TARIPE:
-		return true
-	}
-	return false
-}
-
-// buildDropTable flattens the pipeline's diffed listing events into
-// per-prefix intervals. ListedAt over the diffed archive is equivalent
-// to the interval test added <= d < removed because Added and Removed
-// are both snapshot days.
-func (g *Generation) buildDropTable(pipe *analysis.Pipeline) {
-	for _, l := range pipe.Listings {
-		g.dropPrefixes = append(g.dropPrefixes, l.Prefix)
-		g.dropSpans = append(g.dropSpans, dropSpan{
-			added:   l.Added,
-			removed: l.Removed,
-			open:    !l.HasRemoved,
-		})
-	}
-	sort.Sort(&dropByPrefix{g.dropPrefixes, g.dropSpans})
-}
-
-type roaByPrefix struct {
-	p []netx.Prefix
-	s []roaSpan
-}
-
-func (t *roaByPrefix) Len() int           { return len(t.p) }
-func (t *roaByPrefix) Less(i, j int) bool { return t.p[i].Compare(t.p[j]) < 0 }
-func (t *roaByPrefix) Swap(i, j int) {
-	t.p[i], t.p[j] = t.p[j], t.p[i]
-	t.s[i], t.s[j] = t.s[j], t.s[i]
-}
-
-type dropByPrefix struct {
-	p []netx.Prefix
-	s []dropSpan
-}
-
-func (t *dropByPrefix) Len() int           { return len(t.p) }
-func (t *dropByPrefix) Less(i, j int) bool { return t.p[i].Compare(t.p[j]) < 0 }
-func (t *dropByPrefix) Swap(i, j int) {
-	t.p[i], t.p[j] = t.p[j], t.p[i]
-	t.s[i], t.s[j] = t.s[j], t.s[i]
-}
-
-// lowerBound returns the first index i with ps[i] >= q. Hand-rolled so
-// the hot query path carries no sort.Search closure.
-func lowerBound(ps []netx.Prefix, q netx.Prefix) int {
-	lo, hi := 0, len(ps)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ps[mid].Compare(q) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // ROV runs RFC 6811 origin validation of (p, origin) against the ROAs
 // live on day d, under the default production TALs; as0 additionally
-// admits the informational AS0 TALs. Semantics match
-// rpki.Archive.ValidateAt over the same TAL set; this form is
-// allocation-free. Probing every ancestor prefix replaces the trie's
-// covering walk.
+// admits the informational AS0 TALs.
 func (g *Generation) ROV(p netx.Prefix, origin bgp.ASN, d timex.Day, as0 bool) rpki.Validity {
-	covered := false
-	for b := 0; b <= p.Bits(); b++ {
-		q := netx.PrefixFrom(p.Addr(), b)
-		for i := lowerBound(g.roaPrefixes, q); i < len(g.roaPrefixes) && g.roaPrefixes[i] == q; i++ {
-			sp := &g.roaSpans[i]
-			if !sp.liveAt(d) || !(sp.prod || (as0 && sp.as0)) {
-				continue
-			}
-			covered = true
-			if p.Bits() <= int(sp.maxLen) && sp.asn == origin && sp.asn != bgp.AS0 {
-				return rpki.Valid
-			}
-		}
+	tals := rpki.DefaultTALs
+	if as0 {
+		tals = rpki.WithAS0TALs
 	}
-	if covered {
-		return rpki.Invalid
-	}
-	return rpki.NotFound
+	return g.pipe.Dataset().RPKI.ValidateAt(p, origin, d, tals)
 }
 
 // DropListed reports whether p was on the DROP list effective on day d.
-// Semantics match drop.Archive.ListedAt; this form is allocation-free.
 func (g *Generation) DropListed(p netx.Prefix, d timex.Day) bool {
-	for i := lowerBound(g.dropPrefixes, p); i < len(g.dropPrefixes) && g.dropPrefixes[i] == p; i++ {
-		sp := &g.dropSpans[i]
-		if sp.added <= d && (sp.open || d < sp.removed) {
-			return true
-		}
-	}
-	return false
+	return g.pipe.Dataset().DROP.ListedAt(p, d)
 }
 
 // Visibility returns the exact-route visibility of p on day d: how many

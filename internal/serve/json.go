@@ -3,7 +3,6 @@ package serve
 import (
 	"net/http"
 	"strconv"
-	"time"
 
 	"dropscope/internal/bgp"
 	"dropscope/internal/netx"
@@ -54,22 +53,23 @@ func parseParams(raw string, st *reqState) params {
 			q.bad = k
 			return q
 		}
+		var err error
 		switch k {
 		case "prefix":
-			q.prefix, ok = parsePrefixBytes(val)
-			q.hasPrefix = ok
+			q.prefix, err = netx.ParsePrefixBytes(val)
+			q.hasPrefix = err == nil
 		case "day":
-			q.day, ok = parseDayBytes(val)
-			q.hasDay = ok
+			q.day, err = timex.ParseDayBytes(val)
+			q.hasDay = err == nil
 		case "origin":
-			q.origin, ok = parseASNBytes(val)
-			q.hasOrigin = ok
+			q.origin, err = bgp.ParseASNBytes(val)
+			q.hasOrigin = err == nil
 		case "as0":
 			q.as0, ok = parseBoolBytes(val)
 		default:
 			continue
 		}
-		if !ok {
+		if err != nil || !ok {
 			q.bad = k
 			return q
 		}
@@ -126,105 +126,6 @@ func unhex(c byte) (byte, bool) {
 	return 0, false
 }
 
-// parsePrefixBytes parses "a.b.c.d/len" with netx.ParsePrefix semantics
-// (host bits below the mask must be zero) from bytes, allocation-free.
-func parsePrefixBytes(b []byte) (netx.Prefix, bool) {
-	slash := -1
-	for i := 0; i < len(b); i++ {
-		if b[i] == '/' {
-			slash = i
-			break
-		}
-	}
-	if slash < 0 {
-		return netx.Prefix{}, false
-	}
-	var addr uint32
-	part, val := 0, -1
-	for _, c := range b[:slash] {
-		switch {
-		case c >= '0' && c <= '9':
-			if val < 0 {
-				val = 0
-			}
-			val = val*10 + int(c-'0')
-			if val > 255 {
-				return netx.Prefix{}, false
-			}
-		case c == '.':
-			if val < 0 || part == 3 {
-				return netx.Prefix{}, false
-			}
-			addr = addr<<8 | uint32(val)
-			val, part = -1, part+1
-		default:
-			return netx.Prefix{}, false
-		}
-	}
-	if part != 3 || val < 0 {
-		return netx.Prefix{}, false
-	}
-	addr = addr<<8 | uint32(val)
-	bits, ok := parseUint(b[slash+1:], 32)
-	if !ok {
-		return netx.Prefix{}, false
-	}
-	p := netx.PrefixFrom(netx.Addr(addr), int(bits))
-	if p.Addr() != netx.Addr(addr) { // host bits were set
-		return netx.Prefix{}, false
-	}
-	return p, true
-}
-
-// parseDayBytes parses "YYYY-MM-DD" or "YYYYMMDD". The round-trip check
-// through Date rejects normalized nonsense dates like February 30.
-func parseDayBytes(b []byte) (timex.Day, bool) {
-	var y, m, dd uint64
-	var ok bool
-	switch len(b) {
-	case 10:
-		if b[4] != '-' || b[7] != '-' {
-			return 0, false
-		}
-		if y, ok = parseUint(b[:4], 9999); !ok {
-			return 0, false
-		}
-		if m, ok = parseUint(b[5:7], 12); !ok {
-			return 0, false
-		}
-		dd, ok = parseUint(b[8:], 31)
-	case 8:
-		if y, ok = parseUint(b[:4], 9999); !ok {
-			return 0, false
-		}
-		if m, ok = parseUint(b[4:6], 12); !ok {
-			return 0, false
-		}
-		dd, ok = parseUint(b[6:], 31)
-	default:
-		return 0, false
-	}
-	if !ok || m == 0 || dd == 0 {
-		return 0, false
-	}
-	d := timex.DateDay(int(y), time.Month(m), int(dd))
-	ry, rm, rd := d.Date()
-	if ry != int(y) || rm != time.Month(m) || rd != int(dd) {
-		return 0, false
-	}
-	return d, true
-}
-
-// parseASNBytes parses a decimal AS number, with an optional "AS"/"as"
-// prefix.
-func parseASNBytes(b []byte) (bgp.ASN, bool) {
-	if len(b) >= 2 && (b[0] == 'A' || b[0] == 'a') && (b[1] == 'S' || b[1] == 's') {
-		b = b[2:]
-	}
-	n, ok := parseUint(b, 1<<32-1)
-	return bgp.ASN(n), ok
-}
-
 func parseBoolBytes(b []byte) (bool, bool) {
 	switch string(b) { // compiler-recognized: no allocation in a switch
 	case "1", "true":
@@ -233,23 +134,6 @@ func parseBoolBytes(b []byte) (bool, bool) {
 		return false, true
 	}
 	return false, false
-}
-
-func parseUint(b []byte, max uint64) (uint64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	var n uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + uint64(c-'0')
-		if n > max {
-			return 0, false
-		}
-	}
-	return n, true
 }
 
 // appendPrefix renders p as "a.b.c.d/len".

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dropscope/internal/timex"
 )
 
 // Endpoint indices for the per-endpoint request counters.
@@ -353,8 +355,8 @@ func (s *Server) handleOrigins(w http.ResponseWriter, r *http.Request, g *Genera
 // (routed space, MOAS conflicts, DROP pressure, live ROAs). The sweeps
 // behind it are memoized per day in the pipeline's query cache.
 func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request, g *Generation, daypath string) {
-	d, ok := parseDayBytes([]byte(daypath))
-	if !ok {
+	d, err := timex.ParseDay(daypath)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, "bad day in path; want /v1/figures/YYYY-MM-DD")
 		return
 	}

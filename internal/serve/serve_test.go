@@ -13,7 +13,6 @@ import (
 	"dropscope/internal/archive"
 	"dropscope/internal/bgp"
 	"dropscope/internal/netx"
-	"dropscope/internal/rpki"
 	"dropscope/internal/scenario"
 	"dropscope/internal/timex"
 )
@@ -103,71 +102,6 @@ func sampleDays(w timex.Range, k int) []timex.Day {
 		days = append(days, w.First+timex.Day(i*w.Days()/k))
 	}
 	return days
-}
-
-// TestROVMatchesArchive is the differential guarantee behind /v1/rov:
-// the flat span table must reproduce rpki.Archive.ValidateAt for every
-// listed-or-announced prefix, across days, origins, and both TAL sets.
-func TestROVMatchesArchive(t *testing.T) {
-	g := loadGen(t)
-	rpkiArch := g.pipe.Dataset().RPKI
-	days := sampleDays(g.window, 6)
-	as0TALs := append(append([]rpki.TrustAnchor{}, rpki.DefaultTALs...), rpki.TAAPNICAS0, rpki.TALACNICAS0)
-	checked := 0
-	for i, p := range samples(g) {
-		if i%7 != 0 { // sample the universe; full cross-product is slow
-			continue
-		}
-		for _, d := range days {
-			origin, ok := g.pipe.Index.OriginAt(p, d)
-			if !ok {
-				origin = bgp.ASN(64500 + i%100)
-			}
-			for _, or := range []bgp.ASN{origin, origin + 1, bgp.AS0} {
-				want := rpkiArch.ValidateAt(p, or, d, rpki.DefaultTALs)
-				if got := g.ROV(p, or, d, false); got != want {
-					t.Fatalf("ROV(%s, AS%d, %s, as0=false) = %v, want %v", p, or, d, got, want)
-				}
-				want = rpkiArch.ValidateAt(p, or, d, as0TALs)
-				if got := g.ROV(p, or, d, true); got != want {
-					t.Fatalf("ROV(%s, AS%d, %s, as0=true) = %v, want %v", p, or, d, got, want)
-				}
-				checked++
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no prefixes checked")
-	}
-}
-
-// TestDropListedMatchesArchive pins /v1/drop to the archive's own
-// ListedAt over every listed prefix and a never-listed control.
-func TestDropListedMatchesArchive(t *testing.T) {
-	g := loadGen(t)
-	dropArch := g.pipe.Dataset().DROP
-	days := sampleDays(g.window, 8)
-	for _, l := range g.pipe.Listings {
-		for _, d := range days {
-			want := dropArch.ListedAt(l.Prefix, d)
-			if got := g.DropListed(l.Prefix, d); got != want {
-				t.Fatalf("DropListed(%s, %s) = %v, want %v", l.Prefix, d, got, want)
-			}
-		}
-		// Probe the listing's own boundary days too.
-		for _, d := range []timex.Day{l.Added - 1, l.Added, l.Removed - 1, l.Removed} {
-			want := dropArch.ListedAt(l.Prefix, d)
-			if got := g.DropListed(l.Prefix, d); got != want {
-				t.Fatalf("DropListed(%s, %s) = %v, want %v", l.Prefix, d, got, want)
-			}
-		}
-	}
-	control := netx.MustParsePrefix("203.0.113.0/24")
-	for _, d := range days {
-		if g.DropListed(control, d) != dropArch.ListedAt(control, d) {
-			t.Fatalf("control prefix disagrees on %s", d)
-		}
-	}
 }
 
 // TestVisibilityMatchesIndex pins /v1/visibility to the index queries.
@@ -398,7 +332,8 @@ func TestROVDerivedOrigin(t *testing.T) {
 	}
 }
 
-// TestErrorStatuses locks in the failure-path contract.
+// TestErrorStatuses locks in the failure-path contract, and where it
+// ends: the accepted edge cases answer 200.
 func TestErrorStatuses(t *testing.T) {
 	g := loadGen(t)
 	s := New(g)
@@ -416,11 +351,68 @@ func TestErrorStatuses(t *testing.T) {
 		{"/v1/figures/not-a-day", 400},
 		{"/v1/figures/1999-01-01", 404}, // outside the window
 		{"/v1/nope", 404},
+		// The edges of what the prefix, day, AS number and bool parsers
+		// accept, with the statuses the daemon has always given them.
+		{"/v1/visibility?prefix=10.0.0.0%2F%2B24", 400}, // signed length
+		{"/v1/visibility?prefix=10.0.0.0%2F-0", 400},
+		{"/v1/visibility?prefix=10.0.0.0%2F+24", 400}, // '+' decodes to a space
+		{"/v1/visibility?prefix=10.0.0.0%2F33", 400},
+		{"/v1/visibility?prefix=10.0.0.0%2F", 400},
+		{"/v1/visibility?prefix=10.0.0%2F8", 400},
+		{"/v1/visibility?prefix=256.0.0.0%2F8", 400},
+		{"/v1/visibility?prefix=%2B10.0.0.0%2F8", 400},
+		{"/v1/visibility?prefix=10.0.0.0%2F8%2F8", 400},
+		{"/v1/visibility?prefix=10.0.0.0%2F99999999999999999999999", 400},
+		{"/v1/visibility?prefix=", 400},
+		{"/v1/visibility?prefix=10.0.0.0%2F024", 200}, // leading zeros
+		{"/v1/visibility?prefix=010.000.0.0%2F8", 200},
+		{"/v1/visibility?prefix=10.0.0.0/8", 200}, // unescaped slash
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=2021-02-29", 400},
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=20210230", 400},
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=2021-13-01", 400},
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=2021-00-10", 400},
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=2021-02-00", 400},
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=2021-1-01", 400},
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=%2B021-01-01", 400},
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=-021-01-01", 400},
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=2021%2F01%2F01", 400},
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=99999999", 400},
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=", 400},
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=2020-02-29", 200}, // leap day
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=20200229", 200},
+		{"/v1/drop?prefix=10.0.0.0%2F8&day=0000-01-01", 200},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=AS4294967296", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=99999999999999999999", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=ASX", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=AS", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=ASAS5", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=AS+5", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=%2B5", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=-1", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=12a", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=as0", 200},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=aS12", 200},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=0012", 200},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=AS4294967295", 200},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=5&as0=yes", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=5&as0=TRUE", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=5&as0=%zz", 400},
+		{"/v1/rov?prefix=10.0.0.0%2F8&origin=5&as0=", 200},
+		{"/v1/figures/2021-02-29", 400},
+		{"/v1/figures/20210230", 400},
+		{"/v1/figures/2019-6-05", 400},
+		{"/v1/figures/%2B019-06-05", 400},
+		{"/v1/figures/", 400},
+		{"/v1/figures/20190605", 200},
 	}
 	for _, c := range cases {
 		w := get(t, s, c.path)
 		if w.Code != c.code {
 			t.Errorf("GET %s = %d, want %d (%s)", c.path, w.Code, c.code, w.Body.String())
+		}
+		if c.code == 200 {
+			continue
 		}
 		var er struct {
 			Error string `json:"error"`

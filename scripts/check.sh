@@ -20,6 +20,7 @@ SUBCOMMANDS="build vet fmt test race bench fuzz faults chaos warmstart serve soa
 FUZZ_TARGETS="
 internal/bgp FuzzDecodeUpdate
 internal/bgp FuzzReadMessage
+internal/bgp FuzzParseASN
 internal/drop FuzzParse
 internal/irr FuzzParse
 internal/irr FuzzParseJournal

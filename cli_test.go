@@ -3,6 +3,7 @@ package dropscope
 import (
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -83,6 +84,22 @@ func TestCLIEndToEnd(t *testing.T) {
 	out, err = run("roacheck", "-roas", latest, "-prefix", "132.255.0.0/22", "-origin", "50509")
 	if exitErr, ok := err.(*exec.ExitError); !ok || exitErr.ExitCode() != 1 {
 		t.Errorf("roacheck invalid case: err=%v out=%q", err, out)
+	}
+
+	// dropscoped is configured only by what differs between deployments;
+	// every other tuning value is a constant. A tenth flag is a
+	// deliberate edit here.
+	out, _ = run("dropscoped", "-h")
+	var flags []string
+	for _, line := range strings.Split(out, "\n") {
+		if f, ok := strings.CutPrefix(line, "  -"); ok {
+			flags = append(flags, strings.Fields(f)[0])
+		}
+	}
+	slices.Sort(flags)
+	want := []string{"archive", "first", "last", "listen", "max-inflight", "mem-budget", "shards", "snapshot", "watch"}
+	if !slices.Equal(flags, want) {
+		t.Errorf("dropscoped -h lists flags %v, want exactly %v", flags, want)
 	}
 
 	// -mem-budget bounds the residency of the store's shard files, and

@@ -4,20 +4,18 @@
 // questions over HTTP — /v1/visibility, /v1/rov, /v1/drop, /v1/origins,
 // /v1/figures/{day} — plus /healthz and /metrics.
 //
-// Usage:
+// Usage (the flags are what differs between deployments; every other
+// tuning value is a constant):
 //
 //	dropscoped -archive DIR [-listen ADDR] [-snapshot DIR|off] [-first DAY] [-last DAY]
-//	           [-shards N] [-mem-budget N] [-delta=false]
-//	           [-workers N] [-max-skip N] [-max-inflight N] [-queue N] [-queue-wait D]
-//	           [-request-timeout D] [-watch D] [-drain-timeout D] [-retain N]
-//	           [-scrub] [-scrub-chunk N] [-scrub-interval D] [-scrub-pass-interval D]
-//	           [-read-header-timeout D] [-read-timeout D] [-write-timeout D] [-idle-timeout D]
+//	           [-shards N] [-mem-budget N] [-max-inflight N] [-watch D]
 //
 // The daemon serves behind an overload-resilient request path: a
-// bounded-inflight admission gate with a short wait queue (excess load
-// is shed with 503 + Retry-After), per-request deadlines, panic
-// isolation, and an http.Server with every timeout set (slowloris
-// clients are cut at -read-header-timeout).
+// bounded-inflight admission gate (-max-inflight) with a wait queue as
+// deep and 100ms long (excess load is shed with 503 + Retry-After), 5s
+// deadlines on the allocating endpoints, panic isolation, and an
+// http.Server with every timeout set (slowloris clients are cut after
+// 5s of dribbled headers).
 //
 // SIGHUP — or, with -watch, any observed change to the archive
 // directory — reloads the archive and swaps the new generation in
@@ -31,28 +29,24 @@
 // "generation" and the X-Dropscope-Generation header), so a client can
 // always tell which archive state answered it.
 //
-// Reloads are incremental by default (-delta): when the archive grew
-// append-only since the served generation — new bytes at the MRT
-// tails, old bytes untouched — only the appended bytes are decoded,
-// merged onto the served index, and persisted as the new generation;
-// days already ingested are never re-decoded. Responses are
+// Reloads are incremental: when the archive grew append-only since the
+// served generation — new bytes at the MRT tails, old bytes untouched —
+// only the appended bytes are decoded, merged onto the served index,
+// and persisted as the new generation. Responses are
 // byte-identical to a cold rebuild's, delta reloads are counted in
 // /metrics as delta_reloads_total, and any non-append change (a
 // rewritten file, a removed collector) falls back to a cold rebuild.
 //
-// The snapshot directory is a crash-safe generation store, the same
-// layout dropscope -index-cache keeps: one directory per generation
-// (gen-<digest>/, K shard snapshots and the shards.manifest that
-// publishes them; a monolith is K = 1), written durably (fsync, atomic
-// rename, directory sync), recorded in an append-only checksummed
-// manifest journal, and swept and reconciled at startup, so a crash at
-// any point of a write leaves either the old or the new complete
-// generation, or none — never garbage. A background scrubber (-scrub,
-// on by default) continuously re-verifies the live generation's shard
-// files against their checksums; on a mismatch the daemon reports
-// itself degraded, journals the generation corrupt so it is never
-// re-adopted, and cold-rebuilds a replacement through the reload
-// supervisor. Degraded, never down.
+// The snapshot directory is the crash-safe generation store dropscope
+// -index-cache keeps (gen-<digest>/ directories of K shard files, a
+// monolith is K = 1, recorded in a checksummed manifest journal): a
+// crash at any point of a write leaves the old or the new complete
+// generation, or none, and ribsnap.DefaultRetain retired generations
+// stay on disk. A background scrubber re-verifies the live
+// generation's shard files against their checksums, 1 MiB every 50ms;
+// on a mismatch the daemon reports itself degraded, journals the
+// generation corrupt so it is never re-adopted, and cold-rebuilds a
+// replacement through the reload supervisor. Degraded, never down.
 //
 // -shards N cuts the generations the daemon writes into N prefix-range
 // shards, and a generation cut that way is served sharded: point
@@ -73,8 +67,7 @@
 // rebuilds.
 //
 // SIGINT/SIGTERM drain gracefully: new arrivals answer 503 while
-// requests already admitted run to completion, bounded by
-// -drain-timeout.
+// requests already admitted run to completion, bounded by drainTimeout.
 package main
 
 import (
@@ -97,6 +90,10 @@ import (
 	"dropscope/internal/timex"
 )
 
+// drainTimeout bounds the graceful shutdown's wait for admitted
+// requests.
+const drainTimeout = 10 * time.Second
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dropscoped:", err)
 	os.Exit(1)
@@ -104,35 +101,15 @@ func fatal(err error) {
 
 func main() {
 	var (
-		archiveDir = flag.String("archive", "", "study archive directory (required)")
-		listen     = flag.String("listen", "127.0.0.1:8434", "listen address")
-		snapshot   = flag.String("snapshot", "auto", `index snapshot directory ("auto" = ARCHIVE/ribsnap, "off" disables)`)
-		first      = flag.String("first", "", "window first day (default: the study default)")
-		last       = flag.String("last", "", "window last day (default: the study default)")
-		workers    = flag.Int("workers", 0, "RIB and text-archive loading workers (0 = GOMAXPROCS)")
-		maxSkip    = flag.Int("max-skip", 0, "per-collector skip budget (0 = default, negative = unlimited)")
-		shards     = flag.Int("shards", 0, "serve from a prefix-range sharded index cut into N pieces (0/1 = single index)")
-		memBudget  = flag.Int("mem-budget", 0, "with -shards: max shards kept memory-mapped at once (0 = all resident; cold ranges fault back in)")
-		deltaOn    = flag.Bool("delta", true, "incremental reloads: when the archive grew append-only since the served generation, decode only the appended bytes and merge onto it instead of rebuilding cold (rewritten archives fall back cold)")
-
-		maxInflight = flag.Int("max-inflight", 256, "admission: max concurrently executing requests")
-		queue       = flag.Int("queue", 0, "admission: max queued requests waiting for a slot (0 = max-inflight)")
-		queueWait   = flag.Duration("queue-wait", 100*time.Millisecond, "admission: max time a queued request waits before it is shed")
-		reqTimeout  = flag.Duration("request-timeout", 5*time.Second, "deadline for allocating endpoints (origins, figures); negative disables")
-
-		readHeaderTimeout = flag.Duration("read-header-timeout", 5*time.Second, "http: slowloris bound on reading request headers")
-		readTimeout       = flag.Duration("read-timeout", 30*time.Second, "http: bound on reading a whole request")
-		writeTimeout      = flag.Duration("write-timeout", 30*time.Second, "http: bound on writing a whole response")
-		idleTimeout       = flag.Duration("idle-timeout", 120*time.Second, "http: bound on idle keep-alive connections")
-
-		watch        = flag.Duration("watch", 0, "poll the archive directory at this interval and reload on change (0 disables)")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown: max time to drain in-flight requests")
-
-		retain        = flag.Int("retain", 0, "snapshot store: retired generations kept on disk (0 = default, negative = all)")
-		scrub         = flag.Bool("scrub", true, "background scrub: continuously re-verify the live snapshot against its checksums")
-		scrubChunk    = flag.Int("scrub-chunk", 1<<20, "scrub: payload bytes verified per step")
-		scrubInterval = flag.Duration("scrub-interval", 50*time.Millisecond, "scrub: pause between steps (the rate limit)")
-		scrubPass     = flag.Duration("scrub-pass-interval", time.Minute, "scrub: idle time between completed passes")
+		archiveDir  = flag.String("archive", "", "study archive directory (required)")
+		listen      = flag.String("listen", "127.0.0.1:8434", "listen address")
+		snapshot    = flag.String("snapshot", "auto", `index snapshot directory ("auto" = ARCHIVE/ribsnap, "off" disables)`)
+		first       = flag.String("first", "", "window first day (default: the study default)")
+		last        = flag.String("last", "", "window last day (default: the study default)")
+		shards      = flag.Int("shards", 0, "serve from a prefix-range sharded index cut into N pieces (0/1 = single index)")
+		memBudget   = flag.Int("mem-budget", 0, "with -shards: max shards kept memory-mapped at once (0 = all resident; cold ranges fault back in)")
+		maxInflight = flag.Int("max-inflight", serve.DefaultMaxInflight, "admission: max concurrently executing requests (as many more may queue briefly)")
+		watch       = flag.Duration("watch", 0, "poll the archive directory at this interval and reload on change (0 disables)")
 	)
 	flag.Parse()
 	if *archiveDir == "" {
@@ -158,11 +135,9 @@ func main() {
 	}
 	opts := serve.LoadOptions{
 		Window:    window,
-		MaxSkip:   *maxSkip,
-		Workers:   *workers,
 		Shards:    *shards,
 		MemBudget: *memBudget,
-		Delta:     *deltaOn,
+		Delta:     true,
 	}
 	snapDir := ""
 	switch *snapshot {
@@ -176,7 +151,7 @@ func main() {
 		// The daemon goes through the manifest-backed store: crash
 		// recovery at open (temp sweep, journal replay), corrupt
 		// generations refused, retired ones garbage-collected.
-		store, serr := ribsnap.OpenStore(snapDir, ribsnap.StoreOptions{Retain: *retain})
+		store, serr := ribsnap.OpenStore(snapDir, ribsnap.StoreOptions{})
 		if serr != nil {
 			log.Printf("dropscoped: snapshot store unavailable, running cold: %v", serr)
 		} else {
@@ -200,27 +175,13 @@ func main() {
 		fatal(err)
 	}
 	srv := serve.New(gen)
-	mw := serve.Wrap(srv, serve.MiddlewareConfig{
-		Gate: serve.GateConfig{
-			MaxInflight: *maxInflight,
-			MaxQueue:    *queue,
-			QueueWait:   *queueWait,
-		},
-		RequestTimeout: *reqTimeout,
-	})
+	mw := serve.Wrap(srv, serve.MiddlewareConfig{Gate: serve.GateConfig{MaxInflight: *maxInflight}})
 	served := 0 // built in memory
 	if ss := gen.Shards(); ss != nil {
 		served = ss.NumShards()
 	}
 	log.Printf("dropscoped: loaded generation %s in %v (window %s, %d shards)",
 		gen.DigestHex()[:12], time.Since(t0).Round(time.Millisecond), gen.Window(), served)
-
-	httpCfg := serve.HTTPConfig{
-		ReadHeaderTimeout: *readHeaderTimeout,
-		ReadTimeout:       *readTimeout,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
-	}
 
 	reloader := serve.NewReloader(srv, serve.ReloadConfig{
 		Dir:     *archiveDir,
@@ -232,14 +193,11 @@ func main() {
 	defer cancel()
 	go reloader.Run(ctx)
 
-	if *scrub && opts.Store != nil {
+	if opts.Store != nil {
 		scrubber := serve.NewScrubber(srv, serve.ScrubConfig{
-			Chunk:        *scrubChunk,
-			Interval:     *scrubInterval,
-			PassInterval: *scrubPass,
-			Store:        opts.Store,
-			Reloader:     reloader,
-			OnEvent:      func(msg string) { log.Print("dropscoped: ", msg) },
+			Store:    opts.Store,
+			Reloader: reloader,
+			OnEvent:  func(msg string) { log.Print("dropscoped: ", msg) },
 		})
 		go scrubber.Run(ctx)
 	}
@@ -249,7 +207,7 @@ func main() {
 		fatal(err)
 	}
 	log.Printf("dropscoped: serving on http://%s", ln.Addr())
-	httpSrv := serve.NewHTTPServer(mw, httpCfg)
+	httpSrv := serve.NewHTTPServer(mw, serve.HTTPConfig{})
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			fatal(err)
@@ -269,12 +227,12 @@ func main() {
 	}
 
 	// Graceful drain: stop the reload loop, answer 503 to new arrivals,
-	// and give requests already admitted up to -drain-timeout to finish
+	// and give requests already admitted up to drainTimeout to finish
 	// before the listener is torn down.
 	cancel()
 	mw.StartDrain()
-	log.Printf("dropscoped: draining (up to %v)", *drainTimeout)
-	dctx, dcancel := context.WithTimeout(context.Background(), *drainTimeout)
+	log.Printf("dropscoped: draining (up to %v)", drainTimeout)
+	dctx, dcancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer dcancel()
 	if err := httpSrv.Shutdown(dctx); err != nil {
 		log.Printf("dropscoped: drain timed out, closing: %v", err)

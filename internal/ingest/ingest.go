@@ -111,14 +111,9 @@ type Source struct {
 	StaleRetained uint64
 	StaleSwept    uint64
 
-	// Serving-layer resilience counters, filled by the query daemon's
-	// admission gate, panic-recovery middleware, and reload
-	// supervisor. Shed counts requests rejected with 503 by admission
-	// control; Panics counts handler panics contained by the recovery
-	// middleware; ReloadRetries counts failed generation-reload
-	// attempts the supervisor retried under backoff.
-	Shed          uint64
-	Panics        uint64
+	// ReloadRetries counts the failed generation-reload attempts the
+	// query daemon's supervisor retried, under backoff, before the load
+	// this source reports on succeeded.
 	ReloadRetries uint64
 }
 
@@ -221,8 +216,6 @@ func (h *Health) Report() Report {
 			Reconnects:    s.Reconnects,
 			StaleRetained: s.StaleRetained,
 			StaleSwept:    s.StaleSwept,
-			Shed:          s.Shed,
-			Panics:        s.Panics,
 			ReloadRetries: s.ReloadRetries,
 		}
 		r.Sources = append(r.Sources, sr)
@@ -251,8 +244,6 @@ type SourceReport struct {
 	Reconnects    uint64   `json:"reconnects,omitempty"`
 	StaleRetained uint64   `json:"stale_retained,omitempty"`
 	StaleSwept    uint64   `json:"stale_swept,omitempty"`
-	Shed          uint64   `json:"shed,omitempty"`
-	Panics        uint64   `json:"panics,omitempty"`
 	ReloadRetries uint64   `json:"reload_retries,omitempty"`
 }
 

@@ -154,16 +154,6 @@ func TestLenientTruncatedTailTerminates(t *testing.T) {
 	}
 }
 
-func TestLenientSkipBudget(t *testing.T) {
-	wire, offs := threeRecordStream(t)
-	wire[offs[1]+12+4] = 45
-	wire[offs[2]+12+10] = 0xFF // damage record 2's body too
-	_, err := ReadAll(bytes.NewReader(wire), Lenient(), MaxSkips(1))
-	if err == nil || !strings.Contains(err.Error(), "skip budget") {
-		t.Errorf("err = %v, want skip-budget exhaustion", err)
-	}
-}
-
 // TestLenientCleanStreamByteIdentical is the compatibility anchor: over
 // an undamaged stream the lenient reader must yield exactly the records
 // the strict reader does.

@@ -239,10 +239,9 @@ type Reader struct {
 	// record; a Reader field does not.
 	hdrArr [12]byte
 
-	lenient  bool
-	maxSkips int
-	skipped  int
-	src      *ingest.Source
+	lenient bool
+	skipped int
+	src     *ingest.Source
 
 	reuse   bool
 	scratch *decodeScratch
@@ -269,10 +268,6 @@ type Option func(*Reader)
 // forward for the next plausible record header when the framing itself
 // is damaged — instead of aborting the stream.
 func Lenient() Option { return func(r *Reader) { r.lenient = true } }
-
-// MaxSkips bounds how many records a lenient Reader may skip before it
-// gives up with an error; n <= 0 (the default) means unlimited.
-func MaxSkips(n int) Option { return func(r *Reader) { r.maxSkips = n } }
 
 // WithSource attaches an ingest health accumulator: every accepted
 // record and every classified skip is counted into src.
@@ -347,8 +342,9 @@ func (e *recordError) Unwrap() error { return e.err }
 // ErrTruncated and ErrUnsupported keeps working through the wrapping. In
 // lenient mode Next skips past damage — classifying each skip, scanning
 // byte-wise for the next plausible header when the framing lied — and
-// only ever returns a record, io.EOF, or a skip-budget-exhausted error
-// when a MaxSkips bound is set.
+// only ever returns a record or io.EOF: a lenient read ends at EOF. The
+// skip budget is the caller's (rib.Build quarantines a collector past
+// it).
 func (r *Reader) Next() (Record, error) {
 	for {
 		rec, err := r.next()
@@ -368,9 +364,6 @@ func (r *Reader) Next() (Record, error) {
 		r.skipped++
 		if r.src != nil {
 			r.src.Skip(re.Reason)
-		}
-		if r.maxSkips > 0 && r.skipped > r.maxSkips {
-			return nil, fmt.Errorf("mrt: skip budget %d exhausted: %w", r.maxSkips, re)
 		}
 		if re.atEOF {
 			return nil, io.EOF
@@ -786,7 +779,7 @@ func decodeBGP4MPInto(ts time.Time, b []byte, m *BGP4MPMessage, upd *bgp.Update)
 // still holds every record successfully parsed up to that point, so a
 // caller hitting a truncated archive keeps the good prefix — check the
 // slice even when err != nil. Options are forwarded to the underlying
-// Reader; with Lenient() the error can only be a skip-budget overrun.
+// Reader; with Lenient() there is no error — the read ends at EOF.
 // Because the records are retained, do not pass ReuseRecords here.
 func ReadAll(r io.Reader, opts ...Option) ([]Record, error) {
 	var dst []Record

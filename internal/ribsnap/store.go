@@ -35,11 +35,12 @@ const DefaultRetain = 2
 
 // StoreOptions configures OpenStore.
 type StoreOptions struct {
-	// Retain caps how many non-live generations survive GC.
-	// 0 means DefaultRetain; negative keeps everything.
-	Retain int
 	// FS is the filesystem seam for writes; nil means the real OS.
 	FS FS
+
+	// retain overrides DefaultRetain, the cap on non-live generations
+	// surviving GC; the GC tests lower it.
+	retain int
 }
 
 // Store is a manifest-backed snapshot directory. A mutex serializes
@@ -62,8 +63,8 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	if fsys == nil {
 		fsys = OS
 	}
-	retain := opts.Retain
-	if retain == 0 {
+	retain := opts.retain
+	if retain <= 0 {
 		retain = DefaultRetain
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -315,9 +316,6 @@ func (st *Store) GC() error {
 }
 
 func (st *Store) gc() error {
-	if st.retain < 0 {
-		return nil
-	}
 	var evictable []ManifestRecord
 	for _, rec := range st.m.Generations() {
 		if rec.Op == GenRetired || rec.Op == GenCorrupt {

@@ -179,7 +179,7 @@ func TestStoreRemovesHeaderlessDebris(t *testing.T) {
 func TestStoreGCRetention(t *testing.T) {
 	frozen, window := storeFixture(t)
 	dir := t.TempDir()
-	st, err := OpenStore(dir, StoreOptions{Retain: 1})
+	st, err := OpenStore(dir, StoreOptions{retain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestStoreSweepsTempsOnOpen(t *testing.T) {
 
 // TestStoreGCMixedShardedAndLegacy pins retention across generations of
 // different K at once — every generation is a directory, evicted
-// recursively under the one Retain cap, and served in the K it was
+// recursively under the one retain cap, and served in the K it was
 // written with — and pins that snapshot files from before generation
 // directories (a bare index.ribsnap, a gen-<digest>.ribsnap) are not
 // the store's: never adopted, never served, never touched by GC or
@@ -264,13 +264,13 @@ func TestStoreGCMixedShardedAndLegacy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := OpenStore(dir, StoreOptions{Retain: 1})
+	st, err := OpenStore(dir, StoreOptions{retain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// a K=3, b K=1, c K=3; promoted in order, so after c the non-live
-	// set {a, b} exceeds Retain: 1 and a — the oldest — is evicted.
+	// set {a, b} exceeds retain: 1 and a — the oldest — is evicted.
 	a, b, c := dg(0xC1), dg(0xC2), dg(0xC3)
 	for _, g := range []struct {
 		d  [32]byte
@@ -307,7 +307,7 @@ func TestStoreGCMixedShardedAndLegacy(t *testing.T) {
 
 	// Restart: recovery re-adopts the survivors, keeps the removals, and
 	// leaves the pre-directory snapshot files where they were, unread.
-	st2, err := OpenStore(dir, StoreOptions{Retain: 1})
+	st2, err := OpenStore(dir, StoreOptions{retain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // Gate is the admission controller in front of the query handlers: at
-// most MaxInflight requests execute at once, at most MaxQueue more wait
+// most MaxInflight requests execute at once, at most as many more wait
 // (briefly) for a slot, and everything past that is shed immediately
 // with 503 so the daemon's p99 for admitted requests stays flat while
 // offered load grows. Both bounds are plain buffered channels; the
@@ -20,27 +20,38 @@ type Gate struct {
 	stats *Stats
 }
 
-// GateConfig bounds the gate. Zero values take the defaults: 256
-// in-flight, a queue the same depth, and a 100ms queue wait — short by
-// design; a request that cannot start promptly is better shed than
-// served late.
+const (
+	// DefaultMaxInflight is the gate's inflight bound when
+	// GateConfig.MaxInflight is zero.
+	DefaultMaxInflight = 256
+	// queueWait is how long a queued request waits for a slot before it
+	// is shed — short by design; a request that cannot start promptly is
+	// better shed than served late.
+	queueWait = 100 * time.Millisecond
+)
+
+// GateConfig bounds the gate. The wait queue is as deep as MaxInflight
+// (<= 0 takes DefaultMaxInflight) and waits queueWait.
 type GateConfig struct {
 	MaxInflight int
-	MaxQueue    int
-	QueueWait   time.Duration
+
+	// maxQueue overrides the queue depth (negative = no queue) and wait
+	// the queue wait; the shed tests shrink both.
+	maxQueue int
+	wait     time.Duration
 }
 
 func (c GateConfig) withDefaults() GateConfig {
 	if c.MaxInflight <= 0 {
-		c.MaxInflight = 256
+		c.MaxInflight = DefaultMaxInflight
 	}
-	if c.MaxQueue < 0 {
-		c.MaxQueue = 0
-	} else if c.MaxQueue == 0 {
-		c.MaxQueue = c.MaxInflight
+	if c.maxQueue < 0 {
+		c.maxQueue = 0
+	} else if c.maxQueue == 0 {
+		c.maxQueue = c.MaxInflight
 	}
-	if c.QueueWait <= 0 {
-		c.QueueWait = 100 * time.Millisecond
+	if c.wait <= 0 {
+		c.wait = queueWait
 	}
 	return c
 }
@@ -51,8 +62,8 @@ func NewGate(cfg GateConfig, stats *Stats) *Gate {
 	cfg = cfg.withDefaults()
 	return &Gate{
 		sem:   make(chan struct{}, cfg.MaxInflight),
-		queue: make(chan struct{}, cfg.MaxQueue),
-		wait:  cfg.QueueWait,
+		queue: make(chan struct{}, cfg.maxQueue),
+		wait:  cfg.wait,
 		stats: stats,
 	}
 }

@@ -5,39 +5,27 @@ import (
 	"time"
 )
 
-// HTTPConfig carries the four http.Server timeouts the daemon must
-// never run without. Zero values take the defaults; negative values
-// disable the corresponding timeout (tests only — a production daemon
-// with a disabled ReadHeaderTimeout is one slow client away from
-// connection exhaustion).
-type HTTPConfig struct {
-	// ReadHeaderTimeout bounds how long a client may dribble request
-	// headers — the classic slowloris hold. Default 5s.
-	ReadHeaderTimeout time.Duration
-	// ReadTimeout bounds the whole request read. Default 30s.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds the whole response write, and is the
-	// backstop deadline for every handler. Default 30s.
-	WriteTimeout time.Duration
-	// IdleTimeout bounds how long a keep-alive connection may sit
-	// between requests. Default 120s.
-	IdleTimeout time.Duration
-}
+// The four http.Server timeouts the daemon never runs without.
+const (
+	// readHeaderTimeout bounds how long a client may dribble request
+	// headers — the classic slowloris hold.
+	readHeaderTimeout = 5 * time.Second
+	// readTimeout bounds the whole request read.
+	readTimeout = 30 * time.Second
+	// writeTimeout bounds the whole response write, and is the backstop
+	// deadline for every handler.
+	writeTimeout = 30 * time.Second
+	// idleTimeout bounds how long a keep-alive connection may sit
+	// between requests.
+	idleTimeout = 120 * time.Second
+)
 
-func (c HTTPConfig) withDefaults() HTTPConfig {
-	pick := func(d *time.Duration, def time.Duration) {
-		switch {
-		case *d == 0:
-			*d = def
-		case *d < 0:
-			*d = 0
-		}
-	}
-	pick(&c.ReadHeaderTimeout, 5*time.Second)
-	pick(&c.ReadTimeout, 30*time.Second)
-	pick(&c.WriteTimeout, 30*time.Second)
-	pick(&c.IdleTimeout, 120*time.Second)
-	return c
+// HTTPConfig parameterizes NewHTTPServer. The zero value is the
+// daemon's: every timeout at its constant.
+type HTTPConfig struct {
+	// readHeader overrides readHeaderTimeout; the slowloris test
+	// shortens it.
+	readHeader time.Duration
 }
 
 // NewHTTPServer returns an http.Server over h with every timeout set.
@@ -45,12 +33,14 @@ func (c HTTPConfig) withDefaults() HTTPConfig {
 // daemon: without ReadHeaderTimeout a single adversarial client holding
 // its request open pins a connection (and its goroutine) forever.
 func NewHTTPServer(h http.Handler, cfg HTTPConfig) *http.Server {
-	cfg = cfg.withDefaults()
+	if cfg.readHeader <= 0 {
+		cfg.readHeader = readHeaderTimeout
+	}
 	return &http.Server{
 		Handler:           h,
-		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
-		ReadTimeout:       cfg.ReadTimeout,
-		WriteTimeout:      cfg.WriteTimeout,
-		IdleTimeout:       cfg.IdleTimeout,
+		ReadHeaderTimeout: cfg.readHeader,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }

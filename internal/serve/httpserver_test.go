@@ -8,22 +8,13 @@ import (
 	"time"
 )
 
-// TestHTTPConfigDefaults pins the timeout policy: zero fields take the
-// documented defaults, negatives disable.
+// TestHTTPConfigDefaults pins the timeout policy: the daemon's server
+// sets all four timeouts to their documented values.
 func TestHTTPConfigDefaults(t *testing.T) {
 	s := NewHTTPServer(http.NotFoundHandler(), HTTPConfig{})
 	if s.ReadHeaderTimeout != 5*time.Second || s.ReadTimeout != 30*time.Second ||
 		s.WriteTimeout != 30*time.Second || s.IdleTimeout != 120*time.Second {
 		t.Fatalf("defaults: %v/%v/%v/%v",
-			s.ReadHeaderTimeout, s.ReadTimeout, s.WriteTimeout, s.IdleTimeout)
-	}
-	s = NewHTTPServer(http.NotFoundHandler(), HTTPConfig{
-		ReadHeaderTimeout: -1, ReadTimeout: time.Second,
-		WriteTimeout: -1, IdleTimeout: -1,
-	})
-	if s.ReadHeaderTimeout != 0 || s.ReadTimeout != time.Second ||
-		s.WriteTimeout != 0 || s.IdleTimeout != 0 {
-		t.Fatalf("overrides: %v/%v/%v/%v",
 			s.ReadHeaderTimeout, s.ReadTimeout, s.WriteTimeout, s.IdleTimeout)
 	}
 }
@@ -39,7 +30,7 @@ func TestSlowlorisCut(t *testing.T) {
 	}
 	srv := NewHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(200)
-	}), HTTPConfig{ReadHeaderTimeout: 150 * time.Millisecond})
+	}), HTTPConfig{readHeader: 150 * time.Millisecond})
 	go srv.Serve(ln)
 	defer srv.Close()
 

@@ -65,7 +65,7 @@ func TestGenerationLifecycleLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	srv := New(loadDir(t, dirA, window))
-	m := Wrap(srv, MiddlewareConfig{RequestTimeout: 2 * time.Second})
+	m := Wrap(srv, MiddlewareConfig{timeout: 2 * time.Second})
 	srv.testHook = func(r *http.Request) {
 		switch r.URL.Path {
 		case "/v1/panic":

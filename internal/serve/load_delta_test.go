@@ -273,7 +273,7 @@ func TestDeltaWatchReloadCountsMetric(t *testing.T) {
 		Dir:   dir,
 		Opts:  opts,
 		Watch: time.Minute,
-		Clock: clock,
+		clock: clock,
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"net/http"
-	"strconv"
 	"time"
 )
 
@@ -34,40 +33,39 @@ import (
 //     server's global WriteTimeout; arming a context for them would
 //     cost allocations for a deadline that cannot bind.
 type Middleware struct {
-	srv        *Server
-	gate       *Gate
-	stats      *Stats
-	timeout    time.Duration
-	retryAfter string
-	draining   chan struct{} // closed by StartDrain
+	srv      *Server
+	gate     *Gate
+	stats    *Stats
+	timeout  time.Duration
+	draining chan struct{} // closed by StartDrain
 }
 
-// MiddlewareConfig parameterizes Wrap. Zero values take defaults: the
-// GateConfig defaults, a 5s request timeout, and a 1s Retry-After hint.
+// requestTimeout bounds the allocating endpoints' handlers via context
+// and connection write deadline.
+const requestTimeout = 5 * time.Second
+
+// retryAfter is the Retry-After hint, in seconds, sent with every 503.
+const retryAfter = "1"
+
+// MiddlewareConfig parameterizes Wrap: the admission gate's bounds.
 type MiddlewareConfig struct {
 	Gate GateConfig
-	// RequestTimeout bounds the allocating endpoints' handlers via
-	// context and connection write deadline. Negative disables.
-	RequestTimeout time.Duration
-	// RetryAfter is the hint sent with shed responses.
-	RetryAfter time.Duration
+
+	// timeout overrides requestTimeout; the deadline tests shorten it.
+	timeout time.Duration
 }
 
 // Wrap installs the robustness middleware over srv, sharing its Stats.
 func Wrap(srv *Server, cfg MiddlewareConfig) *Middleware {
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 5 * time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
+	if cfg.timeout <= 0 {
+		cfg.timeout = requestTimeout
 	}
 	return &Middleware{
-		srv:        srv,
-		gate:       NewGate(cfg.Gate, srv.stats),
-		stats:      srv.stats,
-		timeout:    cfg.RequestTimeout,
-		retryAfter: strconv.Itoa(int(cfg.RetryAfter.Round(time.Second) / time.Second)),
-		draining:   make(chan struct{}),
+		srv:      srv,
+		gate:     NewGate(cfg.Gate, srv.stats),
+		stats:    srv.stats,
+		timeout:  cfg.timeout,
+		draining: make(chan struct{}),
 	}
 }
 
@@ -129,7 +127,7 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer m.gate.Leave()
-	if m.timeout > 0 && slowEndpoint(path) {
+	if slowEndpoint(path) {
 		// Belt and braces: a context deadline the handler can consult,
 		// and a connection write deadline so even a handler that never
 		// looks at the context cannot hold the connection past the
@@ -149,7 +147,7 @@ func (m *Middleware) reject(w http.ResponseWriter, body []byte) {
 	m.stats.Shed.Add(1)
 	h := w.Header()
 	setHeader(h, "Content-Type", jsonContentType)
-	setHeader(h, "Retry-After", m.retryAfter)
+	setHeader(h, "Retry-After", retryAfter)
 	w.WriteHeader(http.StatusServiceUnavailable)
 	w.Write(body)
 }

@@ -38,62 +38,56 @@ type Reloader struct {
 	stamp uint64
 }
 
-// ReloadConfig parameterizes a Reloader. The zero Backoff/Budget take
-// supervision defaults tuned for reloads: 1s..30s doubling with 20%
-// jitter, 8 attempts per 5-minute window.
+// Reload supervision: a failing reload retries 1s..30s doubling with
+// 20% jitter, at most reloadBudget failed attempts per
+// reloadBudgetWindow inside one cycle.
+var reloadBackoff = session.Backoff{Min: time.Second, Max: 30 * time.Second, Jitter: 0.2}
+
+const (
+	reloadBudget       = 8
+	reloadBudgetWindow = 5 * time.Minute
+)
+
+// ReloadConfig parameterizes a Reloader.
 type ReloadConfig struct {
 	// Dir is the archive directory to reload.
 	Dir string
 	// Opts is the load configuration (window, skip budget, snapshot
-	// dir). Opts.Health is overwritten per attempt.
+	// store). Opts.Health is overwritten per attempt.
 	Opts LoadOptions
-	// Backoff shapes the retry waits inside a cycle.
-	Backoff session.Backoff
-	// Budget caps failed attempts per BudgetWindow inside one cycle;
-	// past it the cycle abandons until the next trigger. 0 means 8.
-	Budget int
-	// BudgetWindow is the sliding budget window; 0 means 5 minutes.
-	BudgetWindow time.Duration
 	// Watch, when positive, polls the archive directory at this
 	// interval and triggers a reload when its contents change (and
 	// retries while degraded, so a transiently broken load self-heals
-	// without an operator SIGHUP). 0 disables the watcher.
+	// without an operator SIGHUP). 0 disables the watcher. The snapshot
+	// store's directory is not watched when it lies inside the archive:
+	// a reload's own writes there are no change to the archive.
 	Watch time.Duration
-	// Clock drives backoff waits and the watch poll; nil = real clock.
-	Clock session.Clock
-	// Seed feeds the deterministic backoff jitter.
-	Seed uint64
 	// OnEvent, when non-nil, observes reload lifecycle messages.
 	OnEvent func(string)
+
+	// clock drives backoff waits and the watch poll (nil = real clock),
+	// and budget overrides reloadBudget; the supervision tests set both.
+	clock  session.Clock
+	budget int
 }
 
 // NewReloader builds a reloader over srv, sharing its Stats.
 func NewReloader(srv *Server, cfg ReloadConfig) *Reloader {
-	if cfg.Clock == nil {
-		cfg.Clock = session.Real()
+	if cfg.clock == nil {
+		cfg.clock = session.Real()
 	}
-	if cfg.Backoff == (session.Backoff{}) {
-		cfg.Backoff = session.Backoff{
-			Min:    time.Second,
-			Max:    30 * time.Second,
-			Jitter: 0.2,
-		}
-	}
-	if cfg.Budget == 0 {
-		cfg.Budget = 8
-	}
-	if cfg.BudgetWindow <= 0 {
-		cfg.BudgetWindow = 5 * time.Minute
+	if cfg.budget == 0 {
+		cfg.budget = reloadBudget
 	}
 	r := &Reloader{
 		srv:     srv,
 		cfg:     cfg,
-		clock:   cfg.Clock,
+		clock:   cfg.clock,
 		stats:   srv.stats,
 		trigger: make(chan struct{}, 1),
 		load:    Load,
 	}
-	r.stamp = archiveStamp(cfg.Dir)
+	r.stamp = r.archiveStamp()
 	return r
 }
 
@@ -121,10 +115,10 @@ func (r *Reloader) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-r.trigger:
-			r.stamp = archiveStamp(r.cfg.Dir)
+			r.stamp = r.archiveStamp()
 			r.cycle(ctx)
 		case <-watchC:
-			if stamp := archiveStamp(r.cfg.Dir); stamp != r.stamp || r.stats.Degraded.Load() {
+			if stamp := r.archiveStamp(); stamp != r.stamp || r.stats.Degraded.Load() {
 				r.stamp = stamp
 				r.cycle(ctx)
 			}
@@ -172,12 +166,11 @@ func (r *Reloader) cycle(ctx context.Context) {
 			how, g.DigestHex()[:12], time.Since(t0).Round(time.Millisecond), retries+1))
 		return nil
 	}, session.Config{
-		Backoff:     r.cfg.Backoff,
-		Budget:      r.cfg.Budget,
-		Window:      r.cfg.BudgetWindow,
-		StableAfter: r.cfg.BudgetWindow,
+		Backoff:     reloadBackoff,
+		Budget:      r.cfg.budget,
+		Window:      reloadBudgetWindow,
+		StableAfter: reloadBudgetWindow,
 		Clock:       r.clock,
-		Seed:        r.cfg.Seed,
 		OnRetry: func(e session.Event) {
 			r.event(fmt.Sprintf("reload: attempt %d failed (%v), retrying in %v; serving stale generation",
 				e.Attempt, e.Err, e.Wait.Round(time.Millisecond)))
@@ -199,24 +192,41 @@ func (r *Reloader) event(msg string) {
 	}
 }
 
+// archiveStamp fingerprints the watched archive, leaving out the
+// snapshot store's directory.
+func (r *Reloader) archiveStamp() uint64 {
+	skip := ""
+	if st := r.cfg.Opts.Store; st != nil {
+		skip = st.Dir()
+	}
+	return archiveStamp(r.cfg.Dir, skip)
+}
+
 // archiveStamp fingerprints an archive directory by walking it and
 // hashing every entry's path, size, and mtime — cheap enough to poll,
 // sensitive to any file added, removed, resized, or rewritten. Errors
 // hash in as their message, so a directory flickering in and out of
 // existence reads as change, not silence. A symlinked archive root is
 // resolved first, so the "flip a symlink to the new build" deployment
-// pattern reads as a change too.
-func archiveStamp(dir string) uint64 {
+// pattern reads as a change too. The directory skip, resolved the same
+// way, is left out when it lies under the archive: the default store
+// lives at ARCHIVE/ribsnap, and the generation each reload writes there
+// must not read as the next change.
+func archiveStamp(dir, skip string) uint64 {
 	h := fnv.New64a()
 	if resolved, rerr := filepath.EvalSymlinks(dir); rerr == nil {
 		h.Write([]byte(resolved))
 		h.Write([]byte{0})
 		dir = resolved
 	}
+	dir, skip = absolute(dir), absolute(skip)
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			fmt.Fprintf(h, "err:%s:%v\n", path, err)
 			return nil
+		}
+		if path == skip && path != dir && d.IsDir() {
+			return fs.SkipDir
 		}
 		info, ierr := d.Info()
 		if ierr != nil {
@@ -235,4 +245,19 @@ func archiveStamp(dir string) uint64 {
 		fmt.Fprintf(h, "walk:%v\n", err)
 	}
 	return h.Sum64()
+}
+
+// absolute returns p resolved through symlinks and made absolute, as
+// far as it can be; "" stays "".
+func absolute(p string) string {
+	if p == "" {
+		return ""
+	}
+	if resolved, err := filepath.EvalSymlinks(p); err == nil {
+		p = resolved
+	}
+	if abs, err := filepath.Abs(p); err == nil {
+		p = abs
+	}
+	return p
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dropscope/internal/ribsnap"
 	"dropscope/internal/session"
 )
 
@@ -59,11 +60,8 @@ func reloadFixture(t *testing.T, failures int32, cfg ReloadConfig) (*Server, *Re
 	log := &eventLog{}
 	cfg.Dir = dir
 	cfg.Opts = LoadOptions{Window: window}
-	cfg.Clock = clock
+	cfg.clock = clock
 	cfg.OnEvent = log.add
-	if cfg.Backoff == (session.Backoff{}) {
-		cfg.Backoff = session.Backoff{Min: time.Second, Max: time.Second}
-	}
 	r := NewReloader(srv, cfg)
 	calls := &atomic.Int32{}
 	real := r.load
@@ -104,9 +102,9 @@ func TestReloadRetryThenHeal(t *testing.T) {
 	if srv.Generation().DigestHex() != before {
 		t.Fatal("failed reload replaced the serving generation")
 	}
-	clock.Advance(2 * time.Second) // attempt 2 fails
+	clock.Advance(reloadBackoff.Max) // past any backoff wait: attempt 2 fails
 	clock.BlockUntil(1)
-	clock.Advance(2 * time.Second) // attempt 3 succeeds
+	clock.Advance(reloadBackoff.Max) // attempt 3 succeeds
 
 	waitFor(t, "heal", func() bool { return !stats.Degraded.Load() && srv.Swaps() == 1 })
 	if stats.ReloadRetries.Load() != 2 {
@@ -142,7 +140,7 @@ func TestReloadRetryThenHeal(t *testing.T) {
 // daemon serving (degraded, old generation); the NEXT trigger — the
 // operator fixed the archive — heals it.
 func TestReloadBudgetExhaustedStaysDegraded(t *testing.T) {
-	srv, r, clock, log, calls := reloadFixture(t, 1<<30, ReloadConfig{Budget: 2})
+	srv, r, clock, log, calls := reloadFixture(t, 1<<30, ReloadConfig{budget: 2})
 	stats := srv.Stats()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -152,9 +150,9 @@ func TestReloadBudgetExhaustedStaysDegraded(t *testing.T) {
 
 	r.Trigger()
 	clock.BlockUntil(1) // after failure 1
-	clock.Advance(2 * time.Second)
+	clock.Advance(reloadBackoff.Max)
 	clock.BlockUntil(1) // after failure 2
-	clock.Advance(2 * time.Second)
+	clock.Advance(reloadBackoff.Max)
 	// Failure 3 exceeds the budget of 2: the cycle abandons.
 	waitFor(t, "budget exhaustion", func() bool { return log.contains("budget exhausted") })
 	if !stats.Degraded.Load() {
@@ -188,7 +186,7 @@ func TestWatchTriggersReload(t *testing.T) {
 	r := NewReloader(srv, ReloadConfig{
 		Dir:   watchDir,
 		Watch: time.Minute,
-		Clock: clock,
+		clock: clock,
 	})
 	r.load = func(string, LoadOptions) (*Generation, error) {
 		return Load(worldDir, LoadOptions{Window: window})
@@ -215,6 +213,48 @@ func TestWatchTriggersReload(t *testing.T) {
 	<-done
 }
 
+// TestWatchIgnoresOwnStoreWrites pins that a reload's own writes are
+// not the next change: with the snapshot store at ARCHIVE/ribsnap (the
+// daemon's -snapshot auto), one append-only growth is one delta reload
+// and one swap, however many idle ticks follow. Were the store's new
+// generation directory and journal append stamped as archive changes,
+// the next tick would reload — and swap — a second time.
+func TestWatchIgnoresOwnStoreWrites(t *testing.T) {
+	w, dir, window := growableWorld(t, 36)
+	store, err := ribsnap.OpenStore(filepath.Join(dir, "ribsnap"), ribsnap.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := LoadOptions{Window: window, Store: store, Delta: true}
+	g1, err := Load(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(g1)
+	clock := session.NewFake(time.Unix(1_700_000_000, 0))
+	r := NewReloader(srv, ReloadConfig{Dir: dir, Opts: opts, Watch: time.Minute, clock: clock})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() { defer close(done); r.Run(ctx) }()
+
+	clock.BlockUntil(1) // watch timer armed
+	grow(t, dir, w, 8, 102)
+	for tick := 0; tick < 4; tick++ { // the growth, then three idle ticks
+		clock.Advance(time.Minute)
+		clock.BlockUntil(1) // tick processed: the timer is re-armed after any reload
+	}
+	if got := srv.Swaps(); got != 1 {
+		t.Errorf("swaps = %d after one archive change, want 1", got)
+	}
+	if got := srv.stats.DeltaReloads.Load(); got != 1 {
+		t.Errorf("delta_reloads_total = %d, want 1", got)
+	}
+	cancel()
+	<-done
+}
+
 // TestArchiveStampSensitivity pins what the watcher can see: adding,
 // rewriting, and removing files all change the stamp, and — because a
 // symlinked root is resolved first — flipping a symlink between two
@@ -235,14 +275,14 @@ func TestArchiveStampSensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s0 := archiveStamp(a)
-	if archiveStamp(a) != s0 {
+	s0 := archiveStamp(a, "")
+	if archiveStamp(a, "") != s0 {
 		t.Fatal("stamp not stable")
 	}
 	if err := os.WriteFile(filepath.Join(a, "extra"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s1 := archiveStamp(a)
+	s1 := archiveStamp(a, "")
 	if s1 == s0 {
 		t.Fatal("added file invisible to stamp")
 	}
@@ -254,14 +294,56 @@ func TestArchiveStampSensitivity(t *testing.T) {
 	if err := os.Symlink(a, link); err != nil {
 		t.Skipf("no symlink support: %v", err)
 	}
-	sA := archiveStamp(link)
+	sA := archiveStamp(link, "")
 	if err := os.Remove(link); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Symlink(b, link); err != nil {
 		t.Fatal(err)
 	}
-	if archiveStamp(link) == sA {
+	if archiveStamp(link, "") == sA {
 		t.Fatal("symlink flip invisible to stamp")
+	}
+}
+
+// TestArchiveStampSkipsStore pins the store exclusion: writes inside the
+// skipped directory leave the stamp alone, whether the archive and the
+// store are named directly or through a symlinked root, while writes
+// beside it still register; a skip outside the archive changes nothing.
+func TestArchiveStampSkipsStore(t *testing.T) {
+	dir := t.TempDir()
+	archive := filepath.Join(dir, "archive")
+	store := filepath.Join(archive, "ribsnap")
+	if err := os.MkdirAll(store, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	link := filepath.Join(dir, "current")
+	if err := os.Symlink(archive, link); err != nil {
+		t.Skipf("no symlink support: %v", err)
+	}
+	write := func(path string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(path), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ root, skip string }{
+		{archive, store},
+		{link, filepath.Join(link, "ribsnap")},
+		{link, store},
+	} {
+		s0 := archiveStamp(c.root, c.skip)
+		write(filepath.Join(store, "manifest.log"))
+		if archiveStamp(c.root, c.skip) != s0 {
+			t.Errorf("root %s skip %s: a write inside the store changed the stamp", c.root, c.skip)
+		}
+		write(filepath.Join(archive, "drop.txt"))
+		if archiveStamp(c.root, c.skip) == s0 {
+			t.Errorf("root %s skip %s: a write beside the store left the stamp alone", c.root, c.skip)
+		}
+	}
+	elsewhere := filepath.Join(dir, "elsewhere")
+	if archiveStamp(archive, elsewhere) != archiveStamp(archive, "") {
+		t.Error("a skip outside the archive changed the stamp")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dropscope/internal/ribsnap"
-	"dropscope/internal/session"
 )
 
 // Scrubber is the background integrity loop: it incrementally re-reads
@@ -31,54 +30,58 @@ import (
 type Scrubber struct {
 	srv   *Server
 	cfg   ScrubConfig
-	clock session.Clock
 	stats *Stats
 }
 
+// Scrub pacing.
+const (
+	// scrubChunk is how many payload bytes one step verifies.
+	scrubChunk = 1 << 20
+	// scrubInterval is the pause between steps — the rate limit that
+	// keeps scrub reads from competing with query traffic.
+	scrubInterval = 50 * time.Millisecond
+	// scrubPassInterval is the idle pause after a completed pass (and
+	// the re-probe interval while there is nothing to scrub).
+	scrubPassInterval = time.Minute
+)
+
 // ScrubConfig parameterizes a Scrubber.
 type ScrubConfig struct {
-	// Chunk is how many payload bytes one step verifies; 0 means 1 MiB.
-	Chunk int
-	// Interval is the pause between steps — the rate limit that keeps
-	// scrub reads from competing with query traffic; 0 means 50ms.
-	Interval time.Duration
-	// PassInterval is the idle pause after a completed pass (and the
-	// re-probe interval while there is nothing to scrub); 0 means 1m.
-	PassInterval time.Duration
 	// Store, when non-nil, records corruption findings in the manifest
 	// journal so the damaged generation is never re-adopted.
 	Store *ribsnap.Store
 	// Reloader, when non-nil, is triggered on corruption to cold-rebuild
 	// a replacement generation.
 	Reloader *Reloader
-	// Clock drives the pacing; nil = real clock.
-	Clock session.Clock
 	// OnEvent, when non-nil, observes scrub lifecycle messages.
 	OnEvent func(string)
+
+	// chunk, interval and passInterval override the pacing constants;
+	// the scrub tests speed it up.
+	chunk        int
+	interval     time.Duration
+	passInterval time.Duration
 }
 
 // NewScrubber builds a scrubber over srv, sharing its Stats.
 func NewScrubber(srv *Server, cfg ScrubConfig) *Scrubber {
-	if cfg.Chunk <= 0 {
-		cfg.Chunk = 1 << 20
+	if cfg.chunk <= 0 {
+		cfg.chunk = scrubChunk
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 50 * time.Millisecond
+	if cfg.interval <= 0 {
+		cfg.interval = scrubInterval
 	}
-	if cfg.PassInterval <= 0 {
-		cfg.PassInterval = time.Minute
+	if cfg.passInterval <= 0 {
+		cfg.passInterval = scrubPassInterval
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = session.Real()
-	}
-	return &Scrubber{srv: srv, cfg: cfg, clock: cfg.Clock, stats: srv.stats}
+	return &Scrubber{srv: srv, cfg: cfg, stats: srv.stats}
 }
 
 // Run paces verification steps until ctx ends. It is the only
 // goroutine that advances scrub state; all coordination with swaps
 // goes through the generation refcount.
 func (s *Scrubber) Run(ctx context.Context) error {
-	t := s.clock.NewTimer(s.cfg.Interval)
+	t := time.NewTimer(s.cfg.interval)
 	defer t.Stop()
 	var (
 		cur  *Generation // generation the in-progress pass belongs to
@@ -88,7 +91,7 @@ func (s *Scrubber) Run(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-t.C():
+		case <-t.C:
 		}
 
 		if g := s.srv.Generation(); g != cur {
@@ -106,14 +109,14 @@ func (s *Scrubber) Run(ctx context.Context) error {
 		if pass == nil {
 			// Nothing to verify: no generation yet, or one built in
 			// memory with no files behind it.
-			t.Reset(s.cfg.PassInterval)
+			t.Reset(s.cfg.passInterval)
 			continue
 		}
 		done, retired := s.stepShards(cur, pass)
 		switch {
 		case retired:
 			cur, pass = nil, nil
-			t.Reset(s.cfg.Interval)
+			t.Reset(s.cfg.interval)
 		case done:
 			s.stats.ScrubPasses.Add(1)
 			s.event(fmt.Sprintf("scrub: pass over generation %s complete (%d bytes)",
@@ -121,9 +124,9 @@ func (s *Scrubber) Run(ctx context.Context) error {
 			// Forget the generation so the next tick starts a fresh pass
 			// — rot accumulates with time, not with swaps.
 			cur, pass = nil, nil
-			t.Reset(s.cfg.PassInterval)
+			t.Reset(s.cfg.passInterval)
 		default:
-			t.Reset(s.cfg.Interval)
+			t.Reset(s.cfg.interval)
 		}
 	}
 }
@@ -181,7 +184,7 @@ func (s *Scrubber) stepShards(cur *Generation, sp *shardPass) (done, retired boo
 		sp.cur, sp.shard = sc, i
 	}
 	before := sp.cur.Offset()
-	stepDone, err := sp.cur.Step(s.cfg.Chunk)
+	stepDone, err := sp.cur.Step(s.cfg.chunk)
 	verified := sp.cur.Offset() - before
 	s.stats.ScrubBytes.Add(verified)
 	sp.bytes += verified

@@ -58,9 +58,9 @@ func scrubFixture(t *testing.T) (*Server, *ribsnap.Store, [32]byte, string, Load
 func TestScrubCleanPass(t *testing.T) {
 	srv, _, _, _, _ := scrubFixture(t)
 	sc := NewScrubber(srv, ScrubConfig{
-		Chunk:        1 << 20,
-		Interval:     time.Millisecond,
-		PassInterval: 2 * time.Millisecond,
+		chunk:        1 << 20,
+		interval:     time.Millisecond,
+		passInterval: 2 * time.Millisecond,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -96,9 +96,9 @@ func TestScrubDetectsBitrotAndHeals(t *testing.T) {
 
 	r := NewReloader(srv, ReloadConfig{Dir: dir, Opts: opts, OnEvent: log.add})
 	sc := NewScrubber(srv, ScrubConfig{
-		Chunk:        1 << 20,
-		Interval:     time.Millisecond,
-		PassInterval: 2 * time.Millisecond,
+		chunk:        1 << 20,
+		interval:     time.Millisecond,
+		passInterval: 2 * time.Millisecond,
 		Store:        store,
 		Reloader:     r,
 		OnEvent:      log.add,
@@ -222,7 +222,7 @@ func TestScrubSkipsColdGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(g)
-	sc := NewScrubber(srv, ScrubConfig{Interval: time.Millisecond, PassInterval: time.Millisecond})
+	sc := NewScrubber(srv, ScrubConfig{interval: time.Millisecond, passInterval: time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	_ = sc.Run(ctx)

@@ -521,9 +521,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, g *Generation) {
 	b = append(b, `,"generation_age_seconds":`...)
 	b = appendFloat(b, s.stats.GenerationAge(time.Now()).Seconds())
 	b = append(b, `,"ingest":`...)
-	health := g.pipe.HealthReport()
-	health.Sources = append(health.Sources, s.stats.sourceReport())
-	rep, err := json.Marshal(health)
+	rep, err := json.Marshal(g.pipe.HealthReport())
 	if err != nil {
 		rep = []byte("null")
 	}

@@ -154,9 +154,9 @@ func TestShardScrubDegradesOneRange(t *testing.T) {
 	}
 
 	sc := NewScrubber(srv, ScrubConfig{
-		Chunk:        1 << 16,
-		Interval:     time.Millisecond,
-		PassInterval: 2 * time.Millisecond,
+		chunk:        1 << 16,
+		interval:     time.Millisecond,
+		passInterval: 2 * time.Millisecond,
 		Store:        store,
 	})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -70,7 +70,7 @@ func TestChaosSoakServe(t *testing.T) {
 
 	srv := New(loadDir(t, dirA, window))
 	m := Wrap(srv, MiddlewareConfig{
-		Gate: GateConfig{MaxInflight: 4, MaxQueue: 8, QueueWait: 200 * time.Millisecond},
+		Gate: GateConfig{MaxInflight: 4, maxQueue: 8, wait: 200 * time.Millisecond},
 	})
 	srv.testHook = func(r *http.Request) {
 		if r.URL.Path == "/v1/panic" {

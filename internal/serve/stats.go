@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dropscope/internal/ingest"
 )
 
 // Stats is the serving layer's shared resilience accounting: the
@@ -76,17 +74,4 @@ func (st *Stats) ScrubError() string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.lastScrubErr
-}
-
-// sourceReport flattens the serving counters into an ingest-style
-// source report, so /metrics folds the HTTP layer into the same health
-// listing the loaders use.
-func (st *Stats) sourceReport() ingest.SourceReport {
-	return ingest.SourceReport{
-		Name:          "serve/http",
-		Coverage:      1,
-		Shed:          st.Shed.Load(),
-		Panics:        st.Panics.Load(),
-		ReloadRetries: st.ReloadRetries.Load(),
-	}
 }

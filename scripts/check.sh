@@ -249,11 +249,12 @@ serve() {
 # drained to refcount zero, zero goroutine leaks), the lifecycle leak
 # test, panic isolation, admission shed/queue behavior including the
 # open-loop overload burst (TestAdmissionOverloadBurst), drain, the
-# self-healing reload supervisor on a fake clock, and slowloris
-# resistance.
+# self-healing reload supervisor and the archive watcher (which must
+# not read a reload's own store writes as a change) on a fake clock,
+# and slowloris resistance.
 soak() {
   go test -race -count=1 -timeout 10m \
-    -run 'TestChaosSoakServe|TestGenerationLifecycleLeak|TestPanicReleasesGeneration|TestAdmission|TestDrainRejectsNewArrivals|TestRequestDeadlines|TestReload|TestWatchTriggersReload|TestSlowlorisCut' \
+    -run 'TestChaosSoakServe|TestGenerationLifecycleLeak|TestPanicReleasesGeneration|TestAdmission|TestDrainRejectsNewArrivals|TestRequestDeadlines|TestReload|TestWatchTriggersReload|TestWatchIgnoresOwnStoreWrites|TestSlowlorisCut' \
     ./internal/serve
 }
 

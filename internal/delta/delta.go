@@ -30,7 +30,7 @@ import (
 // Result is a successful delta build: the merged frozen index, the
 // per-collector record counts a snapshot of it should carry (base
 // counts plus strictly decoded suffix records), the lineage for the
-// new generation (parent digest, new archive cursors, MaxDay), and the
+// new generation (new archive cursors, MaxDay), and the
 // grown archive's digest, derived from the new cursors — the same
 // single pass that verified the consumed prefixes — so callers persist
 // the merged snapshot without a separate DigestMRT pass.
@@ -44,18 +44,16 @@ type Result struct {
 // Build replays the archive suffix under mrtDir on top of base and
 // merges. base must be the frozen index of the parent snapshot,
 // baseLin/baseCounts its lineage and counts, baseWindow the window it
-// was built for, window the (same-start, same-or-later-end) window the
-// merged index serves, and parent the parent snapshot's digest.
+// was built for, and window the (same-start, same-or-later-end) window
+// the merged index serves. The last parameter is ignored; it stays
+// because benchmark/ passes one.
 //
 // Suffix decoding is strict: the first corrupt record or semantically
 // unreplayable condition (a condition the lenient cold path would have
 // skipped) fails the build, because an overlay cannot reproduce the
 // cold path's per-record skip accounting. The caller's cold fallback
 // then produces the canonical lenient result.
-func Build(mrtDir string, base *rib.Frozen, baseLin *ribsnap.Lineage, baseCounts []ribsnap.CollectorCount, baseWindow, window timex.Range, parent [32]byte) (*Result, error) {
-	if baseLin == nil {
-		return nil, fmt.Errorf("delta: base snapshot carries no lineage (written before delta support)")
-	}
+func Build(mrtDir string, base *rib.Frozen, baseLin *ribsnap.Lineage, baseCounts []ribsnap.CollectorCount, baseWindow, window timex.Range, _ [32]byte) (*Result, error) {
 	if window.First != baseWindow.First {
 		return nil, fmt.Errorf("delta: window start moved (%v -> %v)", baseWindow.First, window.First)
 	}
@@ -130,12 +128,7 @@ func Build(mrtDir string, base *rib.Frozen, baseLin *ribsnap.Lineage, baseCounts
 	}
 
 	counts := mergeCounts(baseCounts, suffixCounts)
-	lin := &ribsnap.Lineage{
-		HasParent: true,
-		Parent:    parent,
-		MaxDay:    merged.MaxDay,
-		Cursors:   newCursors,
-	}
+	lin := &ribsnap.Lineage{MaxDay: merged.MaxDay, Cursors: newCursors}
 	return &Result{Frozen: merged, Counts: counts, Lineage: lin,
 		Digest: ribsnap.DigestCursors(newCursors)}, nil
 }

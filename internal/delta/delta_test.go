@@ -221,8 +221,7 @@ func setup(t *testing.T) (dir string, streams []stream, base *rib.Frozen, lin *r
 
 func TestBuildMatchesColdRebuild(t *testing.T) {
 	dir, streams, base, lin, counts, baseWindow, window := setup(t)
-	parent := [32]byte{1, 2, 3}
-	res, err := Build(dir, base, lin, counts, baseWindow, window, parent)
+	res, err := Build(dir, base, lin, counts, baseWindow, window, [32]byte{})
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -249,9 +248,6 @@ func TestBuildMatchesColdRebuild(t *testing.T) {
 		}
 	}
 
-	if !res.Lineage.HasParent || res.Lineage.Parent != parent {
-		t.Fatalf("lineage parent: got %+v", res.Lineage)
-	}
 	if res.Lineage.MaxDay != res.Frozen.MaxDay {
 		t.Fatalf("lineage MaxDay %d != frozen MaxDay %d", res.Lineage.MaxDay, res.Frozen.MaxDay)
 	}
@@ -358,10 +354,6 @@ func TestBuildRefusesTamperedArchive(t *testing.T) {
 
 func TestBuildValidatesInputs(t *testing.T) {
 	dir, _, base, lin, counts, baseWindow, window := setup(t)
-	if _, err := Build(dir, base, nil, counts, baseWindow, window, [32]byte{}); err == nil ||
-		!strings.Contains(err.Error(), "no lineage") {
-		t.Fatalf("Build without lineage = %v", err)
-	}
 	moved := baseWindow
 	moved.First++
 	if _, err := Build(dir, base, lin, counts, moved, window, [32]byte{}); err == nil ||

@@ -300,14 +300,14 @@ func tryDelta(st *ribsnap.Store, o Options, mrtDir string) *ribsnap.ShardSet {
 // say it grew, and persists the result under the digest it returns.
 func (b *base) extend(st *ribsnap.Store, o Options, mrtDir string) ([32]byte, error) {
 	lin := b.ss.Lineage()
-	if lin == nil || !archiveGrew(mrtDir, lin.Cursors) {
+	if !archiveGrew(mrtDir, lin.Cursors) {
 		return [32]byte{}, errNoGrowth
 	}
 	f, err := b.frozen()
 	if err != nil {
 		return [32]byte{}, err
 	}
-	res, err := delta.Build(mrtDir, f, lin, b.ss.Counts(), b.ss.Window(), o.Window, b.ss.Digest())
+	res, err := delta.Build(mrtDir, f, lin, b.ss.Counts(), b.ss.Window(), o.Window, [32]byte{})
 	if err != nil {
 		return [32]byte{}, err
 	}

@@ -1,7 +1,9 @@
 package loader_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -607,4 +609,96 @@ func TestDamagedLoadKeepsDeltaBase(t *testing.T) {
 	// The collector is repaired and a day has arrived: append-only growth
 	// past the seeded generation, which must still be there to extend.
 	load("grown", loader.Delta)
+}
+
+// TestOlderStoreRebuiltOnce: a store written before snapshot version 2
+// — shard files at version 1, and a version-2 "derived" journal record
+// naming a generation's parent — costs one cold rebuild. A lenient load
+// counts exactly one unsupported snapshot skip and rebuilds; the next
+// load is warm, and its health report is the cache-off cold build's.
+func TestOlderStoreRebuiltOnce(t *testing.T) {
+	f := getFixture(t)
+	dir := f.archiveDir(t, "base")
+	cacheDir := filepath.Join(t.TempDir(), "ribsnap")
+	load := func(state string, want loader.Route, wantSkips ingest.Counters) {
+		t.Helper()
+		f.setMRT(t, dir, state)
+		st, err := ribsnap.OpenStore(cacheDir, ribsnap.StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := loader.Load(dir, loader.Options{Window: f.window, Health: ingest.NewHealth(), Store: st, Delta: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Snapshot.Close()
+		if l.Route != want {
+			t.Errorf("load went %v, want %v", l.Route, want)
+		}
+		var skips ingest.Counters
+		var health []ingest.SourceReport
+		for _, s := range l.Pipeline.HealthReport().Sources {
+			if s.Name == loader.SnapshotSource {
+				skips = s.Skips
+				continue
+			}
+			health = append(health, s)
+		}
+		ref := f.reference(t, state, f.window, false)
+		if want := ref.l.Pipeline.HealthReport().Sources; !reflect.DeepEqual(want, health) {
+			t.Errorf("health diverges from the cache-off cold build:\nwant %+v\ngot  %+v", want, health)
+		}
+		if skips != wantSkips {
+			t.Errorf("snapshot skips %v, want %v", skips, wantSkips)
+		}
+	}
+	// A cold load, then an append: the generations an earlier binary
+	// left behind.
+	load("base", loader.Cold, ingest.Counters{})
+	load("grown", loader.Delta, ingest.Counters{})
+
+	shards, err := filepath.Glob(filepath.Join(cacheDir, "gen-*", "shard-*.ribsnap"))
+	if err != nil || len(shards) != 2 {
+		t.Fatalf("store holds shard files %v (%v), want one per generation", shards, err)
+	}
+	// The version field sits in the header, outside the payload CRC, so
+	// rewriting it needs no reseal.
+	for _, path := range shards {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(raw[8:12], 1)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := ribsnap.ReadManifest(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, grown := f.digest(t, "base"), f.digest(t, "grown")
+	derived := make([]byte, 8+84)
+	p := derived[8:]
+	p[0], p[1] = 2, 6 // version 2, op derived
+	binary.LittleEndian.PutUint64(p[4:12], recs[len(recs)-1].Seq+1)
+	copy(p[20:52], grown[:])
+	copy(p[52:84], base[:])
+	binary.LittleEndian.PutUint32(derived[0:4], uint32(len(p)))
+	binary.LittleEndian.PutUint32(derived[4:8], crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+	journal, err := os.OpenFile(filepath.Join(cacheDir, ribsnap.ManifestName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := journal.Write(derived); err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var unsupported ingest.Counters
+	unsupported.Add(ingest.Unsupported)
+	load("grown", loader.Cold, unsupported)
+	load("grown", loader.Warm, ingest.Counters{})
 }

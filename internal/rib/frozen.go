@@ -38,7 +38,7 @@ type Frozen struct {
 // Frozen returns the flat view of a closed index. It errors before
 // Close, when the columnar store does not exist yet.
 func (ix *Index) Frozen() (*Frozen, error) {
-	if !ix.closed || !ix.built {
+	if !ix.closed {
 		return nil, fmt.Errorf("rib: Frozen requires a closed index")
 	}
 	return &Frozen{
@@ -77,7 +77,6 @@ func FromFrozen(f *Frozen) (*Index, error) {
 		peerIDs: make(map[PeerRef]int, len(f.Peers)),
 		paths:   bgp.FrozenPathInterner(f.Paths),
 		closed:  true,
-		built:   true,
 		sorted:  f.Prefixes,
 		col:     f.Col,
 		spanOff: f.SpanOff,

@@ -18,9 +18,9 @@
 // Close the spans are sorted into a columnar store grouped by (prefix,
 // peer), with per-prefix cumulative visibility-count events, so point
 // queries like Observed, VisibleFraction, and the RoutedSpace sweep are
-// O(log n) binary searches that allocate nothing. Queries before Close
-// fall back to linear scans over the raw span array; they return the
-// same answers, just slower, so Close is optional but recommended.
+// O(log n) binary searches that allocate nothing. Queries answer from
+// that store alone, so an Index answers only after Close: before it,
+// every query reports nothing observed.
 //
 // # Concurrency
 //
@@ -125,7 +125,6 @@ type Index struct {
 	// via FromFrozen without copying. Exact-prefix lookup and the
 	// covering/covered-by walks are binary searches over sorted, so no
 	// pointer trie (and no per-node allocation) survives the build.
-	built   bool
 	sorted  []netx.Prefix // address-sorted distinct prefixes
 	col     []Span        // grouped by sorted-prefix id (stored in Span.Prefix), then peer, insertion order within
 	spanOff []uint32      // len(sorted)+1 offsets into col
@@ -147,12 +146,7 @@ func NewIndex() *Index {
 func (ix *Index) Peers() []PeerRef { return ix.peers }
 
 // NumPrefixes returns the number of distinct prefixes ever observed.
-func (ix *Index) NumPrefixes() int {
-	if ix.built {
-		return len(ix.sorted)
-	}
-	return ix.prefixes.Len()
-}
+func (ix *Index) NumPrefixes() int { return len(ix.sorted) }
 
 func (ix *Index) peerID(ref PeerRef) int {
 	if id, ok := ix.peerIDs[ref]; ok {
@@ -392,13 +386,13 @@ func (ix *Index) Load(collector string, recs []mrt.Record) error {
 }
 
 // Close finalizes the index. Routes still installed are treated as
-// remaining installed through end. Queries before Close see open routes
-// as present at any later day, so Close is optional but recommended:
-// it builds the columnar span store and the per-prefix visibility
-// events, leaving the index fully immutable — after Close every query
-// method is safe for concurrent readers and the point queries are
-// allocation-free. Close is idempotent; calls after the first return
-// immediately without re-sorting or re-interning anything.
+// remaining installed through end. It builds the columnar span store
+// and the per-prefix visibility events every query answers from, so
+// queries see nothing until Close has run; after it the index is fully
+// immutable, every query method is safe for concurrent readers and the
+// point queries are allocation-free. Close is idempotent; calls after
+// the first return immediately without re-sorting or re-interning
+// anything.
 func (ix *Index) Close(end timex.Day) {
 	if ix.closed {
 		return
@@ -418,10 +412,11 @@ func (ix *Index) Close(end timex.Day) {
 		}
 	}
 	ix.build()
-	// The raw span array is fully superseded by the columnar store: no
-	// query reads it once built, and Merge/Load refuse a closed index.
-	// Dropping it halves the live span memory.
+	// The raw span array and the prefix interner are fully superseded by
+	// the columnar store: no query reads them, and Merge/Load refuse a
+	// closed index. Dropping them halves the live span memory.
 	ix.spans = nil
+	ix.prefixes = netx.Interner{}
 	ix.closed = true
 }
 
@@ -486,7 +481,6 @@ func (ix *Index) build() {
 	ix.spanOff = offs
 
 	ix.buildEvents()
-	ix.built = true
 }
 
 // buildEvents derives, per prefix, a sorted event list (day, peer count
@@ -502,7 +496,7 @@ func (ix *Index) buildEvents() {
 	var sc evScratch
 	for sid := 0; sid < n; sid++ {
 		ix.evDay, ix.evCount = appendPrefixEvents(
-			ix.evDay, ix.evCount, ix.col[ix.spanOff[sid]:ix.spanOff[sid+1]], &sc)
+			ix.evDay, ix.evCount, ix.bucket(uint32(sid)), &sc)
 		ix.evOff[sid+1] = uint32(len(ix.evDay))
 	}
 }
@@ -622,38 +616,19 @@ func (ix *Index) sortedID(p netx.Prefix) (uint32, bool) {
 	return uint32(i), ok
 }
 
-// prefixAt returns the i-th distinct prefix: address order once built,
-// interner (first-seen) order before.
-func (ix *Index) prefixAt(i int) netx.Prefix {
-	if ix.built {
-		return ix.sorted[i]
-	}
-	return ix.prefixes.At(uint32(i))
+// bucket returns the sid-th sorted prefix's spans grouped by peer
+// (ascending), insertion order within each group.
+func (ix *Index) bucket(sid uint32) []Span {
+	return ix.col[ix.spanOff[sid]:ix.spanOff[sid+1]]
 }
 
-// spansOf returns p's spans grouped by peer (ascending), insertion
-// order within each group — the columnar bucket after Close, a filtered
-// copy of the raw span array before.
+// spansOf returns p's bucket, nil if p was never observed.
 func (ix *Index) spansOf(p netx.Prefix) []Span {
-	if ix.built {
-		sid, ok := ix.sortedID(p)
-		if !ok {
-			return nil
-		}
-		return ix.col[ix.spanOff[sid]:ix.spanOff[sid+1]]
-	}
-	lid, ok := ix.prefixes.Lookup(p)
+	sid, ok := ix.sortedID(p)
 	if !ok {
 		return nil
 	}
-	var out []Span
-	for _, s := range ix.spans {
-		if s.Prefix == lid {
-			out = append(out, s)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
-	return out
+	return ix.bucket(sid)
 }
 
 // firstCovering walks peer groups in ascending-peer order and reports
@@ -678,15 +653,10 @@ func firstCovering(spans []Span, d timex.Day, fn func(s Span) bool) {
 
 // visCount returns how many peers observed p on day d.
 func (ix *Index) visCount(p netx.Prefix, d timex.Day) int {
-	if ix.built {
-		if sid, ok := ix.sortedID(p); ok {
-			return int(ix.eventCount(sid, d))
-		}
-		return 0
+	if sid, ok := ix.sortedID(p); ok {
+		return int(ix.eventCount(sid, d))
 	}
-	n := 0
-	firstCovering(ix.spansOf(p), d, func(Span) bool { n++; return true })
-	return n
+	return 0
 }
 
 // NumPeers returns the number of registered peers across all collectors.
@@ -739,18 +709,10 @@ func (ix *Index) PeerObserved(ref PeerRef, p netx.Prefix, d timex.Day) bool {
 		return false
 	}
 	spans := ix.spansOf(p)
-	if ix.built {
-		// Bucket is sorted by peer: jump to the peer's group.
-		k := sort.Search(len(spans), func(i int) bool { return spans[i].Peer >= int32(pid) })
-		for ; k < len(spans) && spans[k].Peer == int32(pid); k++ {
-			if d >= spans[k].From && d < spans[k].To {
-				return true
-			}
-		}
-		return false
-	}
-	for _, s := range spans {
-		if s.Peer == int32(pid) && d >= s.From && d < s.To {
+	// Bucket is sorted by peer: jump to the peer's group.
+	k := sort.Search(len(spans), func(i int) bool { return spans[i].Peer >= int32(pid) })
+	for ; k < len(spans) && spans[k].Peer == int32(pid); k++ {
+		if d >= spans[k].From && d < spans[k].To {
 			return true
 		}
 	}
@@ -862,36 +824,27 @@ func (ix *Index) FirstObserved(p netx.Prefix) (timex.Day, bool) {
 // (covering it or covered by it) was observed by any peer on day d. This
 // is the "is this address space routed" test used for ROA routing status.
 func (ix *Index) AnyOverlapObserved(p netx.Prefix, d timex.Day) bool {
-	if ix.built {
-		// Covering prefixes: probe each of the <= 33 possible
-		// shorter-or-equal lengths directly (p itself at b == Bits()).
-		for b := 0; b <= p.Bits(); b++ {
-			q := netx.PrefixFrom(p.Addr(), b)
-			if sid, ok := ix.sortedID(q); ok && ix.eventCount(sid, d) > 0 {
-				return true
-			}
+	// Covering prefixes: probe each of the <= 33 possible
+	// shorter-or-equal lengths directly (p itself at b == Bits()).
+	for b := 0; b <= p.Bits(); b++ {
+		q := netx.PrefixFrom(p.Addr(), b)
+		if sid, ok := ix.sortedID(q); ok && ix.eventCount(sid, d) > 0 {
+			return true
 		}
-		// Covered prefixes: IPv4 prefix ranges are laminar, so every
-		// distinct prefix inside p's address range is one contiguous run
-		// of sorted starting at p's insertion point. Entries at p.Addr()
-		// with shorter length sort before that point and were probed
-		// above; the Covers filter only excludes them defensively.
-		i, _ := netx.SearchPrefixes(ix.sorted, p)
-		last := p.LastAddr()
-		for ; i < len(ix.sorted); i++ {
-			q := ix.sorted[i]
-			if q.Addr() > last {
-				break
-			}
-			if p.Covers(q) && ix.eventCount(uint32(i), d) > 0 {
-				return true
-			}
-		}
-		return false
 	}
-	for i := 0; i < ix.prefixes.Len(); i++ {
-		q := ix.prefixes.At(uint32(i))
-		if (q.Covers(p) || p.Covers(q)) && ix.visCount(q, d) > 0 {
+	// Covered prefixes: IPv4 prefix ranges are laminar, so every
+	// distinct prefix inside p's address range is one contiguous run of
+	// sorted starting at p's insertion point. Entries at p.Addr() with
+	// shorter length sort before that point and were probed above; the
+	// Covers filter only excludes them defensively.
+	i, _ := netx.SearchPrefixes(ix.sorted, p)
+	last := p.LastAddr()
+	for ; i < len(ix.sorted); i++ {
+		q := ix.sorted[i]
+		if q.Addr() > last {
+			break
+		}
+		if p.Covers(q) && ix.eventCount(uint32(i), d) > 0 {
 			return true
 		}
 	}
@@ -902,17 +855,8 @@ func (ix *Index) AnyOverlapObserved(p netx.Prefix, d timex.Day) bool {
 // minPeers peers on day d.
 func (ix *Index) RoutedSpace(d timex.Day, minPeers int) *netx.Set {
 	var set netx.Set
-	if ix.built {
-		for sid, p := range ix.sorted {
-			if int(ix.eventCount(uint32(sid), d)) >= minPeers {
-				set.Add(p)
-			}
-		}
-		return &set
-	}
-	for i := 0; i < ix.prefixes.Len(); i++ {
-		p := ix.prefixes.At(uint32(i))
-		if ix.visCount(p, d) >= minPeers {
+	for sid, p := range ix.sorted {
+		if int(ix.eventCount(uint32(sid), d)) >= minPeers {
 			set.Add(p)
 		}
 	}
@@ -931,14 +875,19 @@ type MOAS struct {
 // observed across peers on day d, in address order.
 func (ix *Index) MOASConflicts(d timex.Day) []MOAS {
 	var out []MOAS
-	collect := func(p netx.Prefix) {
+	for sid, p := range ix.sorted {
+		// A single peer contributes one origin, so fewer than two
+		// observing peers cannot conflict: skip without scanning.
+		if ix.eventCount(uint32(sid), d) < 2 {
+			continue
+		}
 		origins := make(map[bgp.ASN]bool)
-		firstCovering(ix.spansOf(p), d, func(s Span) bool {
+		firstCovering(ix.bucket(uint32(sid)), d, func(s Span) bool {
 			origins[ix.paths.Meta(s.Path).Origin] = true
 			return true
 		})
 		if len(origins) < 2 {
-			return
+			continue
 		}
 		m := MOAS{Prefix: p}
 		for o := range origins {
@@ -947,21 +896,6 @@ func (ix *Index) MOASConflicts(d timex.Day) []MOAS {
 		sort.Slice(m.Origins, func(i, j int) bool { return m.Origins[i] < m.Origins[j] })
 		out = append(out, m)
 	}
-	if ix.built {
-		for sid, p := range ix.sorted {
-			// A single peer contributes one origin, so fewer than two
-			// observing peers cannot conflict: skip without scanning.
-			if ix.eventCount(uint32(sid), d) < 2 {
-				continue
-			}
-			collect(p)
-		}
-	} else {
-		for i := 0; i < ix.prefixes.Len(); i++ {
-			collect(ix.prefixes.At(uint32(i)))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.Compare(out[j].Prefix) < 0 })
 	return out
 }
 
@@ -977,16 +911,13 @@ type OriginActivity struct {
 
 // ByOrigin aggregates origination activity per origin AS in one sweep:
 // each prefix's timeline is derived exactly once, into a scratch buffer
-// reused across prefixes. Iteration order (interner order before Close,
-// address order after) does not leak into the result: the per-origin
-// prefix lists and span lengths are sorted and the day sums are
-// order-independent.
+// reused across prefixes. Prefixes are visited in address order, so
+// every per-origin prefix list comes out sorted and free of duplicates.
 func (ix *Index) ByOrigin() map[bgp.ASN]*OriginActivity {
 	out := make(map[bgp.ASN]*OriginActivity)
 	var tl []OriginSpan
-	for i, n := 0, ix.NumPrefixes(); i < n; i++ {
-		p := ix.prefixAt(i)
-		tl = ix.timelineInto(tl, ix.spansOf(p))
+	for sid, p := range ix.sorted {
+		tl = ix.timelineInto(tl, ix.bucket(uint32(sid)))
 		for _, span := range tl {
 			act := out[span.Origin]
 			if act == nil {
@@ -1002,36 +933,12 @@ func (ix *Index) ByOrigin() map[bgp.ASN]*OriginActivity {
 		}
 	}
 	for _, act := range out {
-		// A built index visits prefixes in address order, so the lists
-		// are already sorted and free of duplicates.
-		if !ix.built {
-			netx.SortPrefixes(act.Prefixes)
-			act.Prefixes = dedupPrefixes(act.Prefixes)
-		}
 		slices.Sort(act.SpanDays)
-	}
-	return out
-}
-
-func dedupPrefixes(ps []netx.Prefix) []netx.Prefix {
-	out := ps[:0]
-	for i, p := range ps {
-		if i == 0 || ps[i-1] != p {
-			out = append(out, p)
-		}
 	}
 	return out
 }
 
 // Prefixes returns every prefix ever observed, in address order.
 func (ix *Index) Prefixes() []netx.Prefix {
-	if ix.built {
-		return append([]netx.Prefix(nil), ix.sorted...)
-	}
-	out := make([]netx.Prefix, 0, ix.prefixes.Len())
-	for i := 0; i < ix.prefixes.Len(); i++ {
-		out = append(out, ix.prefixes.At(uint32(i)))
-	}
-	netx.SortPrefixes(out)
-	return out
+	return append([]netx.Prefix(nil), ix.sorted...)
 }

@@ -372,8 +372,8 @@ func TestByOrigin(t *testing.T) {
 	other := netx.MustParsePrefix("198.51.100.0/24")
 	err := ix.Load("rv1", []mrt.Record{
 		peerTable(),
-		// other sorts after pfx but is interned first: the un-closed
-		// sweep has to sort, the closed one visits in address order.
+		// other sorts after pfx but is interned first: the sweep must
+		// list prefixes in address order, not arrival order.
 		announce(day0, 0, bgp.Sequence(64500, 100), other),
 		announce(day0, 0, bgp.Sequence(64500, 100), pfx),
 		announce(day0+5, 1, bgp.Sequence(64501, 100), pfx), // same origin, second peer and transit
@@ -390,15 +390,64 @@ func TestByOrigin(t *testing.T) {
 		100: {Origin: 100, Prefixes: []netx.Prefix{pfx, other}, OriginatedDays: 35, SpanDays: []int32{5, 10, 20}},
 		200: {Origin: 200, Prefixes: []netx.Prefix{other}, OriginatedDays: 1, SpanDays: []int32{1}},
 	}
-	// Every span is withdrawn, so Close clamps nothing and both sweeps
-	// must give the same answer.
-	if got := ix.ByOrigin(); !reflect.DeepEqual(got, want) {
-		t.Errorf("before Close: %+v %+v", got[100], got[200])
-	}
 	ix.Close(day0 + 100)
 	if got := ix.ByOrigin(); !reflect.DeepEqual(got, want) {
-		t.Errorf("after Close: %+v %+v", got[100], got[200])
+		t.Errorf("ByOrigin: %+v %+v", got[100], got[200])
 	}
+}
+
+// TestUnclosedIndexAnswersEmpty pins the one query path: an Index
+// answers from the columnar store Close builds, so before Close every
+// Querier method reports nothing observed — even with routes merged
+// and live on the day asked. Peers and NumPeers report the registered
+// peer table, which is not an observation. After Close the same calls
+// see the routes.
+func TestUnclosedIndexAnswersEmpty(t *testing.T) {
+	ix := NewIndex()
+	if err := ix.Load("rv1", []mrt.Record{
+		peerTable(),
+		announce(day0, 0, bgp.Sequence(64500, 100), pfx),
+		announce(day0, 1, bgp.Sequence(64501, 200), pfx),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	d := day0 + 1
+	ref := PeerRef{Collector: "rv1", Addr: peerTable().Peers[0].Addr, AS: 64500}
+	check := func(q Querier, closed bool) {
+		t.Helper()
+		if got := q.NumPeers(); got != 2 || len(q.Peers()) != 2 {
+			t.Errorf("closed=%v: NumPeers = %d, Peers = %d, want the 2 registered", closed, got, len(q.Peers()))
+		}
+		var got []bool
+		got = append(got,
+			q.NumPrefixes() > 0,
+			len(q.Prefixes()) > 0,
+			q.VisibleCount(pfx, d) > 0,
+			q.VisibleFraction(pfx, d) > 0,
+			q.Observed(pfx, d),
+			q.PeerObserved(ref, pfx, d),
+			len(q.PeersObserving(pfx, d)) > 0,
+			len(q.OriginTimeline(pfx)) > 0,
+			q.AnyOverlapObserved(pfx, d),
+			q.RoutedSpace(d, 1).Len() > 0,
+			len(q.MOASConflicts(d)) > 0,
+			len(q.ByOrigin()) > 0,
+		)
+		_, ok := q.OriginAt(pfx, d)
+		got = append(got, ok)
+		_, ok = q.PathAt(pfx, d)
+		got = append(got, ok)
+		_, ok = q.FirstObserved(pfx)
+		got = append(got, ok)
+		for i, observed := range got {
+			if observed != closed {
+				t.Errorf("closed=%v: query %d observed=%v", closed, i, observed)
+			}
+		}
+	}
+	check(ix, false)
+	ix.Close(day0 + 10)
+	check(ix, true)
 }
 
 // TestByOriginSpanDays checks the one-sweep span lengths against the

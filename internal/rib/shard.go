@@ -61,7 +61,7 @@ func (m MemShard) AcquireIndex() (*Index, ShardRelease, error) { return m.Index,
 // unsharded index (see Sharded); reassembling one shard via FromFrozen
 // yields a closed index over just that prefix range.
 func (ix *Index) FrozenShards(k, workers int) ([]*Frozen, error) {
-	if !ix.closed || !ix.built {
+	if !ix.closed {
 		return nil, fmt.Errorf("rib: FrozenShards requires a closed index")
 	}
 	n := len(ix.sorted)

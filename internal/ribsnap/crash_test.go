@@ -86,7 +86,7 @@ func (g genSpec) write(t testing.TB, ix *rib.Index, fsys ribsnap.FS, dir string)
 		t.Fatal(err)
 	}
 	counts := []ribsnap.CollectorCount{{Collector: "rv0", Records: 9}}
-	return st.WriteShardsLineage(shards, g.window, crashDigest, counts, 1, nil)
+	return st.WriteShardsLineage(shards, g.window, crashDigest, counts, 1, &ribsnap.Lineage{MaxDay: shards[0].MaxDay})
 }
 
 // files reads a generation directory: file name -> contents.

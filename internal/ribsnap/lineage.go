@@ -25,37 +25,24 @@ type ArchiveCursor struct {
 	Sum       [32]byte
 }
 
-// Lineage is the delta-append chain metadata a snapshot can carry:
-// where each archive file's consumed prefix ends (Cursors), the
-// largest record day folded into the index (MaxDay — open-span
-// recovery is sound only while it does not exceed the close day), and,
-// for a generation built by merging a delta onto an earlier one, that
-// parent's digest.
+// Lineage is the delta-append metadata every snapshot carries: where
+// each archive file's consumed prefix ends (Cursors) and the largest
+// record day folded into the index (MaxDay — open-span recovery is
+// sound only while it does not exceed the close day).
 type Lineage struct {
-	HasParent bool
-	Parent    [32]byte
-	MaxDay    timex.Day
-	Cursors   []ArchiveCursor
+	MaxDay  timex.Day
+	Cursors []ArchiveCursor
 }
 
-// decodeLineage parses the optional lineage + cursors sections. Both
-// absent returns nil (a pre-lineage snapshot); one without the other is
-// corrupt.
+// decodeLineage parses the lineage + cursors sections, both required.
 func decodeLineage(linB, curB []byte) (*Lineage, error) {
-	if linB == nil && curB == nil {
-		return nil, nil
-	}
 	if linB == nil || curB == nil {
-		return nil, fmt.Errorf("%w: lineage and cursor sections must coexist", ErrCorrupt)
+		return nil, fmt.Errorf("%w: missing lineage or cursor section", ErrCorrupt)
 	}
 	if len(linB) != lineageSize {
 		return nil, fmt.Errorf("%w: lineage section %d bytes", ErrCorrupt, len(linB))
 	}
-	c := &cursor{b: linB}
-	lin := &Lineage{}
-	lin.HasParent = c.u32() != 0
-	lin.MaxDay = timex.Day(int32(c.u32()))
-	copy(lin.Parent[:], linB[8:40])
+	lin := &Lineage{MaxDay: timex.Day(int32(binary.LittleEndian.Uint32(linB)))}
 
 	cc := &cursor{b: curB}
 	n := int(cc.u32())

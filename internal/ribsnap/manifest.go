@@ -13,7 +13,7 @@
 //	u32  CRC-32C (Castagnoli) of the payload
 //	payload:
 //	  u8   record version (1)
-//	  u8   op (written/promoted/retired/corrupt/removed)
+//	  u8   op: the GenStatus journaled (1 written … 5 removed)
 //	  u16  reserved, zero
 //	  u64  sequence number (monotonic per journal)
 //	  i64  unix seconds (operational metadata only)
@@ -24,15 +24,17 @@
 // before appending anything new, so a torn tail can never swallow
 // later records. A valid record with an unknown version or op is
 // skipped, not fatal: old binaries must be able to walk journals
-// written by newer ones. Appends are fsynced; the journal's own
-// durability follows the same contract as the snapshots it describes.
+// written by newer ones, and this one skips the version-2 "derived"
+// records earlier binaries wrote (reconcile then adopts their
+// generation directories as written). Appends are fsynced; the
+// journal's own durability follows the same contract as the snapshots
+// it describes.
 package ribsnap
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -47,6 +49,7 @@ const ManifestName = "manifest.log"
 // clean again.
 type GenStatus uint8
 
+// The values are the journal's op bytes: append only, never renumber.
 const (
 	// GenUnknown: no manifest record mentions the digest.
 	GenUnknown GenStatus = iota
@@ -82,34 +85,13 @@ func (s GenStatus) String() string {
 
 const (
 	recVersion = 1
-	// recVersion2 records carry a second digest after the first: the
-	// parent generation a delta-built snapshot was derived from. Old
-	// binaries skip them as unknown-version (CRC still verifies) and
-	// re-adopt the generation file from disk as plainly written — the
-	// ancestry degrades, the store does not.
-	recVersion2 = 2
 
-	opWritten  = 1
-	opPromoted = 2
-	opRetired  = 3
-	opCorrupt  = 4
-	opRemoved  = 5
-	// opDerived is opWritten plus ancestry; only valid in a v2 record.
-	opDerived = 6
-
-	recPayloadLen  = 1 + 1 + 2 + 8 + 8 + 32
-	recLen         = 8 + recPayloadLen
-	recPayloadLen2 = recPayloadLen + 32
-	recLen2        = 8 + recPayloadLen2
+	recPayloadLen = 1 + 1 + 2 + 8 + 8 + 32
+	recLen        = 8 + recPayloadLen
+	// maxPayloadLen bounds a record's length field; a larger one is a
+	// torn tail.
+	maxPayloadLen = 1 << 12
 )
-
-var opToStatus = map[uint8]GenStatus{
-	opWritten:  GenWritten,
-	opPromoted: GenPromoted,
-	opRetired:  GenRetired,
-	opCorrupt:  GenCorrupt,
-	opRemoved:  GenRemoved,
-}
 
 // ManifestRecord is one replayed journal record.
 type ManifestRecord struct {
@@ -117,10 +99,6 @@ type ManifestRecord struct {
 	Unix   int64
 	Op     GenStatus
 	Digest [32]byte
-	// Parent is set (with HasParent) on derived records: the generation
-	// this one was delta-built from.
-	Parent    [32]byte
-	HasParent bool
 }
 
 // Manifest is the replayed journal state plus the append handle. Not
@@ -131,9 +109,9 @@ type Manifest struct {
 
 	seq          uint64
 	status       map[[32]byte]GenStatus
-	seen         map[[32]byte]uint64   // digest -> seq of its latest record
-	parents      map[[32]byte][32]byte // digest -> parent it was derived from
+	seen         map[[32]byte]uint64 // digest -> seq of its latest record
 	promoted     [32]byte
+	promotedSeq  uint64 // seq of the record that promoted it
 	havePromoted bool
 }
 
@@ -147,11 +125,10 @@ func OpenManifest(dir string) (*Manifest, error) {
 // the append path (replay always reads the real file).
 func OpenManifestFS(fsys FS, dir string) (*Manifest, error) {
 	m := &Manifest{
-		dir:     dir,
-		fsys:    fsys,
-		status:  make(map[[32]byte]GenStatus),
-		seen:    make(map[[32]byte]uint64),
-		parents: make(map[[32]byte][32]byte),
+		dir:    dir,
+		fsys:   fsys,
+		status: make(map[[32]byte]GenStatus),
+		seen:   make(map[[32]byte]uint64),
 	}
 	if err := m.replay(); err != nil {
 		return nil, err
@@ -172,24 +149,8 @@ func (m *Manifest) replay() error {
 		}
 		return err
 	}
-	valid := 0
-	off := 0
-	for off+8 <= len(data) {
-		plen := int(binary.LittleEndian.Uint32(data[off:]))
-		want := binary.LittleEndian.Uint32(data[off+4:])
-		if plen <= 0 || plen > 1<<12 || off+8+plen > len(data) {
-			break // torn tail
-		}
-		payload := data[off+8 : off+8+plen]
-		if crc32.Checksum(payload, castagnoli) != want {
-			break // torn or rotted tail
-		}
-		off += 8 + plen
-		valid = off
-		rec, ok := parseRecord(payload)
-		if !ok {
-			continue // valid checksum, unknown version/op: skip
-		}
+	recs, valid := scanManifest(data)
+	for _, rec := range recs {
 		m.apply(rec)
 	}
 	if valid < len(data) {
@@ -203,26 +164,63 @@ func (m *Manifest) replay() error {
 	return nil
 }
 
-func parseRecord(p []byte) (ManifestRecord, bool) {
-	var rec ManifestRecord
-	switch {
-	case len(p) == recPayloadLen && p[0] == recVersion:
-		st, ok := opToStatus[p[1]]
-		if !ok {
-			return rec, false
+// scanManifest walks journal bytes up to the first torn or
+// checksum-failing record and returns every record it could parse, in
+// order, plus the length of the valid prefix — the offset just past
+// the last record whose checksum verified. A checksummed record it
+// cannot parse (an unknown version or op) counts toward the valid
+// prefix but is skipped.
+func scanManifest(data []byte) (recs []ManifestRecord, valid int) {
+	for valid+8 <= len(data) {
+		plen := int(binary.LittleEndian.Uint32(data[valid:]))
+		want := binary.LittleEndian.Uint32(data[valid+4:])
+		if plen <= 0 || plen > maxPayloadLen || valid+8+plen > len(data) {
+			break // torn tail
 		}
-		rec.Op = st
-	case len(p) == recPayloadLen2 && p[0] == recVersion2 && p[1] == opDerived:
-		rec.Op = GenWritten
-		rec.HasParent = true
-		copy(rec.Parent[:], p[52:84])
-	default:
-		return rec, false
+		payload := data[valid+8 : valid+8+plen]
+		if crc32.Checksum(payload, castagnoli) != want {
+			break // torn or rotted tail
+		}
+		valid += 8 + plen
+		if rec, ok := parseRecord(payload); ok {
+			recs = append(recs, rec)
+		}
 	}
-	rec.Seq = binary.LittleEndian.Uint64(p[4:12])
-	rec.Unix = int64(binary.LittleEndian.Uint64(p[12:20]))
+	return recs, valid
+}
+
+// parseRecord decodes one checksummed payload. The op byte is the
+// GenStatus it journals.
+func parseRecord(p []byte) (ManifestRecord, bool) {
+	if len(p) != recPayloadLen || p[0] != recVersion {
+		return ManifestRecord{}, false
+	}
+	op := GenStatus(p[1])
+	if op < GenWritten || op > GenRemoved {
+		return ManifestRecord{}, false
+	}
+	rec := ManifestRecord{
+		Seq:  binary.LittleEndian.Uint64(p[4:12]),
+		Unix: int64(binary.LittleEndian.Uint64(p[12:20])),
+		Op:   op,
+	}
 	copy(rec.Digest[:], p[20:52])
 	return rec, true
+}
+
+// encodeRecord frames rec as one journal record: length, checksum,
+// payload.
+func encodeRecord(rec ManifestRecord) [recLen]byte {
+	var buf [recLen]byte
+	p := buf[8:]
+	p[0] = recVersion
+	p[1] = uint8(rec.Op)
+	binary.LittleEndian.PutUint64(p[4:12], rec.Seq)
+	binary.LittleEndian.PutUint64(p[12:20], uint64(rec.Unix))
+	copy(p[20:52], rec.Digest[:])
+	binary.LittleEndian.PutUint32(buf[0:4], recPayloadLen)
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(p, castagnoli))
+	return buf
 }
 
 func (m *Manifest) apply(rec ManifestRecord) {
@@ -231,12 +229,10 @@ func (m *Manifest) apply(rec ManifestRecord) {
 	}
 	m.status[rec.Digest] = rec.Op
 	m.seen[rec.Digest] = rec.Seq
-	if rec.HasParent {
-		m.parents[rec.Digest] = rec.Parent
-	}
 	switch rec.Op {
 	case GenPromoted:
 		m.promoted = rec.Digest
+		m.promotedSeq = rec.Seq
 		m.havePromoted = true
 	case GenRetired, GenCorrupt, GenRemoved:
 		if m.havePromoted && m.promoted == rec.Digest {
@@ -251,13 +247,6 @@ func (m *Manifest) Status(digest [32]byte) GenStatus { return m.status[digest] }
 // Promoted returns the live generation's digest, if one is promoted
 // and not since retired, corrupted, or removed.
 func (m *Manifest) Promoted() ([32]byte, bool) { return m.promoted, m.havePromoted }
-
-// Parent returns the generation a digest was delta-derived from, if
-// its written record carried ancestry.
-func (m *Manifest) Parent(digest [32]byte) ([32]byte, bool) {
-	p, ok := m.parents[digest]
-	return p, ok
-}
 
 // Generations lists every digest the manifest knows, in the order of
 // their most recent record (oldest first) — the GC eviction order.
@@ -277,55 +266,12 @@ func (m *Manifest) Generations() []ManifestRecord {
 // Append writes one record durably (O_APPEND write + fsync) and applies
 // it to the replayed state.
 func (m *Manifest) Append(op GenStatus, digest [32]byte) error {
-	var opByte uint8
-	for b, st := range opToStatus {
-		if st == op {
-			opByte = b
-			break
-		}
-	}
-	if opByte == 0 {
+	if op < GenWritten || op > GenRemoved {
 		return fmt.Errorf("ribsnap: manifest: cannot append status %v", op)
 	}
 	m.seq++
 	rec := ManifestRecord{Seq: m.seq, Unix: time.Now().Unix(), Op: op, Digest: digest}
-
-	var buf [recLen]byte
-	p := buf[8:]
-	p[0] = recVersion
-	p[1] = opByte
-	binary.LittleEndian.PutUint64(p[4:12], rec.Seq)
-	binary.LittleEndian.PutUint64(p[12:20], uint64(rec.Unix))
-	copy(p[20:52], digest[:])
-	binary.LittleEndian.PutUint32(buf[0:4], recPayloadLen)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(p, castagnoli))
-
-	if err := m.writeRecord(buf[:]); err != nil {
-		return err
-	}
-	m.apply(rec)
-	return nil
-}
-
-// AppendDerived journals digest as durably written with ancestry: a v2
-// record also naming the parent generation the snapshot was delta-built
-// from. Replay treats it as GenWritten plus a parent edge.
-func (m *Manifest) AppendDerived(digest, parent [32]byte) error {
-	m.seq++
-	rec := ManifestRecord{Seq: m.seq, Unix: time.Now().Unix(), Op: GenWritten,
-		Digest: digest, Parent: parent, HasParent: true}
-
-	var buf [recLen2]byte
-	p := buf[8:]
-	p[0] = recVersion2
-	p[1] = opDerived
-	binary.LittleEndian.PutUint64(p[4:12], rec.Seq)
-	binary.LittleEndian.PutUint64(p[12:20], uint64(rec.Unix))
-	copy(p[20:52], digest[:])
-	copy(p[52:84], parent[:])
-	binary.LittleEndian.PutUint32(buf[0:4], recPayloadLen2)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(p, castagnoli))
-
+	buf := encodeRecord(rec)
 	if err := m.writeRecord(buf[:]); err != nil {
 		return err
 	}
@@ -354,31 +300,10 @@ func (m *Manifest) writeRecord(buf []byte) error {
 // no append handle) and returns every valid record in order — the
 // inspection path for tests and tooling.
 func ReadManifest(dir string) ([]ManifestRecord, error) {
-	f, err := os.Open(filepath.Join(dir, ManifestName))
+	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, err
-	}
-	var recs []ManifestRecord
-	off := 0
-	for off+8 <= len(data) {
-		plen := int(binary.LittleEndian.Uint32(data[off:]))
-		want := binary.LittleEndian.Uint32(data[off+4:])
-		if plen <= 0 || plen > 1<<12 || off+8+plen > len(data) {
-			break
-		}
-		payload := data[off+8 : off+8+plen]
-		if crc32.Checksum(payload, castagnoli) != want {
-			break
-		}
-		off += 8 + plen
-		if rec, ok := parseRecord(payload); ok {
-			recs = append(recs, rec)
-		}
-	}
+	recs, _ := scanManifest(data)
 	return recs, nil
 }

@@ -14,6 +14,21 @@ func refreshRecordCRC(rec []byte) {
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], castagnoli))
 }
 
+// derivedRecord hand-encodes the version-2 "derived" record earlier
+// binaries journaled for a delta-built generation: a written record
+// plus its parent's digest.
+func derivedRecord(seq uint64, digest, parent [32]byte) []byte {
+	rec := make([]byte, 8+recPayloadLen+32)
+	p := rec[8:]
+	p[0], p[1] = 2, 6
+	binary.LittleEndian.PutUint64(p[4:12], seq)
+	copy(p[20:52], digest[:])
+	copy(p[52:84], parent[:])
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(p)))
+	refreshRecordCRC(rec)
+	return rec
+}
+
 func dg(b byte) (d [32]byte) {
 	for i := range d {
 		d[i] = b
@@ -231,5 +246,48 @@ func TestReadManifest(t *testing.T) {
 	if len(recs) != 2 || recs[0].Op != GenWritten || recs[1].Op != GenPromoted ||
 		recs[0].Seq != 1 || recs[1].Seq != 2 {
 		t.Fatalf("records = %+v", recs)
+	}
+}
+
+// TestManifestSkipsDerivedRecords: a journal written by an earlier
+// binary replays with its derived records skipped, not truncated —
+// records around them apply, and appends land after them.
+func TestManifestSkipsDerivedRecords(t *testing.T) {
+	dir := t.TempDir()
+	m, err := OpenManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Append(GenPromoted, dg(7)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ManifestName)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full = append(full, derivedRecord(2, dg(8), dg(7))...)
+	if err := os.WriteFile(path, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := OpenManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.Status(dg(8)); got != GenUnknown {
+		t.Fatalf("derived generation status = %v, want unknown", got)
+	}
+	if live, ok := m2.Promoted(); !ok || live != dg(7) {
+		t.Fatalf("promoted = %x/%v, want the record before the derived one", live[:4], ok)
+	}
+	if err := m2.Append(GenWritten, dg(8)); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[1].Op != GenWritten || recs[1].Digest != dg(8) {
+		t.Fatalf("records = %+v, want the promote and the append", recs)
 	}
 }

@@ -55,7 +55,7 @@ import (
 // Version is the snapshot format version. Bump it whenever the section
 // layout or the rib columnar representation changes shape; older files
 // then fail Load with ErrVersion and are rebuilt.
-const Version = 1
+const Version = 2
 
 var magic = [8]byte{'D', 'S', 'R', 'I', 'B', 'S', 'N', 'P'}
 
@@ -78,7 +78,7 @@ const (
 	secEvCount     = 9  // int32 per visibility event
 	secEvOff       = 10 // uint32[nprefix+1]
 	secCounts      = 11 // packed per-collector record counts
-	secLineage     = 12 // parent digest + max record day (delta-append chain)
+	secLineage     = 12 // max record day (delta-append open-span recovery)
 	secCursors     = 13 // per-collector archive byte cursors
 )
 
@@ -99,6 +99,10 @@ var (
 // index with Acquire/Release and treat ErrClosed as "this generation
 // is retired, look up the current one".
 var ErrClosed = errors.New("ribsnap: snapshot closed")
+
+// errNoLineage refuses a write without lineage: every generation must
+// be extendable by the delta-append path.
+var errNoLineage = errors.New("ribsnap: snapshot write needs a lineage")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -136,9 +140,8 @@ type Snapshot struct {
 	// Digest is the archive digest the snapshot was keyed on — the
 	// generation identity a serving layer reports with every response.
 	Digest [32]byte
-	// Lineage carries the delta-append chain metadata when the snapshot
-	// was written with it; nil for pre-lineage snapshots, which can be
-	// served but never extended incrementally.
+	// Lineage is the delta-append metadata every stored snapshot
+	// carries; nil only on a Snapshot wrapping a cold-built index.
 	Lineage *Lineage
 
 	// mapped is the raw mapping when the snapshot is mmap-backed; it
@@ -272,9 +275,8 @@ func countsSize(counts []CollectorCount) int {
 	return n
 }
 
-// lineageSize is the fixed secLineage layout: has-parent flag, max
-// record day, parent digest.
-const lineageSize = 4 + 4 + 32
+// lineageSize is the fixed secLineage layout: the max record day.
+const lineageSize = 4
 
 func cursorsSize(cs []ArchiveCursor) int {
 	n := 4
@@ -332,10 +334,10 @@ func (e *sectionEncoder) bytesPad4(b []byte) {
 }
 
 // WriteLineageFS persists a frozen index, the study window it was
-// closed with, per-collector record counts and (when lin is non-nil)
-// the lineage — the archive cursors the delta-append path resumes
-// decoding from, the index's largest record day and, for a delta-built
-// generation, the parent digest — as a snapshot at path, atomically and
+// closed with, per-collector record counts and the lineage — the
+// archive cursors the delta-append path resumes decoding from and the
+// index's largest record day; a nil lin is an error — as a snapshot at
+// path, atomically and
 // durably: the payload is streamed to an O_EXCL temp file, the temp is
 // fsynced before the rename, and the parent directory is fsynced after
 // it, so a crash (or power loss) at any step leaves either the old
@@ -344,6 +346,9 @@ func (e *sectionEncoder) bytesPad4(b []byte) {
 // built from. Every write goes through fsys, the seam the disk-fault
 // injector drives (see fs.go).
 func WriteLineageFS(fsys FS, path string, f *rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount, lin *Lineage) (err error) {
+	if lin == nil {
+		return errNoLineage
+	}
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -378,11 +383,8 @@ func WriteLineageFS(fsys FS, path string, f *rib.Frozen, window timex.Range, dig
 		{secEvCount, 4 * len(f.EvCount)},
 		{secEvOff, 4 * len(f.EvOff)},
 		{secCounts, countsSize(counts)},
-	}
-	if lin != nil {
-		sections = append(sections,
-			section{secLineage, lineageSize},
-			section{secCursors, cursorsSize(lin.Cursors)})
+		{secLineage, lineageSize},
+		{secCursors, cursorsSize(lin.Cursors)},
 	}
 
 	// Header placeholder; rewritten with the payload length and CRC once
@@ -539,27 +541,19 @@ func WriteLineageFS(fsys FS, path string, f *rib.Frozen, window timex.Range, dig
 	}
 	pad(countsSize(counts))
 
-	if lin != nil {
-		// secLineage
-		var hasParent uint32
-		if lin.HasParent {
-			hasParent = 1
-		}
-		enc.u32(hasParent)
-		enc.u32(uint32(lin.MaxDay))
-		enc.bytesPad4(lin.Parent[:])
-		pad(lineageSize)
+	// secLineage
+	enc.u32(uint32(lin.MaxDay))
+	pad(lineageSize)
 
-		// secCursors
-		enc.u32(uint32(len(lin.Cursors)))
-		for _, c := range lin.Cursors {
-			enc.u32(uint32(len(c.Collector)))
-			enc.bytesPad4([]byte(c.Collector))
-			enc.u64(c.Size)
-			enc.bytesPad4(c.Sum[:])
-		}
-		pad(cursorsSize(lin.Cursors))
+	// secCursors
+	enc.u32(uint32(len(lin.Cursors)))
+	for _, c := range lin.Cursors {
+		enc.u32(uint32(len(c.Collector)))
+		enc.bytesPad4([]byte(c.Collector))
+		enc.u64(c.Size)
+		enc.bytesPad4(c.Sum[:])
 	}
+	pad(cursorsSize(lin.Cursors))
 
 	enc.flush()
 	if cw.err != nil {
@@ -741,8 +735,6 @@ func decode(data []byte, digest [32]byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Lineage is optional: snapshots written before the delta-append
-	// path simply lack it (and are ineligible as delta bases).
 	snap.Lineage, err = decodeLineage(secs[secLineage], secs[secCursors])
 	if err != nil {
 		return nil, err
@@ -757,9 +749,7 @@ func decode(data []byte, digest [32]byte) (*Snapshot, error) {
 		EvDay:    decodeDays(evDayB),
 		EvCount:  decodeI32s(evCountB),
 		EvOff:    decodeU32s(evOffB),
-	}
-	if snap.Lineage != nil {
-		frozen.MaxDay = snap.Lineage.MaxDay
+		MaxDay:   snap.Lineage.MaxDay,
 	}
 	ix, err := rib.FromFrozen(frozen)
 	if err != nil {

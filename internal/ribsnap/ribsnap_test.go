@@ -1,11 +1,14 @@
 package ribsnap
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -92,6 +95,10 @@ func randomIndex(t testing.TB, seed uint64) (*rib.Index, timex.Range) {
 	return ix, window
 }
 
+// lineageOf is the lineage a fixture snapshot carries: the index's max
+// record day, no archive cursors.
+func lineageOf(f *rib.Frozen) *Lineage { return &Lineage{MaxDay: f.MaxDay} }
+
 func writeTestSnapshot(t testing.TB, ix *rib.Index, window timex.Range, digest [32]byte) string {
 	t.Helper()
 	frozen, err := ix.Frozen()
@@ -100,7 +107,7 @@ func writeTestSnapshot(t testing.TB, ix *rib.Index, window timex.Range, digest [
 	}
 	path := filepath.Join(t.TempDir(), "index.ribsnap")
 	counts := []CollectorCount{{Collector: "rv0", Records: 42}, {Collector: "rv1", Records: 7}}
-	if err := WriteLineageFS(OS, path, frozen, window, digest, counts, nil); err != nil {
+	if err := WriteLineageFS(OS, path, frozen, window, digest, counts, lineageOf(frozen)); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -286,6 +293,59 @@ func TestLoadBadVersion(t *testing.T) {
 	}
 	if _, err := Load(path, digest); !errors.Is(err, ErrVersion) {
 		t.Fatalf("error %v, want ErrVersion", err)
+	}
+}
+
+// TestLineageRequired: every snapshot carries its lineage. A write
+// without one is refused before anything reaches disk, and a file
+// missing either lineage section fails to load as corrupt.
+func TestLineageRequired(t *testing.T) {
+	ix, window := randomIndex(t, 7)
+	frozen, err := ix.Frozen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := [32]byte{3}
+	path := filepath.Join(t.TempDir(), "index.ribsnap")
+	if err := WriteLineageFS(OS, path, frozen, window, digest, nil, nil); err == nil {
+		t.Fatal("WriteLineageFS accepted a nil lineage")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("refused write left a file: %v", err)
+	}
+	st, err := OpenStore(t.TempDir(), StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteShardsLineage([]*rib.Frozen{frozen}, window, digest, nil, 0, nil); err == nil {
+		t.Fatal("WriteShardsLineage accepted a nil lineage")
+	}
+	if st.HasShards(digest) || st.Status(digest) != GenUnknown {
+		t.Fatalf("refused write left a generation (status %v)", st.Status(digest))
+	}
+
+	whole, err := os.ReadFile(writeTestSnapshot(t, ix, window, digest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decode(whole, digest); err != nil {
+		t.Fatalf("intact snapshot: %v", err)
+	}
+	// Hide sections by renaming their table entries to ids decode does
+	// not know, then reseal the payload CRC so the section check fires.
+	for _, hide := range [][]uint32{{secLineage}, {secCursors}, {secLineage, secCursors}} {
+		b := append([]byte(nil), whole...)
+		payload := b[headerSize : headerSize+binary.LittleEndian.Uint64(b[48:56])]
+		for i := 0; i < int(binary.LittleEndian.Uint32(b[12:16])); i++ {
+			e := payload[i*tableEntry:]
+			if slices.Contains(hide, binary.LittleEndian.Uint32(e)) {
+				binary.LittleEndian.PutUint32(e, 100+uint32(i))
+			}
+		}
+		binary.LittleEndian.PutUint32(b[56:60], crc32.Checksum(payload, castagnoli))
+		if _, err := decode(b, digest); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("sections %v hidden: error %v, want ErrCorrupt", hide, err)
+		}
 	}
 }
 

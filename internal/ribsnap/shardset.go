@@ -256,8 +256,7 @@ func (ss *ShardSet) Peers() []rib.PeerRef { return ss.peers }
 func (ss *ShardSet) Digest() [32]byte { return ss.digest }
 
 // Lineage returns the delta-append lineage the shards were written
-// with (every shard file carries an identical copy), or nil for a
-// generation persisted before lineage support.
+// with (every shard file carries an identical copy).
 func (ss *ShardSet) Lineage() *Lineage { return ss.lineage }
 
 // NumShards returns the shard count.
@@ -410,17 +409,6 @@ func (ss *ShardSet) MarkBad(i int) {
 		ss.slots[i] = nil
 		ss.resident--
 		snap.Close()
-	}
-}
-
-// SetMaxResident adjusts the residency budget (<= 0 means unlimited)
-// and evicts immediately if the new budget is exceeded.
-func (ss *ShardSet) SetMaxResident(n int) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ss.maxResident = n
-	if !ss.closed {
-		ss.evictLocked(-1)
 	}
 }
 

@@ -31,7 +31,7 @@ func shardFixture(t testing.TB, k int, digest [32]byte) (*Store, *rib.Index, tim
 		t.Fatal(err)
 	}
 	counts := []CollectorCount{{Collector: "rv0", Records: 11}, {Collector: "rv1", Records: 5}}
-	if err := st.WriteShardsLineage(shards, window, digest, counts, 0, nil); err != nil {
+	if err := st.WriteShardsLineage(shards, window, digest, counts, 0, lineageOf(shards[0])); err != nil {
 		t.Fatal(err)
 	}
 	return st, ix, window

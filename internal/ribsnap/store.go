@@ -162,23 +162,6 @@ func (st *Store) reconcile() error {
 	return nil
 }
 
-// journalWritten appends the written (or derived) record for a fresh
-// generation. Callers hold st.mu.
-func (st *Store) journalWritten(digest [32]byte, lin *Lineage) error {
-	if lin != nil && lin.HasParent {
-		return st.m.AppendDerived(digest, lin.Parent)
-	}
-	return st.m.Append(GenWritten, digest)
-}
-
-// Parent reports the generation digest was delta-derived from, if its
-// manifest record carried ancestry.
-func (st *Store) Parent(digest [32]byte) ([32]byte, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.m.Parent(digest)
-}
-
 // WriteShardsLineage durably persists a generation — shards cut with
 // rib.FrozenShards written in parallel on a bounded pool (workers <= 0
 // means one per shard), then the shard manifest, then the parent
@@ -187,11 +170,14 @@ func (st *Store) Parent(digest [32]byte) ([32]byte, bool) {
 // directory with a valid manifest is complete, one without is debris.
 // It does not promote; callers promote after deciding the generation
 // is the one to serve. Every shard file carries an identical copy of
-// lin (like the window and counts), and a parent-bearing lineage
-// journals a derived record; a nil lin writes none.
+// lin (like the window and counts); a nil lin is an error, refused
+// before anything on disk changes.
 func (st *Store) WriteShardsLineage(shards []*rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount, workers int, lin *Lineage) error {
 	if len(shards) == 0 {
 		return fmt.Errorf("ribsnap: WriteShardsLineage needs at least one shard")
+	}
+	if lin == nil {
+		return errNoLineage
 	}
 	dir := st.GenDirPath(digest)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -254,7 +240,7 @@ func (st *Store) WriteShardsLineage(shards []*rib.Frozen, window timex.Range, di
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.journalWritten(digest, lin)
+	return st.m.Append(GenWritten, digest)
 }
 
 // LoadShards opens the generation for digest as a ShardSet, in the K it
@@ -308,7 +294,10 @@ func (st *Store) MarkCorrupt(digest [32]byte) error {
 // GC removes non-live generation directories beyond the retention cap,
 // oldest records first, journaling each removal. Corrupt generations
 // are kept within the same cap — they are forensic evidence — but are
-// first in line for eviction.
+// first in line for eviction. A generation written before the live
+// promotion and never promoted since — a crash between write and
+// promote, or a directory reconcile adopted — counts as retired; one
+// written after it may yet be promoted and stays.
 func (st *Store) GC() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -316,9 +305,11 @@ func (st *Store) GC() error {
 }
 
 func (st *Store) gc() error {
+	_, hasLive := st.m.Promoted()
 	var evictable []ManifestRecord
 	for _, rec := range st.m.Generations() {
-		if rec.Op == GenRetired || rec.Op == GenCorrupt {
+		orphan := rec.Op == GenWritten && hasLive && rec.Seq < st.m.promotedSeq
+		if rec.Op == GenRetired || rec.Op == GenCorrupt || orphan {
 			evictable = append(evictable, rec)
 		}
 	}

@@ -40,7 +40,7 @@ func TestStoreWritePromoteLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := dg(0xA1)
-	if err := st.WriteShardsLineage(frozen, window, a, nil, 0, nil); err != nil {
+	if err := st.WriteShardsLineage(frozen, window, a, nil, 0, lineageOf(frozen[0])); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Manifest().Status(a); got != GenWritten {
@@ -80,7 +80,7 @@ func TestStoreCorruptMarkBlocksLoadUntilRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := dg(0xA2)
-	if err := st.WriteShardsLineage(frozen, window, a, nil, 0, nil); err != nil {
+	if err := st.WriteShardsLineage(frozen, window, a, nil, 0, lineageOf(frozen[0])); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.MarkCorrupt(a); err != nil {
@@ -90,7 +90,7 @@ func TestStoreCorruptMarkBlocksLoadUntilRewrite(t *testing.T) {
 		t.Fatalf("load of corrupt generation = %v, want ErrCorrupt", err)
 	}
 	// A rewrite supersedes the mark — the cold-rebuild recovery cycle.
-	if err := st.WriteShardsLineage(frozen, window, a, nil, 0, nil); err != nil {
+	if err := st.WriteShardsLineage(frozen, window, a, nil, 0, lineageOf(frozen[0])); err != nil {
 		t.Fatal(err)
 	}
 	if err := loadGen(st, a); err != nil {
@@ -106,7 +106,7 @@ func TestStoreAdoptsUnrecordedGeneration(t *testing.T) {
 	// the journal append: the generation directory is complete, the
 	// journal never heard of it.
 	gen := filepath.Join(dir, GenDirName(a))
-	if err := WriteLineageFS(OS, filepath.Join(gen, ShardFileName(0)), frozen[0], window, a, nil, nil); err != nil {
+	if err := WriteLineageFS(OS, filepath.Join(gen, ShardFileName(0)), frozen[0], window, a, nil, lineageOf(frozen[0])); err != nil {
 		t.Fatal(err)
 	}
 	man := &ShardManifest{Digest: a, Window: window, Shards: []ShardInfo{{NumPrefixes: len(frozen[0].Prefixes)}}}
@@ -133,7 +133,7 @@ func TestStoreMarksMissingFilesRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := dg(0xA4)
-	if err := st.WriteShardsLineage(frozen, window, a, nil, 0, nil); err != nil {
+	if err := st.WriteShardsLineage(frozen, window, a, nil, 0, lineageOf(frozen[0])); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.RemoveAll(st.GenDirPath(a)); err != nil {
@@ -185,7 +185,7 @@ func TestStoreGCRetention(t *testing.T) {
 	}
 	a, b, c := dg(0xB1), dg(0xB2), dg(0xB3)
 	for _, d := range [][32]byte{a, b, c} {
-		if err := st.WriteShardsLineage(frozen, window, d, nil, 0, nil); err != nil {
+		if err := st.WriteShardsLineage(frozen, window, d, nil, 0, lineageOf(frozen[0])); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Promote(d); err != nil {
@@ -214,7 +214,7 @@ func TestStoreGCRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := dg(0xB4)
-	if err := st.WriteShardsLineage(frozen, window, d, nil, 0, nil); err != nil {
+	if err := st.WriteShardsLineage(frozen, window, d, nil, 0, lineageOf(frozen[0])); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Promote(d); err != nil {
@@ -222,6 +222,63 @@ func TestStoreGCRetention(t *testing.T) {
 	}
 	if got := st.Manifest().Status(b); got != GenRemoved {
 		t.Fatalf("corrupt b should be evicted first, status = %v", got)
+	}
+}
+
+// TestStoreGCEvictsUnpromotedOrphans: a generation written but never
+// promoted — the process died before Promote — is collected like a
+// retired one once a later generation is live, oldest first within the
+// retention cap. One written after the live promotion may yet be
+// promoted and stays.
+func TestStoreGCEvictsUnpromotedOrphans(t *testing.T) {
+	frozen, window := storeFixture(t)
+	dir := t.TempDir()
+	write := func(st *Store, d [32]byte) {
+		t.Helper()
+		if err := st.WriteShardsLineage(frozen, window, d, nil, 0, lineageOf(frozen[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan := dg(0xE0)
+	write(st, orphan)
+	// Crash before Promote: the next process replays the journal.
+	if st, err = OpenStore(dir, StoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var live [32]byte
+	for i := 1; i <= 8; i++ {
+		live = dg(0xE0 + byte(i))
+		write(st, live)
+		if err := st.Promote(live); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending := dg(0xEF)
+	write(st, pending)
+	if err := st.GC(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Status(orphan); got != GenRemoved {
+		t.Errorf("orphan status = %v, want removed", got)
+	}
+	if _, err := os.Stat(st.GenDirPath(orphan)); !os.IsNotExist(err) {
+		t.Errorf("orphan's directory survived GC: %v", err)
+	}
+	if got := st.Status(pending); got != GenWritten || !st.HasShards(pending) {
+		t.Errorf("generation written after the live promotion: status %v, on disk %v; want written and kept",
+			got, st.HasShards(pending))
+	}
+	gens, err := filepath.Glob(filepath.Join(dir, "gen-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The live generation, the pending one, and DefaultRetain retired.
+	if want := DefaultRetain + 2; len(gens) != want {
+		t.Errorf("store holds %d generation directories, want %d", len(gens), want)
 	}
 }
 
@@ -260,7 +317,7 @@ func TestStoreGCMixedShardedAndLegacy(t *testing.T) {
 	legacy := dg(0xC0)
 	legacyFiles := []string{"index.ribsnap", "gen-" + strings.Repeat("c0", 8) + ".ribsnap"}
 	for _, name := range legacyFiles {
-		if err := WriteLineageFS(OS, filepath.Join(dir, name), monolith[0], window, legacy, nil, nil); err != nil {
+		if err := WriteLineageFS(OS, filepath.Join(dir, name), monolith[0], window, legacy, nil, lineageOf(monolith[0])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,7 +333,7 @@ func TestStoreGCMixedShardedAndLegacy(t *testing.T) {
 		d  [32]byte
 		fs []*rib.Frozen
 	}{{a, shards}, {b, monolith}, {c, shards}} {
-		if err := st.WriteShardsLineage(g.fs, window, g.d, nil, 0, nil); err != nil {
+		if err := st.WriteShardsLineage(g.fs, window, g.d, nil, 0, lineageOf(g.fs[0])); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Promote(g.d); err != nil {
@@ -327,43 +384,5 @@ func TestStoreGCMixedShardedAndLegacy(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("%s was touched: %v", name, err)
 		}
-	}
-}
-
-// TestStoreDerivedLineageRoundTrip pins the ancestry journal: a
-// generation written with a parent-bearing lineage is journaled as
-// derived, Parent recovers the parent digest (across a restart), and a
-// parentless lineage journals a plain written record.
-func TestStoreDerivedLineageRoundTrip(t *testing.T) {
-	frozen, window := storeFixture(t)
-	dir := t.TempDir()
-	st, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, child := dg(0xD1), dg(0xD2)
-	if err := st.WriteShardsLineage(frozen, window, base, nil, 0, &Lineage{MaxDay: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Parent(base); ok {
-		t.Fatal("parentless lineage must not journal ancestry")
-	}
-	lin := &Lineage{HasParent: true, Parent: base, MaxDay: 5}
-	if err := st.WriteShardsLineage(frozen, window, child, nil, 0, lin); err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := st.Parent(child); !ok || p != base {
-		t.Fatalf("Parent(child) = %x/%v, want base", p[:4], ok)
-	}
-	if got := st.Status(child); got != GenWritten {
-		t.Fatalf("derived child status = %v, want written", got)
-	}
-
-	st2, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := st2.Parent(child); !ok || p != base {
-		t.Fatalf("replayed Parent(child) = %x/%v, want base", p[:4], ok)
 	}
 }

@@ -75,8 +75,8 @@ func requireSameResponses(t *testing.T, want, got *Server, g *Generation) {
 // the store-backed unsharded daemon path: cold load, archive grows
 // append-only, and the next load takes the delta path — decoding only
 // the appended bytes — yet serves every endpoint byte-identically to a
-// from-scratch cold rebuild of the grown archive. The manifest must
-// record the ancestry edge.
+// from-scratch cold rebuild of the grown archive. The journal must show
+// the delta generation live and the one it extended retired.
 func TestDeltaLoadStoreMatchesCold(t *testing.T) {
 	w, dir, window := growableWorld(t, 31)
 	store, err := ribsnap.OpenStore(filepath.Join(t.TempDir(), "ribsnap"), ribsnap.StoreOptions{})
@@ -124,12 +124,17 @@ func TestDeltaLoadStoreMatchesCold(t *testing.T) {
 	}
 	var d2 [32]byte
 	copy(d2[:], raw)
-	parent, ok := store.Parent(d2)
-	if !ok {
-		t.Fatal("manifest carries no ancestry for the delta generation")
+	if live, ok := store.Promoted(); !ok || live != d2 {
+		t.Fatalf("promoted generation %x (%v), want the delta generation %x", live[:8], ok, d2[:8])
 	}
-	if got := hex.EncodeToString(parent[:]); got != parentHex {
-		t.Fatalf("manifest parent %s, want %s", got, parentHex)
+	raw, err = hex.DecodeString(parentHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d1 [32]byte
+	copy(d1[:], raw)
+	if got := store.Status(d1); got != ribsnap.GenRetired {
+		t.Fatalf("extended generation is %v in the journal, want retired", got)
 	}
 }
 

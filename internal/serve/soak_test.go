@@ -43,8 +43,8 @@ func (l *chaosListener) Accept() (net.Conn, error) {
 //   - every retired generation drains to refcount zero;
 //   - no goroutines leak once the soak winds down.
 //
-// Run under -race (scripts/check.sh soak) this is the PR 7 acceptance
-// test for the whole robustness stack.
+// Run under -race (scripts/check.sh race) this is the acceptance test
+// for the whole robustness stack.
 func TestChaosSoakServe(t *testing.T) {
 	dirA, dirB, window := swapWorlds(t)
 	baseline := runtime.NumGoroutine()

@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 
 # Every subcommand, in one place: the dispatch at the bottom, the usage
 # message and the Makefile's targets all read this line.
-SUBCOMMANDS="build vet fmt test race bench fuzz faults chaos warmstart serve soak crash shard delta lifecycle lint all"
+SUBCOMMANDS="build vet fmt test race bench fuzz warmstart serve shard delta lifecycle lint all"
 
 # Every native fuzz target in the repo, one "package target" pair per
 # line. `go test -fuzz` accepts a single target per invocation, hence the
@@ -29,6 +29,7 @@ internal/mrt FuzzReaderLenient
 internal/mrt FuzzReaderReuse
 internal/netx FuzzParsePrefix
 internal/netx FuzzParseAddr
+internal/ribsnap FuzzManifestScan
 internal/ribsnap FuzzSnapshotLoad
 internal/rirstats FuzzParseFile
 internal/rpki FuzzParseSnapshotCSV
@@ -59,7 +60,10 @@ test_() {
   (cd benchmark && go vet . && go test -short .)
 }
 
-race() { go test -race ./...; }
+# race runs every test in the repo under the race detector, uncached:
+# the fault-injection, live-session chaos, serving soak and crash
+# recovery suites included.
+race() { go test -race -count=1 ./...; }
 
 # bench compiles and runs every Benchmark* function exactly once — a
 # smoke guard against rot, not a measurement.
@@ -74,32 +78,6 @@ fuzz() {
     echo "--- fuzz $pkg $target ($t)"
     go test -run='^$' -fuzz="^${target}\$" -fuzztime="$t" "./$pkg"
   done
-}
-
-# faults runs the fault-tolerance suite end to end: the ingest health
-# accounting and deterministic fault-injection harness, the lenient
-# (resynchronizing) MRT reader, and the damaged-archive acceptance tests
-# (collector quarantine, strict-mode offsets, serial-vs-parallel
-# determinism over damage).
-faults() {
-  go test ./internal/ingest/...
-  go test -run 'Lenient|Strict|Damaged' ./internal/mrt .
-}
-
-# chaos runs the live-session resilience suite under the race detector:
-# the supervisor/backoff state machine, chaos net.Conn fault injection,
-# the BGP hold-timer/write-deadline/graceful-restart tests, the chaos
-# soak (50 injected faults must converge to the fault-free RIB), and the
-# RTR timer state machine with serial wraparound.
-chaos() {
-  go test -race -count=1 ./internal/session
-  go test -race -count=1 ./internal/ingest/faultinject
-  go test -race -count=1 \
-    -run 'TestHoldTimerExpiry|TestWriteTimeout|TestCollectorGracefulRestart|TestChaosSoak' \
-    ./internal/bgpd
-  go test -race -count=1 \
-    -run 'TestSerialBefore|TestPollSurvivesSerialWraparound|TestClientSession' \
-    ./internal/rtr
 }
 
 # warmstart is the warm-start acceptance gate, driven through the real
@@ -242,56 +220,12 @@ serve() {
   wait "$pid" 2>/dev/null || true
 }
 
-# soak runs the serving-layer robustness suite under the race detector:
-# the HTTP chaos soak (injected connection resets/stalls/partial
-# writes/truncation while generations swap and deliberate panics fire;
-# every admitted response byte-identical, every retired generation
-# drained to refcount zero, zero goroutine leaks), the lifecycle leak
-# test, panic isolation, admission shed/queue behavior including the
-# open-loop overload burst (TestAdmissionOverloadBurst), drain, the
-# self-healing reload supervisor and the archive watcher (which must
-# not read a reload's own store writes as a change) on a fake clock,
-# and slowloris resistance.
-soak() {
-  go test -race -count=1 -timeout 10m \
-    -run 'TestChaosSoakServe|TestGenerationLifecycleLeak|TestPanicReleasesGeneration|TestAdmission|TestDrainRejectsNewArrivals|TestRequestDeadlines|TestReload|TestWatchTriggersReload|TestWatchIgnoresOwnStoreWrites|TestSlowlorisCut' \
-    ./internal/serve
-}
-
-# crash runs the durability suite under the race detector: crash
-# recovery at every step of the fsync'd snapshot write protocol, disk
-# fault injection (short writes, ENOSPC, silent bit flips, fail-stop
-# crashes) through the ribsnap FS seam, the generation manifest journal
-# (replay, torn tails, corrupt records, last-record-wins), the snapshot
-# store lifecycle (promote/retire/retention GC/corrupt marks/debris
-# reconcile, temp sweeps), and the scrubber bitrot soak — detect,
-# degrade, cold-rebuild heal under query load with zero failed queries.
-crash() {
-  go test -race -count=1 -timeout 10m \
-    -run 'TestCrash|TestWrite|TestSweepTemps|TestManifest|TestReadManifest|TestStore' \
-    ./internal/ribsnap
-  go test -race -count=1 -run 'TestDiskFS' ./internal/ingest/faultinject
-  go test -race -count=1 -timeout 10m -run 'TestScrub' ./internal/serve
-}
-
-# shard is the sharded-index acceptance gate. It runs the boundary
-# property suite (every query at, one below, and one above each shard
-# cut byte-identical to the unsharded index for K in {1,2,7}), the
-# shard-set residency/eviction tests (the soak under -race), and the
-# sharded serving tests; then it drives the real CLI over a
-# volume-amplified synthgen archive and requires the sharded renders —
-# cold and warm, through the stored 7-shard generation — to be
-# byte-identical to the unsharded render.
+# shard is the sharded-index acceptance gate, driven through the real
+# CLI over a volume-amplified synthgen archive: the sharded renders —
+# cold and warm, through the stored 7-shard generation — must be
+# byte-identical to the unsharded render. The boundary property suite
+# and the shard-set tests run in race.
 shard() {
-  echo "--- shard: boundary property suite (K in {1,2,7})"
-  go test -count=1 -run 'TestShardedByteIdentical|TestFrozenShardsShape|TestShardedValidation' ./internal/rib
-  echo "--- shard: shard-set residency and manifest tests"
-  go test -count=1 -run 'TestShardManifest|TestWriteLoadShards|TestLoadShardsRefusesCorrupt|TestOpenShardSetStale|TestShardSet' ./internal/ribsnap
-  echo "--- shard: eviction soak under the race detector"
-  go test -race -count=1 -run 'TestShardEvictionSoak' ./internal/ribsnap
-  echo "--- shard: sharded serving, metrics, and per-shard scrub"
-  go test -count=1 -run 'TestShardedServe|TestShardedMetrics|TestShardScrub' ./internal/serve
-
   local tmp scale
   tmp="$(mktemp -d)"
   # shellcheck disable=SC2064 -- expand now: $tmp is a function local.
@@ -318,10 +252,10 @@ shard() {
   echo "--- shard: all renders byte-identical"
 }
 
-# delta is the incremental-ingest acceptance gate. It runs the
-# overlay/merge property suite, the append-only contract tests, and the
-# daemon delta-reload tests; then it drives the real CLI: a snapshot
-# store seeded on the base archive, copied whole for each mode, must
+# delta is the incremental-ingest acceptance gate, driven through the
+# real CLI (the overlay/merge and append-contract suites run in race):
+# a snapshot store seeded on the base archive, copied whole for each
+# mode, must
 # serve an append load over the grown archive — decoding only the
 # appended bytes — whose renders are byte-identical to a cache-off cold
 # rebuild of the grown archive, in parallel, serial, strict, and
@@ -332,12 +266,6 @@ shard() {
 # stale discarded generation, which surfaces in the report's
 # data-health section and breaks the byte comparison.
 delta() {
-  echo "--- delta: overlay/merge and append-contract suites"
-  go test -count=1 ./internal/delta
-  go test -count=1 -run 'TestDelta' ./internal/rib
-  go test -count=1 -run 'TestDelta' ./internal/serve
-  go test -count=1 -run 'TestAppend' .
-
   local tmp scale
   tmp="$(mktemp -d)"
   # shellcheck disable=SC2064 -- expand now: $tmp is a function local.
@@ -402,14 +330,13 @@ lint() {
   fi
 }
 
-# lifecycle runs every gate that drives a whole lifecycle — damaged
-# input, live sessions, warm start, the daemon, soak, crash recovery,
-# sharding, delta ingest. Each runs as a child process: four of them set
-# an EXIT trap for their temp dir (and, in serve, the daemon), and one
-# shell has one EXIT trap.
+# lifecycle runs every gate that drives a real binary through a whole
+# lifecycle — warm start, the daemon, sharding, delta ingest. Each runs
+# as a child process: each sets an EXIT trap for its temp dir (and, in
+# serve, the daemon), and one shell has one EXIT trap.
 lifecycle() {
   local s
-  for s in faults chaos warmstart serve soak crash shard delta; do
+  for s in warmstart serve shard delta; do
     echo "=== lifecycle: $s"
     scripts/check.sh "$s"
   done

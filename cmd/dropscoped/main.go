@@ -57,9 +57,9 @@
 // rebuild or a delta reload); the boot log names the served count.
 // Sharded generations exist only in the snapshot store, so -shards 2
 // or more is refused without one (-snapshot off). -mem-budget M caps
-// how many shards stay memory-mapped at once: cold ranges fault back
-// in on first touch and the least recently used shard is evicted, so
-// an archive larger than RAM serves from bounded residency; the budget
+// how many shards keep their pages resident (decoded shards stay on the
+// heap; a cold range faults back in with a CRC re-check), so an archive
+// larger than RAM serves from bounded residency; the budget
 // bounds shard files of the snapshot store, so it is refused without
 // -shards 2 or more and without a store. The scrubber verifies shard
 // files individually, and a damaged shard degrades only its prefix
@@ -107,7 +107,7 @@ func main() {
 		first       = flag.String("first", "", "window first day (default: the study default)")
 		last        = flag.String("last", "", "window last day (default: the study default)")
 		shards      = flag.Int("shards", 0, "serve from a prefix-range sharded index cut into N pieces (0/1 = single index)")
-		memBudget   = flag.Int("mem-budget", 0, "with -shards: max shards kept memory-mapped at once (0 = all resident; cold ranges fault back in)")
+		memBudget   = flag.Int("mem-budget", 0, "with -shards: max shards whose pages stay resident (0 = all; decoded dictionaries stay on the heap, cold ranges fault back in)")
 		maxInflight = flag.Int("max-inflight", serve.DefaultMaxInflight, "admission: max concurrently executing requests (as many more may queue briefly)")
 		watch       = flag.Duration("watch", 0, "poll the archive directory at this interval and reload on change (0 disables)")
 	)
@@ -160,10 +160,10 @@ func main() {
 	}
 
 	if *memBudget > 0 && *shards < 2 {
-		fatal(errors.New("-mem-budget bounds how many shards stay mapped; it needs -shards 2 or more, because a one-shard generation is always fully resident"))
+		fatal(errors.New("-mem-budget bounds how many shards keep their pages resident; it needs -shards 2 or more, because a one-shard generation is always fully resident"))
 	}
 	if *memBudget > 0 && opts.Store == nil {
-		fatal(errors.New("-mem-budget bounds how many shard files of the snapshot store stay mapped; without a usable store (-snapshot off, or the store failed to open) there is no residency to bound"))
+		fatal(errors.New("-mem-budget bounds how many shard files of the snapshot store keep their pages resident; without a usable store (-snapshot off, or the store failed to open) there is no residency to bound"))
 	}
 	if *shards > 1 && opts.Store == nil {
 		fatal(errors.New("-shards cuts the generations of the snapshot store; without a usable store (-snapshot off, or the store failed to open) there is none to cut"))

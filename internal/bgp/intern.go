@@ -23,7 +23,7 @@ type PathInterner struct {
 	ids     map[string]PathID
 	paths   []ASPath
 	meta    []PathMeta
-	strs    []string // lazily rendered String() per path; "" = not yet
+	strs    []string // lazily rendered String() per path; "" = not yet, nil until the first String
 	scratch []byte
 	frozen  bool // built by FrozenPathInterner: lookup-only, no ids map
 }
@@ -95,7 +95,6 @@ func (in *PathInterner) intern(p ASPath, copy bool) PathID {
 	}
 	in.paths = append(in.paths, stored)
 	in.meta = append(in.meta, metaOf(p))
-	in.strs = append(in.strs, "")
 	in.ids[string(in.scratch)] = id
 	return id
 }
@@ -135,6 +134,9 @@ func (in *PathInterner) Meta(id PathID) PathMeta { return in.meta[id] }
 // most once per distinct path. The memoization writes to the interner,
 // so String — unlike Path and Meta — is not safe for concurrent use.
 func (in *PathInterner) String(id PathID) string {
+	if int(id) >= len(in.strs) {
+		in.strs = append(in.strs, make([]string, len(in.paths)-len(in.strs))...)
+	}
 	if in.strs[id] == "" && len(in.paths[id]) > 0 {
 		in.strs[id] = in.paths[id].String()
 	}
@@ -163,7 +165,6 @@ func FrozenPathInterner(paths []ASPath) *PathInterner {
 	in := &PathInterner{
 		paths:  paths,
 		meta:   make([]PathMeta, len(paths)),
-		strs:   make([]string, len(paths)),
 		frozen: true,
 	}
 	for i, p := range paths {

@@ -78,3 +78,43 @@ func TestPathInternerCopyDiscipline(t *testing.T) {
 		t.Error("hit replaced the canonical storage")
 	}
 }
+
+// TestFrozenPathInternerMatchesSource pins FrozenPathInterner against
+// the interner its paths came from: same Len, and Path, Meta and String
+// answer identically for every id — String included, although the
+// frozen interner renders nothing until it is first asked.
+func TestFrozenPathInternerMatchesSource(t *testing.T) {
+	var in PathInterner
+	for _, p := range []ASPath{
+		nil,
+		Sequence(64500, 21575, 263692),
+		Sequence(64501),
+		{{Type: SegmentSet, ASNs: []ASN{1, 2}}},
+		{{Type: SegmentSequence, ASNs: []ASN{7, 8}}, {Type: SegmentSet, ASNs: []ASN{9}}},
+	} {
+		in.Intern(p)
+	}
+	fz := FrozenPathInterner(in.Paths())
+	if fz.strs != nil {
+		t.Fatalf("frozen interner rendered %d strings before any String call", len(fz.strs))
+	}
+	if fz.Len() != in.Len() {
+		t.Fatalf("Len = %d, want %d", fz.Len(), in.Len())
+	}
+	for id := PathID(0); int(id) < in.Len(); id++ {
+		if !reflect.DeepEqual(fz.Path(id), in.Path(id)) {
+			t.Errorf("Path(%d) = %v, want %v", id, fz.Path(id), in.Path(id))
+		}
+		if fz.Meta(id) != in.Meta(id) {
+			t.Errorf("Meta(%d) = %+v, want %+v", id, fz.Meta(id), in.Meta(id))
+		}
+		if got, want := fz.String(id), in.String(id); got != want {
+			t.Errorf("String(%d) = %q, want %q", id, got, want)
+		}
+	}
+	// A path interned after the first String renders too.
+	late := Sequence(65000, 65001)
+	if got, want := in.String(in.Intern(late)), late.String(); got != want {
+		t.Errorf("String(late) = %q, want %q", got, want)
+	}
+}

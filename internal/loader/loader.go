@@ -80,8 +80,8 @@ type Options struct {
 	// changed Shards takes effect at the next generation written — a cold
 	// or delta load. Query results are identical whatever the K.
 	Shards int
-	// MemBudget caps how many file-backed shards stay mapped at once
-	// (<= 0 keeps them all resident).
+	// MemBudget caps how many file-backed shards keep their pages
+	// resident at once (<= 0 keeps them all resident).
 	MemBudget int
 	// Delta lets a load whose archive grew append-only since the cache's
 	// previous generation decode only the appended bytes and merge them

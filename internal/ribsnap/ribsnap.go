@@ -145,9 +145,11 @@ type Snapshot struct {
 	Lineage *Lineage
 
 	// mapped is the raw mapping when the snapshot is mmap-backed; it
-	// exists so eviction can hint the pages out (DropPages) before the
-	// refcount drains the mapping itself.
+	// exists so eviction can hint the pages out (DropPages) and a
+	// re-fault can prove the pages it reads back (reverify).
 	mapped []byte
+	// hdr is the header Load verified; reverify requires it unchanged.
+	hdr header
 
 	unmap func() error
 
@@ -626,6 +628,23 @@ func (s *Snapshot) DropPages() {
 	}
 }
 
+// reverify proves the mapping still holds the bytes Load verified and
+// decoded: the same header, and a payload matching its CRC. A re-fault
+// of an evicted shard pays this instead of a decode; any mismatch is
+// ErrCorrupt. A read-whole snapshot owns its bytes: nothing to prove.
+func (s *Snapshot) reverify() error {
+	if s.mapped == nil {
+		return nil
+	}
+	if h, err := decodeHeader(s.mapped); err != nil || h != s.hdr {
+		return fmt.Errorf("%w: header changed since load", ErrCorrupt)
+	}
+	if crc32.Checksum(s.mapped[headerSize:headerSize+s.hdr.paylen], castagnoli) != s.hdr.crc {
+		return fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
+	}
+	return nil
+}
+
 func decode(data []byte, digest [32]byte) (*Snapshot, error) {
 	hdr, err := decodeHeader(data)
 	if err != nil {
@@ -669,7 +688,7 @@ func decode(data []byte, digest [32]byte) (*Snapshot, error) {
 		return b, nil
 	}
 
-	snap := Snapshot{Digest: hdr.digest}
+	snap := Snapshot{Digest: hdr.digest, hdr: hdr}
 
 	meta, err := need(secMeta)
 	if err != nil {

@@ -10,20 +10,21 @@
 // manifest is written with the same temp+fsync+rename+syncdir
 // sequence.
 //
-// ShardSet is the residency manager over one such directory: shards
-// fault in on first touch (Load + mmap), a memory budget caps how many
-// stay resident, and the least-recently-used shard is evicted — its
-// pages dropped with madvise(DONTNEED) and its snapshot closed — when
-// the budget is exceeded. Eviction rides the refcounted Snapshot
-// lifecycle: in-flight readers of the victim finish against the old
-// mapping (the final Release unmaps), while new queries fault the
-// shard back in. A multi-year archive therefore serves from a bounded
-// RSS, paying one fault per cold range instead of holding everything.
+// ShardSet is the residency manager over one such directory. A shard
+// is loaded on first touch (mmap, header, digest and CRC checks,
+// decode) and its decoded snapshot stays for the generation's life. A
+// memory budget caps how many shards keep their pages resident; over
+// it, the least-recently-used shard's pages are dropped with
+// madvise(DONTNEED), and in-flight readers refault them from the file.
+// Touching an evicted shard re-faults it: its header and payload CRC
+// are checked again against what was decoded, but nothing is rebuilt.
+// A multi-year archive therefore serves from a bounded page RSS.
 package ribsnap
 
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -184,26 +185,26 @@ type ShardSet struct {
 	lineage *Lineage
 
 	mu          sync.Mutex
-	slots       []*Snapshot  // nil = not resident
-	bad         []bool       // scrub found rot; fail fast, serve the rest
+	slots       []*Snapshot  // decoded on first touch; nil until then, and after MarkBad or Close
+	resident    []bool       // slot i's pages count against the budget
+	bad         []bool       // scrub or fault found rot; fail fast, serve the rest
 	lastUse     []int64      // LRU clock value per shard
 	loading     []*shardLoad // non-nil while shard i is being faulted in
 	tick        int64
 	maxResident int // <= 0 means unlimited
-	resident    int
 	closed      bool
 	pin         rib.ShardRelease // Querier's hold on a K = 1 set's shard
 
-	faults    atomic.Int64 // shards faulted in (including the eager first)
+	faults    atomic.Int64 // completed fault-ins: first loads (including the eager first) and re-faults
 	evictions atomic.Int64 // shards evicted for budget
 }
 
 // OpenShardSet opens the generation under dir, verifying the
 // manifest against the expected archive digest. maxResident caps how
-// many shards stay mapped at once (<= 0 means all of them). The first
-// shard is faulted in eagerly: its header supplies the window and
-// collector counts (every shard file carries identical copies) and
-// the global peer table.
+// many shards keep their pages resident at once (<= 0 means all of
+// them). The first shard is faulted in eagerly: its header supplies
+// the window and collector counts (every shard file carries identical
+// copies) and the global peer table.
 func OpenShardSet(dir string, digest [32]byte, maxResident int) (*ShardSet, error) {
 	man, err := ReadShardManifest(filepath.Join(dir, shardManifestName))
 	if err != nil {
@@ -221,6 +222,7 @@ func OpenShardSet(dir string, digest [32]byte, maxResident int) (*ShardSet, erro
 		digest:      digest,
 		man:         man,
 		slots:       make([]*Snapshot, k),
+		resident:    make([]bool, k),
 		bad:         make([]bool, k),
 		lastUse:     make([]int64, k),
 		loading:     make([]*shardLoad, k),
@@ -231,11 +233,11 @@ func OpenShardSet(dir string, digest [32]byte, maxResident int) (*ShardSet, erro
 		return nil, fmt.Errorf("ribsnap: shard 0: %w", err)
 	}
 	ss.slots[0] = snap
-	ss.resident = 1
+	ss.resident[0] = true
 	ss.tick = 1
 	ss.lastUse[0] = 1
 	ss.faults.Add(1)
-	// Decoded by copy in every snapshot: safe past shard-0 eviction.
+	// Decoded by copy in every snapshot: safe past shard-0 MarkBad.
 	ss.window = snap.Window
 	ss.counts = snap.Counts
 	ss.peers = snap.Index.Peers()
@@ -271,20 +273,20 @@ func (ss *ShardSet) ShardPath(i int) string {
 func (ss *ShardSet) Manifest() *ShardManifest { return ss.man }
 
 // shardLoad is one in-flight fault-in: later acquirers of the same
-// shard wait on done instead of mapping the file again.
+// shard wait on done instead of loading or checking it again.
 type shardLoad struct {
 	done chan struct{}
 	err  error // set before done is closed
 }
 
 // AcquireIndex pins shard i's index: resident shards return
-// immediately (no allocation), evicted shards fault back in —
-// single-flight per shard, so a thundering herd of queries against a
-// cold range maps the file once, and outside the set lock, so the
-// herd's neighbours on resident shards are not held up by it. The
-// returned release token must be released exactly once; until then the
-// index stays valid even if the shard is evicted or the set closed
-// underneath.
+// immediately (no allocation); other shards fault in — loaded on first
+// touch, reverified after an eviction — single-flight per shard and
+// outside the set lock, so a herd on a cold range checks it once and
+// its neighbours on resident shards are not held up. A fault that finds
+// the shard corrupt quarantines it as MarkBad does. The returned release
+// token must be released exactly once; until then the index stays valid
+// even if the shard is evicted or the set closed underneath.
 func (ss *ShardSet) AcquireIndex(i int) (*rib.Index, rib.ShardRelease, error) {
 	ss.mu.Lock()
 	for {
@@ -292,17 +294,13 @@ func (ss *ShardSet) AcquireIndex(i int) (*rib.Index, rib.ShardRelease, error) {
 			ss.mu.Unlock()
 			return nil, nil, err
 		}
-		if snap := ss.slots[i]; snap != nil {
-			if err := snap.Acquire(); err == nil {
-				ss.tick++
-				ss.lastUse[i] = ss.tick
-				ss.mu.Unlock()
-				return snap.Index, snap, nil
-			}
-			// Closed underneath (cannot happen while we hold the lock, but
-			// stay defensive): treat as evicted and fault back in.
-			ss.slots[i] = nil
-			ss.resident--
+		if ss.resident[i] {
+			snap := ss.slots[i]
+			snap.Acquire() // open while in its slot: Close and MarkBad clear the slot under ss.mu
+			ss.tick++
+			ss.lastUse[i] = ss.tick
+			ss.mu.Unlock()
+			return snap.Index, snap, nil
 		}
 		ld := ss.loading[i]
 		if ld == nil {
@@ -317,34 +315,49 @@ func (ss *ShardSet) AcquireIndex(i int) (*rib.Index, rib.ShardRelease, error) {
 	}
 	ld := &shardLoad{done: make(chan struct{})}
 	ss.loading[i] = ld
+	// The fault's own reference keeps MarkBad or Close from unmapping it.
+	snap := ss.slots[i]
+	if snap != nil {
+		snap.Acquire()
+	}
 	ss.mu.Unlock()
 
-	snap, err := Load(ss.ShardPath(i), ss.digest)
+	var err error
+	if snap != nil {
+		err = snap.reverify()
+	} else if snap, err = Load(ss.ShardPath(i), ss.digest); err == nil {
+		snap.Acquire() // fresh snapshot: cannot fail
+	}
 	if err != nil {
 		err = fmt.Errorf("ribsnap: shard %d: %w", i, err)
 	}
 
 	ss.mu.Lock()
 	ss.loading[i] = nil
-	if err == nil {
+	if errors.Is(err, ErrCorrupt) {
+		ss.markBadLocked(i)
+	} else if err == nil {
 		// The set may have been closed, or the shard marked bad, while
-		// the file was being mapped.
-		if err = ss.usableLocked(i); err != nil {
-			snap.Close()
-		}
+		// the fault ran.
+		err = ss.usableLocked(i)
 	}
 	if err != nil {
+		if snap != nil && ss.slots[i] != snap {
+			snap.Close() // never installed, or already closed by MarkBad or Close
+		}
 		ss.mu.Unlock()
+		if snap != nil {
+			snap.Release()
+		}
 		ld.err = err
 		close(ld.done)
 		return nil, nil, err
 	}
 	ss.faults.Add(1)
 	ss.slots[i] = snap
-	ss.resident++
+	ss.resident[i] = true
 	ss.tick++
 	ss.lastUse[i] = ss.tick
-	snap.Acquire() // fresh snapshot: cannot fail
 	ss.evictLocked(i)
 	ss.mu.Unlock()
 	close(ld.done)
@@ -364,16 +377,16 @@ func (ss *ShardSet) usableLocked(i int) error {
 	return nil
 }
 
-// evictLocked closes least-recently-used shards (never keep) until the
-// budget holds. Closing a victim with readers in flight only marks it:
-// the last Release unmaps, and a shard being faulted in is mapped
-// before it is counted, so the budget is a target the set converges
-// to, not a hard ceiling during overlap.
+// evictLocked drops the pages of least-recently-used resident shards
+// (never keep) until the budget holds; their decoded snapshots stay for
+// the next fault to reverify. A shard being faulted in is not counted
+// until its fault completes, so the budget is a target the set
+// converges to, not a hard ceiling during overlap.
 func (ss *ShardSet) evictLocked(keep int) {
-	for ss.maxResident > 0 && ss.resident > ss.maxResident {
+	for ss.maxResident > 0 && ss.residentLocked() > ss.maxResident {
 		victim := -1
-		for j, snap := range ss.slots {
-			if snap == nil || j == keep {
+		for j, r := range ss.resident {
+			if !r || j == keep {
 				continue
 			}
 			if victim < 0 || ss.lastUse[j] < ss.lastUse[victim] {
@@ -383,43 +396,52 @@ func (ss *ShardSet) evictLocked(keep int) {
 		if victim < 0 {
 			return
 		}
-		snap := ss.slots[victim]
-		ss.slots[victim] = nil
-		ss.resident--
+		ss.resident[victim] = false
 		ss.evictions.Add(1)
-		// Hint the pages out now — a clean read-only mapping refaults
-		// from the file, so this is safe under in-flight readers — then
-		// retire the snapshot; the refcount drains the mapping itself.
-		snap.DropPages()
-		snap.Close()
+		ss.slots[victim].DropPages()
 	}
 }
 
-// MarkBad flags shard i after a scrub finding: it is evicted if
-// resident and every future AcquireIndex fails fast with ErrCorrupt,
-// so the damage degrades only this shard's prefix range.
+// MarkBad quarantines shard i after a scrub or fault-in finding: its
+// snapshot is closed (in-flight readers drain against the mapping) and
+// every future AcquireIndex fails fast with ErrCorrupt, so the damage
+// degrades only this shard's prefix range.
 func (ss *ShardSet) MarkBad(i int) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
+	ss.markBadLocked(i)
+}
+
+func (ss *ShardSet) markBadLocked(i int) {
 	if i < 0 || i >= len(ss.slots) || ss.bad[i] {
 		return
 	}
 	ss.bad[i] = true
+	ss.resident[i] = false
 	if snap := ss.slots[i]; snap != nil {
 		ss.slots[i] = nil
-		ss.resident--
 		snap.Close()
 	}
 }
 
-// Resident reports how many shards are currently mapped.
+// Resident reports how many shards currently count against the budget.
 func (ss *ShardSet) Resident() int {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	return ss.resident
+	return ss.residentLocked()
 }
 
-// Faults reports how many shard fault-ins the set has performed.
+func (ss *ShardSet) residentLocked() int {
+	n := 0
+	for _, r := range ss.resident {
+		if r {
+			n++
+		}
+	}
+	return n
+}
+
+// Faults reports how many shard fault-ins the set has completed.
 func (ss *ShardSet) Faults() int64 { return ss.faults.Load() }
 
 // Evictions reports how many budget evictions the set has performed.
@@ -429,15 +451,11 @@ func (ss *ShardSet) Evictions() int64 { return ss.evictions.Load() }
 func (ss *ShardSet) ResidentShards() []bool {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	out := make([]bool, len(ss.slots))
-	for i, snap := range ss.slots {
-		out[i] = snap != nil
-	}
-	return out
+	return append([]bool(nil), ss.resident...)
 }
 
-// IsBad reports whether shard i has been marked bad by a scrub
-// finding.
+// IsBad reports whether shard i has been marked bad by a scrub or
+// fault-in finding.
 func (ss *ShardSet) IsBad(i int) bool {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -451,8 +469,8 @@ func (ss *ShardSet) BadShards() []bool {
 	return append([]bool(nil), ss.bad...)
 }
 
-// Close retires the set: resident shards are closed (in-flight readers
-// drain against their old mappings) and future acquires fail.
+// Close retires the set: every loaded shard is closed (in-flight
+// readers drain against their mappings) and future acquires fail.
 func (ss *ShardSet) Close() error {
 	ss.mu.Lock()
 	if ss.closed {
@@ -466,8 +484,8 @@ func (ss *ShardSet) Close() error {
 			snaps = append(snaps, snap)
 			ss.slots[i] = nil
 		}
+		ss.resident[i] = false
 	}
-	ss.resident = 0
 	pin := ss.pin
 	ss.pin = nil
 	ss.mu.Unlock()

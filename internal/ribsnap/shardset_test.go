@@ -319,15 +319,230 @@ func TestShardFaultInFlight(t *testing.T) {
 		t.Fatalf("faults went %d -> %d, want one fault-in", faults, f)
 	}
 
-	ss.mu.Lock()
-	ss.slots[1].Close()
-	ss.slots[1], ss.resident = nil, ss.resident-1
+	ss.mu.Lock() // evict shard 1: the next acquire is a re-fault
+	ss.resident[1] = false
 	ss.mu.Unlock()
 	ld = begin()
 	got = waiter()
 	finish(ld, ErrCorrupt)
 	if err := <-got; !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("waiter got %v, want the fault's ErrCorrupt", err)
+	}
+}
+
+// flipShardByte flips one payload byte in the middle of a shard file
+// in place (WriteAt, no truncation), the way bitrot lands under a live
+// mapping, and returns a func that writes the original byte back.
+func flipShardByte(t *testing.T, path string) (restore func()) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := st.Size() / 2
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	orig := b[0]
+	if _, err := f.WriteAt([]byte{orig ^ 0x40}, off); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt([]byte{orig}, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestShardRefaultReverifies pins what a re-fault of an evicted shard
+// proves: its decoded index is kept, but the mapped bytes are checked
+// again, so rot that lands on an evicted shard's file fails the next
+// acquire with ErrCorrupt, and a clean re-fault answers exactly as the
+// unsharded index.
+func TestShardRefaultReverifies(t *testing.T) {
+	d := dg(0xCD)
+	st, ix, _ := shardFixture(t, 3, d)
+	ss, err := st.LoadShards(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	if ss.slots[0].mapped == nil {
+		t.Skip("read-whole snapshots own their bytes: nothing to reverify")
+	}
+	for i := 0; i < ss.NumShards(); i++ {
+		_, rel, err := ss.AcquireIndex(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel.Release()
+	}
+	if got := ss.ResidentShards(); !reflect.DeepEqual(got, []bool{false, false, true}) {
+		t.Fatalf("resident after touching every shard under budget 1: %v", got)
+	}
+
+	flipShardByte(t, ss.ShardPath(0))
+	if _, _, err := ss.AcquireIndex(0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("re-fault of a rotted evicted shard: %v, want ErrCorrupt", err)
+	}
+
+	faults := ss.Faults()
+	six, rel, err := ss.AcquireIndex(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel.Release()
+	if f := ss.Faults(); f != faults+1 {
+		t.Fatalf("faults went %d -> %d, want one re-fault", faults, f)
+	}
+	if six.NumPrefixes() == 0 {
+		t.Fatal("shard 1 is empty")
+	}
+	for _, p := range six.Prefixes() {
+		for _, day := range probeDays() {
+			if a, b := ix.VisibleCount(p, day), six.VisibleCount(p, day); a != b {
+				t.Fatalf("VisibleCount(%v,%v) = %d after re-fault, want %d", p, day, b, a)
+			}
+			ao, aok := ix.OriginAt(p, day)
+			bo, bok := six.OriginAt(p, day)
+			if ao != bo || aok != bok {
+				t.Fatalf("OriginAt(%v,%v) = %v,%v after re-fault, want %v,%v", p, day, bo, bok, ao, aok)
+			}
+		}
+	}
+}
+
+// TestShardFaultCorruptQuarantines: a fault-in that finds its shard
+// corrupt quarantines it on the spot. The next acquire fails fast —
+// even with the file repaired, nothing reloads it and no fault is
+// counted — and BadShards reports the shard, as after a scrub finding.
+func TestShardFaultCorruptQuarantines(t *testing.T) {
+	d := dg(0xCE)
+	st, _, _ := shardFixture(t, 3, d)
+	ss, err := st.LoadShards(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+
+	restore := flipShardByte(t, ss.ShardPath(1))
+	if _, _, err := ss.AcquireIndex(1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("first fault of a corrupt shard: %v, want ErrCorrupt", err)
+	}
+	restore() // only the quarantine can refuse the shard now
+	faults := ss.Faults()
+	if _, _, err := ss.AcquireIndex(1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("second acquire of a quarantined shard: %v, want ErrCorrupt", err)
+	}
+	if f := ss.Faults(); f != faults {
+		t.Fatalf("faults went %d -> %d: the quarantined shard was faulted again", faults, f)
+	}
+	if got := ss.BadShards(); !reflect.DeepEqual(got, []bool{false, true, false}) {
+		t.Fatalf("BadShards = %v, want shard 1 only", got)
+	}
+	if _, rel, err := ss.AcquireIndex(2); err != nil {
+		t.Fatal(err)
+	} else {
+		rel.Release()
+	}
+}
+
+// TestShardRefaultQuarantineRace quarantines a shard while goroutines
+// keep evicting and re-faulting every shard under budget 1: a fault
+// holds its own reference on the mapping it checks, so MarkBad (and the
+// final Close) cannot unmap it underneath. Every acquire succeeds,
+// except those of the quarantined shard, which fail with ErrCorrupt.
+func TestShardRefaultQuarantineRace(t *testing.T) {
+	d := dg(0xD0)
+	st, _, _ := shardFixture(t, 3, d)
+	ss, err := st.LoadShards(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters := 300
+	if raceEnabled {
+		iters = 100
+	}
+	var wg sync.WaitGroup
+	var marked sync.Once
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < iters; it++ {
+				if g == 0 && it == iters/3 {
+					marked.Do(func() { ss.MarkBad(1) })
+				}
+				i := (g + it) % ss.NumShards()
+				ix, rel, err := ss.AcquireIndex(i)
+				if err != nil {
+					if i != 1 || !errors.Is(err, ErrCorrupt) {
+						t.Errorf("goroutine %d: shard %d: %v", g, i, err)
+						return
+					}
+					continue
+				}
+				ix.VisibleCount(ix.Prefixes()[0], day0+10) // reads the mapped columns
+				rel.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ss.AcquireIndex(0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("acquire after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestShardRefaultAllocs pins the cost of a re-fault: once every shard
+// has been decoded, an evict → re-fault cycle allocates only the
+// single-flight bookkeeping, never a second decode of the shard.
+func TestShardRefaultAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	d := dg(0xCF)
+	st, _, _ := shardFixture(t, 3, d)
+	ss, err := st.LoadShards(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	touch := func(i int) {
+		_, rel, err := ss.AcquireIndex(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel.Release()
+	}
+	for i := 0; i < ss.NumShards(); i++ {
+		touch(i)
+	}
+	const runs = 60
+	faults, i := ss.Faults(), 0
+	avg := testing.AllocsPerRun(runs, func() {
+		touch(i % ss.NumShards())
+		i++
+	})
+	if got := ss.Faults() - faults; got != runs+1 {
+		t.Fatalf("%d acquires under budget 1 faulted %d times; every one should re-fault", runs+1, got)
+	}
+	if avg > 4 {
+		t.Errorf("evict → re-fault allocates %.1f objects; want <= 4", avg)
 	}
 }
 

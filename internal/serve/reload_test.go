@@ -106,7 +106,11 @@ func TestReloadRetryThenHeal(t *testing.T) {
 	clock.BlockUntil(1)
 	clock.Advance(reloadBackoff.Max) // attempt 3 succeeds
 
-	waitFor(t, "heal", func() bool { return !stats.Degraded.Load() && srv.Swaps() == 1 })
+	// The swap event is logged just after the degraded flag clears, so
+	// wait for it too rather than racing the reload goroutine.
+	waitFor(t, "heal", func() bool {
+		return !stats.Degraded.Load() && srv.Swaps() == 1 && log.contains("swapped in generation")
+	})
 	if stats.ReloadRetries.Load() != 2 {
 		t.Fatalf("reload_retries %d, want 2", stats.ReloadRetries.Load())
 	}

@@ -173,7 +173,9 @@ func (s *Scrubber) stepShards(cur *Generation, sp *shardPass) (done, retired boo
 		}
 		i := sp.next
 		sp.next++
-		if sp.ss.IsBad(i) {
+		// A fault-in's quarantine is scrubbed until the generation is
+		// journaled corrupt, so it is reported and healed too.
+		if sp.ss.IsBad(i) && (s.cfg.Store == nil || s.cfg.Store.Status(cur.snap.Digest) == ribsnap.GenCorrupt) {
 			continue // already reported; nothing left to learn
 		}
 		sc, err := ribsnap.OpenScrub(sp.ss.ShardPath(i))

@@ -208,3 +208,69 @@ func TestShardScrubDegradesOneRange(t *testing.T) {
 		t.Fatal("no sample prefix fell outside the damaged shard")
 	}
 }
+
+// TestShardFaultQuarantineIsScrubbed: a shard whose fault-in finds its
+// file corrupt is quarantined on the spot — /healthz flags it before
+// any scrub pass — and the next scrub pass still reports it, so the
+// generation is journaled corrupt and the damage heals like a scrub
+// finding instead of staying quarantined for the generation's life.
+func TestShardFaultQuarantineIsScrubbed(t *testing.T) {
+	warm, store, _, _ := shardedFixture(t, 4, 1)
+	srv := New(warm)
+	ss := warm.Shards()
+	sh, err := ss.Sharded(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var target string
+	for _, p := range samples(warm) {
+		if sh.ShardFor(p) == 2 {
+			target = "/v1/visibility?prefix=" + escapePrefix(p)
+			break
+		}
+	}
+	if target == "" {
+		t.Fatal("no sample prefix falls in shard 2")
+	}
+
+	// Flip a payload byte of shard 2, not yet faulted in, in place.
+	f, err := os.OpenFile(ss.ShardPath(2), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, st.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{b[0] ^ 0x40}, st.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	get(t, srv, target)
+	if h := get(t, srv, "/healthz").Body.String(); !strings.Contains(h, `"shard_degraded":[false,false,true,false]`) {
+		t.Fatalf("fault-in did not quarantine the corrupt shard:\n%s", h)
+	}
+
+	sc := NewScrubber(srv, ScrubConfig{
+		chunk:        1 << 16,
+		interval:     time.Millisecond,
+		passInterval: 2 * time.Millisecond,
+		Store:        store,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() { defer close(done); sc.Run(ctx) }()
+	stats := srv.Stats()
+	waitFor(t, "scrub to report the quarantined shard", func() bool { return stats.CorruptTotal.Load() >= 1 })
+	cancel()
+	<-done
+	if st := store.Status(warm.snap.Digest); st != ribsnap.GenCorrupt {
+		t.Fatalf("generation status = %v, want corrupt", st)
+	}
+}

@@ -11,12 +11,14 @@ import (
 // on the machine, which is why these are constants in a test; timings
 // come from paired benchmark/run.sh runs.
 const (
-	// 380k of each is the text-archive load, the same in all three
-	// routes (ROADMAP item 5b). A cold load decodes through pooled
-	// records, so its MRT decode allocates next to nothing per record.
+	// About 380k of a cold load is parsing the text archives. The warm
+	// and append loads find the text journal the first cached load
+	// recorded and replay it instead, so the text costs them about 60k.
+	// A cold load decodes through pooled records, so its MRT decode
+	// allocates next to nothing per record.
 	coldLoadAllocs   = 454037 * 105 / 100
-	warmLoadAllocs   = 385080 * 105 / 100
-	appendLoadAllocs = 400022 * 105 / 100
+	warmLoadAllocs   = 74945 * 105 / 100
+	appendLoadAllocs = 89848 * 105 / 100
 )
 
 // mallocs counts the heap allocations one call of f makes.
@@ -31,10 +33,10 @@ func mallocs(f func()) uint64 {
 }
 
 // TestLoadPathAllocs pins what each route through the loader costs in
-// allocations — cold (decode and build), warm (map the snapshot) and
-// append (decode only the grown tail) — each checked to have taken the
-// route it names, and the two orderings the routes exist for: warm
-// under cold, append under a cold rebuild of the grown archive.
+// allocations — cold (decode and build), warm (map the snapshot and
+// replay the text journal) and append (decode only the grown tail) —
+// each checked to have taken the route it names, and the two orderings the routes exist for: warm
+// under 40 % of cold, append under a cold rebuild of the grown archive.
 func TestLoadPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a full archive five times")
@@ -85,8 +87,8 @@ func TestLoadPathAllocs(t *testing.T) {
 			t.Errorf("%s load: %d allocations, ceiling %d", c.route, c.got, c.ceiling)
 		}
 	}
-	if warm >= cold {
-		t.Errorf("warm load (%d allocations) is not cheaper than cold (%d)", warm, cold)
+	if warm*10 >= cold*4 {
+		t.Errorf("warm load (%d allocations) is not under 40 %% of cold (%d)", warm, cold)
 	}
 	if appended >= grownCold {
 		t.Errorf("append load (%d allocations) is not cheaper than a cold rebuild of the grown archive (%d)", appended, grownCold)

@@ -123,7 +123,7 @@ func fatal(err error) {
 
 func main() {
 	var (
-		scale    = flag.Int("scale", 64, "background population divisor (1 = paper-size populations)")
+		scale    = flag.Int("scale", 64, "background population divisor: the paper's counts / N, N >= 7 (the generator's floor)")
 		seed     = flag.Int64("seed", 1, "deterministic world seed")
 		load     = flag.String("load", "", "load archives from this directory instead of generating")
 		save     = flag.String("save", "", "after generating, persist archives to this directory")

@@ -26,7 +26,7 @@ import (
 func main() {
 	var (
 		dir    = flag.String("dir", "", "output directory (required)")
-		scale  = flag.Int("scale", 64, "background population divisor")
+		scale  = flag.Int("scale", 64, "background population divisor: the paper's counts / N, N >= 7 (the generator's floor)")
 		seed   = flag.Int64("seed", 1, "deterministic world seed")
 		volume = flag.Int("volume", 0, "MRT volume amplification: per-collector churn record target, lognormal-distributed (0 = off)")
 	)

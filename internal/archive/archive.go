@@ -82,53 +82,70 @@ type LoadOptions struct {
 	// SkipMRT does nothing: no load opens mrt/, which the RIB build
 	// decodes (internal/loader). It is kept for callers that set it.
 	SkipMRT bool
-	// Workers bounds the goroutines parsing rirstats day directories;
-	// <= 0 means runtime.GOMAXPROCS(0). Above 1 the five sources also
-	// load concurrently with each other; at 1 the whole load runs on the
-	// calling goroutine, one source after another.
+	// Workers bounds the goroutines parsing rirstats day directories or
+	// hashing the text files; <= 0 means runtime.GOMAXPROCS(0). Above 1
+	// the five sources also load concurrently with each other; at 1 the
+	// whole load runs on the calling goroutine, one source after another.
 	Workers int
+	// Journal, when non-nil, keeps the text journal (journal.go): DROP,
+	// RPKI and rirstats are replayed from it when it was recorded from
+	// the very bytes the archive holds, a stale one is cleared, and a
+	// lenient load that parses them without damage records a new one.
+	Journal JournalStore
 }
 
 // LoadWithOptions reads the text archives of a bundle previously
 // persisted with Write; Bundle.MRT stays nil.
 func LoadWithOptions(dir string, opts LoadOptions) (*Bundle, error) {
-	h := opts.Health
+	h, js := opts.Health, opts.Journal
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	b := &Bundle{SBL: sbl.NewDB(), DROP: drop.NewArchive(), IRR: &irr.DB{}, RPKI: &rpki.Archive{}, RIR: &rirstats.Timeline{}}
+	var rec *record
+	if js != nil && h != nil {
+		rec = new(record)
+	}
 	// One loader per source, each filling its own field of b, in the
-	// order their errors are reported.
+	// order their errors are reported. SBL and IRR always parse; DROP,
+	// RPKI and rirstats only when the journal does not replay.
 	loaders := []func() error{
-		func() error { return loadDROP(filepath.Join(dir, "drop"), b.DROP, h) },
+		func() error { return loadDROP(filepath.Join(dir, "drop"), b.DROP, h, rec) },
 		func() error { return loadSBL(filepath.Join(dir, "sbl", "records.txt"), b.SBL, h) },
 		func() error { return loadIRR(filepath.Join(dir, "irr", "journal.rpsl"), b.IRR, h) },
-		func() error { return loadRPKI(filepath.Join(dir, "rpki"), b.RPKI, h) },
-		func() error { return loadRIRStats(filepath.Join(dir, "rirstats"), b.RIR, h, workers) },
-	}
-	if workers == 1 {
-		for _, l := range loaders {
-			if err := l(); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
+		func() error { return loadRPKI(filepath.Join(dir, "rpki"), b.RPKI, h, rec) },
+		func() error { return loadRIRStats(filepath.Join(dir, "rirstats"), b.RIR, h, workers, rec) },
 	}
 	errs := make([]error, len(loaders))
 	var wg sync.WaitGroup
-	for i, l := range loaders {
+	run := func(i int) {
+		if workers == 1 {
+			errs[i] = loaders[i]()
+			return
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = l()
+			errs[i] = loaders[i]()
 		}()
+	}
+	run(1)
+	run(2)
+	replayed := js != nil && replay(dir, js, b, h, workers)
+	if !replayed {
+		run(0)
+		run(3)
+		run(4)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if rec != nil && !replayed {
+		rec.save(js, b, h)
 	}
 	return b, nil
 }
@@ -185,24 +202,28 @@ func writeDROP(dir string, a *drop.Archive) error {
 	return nil
 }
 
-func loadDROP(dir string, a *drop.Archive, h *ingest.Health) error {
+// loadDROP adds each day's snapshot in day order. With rec, it also
+// keeps each file's digest for the journal.
+func loadDROP(dir string, a *drop.Archive, h *ingest.Health, rec *record) error {
 	days, err := snapshotDays(dir, ".txt")
 	if err != nil {
 		return err
 	}
+	var buf bytes.Buffer
 	for _, day := range days {
 		name := day.Compact() + ".txt"
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
+		if err := readFile(filepath.Join(dir, name), &buf); err != nil {
 			return err
+		}
+		if rec != nil {
+			rec.drop = append(rec.drop, sumOf("drop/"+name, buf.Bytes()))
 		}
 		var entries []drop.Entry
 		if h != nil {
-			entries, err = drop.ParseHealth(f, h.Source("drop/"+name))
+			entries, err = drop.ParseHealth(bytes.NewReader(buf.Bytes()), h.Source("drop/"+name))
 		} else {
-			entries, err = drop.Parse(f)
+			entries, err = drop.Parse(bytes.NewReader(buf.Bytes()))
 		}
-		f.Close()
 		if err != nil {
 			return err
 		}
@@ -325,25 +346,30 @@ func writeRPKI(dir string, a *rpki.Archive) error {
 	return nil
 }
 
-func loadRPKI(dir string, a *rpki.Archive, h *ingest.Health) error {
+// loadRPKI journals, day by day, the ROAs each snapshot revokes and
+// creates against the one before. With rec, it also keeps each file's
+// digest for the journal.
+func loadRPKI(dir string, a *rpki.Archive, h *ingest.Health, rec *record) error {
 	days, err := snapshotDays(dir, ".csv")
 	if err != nil {
 		return err
 	}
+	var buf bytes.Buffer
 	prev := make(map[rpki.ROA]bool)
 	for _, day := range days {
 		name := day.Compact() + ".csv"
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
+		if err := readFile(filepath.Join(dir, name), &buf); err != nil {
 			return err
+		}
+		if rec != nil {
+			rec.rpki = append(rec.rpki, sumOf("rpki/"+name, buf.Bytes()))
 		}
 		var roas []rpki.ROA
 		if h != nil {
-			roas, err = rpki.ParseSnapshotCSVHealth(f, h.Source("rpki/"+name))
+			roas, err = rpki.ParseSnapshotCSVHealth(bytes.NewReader(buf.Bytes()), h.Source("rpki/"+name))
 		} else {
-			roas, err = rpki.ParseSnapshotCSV(f)
+			roas, err = rpki.ParseSnapshotCSV(bytes.NewReader(buf.Bytes()))
 		}
-		f.Close()
 		if err != nil {
 			return err
 		}
@@ -440,8 +466,9 @@ type rirKey struct {
 // whose status differs from the day before. Days are parsed up to
 // workers at a time and applied one at a time in day order, so the
 // timeline, the health counts and the error a damaged archive fails
-// with do not depend on workers.
-func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health, workers int) error {
+// with do not depend on workers. With rec, it also keeps each file's
+// digest and every Manage and SetStatus call for the journal.
+func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health, workers int, rec *record) error {
 	days, err := snapshotDays(dir, "")
 	if err != nil {
 		return err
@@ -450,17 +477,26 @@ func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health, workers in
 		return fmt.Errorf("archive: no rirstats snapshots in %s", dir)
 	}
 	prev := make(map[rirKey]rirstats.Status)
-	apply := func(i int, blocks []rirstats.Block) error {
-		for _, b := range blocks {
+	apply := func(i int, sc *rirScratch) error {
+		if rec != nil {
+			rec.rir = append(rec.rir, sc.sums...)
+		}
+		for _, b := range sc.blocks {
 			k := rirKey{b.Registry, b.Prefix}
 			if i == 0 {
 				if err := t.Manage(b.Prefix, b.Registry, b.Status); err != nil {
 					return err
 				}
+				if rec != nil {
+					rec.manage = append(rec.manage, b)
+				}
 				prev[k] = b.Status
 			} else if prev[k] != b.Status {
 				if err := t.SetStatus(b.Prefix, days[i], b.Status); err != nil {
 					return err
+				}
+				if rec != nil {
+					rec.changes = append(rec.changes, rirChange{days[i], b})
 				}
 				prev[k] = b.Status
 			}
@@ -471,10 +507,10 @@ func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health, workers in
 	if workers == 1 {
 		var sc rirScratch
 		for i, day := range days {
-			if err := parseRIRDay(dir, day, h, &sc); err != nil {
+			if err := parseRIRDay(dir, day.Compact(), h, &sc, rec != nil); err != nil {
 				return err
 			}
-			if err := apply(i, sc.blocks); err != nil {
+			if err := apply(i, &sc); err != nil {
 				return err
 			}
 		}
@@ -516,7 +552,7 @@ func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health, workers in
 				default:
 					sc = new(rirScratch)
 				}
-				slot <- parsed{sc, parseRIRDay(dir, day, h, sc)}
+				slot <- parsed{sc, parseRIRDay(dir, day.Compact(), h, sc, rec != nil)}
 			}()
 		}
 	}()
@@ -526,7 +562,7 @@ func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health, workers in
 		if p.err != nil {
 			return p.err
 		}
-		if err := apply(i, p.blocks); err != nil {
+		if err := apply(i, p.rirScratch); err != nil {
 			return err
 		}
 		i++
@@ -539,33 +575,33 @@ func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health, workers in
 }
 
 // rirScratch is what parsing a day fills and the next day parsed can
-// reuse: a file's bytes and the day's blocks.
+// reuse: a file's bytes, the day's blocks and, for the journal, its
+// files' digests.
 type rirScratch struct {
 	file   bytes.Buffer
 	blocks []rirstats.Block
+	sums   []fileSum
 }
 
-// parseRIRDay leaves the blocks of one day directory's five files in
-// sc.blocks, in registry then file order.
-func parseRIRDay(dir string, day timex.Day, h *ingest.Health, sc *rirScratch) error {
-	rel := day.Compact()
-	sc.blocks = sc.blocks[:0]
+// parseRIRDay leaves the blocks of the five files of the day directory
+// dir/rel in sc.blocks, in registry then file order, and with hash
+// their digests in sc.sums.
+func parseRIRDay(dir, rel string, h *ingest.Health, sc *rirScratch, hash bool) error {
+	sc.blocks, sc.sums = sc.blocks[:0], sc.sums[:0]
 	for _, rir := range rirstats.AllRIRs {
-		name := "delegated-" + string(rir) + "-extended"
-		f, err := os.Open(filepath.Join(dir, rel, name))
-		if err != nil {
+		name := rirFile(rir)
+		if err := readFile(filepath.Join(dir, rel, name), &sc.file); err != nil {
 			return err
 		}
-		sc.file.Reset()
-		_, err = sc.file.ReadFrom(f)
-		f.Close()
-		if err != nil {
-			return err
+		path := "rirstats/" + rel + "/" + name
+		if hash {
+			sc.sums = append(sc.sums, sumOf(path, sc.file.Bytes()))
 		}
 		var src *ingest.Source
 		if h != nil {
-			src = h.Source("rirstats/" + rel + "/" + name)
+			src = h.Source(path)
 		}
+		var err error
 		if sc.blocks, err = rirstats.AppendBlocks(sc.blocks, sc.file.Bytes(), src); err != nil {
 			return err
 		}

@@ -10,15 +10,23 @@ import (
 	"dropscope/internal/scenario"
 )
 
-var goldenDir string
+// goldenDirs holds one generated archive per seed.
+var goldenDirs = map[int64]string{}
 
 // writeSmallWorld returns a fresh copy of a tiny world's archive
 // directory; the world is generated and persisted once per process.
 func writeSmallWorld(t *testing.T) string {
 	t.Helper()
-	if goldenDir == "" {
+	return writeWorld(t, scenario.DefaultParams().Seed)
+}
+
+// writeWorld is writeSmallWorld for the world of another seed.
+func writeWorld(t *testing.T, seed int64) string {
+	t.Helper()
+	if goldenDirs[seed] == "" {
 		p := scenario.DefaultParams()
 		p.Scale = 2048
+		p.Seed = seed
 		w, err := scenario.Generate(p)
 		if err != nil {
 			t.Fatal(err)
@@ -44,10 +52,10 @@ func writeSmallWorld(t *testing.T) string {
 				}
 			}
 		}
-		goldenDir = dir
+		goldenDirs[seed] = dir
 	}
 	dir := t.TempDir()
-	if err := os.CopyFS(dir, os.DirFS(goldenDir)); err != nil {
+	if err := os.CopyFS(dir, os.DirFS(goldenDirs[seed])); err != nil {
 		t.Fatal(err)
 	}
 	return dir

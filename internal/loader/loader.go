@@ -136,7 +136,28 @@ func Load(dir string, o Options) (*Loaded, error) {
 			l.Route, digest, keyed = Delta, l.Shards.Digest(), true
 		}
 	}
+	// The text load overlaps what the route does next: hashing the MRT
+	// archive, the warm lookup, a cold build. It runs alone after a delta
+	// build, whose peak memory it would add to, and at Workers 1, where
+	// the whole load is serial.
+	var (
+		b        *archive.Bundle
+		textErr  error
+		textDone chan struct{}
+	)
+	topts := archive.LoadOptions{Health: h, Workers: o.Workers}
+	if st != nil {
+		topts.Journal = st
+	}
+	text := func() { b, textErr = archive.LoadWithOptions(dir, topts) }
 	if !keyed {
+		if o.Workers != 1 {
+			textDone = make(chan struct{})
+			go func() {
+				defer close(textDone)
+				text()
+			}()
+		}
 		// One read of the archive yields both the key and the lineage
 		// cursors a cold build persists. An error (a missing mrt/
 		// directory) falls through: the archive load reports it.
@@ -153,30 +174,18 @@ func Load(dir string, o Options) (*Loaded, error) {
 		l.Snapshot = l.Shards.Master()
 	}
 
-	// A cold load builds the index from mrt/ while the text archives load,
-	// as the text sources overlap one another; at Workers 1, one after
-	// the other.
 	var (
-		b               *archive.Bundle
-		ix              *rib.Index
-		counts          []ribsnap.CollectorCount
-		textErr, mrtErr error
+		ix     *rib.Index
+		counts []ribsnap.CollectorCount
+		mrtErr error
 	)
-	text := func() { b, textErr = archive.LoadWithOptions(dir, archive.LoadOptions{Health: h, Workers: o.Workers}) }
-	switch {
-	case l.Shards != nil:
-		text()
-	case o.Workers == 1:
+	if l.Shards == nil {
 		ix, counts, mrtErr = build(mrtDir, o)
+	}
+	if textDone != nil {
+		<-textDone
+	} else {
 		text()
-	default:
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			text()
-		}()
-		ix, counts, mrtErr = build(mrtDir, o)
-		<-done
 	}
 	if err := loadError(mrtErr, textErr); err != nil {
 		l.close()

@@ -1,6 +1,7 @@
 package loader_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -522,8 +523,10 @@ func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, s
 	}
 
 	// What is on disk afterwards: the journal and generation
-	// directories, nothing else. A load that must not persist (damaged
-	// MRT ingest, or a strict load that failed) leaves the seeded state.
+	// directories, and after a lenient load the text journal (the text
+	// is never damaged here), nothing else. A load that must not persist
+	// (damaged MRT ingest, or a strict load that failed) leaves the
+	// seeded generations.
 	held := current
 	if !ev.persists {
 		held = seeded
@@ -536,6 +539,9 @@ func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, s
 		want := append([]string{ribsnap.ManifestName}, genFiles(seeded, seedK)...)
 		if held != seeded {
 			want = append(want, genFiles(held, shards)...)
+		}
+		if !strict {
+			want = append(want, "text.journal")
 		}
 		sort.Strings(want)
 		if files := listing(t, cacheDir); !reflect.DeepEqual(files, want) {
@@ -701,4 +707,103 @@ func TestOlderStoreRebuiltOnce(t *testing.T) {
 	unsupported.Add(ingest.Unsupported)
 	load("grown", loader.Cold, unsupported)
 	load("grown", loader.Warm, ingest.Counters{})
+}
+
+// TestTextJournalCrashAtEveryStep: a process that dies at any step of
+// the text journal's writes (the miss clears the stale journal, the
+// parse writes the new one) leaves the old journal, the new one or none;
+// the load it was writing for still succeeds, and so does the next one
+// (after the store's reopen sweeps the temp), each reporting what a
+// cache-off load of the archive does.
+func TestTextJournalCrashAtEveryStep(t *testing.T) {
+	f := getFixture(t)
+	dir := f.archiveDir(t, "base")
+	seeded := filepath.Join(t.TempDir(), "ribsnap")
+	load := func(cacheDir string, fsys ribsnap.FS) *loader.Loaded {
+		t.Helper()
+		o := loader.Options{Window: f.window, Health: ingest.NewHealth(), Delta: true}
+		if cacheDir != "" {
+			st, err := ribsnap.OpenStore(cacheDir, ribsnap.StoreOptions{FS: fsys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Store = st
+		}
+		l, err := loader.Load(dir, o)
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		l.Snapshot.Close()
+		return l
+	}
+	journal := func(cacheDir string) []byte {
+		raw, _ := os.ReadFile(filepath.Join(cacheDir, "text.journal"))
+		return raw
+	}
+	clone := func() string {
+		cacheDir := filepath.Join(t.TempDir(), "ribsnap")
+		if err := os.CopyFS(cacheDir, os.DirFS(seeded)); err != nil {
+			t.Fatal(err)
+		}
+		return cacheDir
+	}
+	load(seeded, nil)
+	old := journal(seeded)
+
+	// Drop the last line of the last DROP day, through a fresh inode: the
+	// file is hard-linked to the fixture's.
+	days, err := filepath.Glob(filepath.Join(dir, "drop", "*.txt"))
+	if err != nil || len(days) == 0 {
+		t.Fatalf("DROP days %v: %v", days, err)
+	}
+	last := days[len(days)-1]
+	raw, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = raw[:bytes.LastIndexByte(raw[:len(raw)-1], '\n')+1]
+	if err := os.Remove(last); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(last, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := load("", nil).Pipeline.HealthReport()
+
+	probe := clone()
+	d := faultinject.NewDiskFS(nil, faultinject.DiskOpts{})
+	st, err := ribsnap.OpenStore(probe, ribsnap.StoreOptions{FS: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := d.Ops()
+	l, err := loader.Load(dir, loader.Options{Window: f.window, Health: ingest.NewHealth(), Store: st, Delta: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Snapshot.Close()
+	steps, fresh := d.Ops()-opened, journal(probe)
+	if steps == 0 || fresh == nil || string(fresh) == string(old) {
+		t.Fatalf("the changed text's load wrote no new journal (%d steps)", steps)
+	}
+	for k := 0; k <= steps; k++ {
+		cacheDir := clone()
+		crash := faultinject.NewDiskFS(nil, faultinject.DiskOpts{Crash: true, CrashAfter: opened + k})
+		if got := load(cacheDir, crash).Pipeline.HealthReport(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("crash after %d of %d steps: the load's health differs from a cache-off load's", k, steps)
+		}
+		switch got := journal(cacheDir); {
+		case bytes.Equal(got, old), bytes.Equal(got, fresh), len(got) == 0: // empty: the miss cleared the old one
+		default:
+			t.Fatalf("crash after %d of %d steps left a journal that is neither the old nor the new one", k, steps)
+		}
+		if got := load(cacheDir, nil).Pipeline.HealthReport(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("crash after %d of %d steps: the next load's health differs from a cache-off load's", k, steps)
+		}
+		for _, name := range listing(t, cacheDir) {
+			if strings.HasPrefix(name, ".ribsnap-") {
+				t.Fatalf("crash after %d of %d steps: temp %s survived the reopen", k, steps, name)
+			}
+		}
+	}
 }

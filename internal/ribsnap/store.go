@@ -243,6 +243,41 @@ func (st *Store) WriteShardsLineage(shards []*rib.Frozen, window timex.Range, di
 	return st.m.Append(GenWritten, digest)
 }
 
+// textJournalName is the text journal's file at the store root.
+const textJournalName = "text.journal"
+
+// ReadTextJournal returns the text journal (internal/archive) the last
+// clean text load left at the store root, nil when there is none.
+func (st *Store) ReadTextJournal() []byte {
+	b, err := os.ReadFile(filepath.Join(st.dir, textJournalName))
+	if err != nil {
+		return nil
+	}
+	return b
+}
+
+// WriteTextJournal replaces the text journal through the store's FS: a
+// temp file (swept at open) renamed over the old one. It is neither
+// synced nor in the manifest: a torn or lost journal fails its own
+// checks, which costs one text parse (DESIGN.md, "The text journal").
+func (st *Store) WriteTextJournal(b []byte) error {
+	f, err := st.fsys.CreateTemp(st.dir, tempPattern)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = st.fsys.Rename(f.Name(), filepath.Join(st.dir, textJournalName))
+	}
+	if err != nil {
+		st.fsys.Remove(f.Name())
+	}
+	return err
+}
+
 // LoadShards opens the generation for digest as a ShardSet, in the K it
 // was written with. A generation the journal marks corrupt fails
 // immediately with ErrCorrupt — the whole point of the mark is that a

@@ -21,7 +21,8 @@ type Params struct {
 
 	// Scale divides the paper's background population counts. The DROP
 	// listings themselves (712 prefixes) are always generated at full
-	// size; only the never-listed background scales.
+	// size; only the never-listed background scales. Generate refuses a
+	// Scale below MinScale.
 	Scale int
 
 	// Collectors and peers per collector. FilteringPeers peers apply the
@@ -144,11 +145,14 @@ func DefaultParams() Params {
 	}
 }
 
-// scaled returns n divided by the scale factor, at least 1.
+// MinScale is the smallest Scale the generator's address plan holds:
+// below it the background populations exhaust the carved regions (at 6,
+// every seed from 1 to 8 fails; at 7, every one generates).
+const MinScale = 7
+
+// scaled returns n divided by the scale factor (at least MinScale:
+// Generate checks it), at least 1.
 func (p Params) scaled(n int) int {
-	if p.Scale <= 1 {
-		return n
-	}
 	v := n / p.Scale
 	if v < 1 {
 		v = 1

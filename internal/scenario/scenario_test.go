@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dropscope/internal/netx"
@@ -327,5 +329,25 @@ func TestMultiSeedRobustness(t *testing.T) {
 		if rate := float64(hjW) / float64(hjN); rate < 0.5 || rate > 0.9 {
 			t.Errorf("seed %d: hijack withdrawal rate = %.3f", seed, rate)
 		}
+	}
+}
+
+// TestScaleFloor pins both sides of MinScale: below it Generate refuses
+// up front with an error naming the floor; at it a world generates.
+func TestScaleFloor(t *testing.T) {
+	p := DefaultParams()
+	for _, scale := range []int{-1, 0, 1, MinScale - 1} {
+		p.Scale = scale
+		_, err := Generate(p)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("floor of %d", MinScale)) {
+			t.Errorf("scale %d: err = %v, want a refusal naming the floor %d", scale, err, MinScale)
+		}
+	}
+	if testing.Short() {
+		t.Skip("generates a world at the floor")
+	}
+	p.Scale = MinScale
+	if _, err := Generate(p); err != nil {
+		t.Errorf("scale %d (the floor): %v", MinScale, err)
 	}
 }

@@ -216,6 +216,9 @@ type dropChange struct {
 
 // Generate builds a world from the parameters.
 func Generate(p Params) (*World, error) {
+	if p.Scale < MinScale {
+		return nil, fmt.Errorf("scenario: scale %d is below the generator's floor of %d: the address plan cannot hold larger background populations", p.Scale, MinScale)
+	}
 	g := &gen{
 		p:        p,
 		rng:      rand.New(rand.NewSource(p.Seed)),

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/url"
 	"testing"
@@ -71,5 +73,39 @@ func TestPointHandlerAllocs(t *testing.T) {
 				t.Errorf("%s: %v allocs/op, want 0", c.name, avg)
 			}
 		})
+	}
+}
+
+// TestMetricsEncodesIngestOnce: a scrape carries the generation's
+// ingest report byte for byte as a json.Marshal of it at scrape time
+// would, but the report is encoded once per generation, so a scrape
+// allocates next to nothing.
+func TestMetricsEncodesIngestOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	g := loadGen(t)
+	s := New(g)
+	want, err := json.Marshal(g.Pipeline().HealthReport())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mr struct {
+		Ingest json.RawMessage `json:"ingest"`
+	}
+	for i := 0; i < 2; i++ {
+		if err := json.Unmarshal(get(t, s, "/metrics").Body.Bytes(), &mr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mr.Ingest, want) {
+			t.Fatalf("scrape %d: ingest report differs from its marshal", i)
+		}
+	}
+	marshal := testing.AllocsPerRun(10, func() { json.Marshal(g.Pipeline().HealthReport()) })
+	req := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/metrics"}}
+	w := &nullWriter{header: make(http.Header)}
+	scrape := testing.AllocsPerRun(10, func() { s.ServeHTTP(w, req) })
+	if scrape >= 1 {
+		t.Errorf("a scrape makes %v allocations, want none (a marshal of the report alone makes %v)", scrape, marshal)
 	}
 }

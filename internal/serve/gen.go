@@ -14,6 +14,8 @@ package serve
 
 import (
 	"encoding/hex"
+	"encoding/json"
+	"sync"
 
 	"dropscope/internal/analysis"
 	"dropscope/internal/bgp"
@@ -43,6 +45,10 @@ type Generation struct {
 	// path (overlay replay + merge) rather than a warm map or a cold
 	// rebuild. Observability only — the bytes served are identical.
 	deltaBuilt bool
+
+	// ingestJSON encodes the ingest report on the first /metrics scrape:
+	// the load wrote the last of its health before it returned.
+	ingestJSON func() []byte
 }
 
 // newGeneration wraps a loaded snapshot and its pipeline. The snapshot
@@ -56,6 +62,13 @@ func newGeneration(snap *ribsnap.Snapshot, shards *ribsnap.ShardSet, pipe *analy
 		shards:    shards,
 		digestHex: hex.EncodeToString(snap.Digest[:]),
 		window:    pipe.Window(),
+		ingestJSON: sync.OnceValue(func() []byte {
+			rep, err := json.Marshal(pipe.HealthReport())
+			if err != nil {
+				return []byte("null")
+			}
+			return rep
+		}),
 	}
 }
 

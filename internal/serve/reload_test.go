@@ -221,8 +221,9 @@ func TestWatchTriggersReload(t *testing.T) {
 // not the next change: with the snapshot store at ARCHIVE/ribsnap (the
 // daemon's -snapshot auto), one append-only growth is one delta reload
 // and one swap, however many idle ticks follow. Were the store's new
-// generation directory and journal append stamped as archive changes,
-// the next tick would reload — and swap — a second time.
+// generation directory, manifest append or text journal stamped as
+// archive changes, the next tick would reload — and swap — a second
+// time.
 func TestWatchIgnoresOwnStoreWrites(t *testing.T) {
 	w, dir, window := growableWorld(t, 36)
 	store, err := ribsnap.OpenStore(filepath.Join(dir, "ribsnap"), ribsnap.StoreOptions{})
@@ -244,10 +245,18 @@ func TestWatchIgnoresOwnStoreWrites(t *testing.T) {
 	go func() { defer close(done); r.Run(ctx) }()
 
 	clock.BlockUntil(1) // watch timer armed
+	// Without its text journal the reload records one: a store write too.
+	journal := filepath.Join(store.Dir(), "text.journal")
+	if err := os.Remove(journal); err != nil {
+		t.Fatal(err)
+	}
 	grow(t, dir, w, 8, 102)
 	for tick := 0; tick < 4; tick++ { // the growth, then three idle ticks
 		clock.Advance(time.Minute)
 		clock.BlockUntil(1) // tick processed: the timer is re-armed after any reload
+	}
+	if _, err := os.Stat(journal); err != nil {
+		t.Errorf("the reload wrote no text journal: %v", err)
 	}
 	if got := srv.Swaps(); got != 1 {
 		t.Errorf("swaps = %d after one archive change, want 1", got)

@@ -521,11 +521,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, g *Generation) {
 	b = append(b, `,"generation_age_seconds":`...)
 	b = appendFloat(b, s.stats.GenerationAge(time.Now()).Seconds())
 	b = append(b, `,"ingest":`...)
-	rep, err := json.Marshal(g.pipe.HealthReport())
-	if err != nil {
-		rep = []byte("null")
-	}
-	b = append(b, rep...)
+	b = append(b, g.ingestJSON()...)
 	b = g.appendGeneration(b)
 	st.body = b[:0]
 	s.finish(w, g, b)

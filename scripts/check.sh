@@ -31,6 +31,7 @@ internal/netx FuzzParsePrefix
 internal/netx FuzzParseAddr
 internal/ribsnap FuzzManifestScan
 internal/ribsnap FuzzSnapshotLoad
+internal/archive FuzzTextJournal
 internal/rirstats FuzzParseFile
 internal/rpki FuzzParseSnapshotCSV
 internal/rtr FuzzReadPDU
@@ -83,9 +84,11 @@ fuzz() {
 # warmstart is the warm-start acceptance gate, driven through the real
 # CLI. It saves an archive, renders it with the index cache disabled,
 # renders it once more with the cache on (a cold build that writes a
-# generation into the snapshot store), then renders three warm loads —
-# parallel, serial, strict — and requires all five reports
-# byte-identical.
+# generation and the text journal into the snapshot store), then
+# renders three warm loads — parallel, serial, strict — and requires all
+# five reports byte-identical. Last it rewrites one DROP day, so the
+# text journal is stale, and requires the cached render of the changed
+# archive to be the cache-off one.
 warmstart() {
   local tmp scale
   tmp="$(mktemp -d)"
@@ -102,6 +105,10 @@ warmstart() {
     echo "warmstart: no generation was written" >&2
     return 1
   fi
+  if [ ! -s "$tmp/arch/ribsnap/text.journal" ]; then
+    echo "warmstart: no text journal was written" >&2
+    return 1
+  fi
   echo "--- warmstart: warm loads (parallel, serial, strict)"
   go run ./cmd/dropscope -load "$tmp/arch" >"$tmp/warm.txt"
   go run ./cmd/dropscope -load "$tmp/arch" -serial >"$tmp/warm-serial.txt"
@@ -113,6 +120,17 @@ warmstart() {
       return 1
     fi
   done
+  echo "--- warmstart: one DROP day rewritten (stale text journal)"
+  local day
+  for day in "$tmp"/arch/drop/*.txt; do :; done # the glob sorts: the last day
+  sed '$d' "$day" >"$tmp/day.txt"
+  mv "$tmp/day.txt" "$day"
+  go run ./cmd/dropscope -load "$tmp/arch" -index-cache off >"$tmp/changed-cold.txt"
+  go run ./cmd/dropscope -load "$tmp/arch" >"$tmp/changed.txt"
+  if ! cmp -s "$tmp/changed-cold.txt" "$tmp/changed.txt"; then
+    echo "warmstart: cached render of the changed archive differs from the cache-off render" >&2
+    return 1
+  fi
   echo "--- warmstart: all renders byte-identical"
 }
 

@@ -1,15 +1,15 @@
 package analysis
 
 import (
+	"dropscope/internal/netx"
 	"dropscope/internal/timex"
 )
 
 // DayFigures is the per-day cut of the study the serving layer exposes
 // at /v1/figures/{day}: the routed address space, MOAS conflict count,
-// DROP listing pressure, and live ROA population on one day. Each field
-// is a whole-index sweep, so the underlying queries go through the
-// pipeline's memoized query cache — the first request for a day pays
-// the sweep, every later request for the same day reuses it.
+// DROP listing pressure, and live ROA population on one day. The
+// routed and MOAS fields are whole-index sweeps; the serving layer
+// computes a day once per generation and keeps only its encoded answer.
 type DayFigures struct {
 	Day timex.Day `json:"day"`
 	// RoutedAddrs is the union address space observed by at least one
@@ -43,15 +43,16 @@ func (p *Pipeline) ListedCountAt(d timex.Day) (n int, addrs uint64) {
 	return n, addrs
 }
 
-// FigureDay computes the per-day figures for d. The routed-space and
-// MOAS sweeps are memoized per day (shared with the experiment
-// fan-out); the DROP and ROA counts are linear scans.
+// FigureDay computes the per-day figures for d: one routed-space and
+// one MOAS sweep of the index, and linear scans of the DROP listings
+// and ROAs. It bypasses the query cache, so a daemon crawling every
+// day retains none of the sweeps, only what its caller keeps of the
+// answer.
 func (p *Pipeline) FigureDay(d timex.Day) DayFigures {
 	f := DayFigures{Day: d}
-	routed := p.RoutedSpaceAt(d, 1)
-	f.RoutedAddrs = routed.AddrCount()
-	f.RoutedSlash8 = routed.SlashEquivalents(8)
-	f.MOASConflicts = len(p.MOASConflictsAt(d))
+	f.RoutedAddrs = p.Index.RoutedSpace(d, 1).AddrCount()
+	f.RoutedSlash8 = netx.SlashEquivalents(f.RoutedAddrs, 8)
+	f.MOASConflicts = len(p.Index.MOASConflicts(d))
 	f.DROPListed, f.DROPListedAddrs = p.ListedCountAt(d)
 	f.ROAsLive = len(p.ds.RPKI.LiveAt(d, nil))
 	return f

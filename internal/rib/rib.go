@@ -875,25 +875,28 @@ type MOAS struct {
 // observed across peers on day d, in address order.
 func (ix *Index) MOASConflicts(d timex.Day) []MOAS {
 	var out []MOAS
+	// origins collects one prefix's distinct origins; a prefix has a
+	// handful of observing peers, so a linear dedup beats a map, and the
+	// slice is reused across prefixes.
+	var origins []bgp.ASN
 	for sid, p := range ix.sorted {
 		// A single peer contributes one origin, so fewer than two
 		// observing peers cannot conflict: skip without scanning.
 		if ix.eventCount(uint32(sid), d) < 2 {
 			continue
 		}
-		origins := make(map[bgp.ASN]bool)
+		origins = origins[:0]
 		firstCovering(ix.bucket(uint32(sid)), d, func(s Span) bool {
-			origins[ix.paths.Meta(s.Path).Origin] = true
+			if o := ix.paths.Meta(s.Path).Origin; !slices.Contains(origins, o) {
+				origins = append(origins, o)
+			}
 			return true
 		})
 		if len(origins) < 2 {
 			continue
 		}
-		m := MOAS{Prefix: p}
-		for o := range origins {
-			m.Origins = append(m.Origins, o)
-		}
-		sort.Slice(m.Origins, func(i, j int) bool { return m.Origins[i] < m.Origins[j] })
+		m := MOAS{Prefix: p, Origins: slices.Clone(origins)}
+		slices.Sort(m.Origins)
 		out = append(out, m)
 	}
 	return out

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/url"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -108,4 +110,75 @@ func TestMetricsEncodesIngestOnce(t *testing.T) {
 	if scrape >= 1 {
 		t.Errorf("a scrape makes %v allocations, want none (a marshal of the report alone makes %v)", scrape, marshal)
 	}
+}
+
+// TestFiguresEncodedOnce: a figures day is computed and encoded on its
+// first request; a repeat writes the same bytes without allocating, and
+// both spellings of the day share one answer.
+func TestFiguresEncodedOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	g := loadGen(t)
+	s := New(g)
+	first := get(t, s, "/v1/figures/2019-06-05")
+	if first.Code != 200 {
+		t.Fatalf("status %d: %s", first.Code, first.Body.String())
+	}
+	for _, path := range []string{"/v1/figures/2019-06-05", "/v1/figures/20190605"} {
+		if again := get(t, s, path).Body.Bytes(); !bytes.Equal(again, first.Body.Bytes()) {
+			t.Fatalf("%s: %s, first answer %s", path, again, first.Body.Bytes())
+		}
+	}
+	req := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/v1/figures/2019-06-05"}}
+	w := &nullWriter{header: make(http.Header)}
+	if avg := testing.AllocsPerRun(100, func() { s.ServeHTTP(w, req) }); avg != 0 {
+		t.Errorf("a repeat figures request makes %v allocations, want 0", avg)
+	}
+}
+
+// queryCacheLen counts the per-day sweeps the pipeline's query cache
+// memoizes. The cache is unexported, and only its size matters here.
+func queryCacheLen(g *Generation) (routed, moas int) {
+	c := reflect.ValueOf(g.Pipeline()).Elem().FieldByName("cache")
+	return c.FieldByName("routed").Len(), c.FieldByName("moas").Len()
+}
+
+// TestFiguresCrawlRetainsLittle: a client asking for every window day
+// leaves the generation holding each day's encoded answer and nothing
+// of the sweeps behind it — no query cache entry, and well under a
+// kilobyte of heap per day.
+func TestFiguresCrawlRetainsLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	dir, window := writeWorld(t, 1)
+	g, err := Load(dir, LoadOptions{Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(g)
+	w := &nullWriter{header: make(http.Header)}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for d := window.First; d <= window.Last; d++ {
+		w.status = http.StatusOK
+		s.ServeHTTP(w, &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/v1/figures/" + d.String()}})
+		if w.status != http.StatusOK {
+			t.Fatalf("day %v: status %d", d, w.status)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if routed, moas := queryCacheLen(g); routed != 0 || moas != 0 {
+		t.Errorf("the crawl left %d routed-space and %d MOAS sweeps in the query cache, want none", routed, moas)
+	}
+	days := int64(window.Days())
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("crawling %d days grew the heap by %d B", days, grown)
+	if grown > days<<10 {
+		t.Errorf("crawling %d days grew the heap by %d B (%d B per day), want at most 1 KB per day", days, grown, grown/days)
+	}
+	runtime.KeepAlive(s)
 }

@@ -49,6 +49,16 @@ type Generation struct {
 	// ingestJSON encodes the ingest report on the first /metrics scrape:
 	// the load wrote the last of its health before it returned.
 	ingestJSON func() []byte
+
+	// figures holds one slot per window day: the day's whole
+	// /v1/figures response, encoded on its first request. The slots
+	// die with the generation, so a swap never serves an old answer.
+	figures []figureSlot
+}
+
+type figureSlot struct {
+	once sync.Once
+	body []byte
 }
 
 // newGeneration wraps a loaded snapshot and its pipeline. The snapshot
@@ -69,7 +79,18 @@ func newGeneration(snap *ribsnap.Snapshot, shards *ribsnap.ShardSet, pipe *analy
 			}
 			return rep
 		}),
+		figures: make([]figureSlot, pipe.Window().Days()),
 	}
+}
+
+// figuresBody returns the /v1/figures response for window day d,
+// computing and encoding it on the day's first request.
+func (g *Generation) figuresBody(d timex.Day) []byte {
+	slot := &g.figures[d-g.window.First]
+	slot.once.Do(func() {
+		slot.body = g.appendGeneration(appendFigures(make([]byte, 0, 256), g.pipe.FigureDay(d)))
+	})
+	return slot.body
 }
 
 // Acquire pins the generation's mapping for the duration of one query.

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dropscope/internal/analysis"
 	"dropscope/internal/timex"
 )
 
@@ -151,7 +152,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.handleOrigins(w, r, g)
 	case strings.HasPrefix(path, "/v1/figures/"):
 		s.reqs[epFigures].Add(1)
-		s.handleFigures(w, r, g, path[len("/v1/figures/"):])
+		s.handleFigures(w, g, path[len("/v1/figures/"):])
 	case path == "/healthz":
 		s.reqs[epHealthz].Add(1)
 		s.handleHealthz(w, g)
@@ -352,9 +353,10 @@ func (s *Server) handleOrigins(w http.ResponseWriter, r *http.Request, g *Genera
 }
 
 // handleFigures answers GET /v1/figures/{day}: the per-day study cut
-// (routed space, MOAS conflicts, DROP pressure, live ROAs). The sweeps
-// behind it are memoized per day in the pipeline's query cache.
-func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request, g *Generation, daypath string) {
+// (routed space, MOAS conflicts, DROP pressure, live ROAs). The first
+// request for a day computes and encodes it; every later one writes the
+// generation's stored bytes.
+func (s *Server) handleFigures(w http.ResponseWriter, g *Generation, daypath string) {
 	d, err := timex.ParseDay(daypath)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "bad day in path; want /v1/figures/YYYY-MM-DD")
@@ -364,10 +366,12 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request, g *Genera
 		s.fail(w, http.StatusNotFound, "day outside the study window")
 		return
 	}
-	f := g.pipe.FigureDay(d)
-	st := s.pool.Get().(*reqState)
-	defer s.pool.Put(st)
-	b := st.body[:0]
+	s.finish(w, g, g.figuresBody(d))
+}
+
+// appendFigures encodes f as the body of a /v1/figures response, up to
+// the generation suffix.
+func appendFigures(b []byte, f analysis.DayFigures) []byte {
 	b = append(b, `{"day":"`...)
 	b = appendDay(b, f.Day)
 	b = append(b, `","routed_addrs":`...)
@@ -381,10 +385,7 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request, g *Genera
 	b = append(b, `,"drop_listed_addrs":`...)
 	b = strconv.AppendUint(b, f.DROPListedAddrs, 10)
 	b = append(b, `,"roas_live":`...)
-	b = strconv.AppendInt(b, int64(f.ROAsLive), 10)
-	b = g.appendGeneration(b)
-	st.body = b[:0]
-	s.finish(w, g, b)
+	return strconv.AppendInt(b, int64(f.ROAsLive), 10)
 }
 
 // handleHealthz reports liveness plus the serving generation and its

@@ -58,6 +58,7 @@ func TestChaosSoakServe(t *testing.T) {
 		"/v1/rov?prefix=" + escapePrefix(ps[1]) + "&origin=64500&day=" + window.Last.String(),
 		"/v1/rov?prefix=" + escapePrefix(ps[2]) + "&origin=0&day=" + window.First.String(),
 		"/v1/drop?prefix=" + escapePrefix(ps[3]) + "&day=" + window.Last.String(),
+		"/v1/figures/" + window.Last.String(),
 	}
 	expect := map[string]map[string][]byte{
 		refA.DigestHex(): make(map[string][]byte),

@@ -172,10 +172,15 @@ func TestSwapUnderLoad(t *testing.T) {
 // TestSwapPostStateByteIdentical pins the acceptance criterion that a
 // post-swap response is byte-identical to a cold render of the new
 // snapshot: swap in world B, then compare every point query against a
-// server built directly over a cold load of B.
+// server built directly over a cold load of B. A figures day answered
+// on A before the swap must answer with B's figures after it.
 func TestSwapPostStateByteIdentical(t *testing.T) {
 	dirA, dirB, window := swapWorlds(t)
 	s := New(loadDir(t, dirA, window))
+	figures := "/v1/figures/" + window.Last.String()
+	if w := get(t, s, figures); w.Code != 200 {
+		t.Fatalf("%s on A: status %d", figures, w.Code)
+	}
 	s.Swap(loadDir(t, dirB, window))
 
 	cold, err := Load(dirB, LoadOptions{Window: window}) // no snapshot: forced cold build
@@ -198,5 +203,13 @@ func TestSwapPostStateByteIdentical(t *testing.T) {
 					path, w.Body.String(), want)
 			}
 		}
+	}
+	w := get(t, s, figures)
+	want := cold.appendGeneration(appendFigures(nil, cold.Pipeline().FigureDay(window.Last)))
+	if !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatalf("%s: answered from the retired generation\ngot:  %s\nwant: %s", figures, w.Body.String(), want)
+	}
+	if h := w.Header().Get(generationHeader); h != cold.DigestHex() {
+		t.Fatalf("%s: generation header %s, want %s", figures, h, cold.DigestHex())
 	}
 }

@@ -138,7 +138,9 @@ warmstart() {
 # daemon binary. It boots dropscoped over a synthgen archive, probes
 # every endpoint, then exercises the SIGHUP generation swap while a
 # request loop runs against the daemon — the swap must change the
-# reported generation digest without a single failed request.
+# reported generation digest without a single failed request, and a
+# figures day answered before the swap must answer from the new
+# generation after it.
 serve() {
   local tmp scale addr pid
   tmp="$(mktemp -d)"
@@ -234,6 +236,9 @@ serve() {
     return 1
   fi
   echo "--- serve: swapped to generation ${gen2:0:12} with zero dropped requests"
+  # The day was answered on the first generation above; its stored
+  # answer must have retired with it.
+  probe "/v1/figures/2022-03-30" "\"generation\":\"$gen2\""
   kill "$pid"
   wait "$pid" 2>/dev/null || true
 }

@@ -37,17 +37,11 @@ func main() {
 		hijackableSigned += roa.Prefix.NumAddrs()
 		fmt.Printf("signed+unrouted %-20s ROA %-9s -> forgeable origin\n", roa.Prefix, roa.ASN)
 	}
-	for _, rec := range ds.RIR.RecordsAt(end) {
-		if rec.Status != rirstats.Allocated && rec.Status != rirstats.Assigned {
-			continue
-		}
-		for _, blk := range rec.Prefixes() {
-			if routed.Overlaps(blk) || ds.RPKI.SignedAt(blk, end) {
-				continue
-			}
+	ds.RIR.EachAt(end, func(blk netx.Prefix, _ rirstats.RIR, st rirstats.Status) {
+		if (st == rirstats.Allocated || st == rirstats.Assigned) && !routed.Overlaps(blk) && !ds.RPKI.SignedAt(blk, end) {
 			hijackableUnsigned += blk.NumAddrs()
 		}
-	}
+	})
 
 	// Squats the AS0 TALs would reject.
 	as0TALs := []rpki.TrustAnchor{rpki.TAAPNICAS0, rpki.TALACNICAS0}

@@ -99,16 +99,11 @@ func (p *Pipeline) AS0WhatIf() AS0Remediation {
 		out.RemediedByTop3 += hs[i].Space
 	}
 
-	for _, rec := range p.ds.RIR.RecordsAt(end) {
-		if rec.Status != rirstats.Allocated && rec.Status != rirstats.Assigned {
-			continue
+	p.ds.RIR.EachAt(end, func(blk netx.Prefix, _ rirstats.RIR, st rirstats.Status) {
+		if allocated(st) && !routed.Overlaps(blk) && !p.ds.RPKI.SignedAt(blk, end) {
+			out.UnsignedUnroutedSpace += blk.NumAddrs()
 		}
-		for _, blk := range rec.Prefixes() {
-			if !routed.Overlaps(blk) && !p.ds.RPKI.SignedAt(blk, end) {
-				out.UnsignedUnroutedSpace += blk.NumAddrs()
-			}
-		}
-	}
+	})
 	return out
 }
 
@@ -145,13 +140,13 @@ func (p *Pipeline) MaxLengthAnalysis() MaxLengthAudit {
 			continue
 		}
 		out.LooseMaxLength++
-		var safe netx.Set
+		var safe []netx.Prefix
 		for _, m := range routed.MembersCoveredBy(roa.Prefix) {
 			if m.Bits() >= roa.MaxLength {
-				safe.Add(m)
+				safe = append(safe, m)
 			}
 		}
-		forgeable := roa.Prefix.NumAddrs() - safe.AddrCount()
+		forgeable := roa.Prefix.NumAddrs() - netx.NewSortedSet(safe).AddrCount()
 		if forgeable > 0 {
 			out.VulnerableLoose++
 			out.ForgeableSpace += forgeable

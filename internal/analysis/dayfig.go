@@ -54,6 +54,6 @@ func (p *Pipeline) FigureDay(d timex.Day) DayFigures {
 	f.RoutedSlash8 = netx.SlashEquivalents(f.RoutedAddrs, 8)
 	f.MOASConflicts = len(p.Index.MOASConflicts(d))
 	f.DROPListed, f.DROPListedAddrs = p.ListedCountAt(d)
-	f.ROAsLive = len(p.ds.RPKI.LiveAt(d, nil))
+	f.ROAsLive = p.ds.RPKI.LiveCountAt(d, nil)
 	return f
 }

@@ -64,17 +64,11 @@ func (p *Pipeline) Fig5ROAStatus() Fig5 {
 	// End-of-window breakdowns.
 	end := p.ds.Window.Last
 	routed := p.RoutedSpaceAt(end, 1)
-	for _, rec := range p.ds.RIR.RecordsAt(end) {
-		if rec.Status != rirstats.Allocated && rec.Status != rirstats.Assigned {
-			continue
+	p.ds.RIR.EachAt(end, func(blk netx.Prefix, registry rirstats.RIR, st rirstats.Status) {
+		if allocated(st) && !routed.Overlaps(blk) && !p.ds.RPKI.SignedAt(blk, end) {
+			out.UnroutedNoROAByRIR[registry] += blk.NumAddrs()
 		}
-		for _, blk := range rec.Prefixes() {
-			if routed.Overlaps(blk) || p.ds.RPKI.SignedAt(blk, end) {
-				continue
-			}
-			out.UnroutedNoROAByRIR[rec.Registry] += blk.NumAddrs()
-		}
-	}
+	})
 
 	holdings := make(map[bgp.ASN]uint64)
 	for _, roa := range p.ds.RPKI.LiveAt(end, rpki.DefaultTALs) {
@@ -105,31 +99,31 @@ func (p *Pipeline) fig5Sample(d timex.Day) Fig5Sample {
 	s := Fig5Sample{Day: d}
 	routed := p.RoutedSpaceAt(d, 1)
 
-	var signedSet netx.Set
-	var signedRouted netx.Set
+	// LiveAt is in prefix order, so both filtered lists are sorted.
+	var signed, signedRouted []netx.Prefix
 	for _, roa := range p.ds.RPKI.LiveAt(d, rpki.DefaultTALs) {
 		if roa.ASN == bgp.AS0 {
 			continue
 		}
-		signedSet.Add(roa.Prefix)
+		signed = append(signed, roa.Prefix)
 		if routed.Overlaps(roa.Prefix) {
-			signedRouted.Add(roa.Prefix)
+			signedRouted = append(signedRouted, roa.Prefix)
 		}
 	}
-	s.ROASpace = signedSet.AddrCount()
-	s.RoutedROASpace = signedRouted.AddrCount()
+	s.ROASpace = netx.NewSortedSet(signed).AddrCount()
+	s.RoutedROASpace = netx.NewSortedSet(signedRouted).AddrCount()
 	s.SignedUnrouted = s.ROASpace - s.RoutedROASpace
 
-	for _, rec := range p.ds.RIR.RecordsAt(d) {
-		if rec.Status != rirstats.Allocated && rec.Status != rirstats.Assigned {
-			continue
-		}
-		for _, blk := range rec.Prefixes() {
-			if routed.Overlaps(blk) || p.ds.RPKI.SignedAt(blk, d) {
-				continue
-			}
+	p.ds.RIR.EachAt(d, func(blk netx.Prefix, _ rirstats.RIR, st rirstats.Status) {
+		if allocated(st) && !routed.Overlaps(blk) && !p.ds.RPKI.SignedAt(blk, d) {
 			s.AllocatedUnroutedNoROA += blk.NumAddrs()
 		}
-	}
+	})
 	return s
+}
+
+// allocated reports whether an RIR block in status st is held by an
+// organization: allocated or assigned.
+func allocated(st rirstats.Status) bool {
+	return st == rirstats.Allocated || st == rirstats.Assigned
 }

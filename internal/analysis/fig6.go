@@ -77,14 +77,14 @@ func (p *Pipeline) Fig6UnallocatedTimeline() Fig6 {
 func (p *Pipeline) firstAS0Day(ta rpki.TrustAnchor) (timex.Day, bool) {
 	tals := []rpki.TrustAnchor{ta}
 	lo, hi := p.ds.Window.First, p.ds.Window.Last
-	if len(p.ds.RPKI.LiveAt(hi, tals)) == 0 {
+	if p.ds.RPKI.LiveCountAt(hi, tals) == 0 {
 		return 0, false
 	}
 	// Binary search for the first day with a live AS0-TAL ROA. ROA
 	// presence under one TAL is monotone here: policies activate once.
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if len(p.ds.RPKI.LiveAt(mid, tals)) > 0 {
+		if p.ds.RPKI.LiveCountAt(mid, tals) > 0 {
 			hi = mid
 		} else {
 			lo = mid + 1

@@ -36,7 +36,7 @@ type routedKey struct {
 
 type routedEntry struct {
 	once sync.Once
-	set  *netx.Set
+	set  *netx.SortedSet
 }
 
 type moasEntry struct {
@@ -45,8 +45,8 @@ type moasEntry struct {
 }
 
 // RoutedSpaceAt is Index.RoutedSpace memoized on (day, minPeers). The
-// returned set is shared across callers: read it, never Add to it.
-func (p *Pipeline) RoutedSpaceAt(d timex.Day, minPeers int) *netx.Set {
+// returned set is immutable and shared across callers.
+func (p *Pipeline) RoutedSpaceAt(d timex.Day, minPeers int) *netx.SortedSet {
 	k := routedKey{day: d, minPeers: minPeers}
 	p.cache.mu.Lock()
 	if p.cache.routed == nil {

@@ -192,34 +192,50 @@ func (a *Archive) Listings() []Listing {
 	return out
 }
 
+// diffListings walks the snapshots once, keeping one open listing per
+// prefix with the index of the last day it was seen: a listing whose
+// prefix skips a day was removed on the day after its last sighting.
+// A prefix listed twice on its first day keeps the last entry's SBL ref.
 func (a *Archive) diffListings() []Listing {
 	type open struct {
+		prefix netx.Prefix
 		added  timex.Day
 		sblRef string
+		last   int // index in days of the last snapshot listing the prefix
 	}
-	current := make(map[netx.Prefix]open)
+	var opens []open
+	byPrefix := make(map[netx.Prefix]int) // index into opens
 	var out []Listing
-	for _, day := range a.days {
-		next := make(map[netx.Prefix]string, len(a.byDay[day]))
+	closeOut := func(o *open) {
+		out = append(out, Listing{Prefix: o.prefix, SBLRef: o.sblRef, Added: o.added, Removed: a.days[o.last+1], HasRemoved: true})
+	}
+	for i, day := range a.days {
 		for _, e := range a.byDay[day] {
-			next[e.Prefix] = e.SBLRef
-		}
-		// Removals.
-		for p, o := range current {
-			if _, still := next[p]; !still {
-				out = append(out, Listing{Prefix: p, SBLRef: o.sblRef, Added: o.added, Removed: day, HasRemoved: true})
-				delete(current, p)
+			k, ok := byPrefix[e.Prefix]
+			if !ok {
+				byPrefix[e.Prefix] = len(opens)
+				opens = append(opens, open{prefix: e.Prefix, added: day, sblRef: e.SBLRef, last: i})
+				continue
 			}
-		}
-		// Additions.
-		for p, ref := range next {
-			if _, already := current[p]; !already {
-				current[p] = open{added: day, sblRef: ref}
+			switch o := &opens[k]; {
+			case o.last == i:
+				if o.added == day {
+					o.sblRef = e.SBLRef
+				}
+			case o.last == i-1:
+				o.last = i
+			default: // removed after o.last, relisted today
+				closeOut(o)
+				*o = open{prefix: e.Prefix, added: day, sblRef: e.SBLRef, last: i}
 			}
 		}
 	}
-	for p, o := range current {
-		out = append(out, Listing{Prefix: p, SBLRef: o.sblRef, Added: o.added})
+	for k := range opens {
+		if o := &opens[k]; o.last == len(a.days)-1 {
+			out = append(out, Listing{Prefix: o.prefix, SBLRef: o.sblRef, Added: o.added})
+		} else {
+			closeOut(o)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Added != out[j].Added {

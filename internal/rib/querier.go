@@ -59,8 +59,9 @@ type Querier interface {
 	// peer on day d.
 	AnyOverlapObserved(p netx.Prefix, d timex.Day) bool
 	// RoutedSpace returns the union of prefixes observed by at least
-	// minPeers peers on day d.
-	RoutedSpace(d timex.Day, minPeers int) *netx.Set
+	// minPeers peers on day d, as an immutable address-sorted set: one
+	// filter pass over the index, no trie per day.
+	RoutedSpace(d timex.Day, minPeers int) *netx.SortedSet
 	// MOASConflicts returns the prefixes with more than one origin AS
 	// observed across peers on day d, in address order.
 	MOASConflicts(d timex.Day) []MOAS

@@ -853,14 +853,20 @@ func (ix *Index) AnyOverlapObserved(p netx.Prefix, d timex.Day) bool {
 
 // RoutedSpace returns the union of prefixes observed by at least
 // minPeers peers on day d.
-func (ix *Index) RoutedSpace(d timex.Day, minPeers int) *netx.Set {
-	var set netx.Set
+func (ix *Index) RoutedSpace(d timex.Day, minPeers int) *netx.SortedSet {
+	return netx.NewSortedSet(ix.routedPrefixes(d, minPeers))
+}
+
+// routedPrefixes returns, in address order, the prefixes observed by at
+// least minPeers peers on day d: one filter pass over sorted.
+func (ix *Index) routedPrefixes(d timex.Day, minPeers int) []netx.Prefix {
+	var out []netx.Prefix
 	for sid, p := range ix.sorted {
 		if int(ix.eventCount(uint32(sid), d)) >= minPeers {
-			set.Add(p)
+			out = append(out, p)
 		}
 	}
-	return &set
+	return out
 }
 
 // MOAS is one multiple-origin-AS conflict: a prefix simultaneously

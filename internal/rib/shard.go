@@ -478,28 +478,14 @@ func (s *Sharded) fanOut(fn func(i int, ix *Index)) {
 	wg.Wait()
 }
 
-// RoutedSpace fans out: each shard contributes its qualifying prefixes
-// and the union set is assembled in shard order. Set membership — and
-// therefore every derived aggregate — is identical to the unsharded
-// scan; the trie's structure depends only on membership.
-func (s *Sharded) RoutedSpace(d timex.Day, minPeers int) *netx.Set {
+// RoutedSpace fans out: each shard filters its own prefixes, and the
+// parts are concatenated in shard order. Shards hold disjoint ascending
+// prefix ranges, so the concatenation is the unsharded scan's sorted
+// slice, and every derived aggregate is identical.
+func (s *Sharded) RoutedSpace(d timex.Day, minPeers int) *netx.SortedSet {
 	parts := make([][]netx.Prefix, len(s.shards))
-	s.fanOut(func(i int, ix *Index) {
-		var ps []netx.Prefix
-		for sid := range ix.sorted {
-			if int(ix.eventCount(uint32(sid), d)) >= minPeers {
-				ps = append(ps, ix.sorted[sid])
-			}
-		}
-		parts[i] = ps
-	})
-	var set netx.Set
-	for _, ps := range parts {
-		for _, p := range ps {
-			set.Add(p)
-		}
-	}
-	return &set
+	s.fanOut(func(i int, ix *Index) { parts[i] = ix.routedPrefixes(d, minPeers) })
+	return netx.NewSortedSet(slices.Concat(parts...))
 }
 
 // MOASConflicts fans out and concatenates: shards hold disjoint

@@ -482,6 +482,16 @@ func (t *Timeline) SpaceWhere(registry RIR, d timex.Day, keep func(Status) bool)
 	return &set
 }
 
+// EachAt calls fn with every managed block, its registry and its status
+// on day d, in registration order. It walks the timeline in place: for
+// sums over the blocks, where RecordsAt would sort records that are
+// each one prefix.
+func (t *Timeline) EachAt(d timex.Day, fn func(p netx.Prefix, registry RIR, st Status)) {
+	for _, h := range t.blocks {
+		fn(h.prefix, h.registry, h.statusAt(d))
+	}
+}
+
 // RecordsAt flattens the timeline into delegated-extended records for
 // day d, ordered by start address.
 func (t *Timeline) RecordsAt(d timex.Day) []Record {

@@ -2,6 +2,8 @@ package rirstats
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"testing"
 
 	"dropscope/internal/netx"
@@ -210,6 +212,28 @@ func TestRecordsAt(t *testing.T) {
 	}
 	if recs[2].Status != Available || recs[2].Date != 0 {
 		t.Errorf("103.100/16 = %+v", recs[2])
+	}
+}
+
+// TestEachAtMatchesRecordsAt requires EachAt to visit exactly the
+// blocks RecordsAt lists, each record being one block.
+func TestEachAtMatchesRecordsAt(t *testing.T) {
+	tl := newTimeline(t)
+	if err := tl.SetStatus(netx.MustParsePrefix("41.0.0.0/8"), d0+10, Allocated); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []timex.Day{d0, d0 + 10, d0 + 20} {
+		var want, got []Record
+		for _, rec := range tl.RecordsAt(d) {
+			want = append(want, Record{Registry: rec.Registry, Start: rec.Start, Count: rec.Count, Status: rec.Status})
+		}
+		tl.EachAt(d, func(p netx.Prefix, registry RIR, st Status) {
+			got = append(got, Record{Registry: registry, Start: p.Addr(), Count: p.NumAddrs(), Status: st})
+		})
+		sort.Slice(got, func(i, j int) bool { return got[i].Start < got[j].Start })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("day %v: EachAt visited %+v, RecordsAt lists %+v", d, got, want)
+		}
 	}
 }
 

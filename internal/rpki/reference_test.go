@@ -2,6 +2,7 @@ package rpki
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dropscope/internal/bgp"
@@ -17,6 +18,7 @@ import (
 // to hit the edges that matter: nested and overlapping ROA prefixes,
 // maxLength equal to, above and below the announced length, AS0 ROAs
 // under production and AS0 TALs, duplicate ROAs, and revoke-then-re-add.
+// LiveCountAt and SignedAt are checked against the same live set.
 func TestValidateAtMatchesValidate(t *testing.T) {
 	allTAs := append(append([]TrustAnchor{}, WithAS0TALs...), "unknown")
 	talSets := [][]TrustAnchor{DefaultTALs, WithAS0TALs, nil}
@@ -126,12 +128,23 @@ func TestValidateAtMatchesValidate(t *testing.T) {
 			}
 			d := e.day + timex.Day(rng.Intn(3)-1)
 			for _, tals := range talSets {
-				want := Validate(p, origin, liveOn(d, tals))
+				live := liveOn(d, tals)
+				want := Validate(p, origin, live)
 				if got := a.ValidateAt(p, origin, d, tals); got != want {
 					t.Fatalf("seed %d: ValidateAt(%v, %v, %v, %v) = %v, Validate over the live ROAs = %v",
 						seed, p, origin, d, tals, got, want)
 				}
 				outcomes[want]++
+				// The archive's other answers over the same live set.
+				if got := a.LiveCountAt(d, tals); got != len(live) {
+					t.Fatalf("seed %d: LiveCountAt(%v, %v) = %d, %d ROAs live", seed, d, tals, got, len(live))
+				}
+				if tals == nil {
+					signed := slices.ContainsFunc(live, func(r ROA) bool { return r.Prefix.Covers(p) })
+					if got := a.SignedAt(p, d); got != signed {
+						t.Fatalf("seed %d: SignedAt(%v, %v) = %v, a live ROA covers it: %v", seed, p, d, got, signed)
+					}
+				}
 			}
 		}
 	}

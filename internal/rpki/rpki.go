@@ -251,9 +251,20 @@ func (a *Archive) ValidateAt(p netx.Prefix, origin bgp.ASN, d timex.Day, tals []
 	return v
 }
 
-// SignedAt reports whether any live ROA on day d covers p (any TA).
+// SignedAt reports whether any live ROA on day d covers p (any TA). It
+// walks the covering ROAs in place and stops at the first live one.
 func (a *Archive) SignedAt(p netx.Prefix, d timex.Day) bool {
-	return len(a.CoveringAt(p, d, nil)) > 0
+	signed := false
+	a.trie.Covering(p, func(_ netx.Prefix, lst []*roaSpan) bool {
+		for _, sp := range lst {
+			if sp.liveAt(d) {
+				signed = true
+				return false
+			}
+		}
+		return true
+	})
+	return signed
 }
 
 // FirstSigned returns the first day a ROA covering p was created, over
@@ -311,6 +322,17 @@ func (a *Archive) LiveAt(d timex.Day, tals []TrustAnchor) []ROA {
 		return true
 	})
 	return out
+}
+
+// LiveCountAt returns len(LiveAt(d, tals)) without building the list.
+func (a *Archive) LiveCountAt(d timex.Day, tals []TrustAnchor) int {
+	n := 0
+	for _, sp := range a.spans {
+		if sp.liveAt(d) && talAllowed(sp.roa.TA, tals) {
+			n++
+		}
+	}
+	return n
 }
 
 // WriteSnapshotCSV writes the ROAs live on day d in the RIPE daily-export

@@ -29,6 +29,7 @@ internal/mrt FuzzReaderLenient
 internal/mrt FuzzReaderReuse
 internal/netx FuzzParsePrefix
 internal/netx FuzzParseAddr
+internal/netx FuzzSortedSet
 internal/ribsnap FuzzManifestScan
 internal/ribsnap FuzzSnapshotLoad
 internal/archive FuzzTextJournal
@@ -71,9 +72,19 @@ race() { go test -race -count=1 ./...; }
 bench() { go test -bench=. -benchtime=1x -run='^$' ./...; }
 
 # fuzz runs each seed corpus plus FUZZ_SMOKE_TIME (default 10s) of new
-# inputs per target.
+# inputs per target. It first fails if a Fuzz* function in the tree is
+# missing from FUZZ_TARGETS, which would leave it unrun.
 fuzz() {
-  local t="${FUZZ_SMOKE_TIME:-10s}"
+  local t="${FUZZ_SMOKE_TIME:-10s}" missing
+  missing="$(grep -rEo --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+      '^func Fuzz[A-Za-z0-9_]*' . |
+    awk -F: '{ d = $1; sub(/^\.\//, "", d); sub(/\/?[^\/]*$/, "", d); sub(/^func /, "", $2); print (d == "" ? "." : d), $2 }' |
+    grep -vxF -f <(echo "$FUZZ_TARGETS" | sed '/^$/d') || true)"
+  if [ -n "$missing" ]; then
+    echo "fuzz: targets missing from FUZZ_TARGETS:" >&2
+    echo "$missing" >&2
+    return 1
+  fi
   echo "$FUZZ_TARGETS" | while read -r pkg target; do
     [ -z "$pkg" ] && continue
     echo "--- fuzz $pkg $target ($t)"

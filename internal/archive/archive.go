@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"dropscope/internal/drop"
+	"dropscope/internal/filesum"
 	"dropscope/internal/ingest"
 	"dropscope/internal/irr"
 	"dropscope/internal/mrt"
@@ -83,7 +84,7 @@ type LoadOptions struct {
 	// decodes (internal/loader). It is kept for callers that set it.
 	SkipMRT bool
 	// Workers bounds the goroutines parsing rirstats day directories or
-	// hashing the text files; <= 0 means runtime.GOMAXPROCS(0). Above 1
+	// summing the text files; <= 0 means runtime.GOMAXPROCS(0). Above 1
 	// the five sources also load concurrently with each other; at 1 the
 	// whole load runs on the calling goroutine, one source after another.
 	Workers int
@@ -92,12 +93,20 @@ type LoadOptions struct {
 	// the very bytes the archive holds, a stale one is cleared, and a
 	// lenient load that parses them without damage records a new one.
 	Journal JournalStore
+	// Files, when non-nil, is the archive manifest the journal's file
+	// sums come from and are recorded into (internal/filesum): a file
+	// whose row holds is not read to be hashed. Nil hashes every file
+	// the journal needs.
+	Files *filesum.Manifest
 }
 
 // LoadWithOptions reads the text archives of a bundle previously
 // persisted with Write; Bundle.MRT stays nil.
 func LoadWithOptions(dir string, opts LoadOptions) (*Bundle, error) {
-	h, js := opts.Health, opts.Journal
+	h, js, files := opts.Health, opts.Journal, opts.Files
+	if files == nil {
+		files = filesum.Open(dir, nil)
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -111,11 +120,11 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Bundle, error) {
 	// order their errors are reported. SBL and IRR always parse; DROP,
 	// RPKI and rirstats only when the journal does not replay.
 	loaders := []func() error{
-		func() error { return loadDROP(filepath.Join(dir, "drop"), b.DROP, h, rec) },
+		func() error { return loadDROP(files, b.DROP, h, rec) },
 		func() error { return loadSBL(filepath.Join(dir, "sbl", "records.txt"), b.SBL, h) },
 		func() error { return loadIRR(filepath.Join(dir, "irr", "journal.rpsl"), b.IRR, h) },
-		func() error { return loadRPKI(filepath.Join(dir, "rpki"), b.RPKI, h, rec) },
-		func() error { return loadRIRStats(filepath.Join(dir, "rirstats"), b.RIR, h, workers, rec) },
+		func() error { return loadRPKI(files, b.RPKI, h, rec) },
+		func() error { return loadRIRStats(files, b.RIR, h, workers, rec) },
 	}
 	errs := make([]error, len(loaders))
 	var wg sync.WaitGroup
@@ -132,7 +141,7 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Bundle, error) {
 	}
 	run(1)
 	run(2)
-	replayed := js != nil && replay(dir, js, b, h, workers)
+	replayed := js != nil && replay(files, js, b, h, workers)
 	if !replayed {
 		run(0)
 		run(3)
@@ -203,24 +212,25 @@ func writeDROP(dir string, a *drop.Archive) error {
 }
 
 // loadDROP adds each day's snapshot in day order. With rec, it also
-// keeps each file's digest for the journal.
-func loadDROP(dir string, a *drop.Archive, h *ingest.Health, rec *record) error {
-	days, err := snapshotDays(dir, ".txt")
+// keeps each file's sum for the journal.
+func loadDROP(files *filesum.Manifest, a *drop.Archive, h *ingest.Health, rec *record) error {
+	days, err := snapshotDays(files.Path("drop"), ".txt")
 	if err != nil {
 		return err
 	}
 	var buf bytes.Buffer
 	for _, day := range days {
-		name := day.Compact() + ".txt"
-		if err := readFile(filepath.Join(dir, name), &buf); err != nil {
+		path := "drop/" + day.Compact() + ".txt"
+		sum, err := files.Read(path, &buf, rec != nil)
+		if err != nil {
 			return err
 		}
 		if rec != nil {
-			rec.drop = append(rec.drop, sumOf("drop/"+name, buf.Bytes()))
+			rec.drop = append(rec.drop, fileSum{path, sum})
 		}
 		var entries []drop.Entry
 		if h != nil {
-			entries, err = drop.ParseHealth(bytes.NewReader(buf.Bytes()), h.Source("drop/"+name))
+			entries, err = drop.ParseHealth(bytes.NewReader(buf.Bytes()), h.Source(path))
 		} else {
 			entries, err = drop.Parse(bytes.NewReader(buf.Bytes()))
 		}
@@ -348,25 +358,26 @@ func writeRPKI(dir string, a *rpki.Archive) error {
 
 // loadRPKI journals, day by day, the ROAs each snapshot revokes and
 // creates against the one before. With rec, it also keeps each file's
-// digest for the journal.
-func loadRPKI(dir string, a *rpki.Archive, h *ingest.Health, rec *record) error {
-	days, err := snapshotDays(dir, ".csv")
+// sum for the journal.
+func loadRPKI(files *filesum.Manifest, a *rpki.Archive, h *ingest.Health, rec *record) error {
+	days, err := snapshotDays(files.Path("rpki"), ".csv")
 	if err != nil {
 		return err
 	}
 	var buf bytes.Buffer
 	prev := make(map[rpki.ROA]bool)
 	for _, day := range days {
-		name := day.Compact() + ".csv"
-		if err := readFile(filepath.Join(dir, name), &buf); err != nil {
+		path := "rpki/" + day.Compact() + ".csv"
+		sum, err := files.Read(path, &buf, rec != nil)
+		if err != nil {
 			return err
 		}
 		if rec != nil {
-			rec.rpki = append(rec.rpki, sumOf("rpki/"+name, buf.Bytes()))
+			rec.rpki = append(rec.rpki, fileSum{path, sum})
 		}
 		var roas []rpki.ROA
 		if h != nil {
-			roas, err = rpki.ParseSnapshotCSVHealth(bytes.NewReader(buf.Bytes()), h.Source("rpki/"+name))
+			roas, err = rpki.ParseSnapshotCSVHealth(bytes.NewReader(buf.Bytes()), h.Source(path))
 		} else {
 			roas, err = rpki.ParseSnapshotCSV(bytes.NewReader(buf.Bytes()))
 		}
@@ -467,8 +478,9 @@ type rirKey struct {
 // workers at a time and applied one at a time in day order, so the
 // timeline, the health counts and the error a damaged archive fails
 // with do not depend on workers. With rec, it also keeps each file's
-// digest and every Manage and SetStatus call for the journal.
-func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health, workers int, rec *record) error {
+// sum and every Manage and SetStatus call for the journal.
+func loadRIRStats(files *filesum.Manifest, t *rirstats.Timeline, h *ingest.Health, workers int, rec *record) error {
+	dir := files.Path("rirstats")
 	days, err := snapshotDays(dir, "")
 	if err != nil {
 		return err
@@ -507,7 +519,7 @@ func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health, workers in
 	if workers == 1 {
 		var sc rirScratch
 		for i, day := range days {
-			if err := parseRIRDay(dir, day.Compact(), h, &sc, rec != nil); err != nil {
+			if err := parseRIRDay(files, day.Compact(), h, &sc, rec != nil); err != nil {
 				return err
 			}
 			if err := apply(i, &sc); err != nil {
@@ -552,7 +564,7 @@ func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health, workers in
 				default:
 					sc = new(rirScratch)
 				}
-				slot <- parsed{sc, parseRIRDay(dir, day.Compact(), h, sc, rec != nil)}
+				slot <- parsed{sc, parseRIRDay(files, day.Compact(), h, sc, rec != nil)}
 			}()
 		}
 	}()
@@ -576,32 +588,32 @@ func loadRIRStats(dir string, t *rirstats.Timeline, h *ingest.Health, workers in
 
 // rirScratch is what parsing a day fills and the next day parsed can
 // reuse: a file's bytes, the day's blocks and, for the journal, its
-// files' digests.
+// files' sums.
 type rirScratch struct {
 	file   bytes.Buffer
 	blocks []rirstats.Block
 	sums   []fileSum
 }
 
-// parseRIRDay leaves the blocks of the five files of the day directory
-// dir/rel in sc.blocks, in registry then file order, and with hash
-// their digests in sc.sums.
-func parseRIRDay(dir, rel string, h *ingest.Health, sc *rirScratch, hash bool) error {
+// parseRIRDay leaves the blocks of the five files of the rirstats day
+// directory named day in sc.blocks, in registry then file order, and
+// with hash their sums in sc.sums.
+func parseRIRDay(files *filesum.Manifest, day string, h *ingest.Health, sc *rirScratch, hash bool) error {
 	sc.blocks, sc.sums = sc.blocks[:0], sc.sums[:0]
-	for _, rir := range rirstats.AllRIRs {
-		name := rirFile(rir)
-		if err := readFile(filepath.Join(dir, rel, name), &sc.file); err != nil {
+	dayDir := "rirstats/" + day + "/"
+	for _, name := range rirFiles {
+		path := dayDir + name
+		sum, err := files.Read(path, &sc.file, hash)
+		if err != nil {
 			return err
 		}
-		path := "rirstats/" + rel + "/" + name
 		if hash {
-			sc.sums = append(sc.sums, sumOf(path, sc.file.Bytes()))
+			sc.sums = append(sc.sums, fileSum{path, sum})
 		}
 		var src *ingest.Source
 		if h != nil {
 			src = h.Source(path)
 		}
-		var err error
 		if sc.blocks, err = rirstats.AppendBlocks(sc.blocks, sc.file.Bytes(), src); err != nil {
 			return err
 		}

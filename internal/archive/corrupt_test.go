@@ -10,8 +10,17 @@ import (
 	"dropscope/internal/scenario"
 )
 
-// goldenDirs holds one generated archive per seed.
+// goldenDirs holds one generated archive per seed, removed by TestMain
+// once every test has run.
 var goldenDirs = map[int64]string{}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for _, dir := range goldenDirs {
+		os.RemoveAll(dir)
+	}
+	os.Exit(code)
+}
 
 // writeSmallWorld returns a fresh copy of a tiny world's archive
 // directory; the world is generated and persisted once per process.
@@ -35,7 +44,6 @@ func writeWorld(t *testing.T, seed int64) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() {}) // golden dir is process-lifetime; OS temp cleanup applies
 		if err := Write(dir, &Bundle{MRT: w.MRT, DROP: w.DROP, SBL: w.SBL, IRR: w.IRR, RPKI: w.RPKI, RIR: w.RIR}); err != nil {
 			t.Fatal(err)
 		}

@@ -16,19 +16,16 @@ package archive
 // hands the stores the values a parse interns.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"dropscope/internal/bgp"
 	"dropscope/internal/drop"
+	"dropscope/internal/filesum"
 	"dropscope/internal/ingest"
 	"dropscope/internal/netx"
 	"dropscope/internal/rirstats"
@@ -60,15 +57,10 @@ type JournalStore interface {
 }
 
 // fileSum is one text file a load read: its archive-relative path,
-// which is also its ingest source's name, its size and its SHA-256.
+// which is also its ingest source's name, and its size and SHA-256.
 type fileSum struct {
 	path string
-	size int
-	sum  [sha256.Size]byte
-}
-
-func sumOf(path string, data []byte) fileSum {
-	return fileSum{path, len(data), sha256.Sum256(data)}
+	filesum.Sum
 }
 
 // textDigest keys a journal: SHA-256 over each file's path, size and
@@ -78,24 +70,12 @@ func textDigest(files []fileSum) [sha256.Size]byte {
 	var b []byte
 	for _, f := range files {
 		b = append(append(b[:0], f.path...), 0)
-		b = binary.BigEndian.AppendUint64(b, uint64(f.size))
-		h.Write(append(b, f.sum[:]...))
+		b = binary.BigEndian.AppendUint64(b, f.Size)
+		h.Write(append(b, f.SHA[:]...))
 	}
 	var d [sha256.Size]byte
 	h.Sum(d[:0])
 	return d
-}
-
-// readFile reads the file at path into buf, replacing its contents.
-func readFile(path string, buf *bytes.Buffer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	buf.Reset()
-	_, err = buf.ReadFrom(f)
-	f.Close()
-	return err
 }
 
 // textFiles lists the files the DROP, RPKI and rirstats loads read, in
@@ -112,36 +92,23 @@ func textFiles(dir string) ([]string, error) {
 				paths = append(paths, s.sub+"/"+day.Compact()+s.ext)
 				continue
 			}
-			for _, rir := range rirstats.AllRIRs {
-				paths = append(paths, s.sub+"/"+day.Compact()+"/"+rirFile(rir))
+			dayDir := s.sub + "/" + day.Compact() + "/"
+			for _, name := range rirFiles {
+				paths = append(paths, dayDir+name)
 			}
 		}
 	}
 	return paths, nil
 }
 
-// rirFile names one registry's file in a rirstats day directory.
-func rirFile(rir rirstats.RIR) string { return "delegated-" + string(rir) + "-extended" }
-
-// hashFiles reads and hashes dir's text files at paths on workers goroutines.
-func hashFiles(dir string, paths []string, workers int) ([]fileSum, error) {
-	files, errs := make([]fileSum, len(paths)), make([]error, len(paths))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(workers, len(paths)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf bytes.Buffer
-			for i := int(next.Add(1) - 1); i < len(paths); i = int(next.Add(1) - 1) {
-				errs[i] = readFile(filepath.Join(dir, filepath.FromSlash(paths[i])), &buf)
-				files[i] = sumOf(paths[i], buf.Bytes())
-			}
-		}()
+// rirFiles names each registry's file in a rirstats day directory, in
+// rirstats.AllRIRs order.
+var rirFiles = func() (names []string) {
+	for _, rir := range rirstats.AllRIRs {
+		names = append(names, "delegated-"+string(rir)+"-extended")
 	}
-	wg.Wait()
-	return files, errors.Join(errs...)
-}
+	return names
+}()
 
 // record is what a load that parses keeps for the journal: the files
 // each journaled source read, in its load order, and the rirstats
@@ -184,30 +151,32 @@ func (r *record) save(js JournalStore, b *Bundle, h *ingest.Health) {
 }
 
 // replay loads DROP, RPKI and rirstats from the store's journal: it
-// hashes the text files (on workers goroutines, alongside) while it
-// replays the journal into fresh stores, and keeps them only when the
-// journal's digest is the files'. The health of each file is then its
-// recorded count, so a report reads as the parse's would. It reports
-// false, touching neither b nor h, when the journal does not serve — at
-// once, unhashed, if it counts another number of files (a day came or
-// went) — and empties it, so changed or still-damaged text pays once.
-func replay(dir string, js JournalStore, b *Bundle, h *ingest.Health, workers int) bool {
+// takes the text files' sums from files (on workers goroutines,
+// alongside; only a file whose manifest row does not hold is read)
+// while it replays the journal into fresh stores, and keeps them only
+// when the journal's digest is the files'. The health of each file is
+// then its recorded count, so a report reads as the parse's would. It
+// reports false, touching neither b nor h, when the journal does not
+// serve — at once, unhashed, if it counts another number of files (a
+// day came or went) — and empties it, so changed or still-damaged text
+// pays once.
+func replay(files *filesum.Manifest, js JournalStore, b *Bundle, h *ingest.Health, workers int) bool {
 	data := js.ReadTextJournal()
 	if len(data) == 0 {
 		return false
 	}
 	digest, body, ok := openJournal(data)
-	paths, err := textFiles(dir)
+	paths, err := textFiles(files.Path("."))
 	if !ok || err != nil || (&dec{b: body}).count() != len(paths) {
 		_ = js.WriteTextJournal(nil)
 		return false
 	}
 	var (
-		files  []fileSum
+		sums   []filesum.Sum
 		herr   error
 		hashed = make(chan struct{})
 	)
-	hash := func() { files, herr = hashFiles(dir, paths, workers); close(hashed) }
+	hash := func() { sums, herr = files.SumAll(paths, workers); close(hashed) }
 	if workers == 1 {
 		hash()
 	} else {
@@ -216,14 +185,18 @@ func replay(dir string, js JournalStore, b *Bundle, h *ingest.Health, workers in
 	stores := &Bundle{DROP: drop.NewArchive(), RPKI: &rpki.Archive{}, RIR: &rirstats.Timeline{}}
 	counts, err := decodeJournal(body, stores)
 	<-hashed
-	if err != nil || herr != nil || len(counts) != len(files) || textDigest(files) != digest {
+	read := make([]fileSum, len(sums))
+	for i, sum := range sums {
+		read[i] = fileSum{paths[i], sum}
+	}
+	if err != nil || herr != nil || len(counts) != len(read) || textDigest(read) != digest {
 		_ = js.WriteTextJournal(nil)
 		return false
 	}
 	b.DROP, b.RPKI, b.RIR = stores.DROP, stores.RPKI, stores.RIR
 	if h != nil {
-		for i, f := range files {
-			h.Source(f.path).Accept(counts[i])
+		for i, path := range paths {
+			h.Source(path).Accept(counts[i])
 		}
 	}
 	return true

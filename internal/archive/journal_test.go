@@ -15,6 +15,7 @@ import (
 
 	"dropscope/internal/bgp"
 	"dropscope/internal/drop"
+	"dropscope/internal/filesum"
 	"dropscope/internal/ingest"
 	"dropscope/internal/irr"
 	"dropscope/internal/netx"
@@ -116,7 +117,7 @@ func TestJournalReplayMatchesParse(t *testing.T) {
 		js := recorded(t, dir)
 		for _, workers := range []int{1, 3} {
 			got := &Bundle{}
-			if !replay(dir, js, got, nil, workers) {
+			if !replay(filesum.Open(dir, nil), js, got, nil, workers) {
 				t.Fatalf("seed %d workers %d: the journal did not replay", seed, workers)
 			}
 			sameStores(t, got, want)
@@ -141,7 +142,7 @@ func TestJournalReplayMatchesParse(t *testing.T) {
 func TestJournalReplaysInternedValues(t *testing.T) {
 	dir := writeSmallWorld(t)
 	got := &Bundle{}
-	if !replay(dir, recorded(t, dir), got, nil, 1) {
+	if !replay(filesum.Open(dir, nil), recorded(t, dir), got, nil, 1) {
 		t.Fatal("the journal did not replay")
 	}
 	known := func(s string, consts []string) bool {
@@ -283,7 +284,7 @@ func TestJournalStaleIsMiss(t *testing.T) {
 			js := recorded(t, dir)
 			old := js.data
 			change(t, dir)
-			if replay(dir, js, &Bundle{}, nil, 2) {
+			if replay(filesum.Open(dir, nil), js, &Bundle{}, nil, 2) {
 				t.Fatal("a stale journal replayed")
 			}
 			wantH, h := ingest.NewHealth(), ingest.NewHealth()
@@ -292,7 +293,7 @@ func TestJournalStaleIsMiss(t *testing.T) {
 			if !reflect.DeepEqual(h.Report(), wantH.Report()) {
 				t.Fatal("health after a stale journal differs from a load without one")
 			}
-			if bytes.Equal(js.data, old) || !replay(dir, js, &Bundle{}, nil, 2) {
+			if bytes.Equal(js.data, old) || !replay(filesum.Open(dir, nil), js, &Bundle{}, nil, 2) {
 				t.Fatal("the load over the changed text did not record it")
 			}
 		})
@@ -327,7 +328,7 @@ func TestJournalCorruptIsMiss(t *testing.T) {
 	want := load(t, dir, wantH, nil, 2)
 	for name, data := range cases {
 		js := &memJournal{data: data}
-		if replay(dir, js, &Bundle{}, nil, 2) {
+		if replay(filesum.Open(dir, nil), js, &Bundle{}, nil, 2) {
 			t.Errorf("%s: the journal replayed", name)
 			continue
 		}
@@ -380,7 +381,7 @@ func tinyJournal(t testing.TB) []byte {
 	if _, err := LoadWithOptions(dir, LoadOptions{Health: ingest.NewHealth(), Journal: js, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if js.writes != 1 || !replay(dir, js, &Bundle{}, nil, 1) {
+	if js.writes != 1 || !replay(filesum.Open(dir, nil), js, &Bundle{}, nil, 1) {
 		t.Fatal("the tiny archive did not record a journal that replays")
 	}
 	return js.data

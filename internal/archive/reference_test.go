@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dropscope/internal/drop"
+	"dropscope/internal/filesum"
 	"dropscope/internal/ingest"
 	"dropscope/internal/irr"
 	"dropscope/internal/netx"
@@ -24,7 +25,7 @@ import (
 // keys, and both ROA sets sorted in full on every snapshot day.
 func referenceLoad(dir string, h *ingest.Health) (*Bundle, error) {
 	b := &Bundle{SBL: sbl.NewDB(), DROP: drop.NewArchive(), IRR: &irr.DB{}, RPKI: &rpki.Archive{}, RIR: &rirstats.Timeline{}}
-	if err := loadDROP(filepath.Join(dir, "drop"), b.DROP, h, nil); err != nil {
+	if err := loadDROP(filesum.Open(dir, nil), b.DROP, h, nil); err != nil {
 		return nil, err
 	}
 	if err := loadSBL(filepath.Join(dir, "sbl", "records.txt"), b.SBL, h); err != nil {
@@ -232,7 +233,7 @@ func TestRIRDayAllocations(t *testing.T) {
 			for j := range recs {
 				recs[j] = rirstats.Record{Registry: rir, CC: "ZZ", Start: netx.Addr(i<<24 | j<<8), Count: 256, Status: rirstats.Allocated, OpaqueID: "o"}
 			}
-			path := filepath.Join(dir, day.Compact(), fmt.Sprintf("delegated-%s-extended", rir))
+			path := filepath.Join(dir, "rirstats", day.Compact(), fmt.Sprintf("delegated-%s-extended", rir))
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +249,7 @@ func TestRIRDayAllocations(t *testing.T) {
 			}
 		}
 		var sc rirScratch
-		h := ingest.NewHealth()
+		files, h := filesum.Open(dir, nil), ingest.NewHealth()
 		// Collect the fixture's garbage now, and name the day directory
 		// (Compact formats through fmt) outside the runs: a collection
 		// during them, or under -race a dropped Put, empties fmt's printer
@@ -256,7 +257,7 @@ func TestRIRDayAllocations(t *testing.T) {
 		runtime.GC()
 		rel := day.Compact()
 		return testing.AllocsPerRun(5, func() {
-			if err := parseRIRDay(dir, rel, h, &sc, false); err != nil {
+			if err := parseRIRDay(files, rel, h, &sc, false); err != nil {
 				t.Fatal(err)
 			}
 			if len(sc.blocks) != lines*len(rirstats.AllRIRs) {

@@ -25,6 +25,7 @@ import (
 	"dropscope/internal/analysis"
 	"dropscope/internal/archive"
 	"dropscope/internal/delta"
+	"dropscope/internal/filesum"
 	"dropscope/internal/ingest"
 	"dropscope/internal/mrt"
 	"dropscope/internal/rib"
@@ -116,9 +117,10 @@ var (
 // Load builds the study over the archive directory dir. The route
 // order is fixed: the delta path is tried first because file sizes
 // alone select it and its single pass over the archive yields the
-// digest; otherwise the archive is hashed once and the digest keys the
-// warm lookup; a miss builds cold and, when MRT ingest was clean,
-// persists the generation for the next load.
+// digest; otherwise the archive's digest — each file's sum from the
+// store's archive manifest where its row holds, else from a read —
+// keys the warm lookup; a miss builds cold and, when MRT ingest was
+// clean, persists the generation for the next load.
 func Load(dir string, o Options) (*Loaded, error) {
 	h, st := o.Health, o.Store
 	if o.Shards > 1 && st == nil {
@@ -130,9 +132,13 @@ func Load(dir string, o Options) (*Loaded, error) {
 		digest  [32]byte
 		keyed   bool // digest is the archive's
 		cursors []ribsnap.ArchiveCursor
+		files   = filesum.Open(dir, nil)
 	)
+	if st != nil {
+		files = filesum.Open(dir, st.ReadArchiveManifest)
+	}
 	if st != nil && o.Delta {
-		if l.Shards = tryDelta(st, o, mrtDir); l.Shards != nil {
+		if l.Shards = tryDelta(st, o, files); l.Shards != nil {
 			l.Route, digest, keyed = Delta, l.Shards.Digest(), true
 		}
 	}
@@ -145,7 +151,7 @@ func Load(dir string, o Options) (*Loaded, error) {
 		textErr  error
 		textDone chan struct{}
 	)
-	topts := archive.LoadOptions{Health: h, Workers: o.Workers}
+	topts := archive.LoadOptions{Health: h, Workers: o.Workers, Files: files}
 	if st != nil {
 		topts.Journal = st
 	}
@@ -161,7 +167,7 @@ func Load(dir string, o Options) (*Loaded, error) {
 		// One read of the archive yields both the key and the lineage
 		// cursors a cold build persists. An error (a missing mrt/
 		// directory) falls through: the archive load reports it.
-		if cur, err := ribsnap.ArchiveCursors(mrtDir); err == nil {
+		if cur, err := ribsnap.SumCursors(files, "mrt", o.Workers); err == nil {
 			cursors, digest, keyed = cur, ribsnap.DigestCursors(cur), true
 			if st != nil {
 				if l.Shards = warm(st, o, digest); l.Shards != nil {
@@ -186,6 +192,24 @@ func Load(dir string, o Options) (*Loaded, error) {
 		<-textDone
 	} else {
 		text()
+	}
+	// Every file this load sums has been summed: the archive manifest is
+	// encoded and written while the pipeline builds (in line at Workers
+	// 1), and Load returns once it is. Best-effort: without the manifest
+	// the next load reads what it sums.
+	if st != nil {
+		save := func() {
+			if b, changed := files.Encode(); changed {
+				_ = st.WriteArchiveManifest(b)
+			}
+		}
+		if o.Workers == 1 {
+			save()
+		} else {
+			saved := make(chan struct{})
+			go func() { defer close(saved); save() }()
+			defer func() { <-saved }()
+		}
 	}
 	if err := loadError(mrtErr, textErr); err != nil {
 		l.close()
@@ -285,7 +309,7 @@ func warm(st *ribsnap.Store, o Options, digest [32]byte) *ribsnap.ShardSet {
 // rewritten prefix, a decode error in the suffix, a window that moved
 // backwards, a persist failure — and the caller carries on with the
 // hash-and-look-up routes.
-func tryDelta(st *ribsnap.Store, o Options, mrtDir string) *ribsnap.ShardSet {
+func tryDelta(st *ribsnap.Store, o Options, files *filesum.Manifest) *ribsnap.ShardSet {
 	b := previous(st)
 	if b == nil {
 		return nil
@@ -293,7 +317,7 @@ func tryDelta(st *ribsnap.Store, o Options, mrtDir string) *ribsnap.ShardSet {
 	// The merged index aliases the base until it is persisted; the
 	// served mapping must never alias a retired one. So: write, release
 	// the base, then map the result from disk.
-	digest, err := b.extend(st, o, mrtDir)
+	digest, err := b.extend(st, o, files)
 	b.close()
 	if err != nil {
 		return nil
@@ -307,8 +331,11 @@ func tryDelta(st *ribsnap.Store, o Options, mrtDir string) *ribsnap.ShardSet {
 
 // extend merges the archive's appended bytes onto the base, if sizes
 // say it grew, and persists the result under the digest it returns.
-func (b *base) extend(st *ribsnap.Store, o Options, mrtDir string) ([32]byte, error) {
-	lin := b.ss.Lineage()
+// The build reads every MRT file whole, so its cursors are the files'
+// sums: they are recorded in files for each file that stats after the
+// build as it did before.
+func (b *base) extend(st *ribsnap.Store, o Options, files *filesum.Manifest) ([32]byte, error) {
+	lin, mrtDir := b.ss.Lineage(), files.Path("mrt")
 	if !archiveGrew(mrtDir, lin.Cursors) {
 		return [32]byte{}, errNoGrowth
 	}
@@ -316,9 +343,18 @@ func (b *base) extend(st *ribsnap.Store, o Options, mrtDir string) ([32]byte, er
 	if err != nil {
 		return [32]byte{}, err
 	}
+	before := map[string]filesum.Stat{}
+	entries, _ := os.ReadDir(mrtDir)
+	for _, e := range entries {
+		before[e.Name()], _ = files.Stat("mrt/" + e.Name())
+	}
 	res, err := delta.Build(mrtDir, f, lin, b.ss.Counts(), b.ss.Window(), o.Window, [32]byte{})
 	if err != nil {
 		return [32]byte{}, err
+	}
+	for _, c := range res.Lineage.Cursors {
+		name := c.Collector + ".mrt"
+		files.Record("mrt/"+name, before[name], filesum.Sum{Size: c.Size, SHA: c.Sum})
 	}
 	ix, err := rib.FromFrozen(res.Frozen)
 	if err != nil {

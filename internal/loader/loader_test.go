@@ -522,9 +522,9 @@ func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, s
 		}
 	}
 
-	// What is on disk afterwards: the journal and generation
-	// directories, and after a lenient load the text journal (the text
-	// is never damaged here), nothing else. A load that must not persist
+	// What is on disk afterwards: the journal, the archive manifest and
+	// generation directories, and after a lenient load the text journal
+	// (the text is never damaged here), nothing else. A load that must not persist
 	// (damaged MRT ingest, or a strict load that failed) leaves the
 	// seeded generations.
 	held := current
@@ -536,7 +536,7 @@ func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, s
 			t.Errorf("cache-off load wrote %v", files)
 		}
 	} else {
-		want := append([]string{ribsnap.ManifestName}, genFiles(seeded, seedK)...)
+		want := append([]string{ribsnap.ManifestName, "archive.manifest"}, genFiles(seeded, seedK)...)
 		if held != seeded {
 			want = append(want, genFiles(held, shards)...)
 		}
@@ -711,7 +711,8 @@ func TestOlderStoreRebuiltOnce(t *testing.T) {
 
 // TestTextJournalCrashAtEveryStep: a process that dies at any step of
 // the text journal's writes (the miss clears the stale journal, the
-// parse writes the new one) leaves the old journal, the new one or none;
+// parse writes the new one) or of the archive manifest's leaves the old
+// journal, the new one or none, and the old manifest or the new one;
 // the load it was writing for still succeeds, and so does the next one
 // (after the store's reopen sweeps the temp), each reporting what a
 // cache-off load of the archive does.
@@ -740,6 +741,15 @@ func TestTextJournalCrashAtEveryStep(t *testing.T) {
 		raw, _ := os.ReadFile(filepath.Join(cacheDir, "text.journal"))
 		return raw
 	}
+	// The manifest's rows: past the magic, version and recording time,
+	// which differs from load to load, and short of the checksum.
+	manifest := func(cacheDir string) []byte {
+		raw, _ := os.ReadFile(filepath.Join(cacheDir, "archive.manifest"))
+		if len(raw) < 20 {
+			return raw
+		}
+		return raw[16 : len(raw)-4]
+	}
 	clone := func() string {
 		cacheDir := filepath.Join(t.TempDir(), "ribsnap")
 		if err := os.CopyFS(cacheDir, os.DirFS(seeded)); err != nil {
@@ -748,7 +758,7 @@ func TestTextJournalCrashAtEveryStep(t *testing.T) {
 		return cacheDir
 	}
 	load(seeded, nil)
-	old := journal(seeded)
+	old, oldRows := journal(seeded), manifest(seeded)
 
 	// Drop the last line of the last DROP day, through a fresh inode: the
 	// file is hard-linked to the fixture's.
@@ -782,9 +792,12 @@ func TestTextJournalCrashAtEveryStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Snapshot.Close()
-	steps, fresh := d.Ops()-opened, journal(probe)
+	steps, fresh, freshRows := d.Ops()-opened, journal(probe), manifest(probe)
 	if steps == 0 || fresh == nil || string(fresh) == string(old) {
 		t.Fatalf("the changed text's load wrote no new journal (%d steps)", steps)
+	}
+	if oldRows == nil || freshRows == nil || bytes.Equal(freshRows, oldRows) {
+		t.Fatalf("the changed text's load wrote no new archive manifest")
 	}
 	for k := 0; k <= steps; k++ {
 		cacheDir := clone()
@@ -796,6 +809,9 @@ func TestTextJournalCrashAtEveryStep(t *testing.T) {
 		case bytes.Equal(got, old), bytes.Equal(got, fresh), len(got) == 0: // empty: the miss cleared the old one
 		default:
 			t.Fatalf("crash after %d of %d steps left a journal that is neither the old nor the new one", k, steps)
+		}
+		if got := manifest(cacheDir); !bytes.Equal(got, oldRows) && !bytes.Equal(got, freshRows) {
+			t.Fatalf("crash after %d of %d steps left an archive manifest that is neither the old nor the new one", k, steps)
 		}
 		if got := load(cacheDir, nil).Pipeline.HealthReport(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("crash after %d of %d steps: the next load's health differs from a cache-off load's", k, steps)

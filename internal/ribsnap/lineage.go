@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+	"path"
 	"sort"
 	"strings"
 
+	"dropscope/internal/filesum"
 	"dropscope/internal/timex"
 )
 
@@ -74,32 +75,30 @@ func decodeLineage(linB, curB []byte) (*Lineage, error) {
 // check for the next delta: a grown file whose first Size bytes still
 // hash to Sum was strictly appended to.
 func ArchiveCursors(dir string) ([]ArchiveCursor, error) {
-	entries, err := os.ReadDir(dir)
+	return SumCursors(filesum.Open(dir, nil), ".", 1)
+}
+
+// SumCursors is ArchiveCursors over the subdirectory sub of the archive
+// m describes, each file's sum taken from m: read and hashed, on up to
+// workers goroutines, only where m's row for the file does not hold.
+func SumCursors(m *filesum.Manifest, sub string, workers int) ([]ArchiveCursor, error) {
+	entries, err := os.ReadDir(m.Path(sub))
 	if err != nil {
 		return nil, err
 	}
-	var names []string
+	var rels []string
 	for _, e := range entries {
 		if !e.IsDir() && strings.HasSuffix(e.Name(), ".mrt") {
-			names = append(names, e.Name())
+			rels = append(rels, path.Join(sub, e.Name()))
 		}
 	}
-	sort.Strings(names)
-	out := make([]ArchiveCursor, 0, len(names))
-	for _, name := range names {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		h := sha256.New()
-		n, err := io.Copy(h, f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		cur := ArchiveCursor{Collector: strings.TrimSuffix(name, ".mrt"), Size: uint64(n)}
-		h.Sum(cur.Sum[:0])
-		out = append(out, cur)
+	sums, err := m.SumAll(rels, workers)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ArchiveCursor, len(rels))
+	for i, rel := range rels {
+		out[i] = ArchiveCursor{Collector: strings.TrimSuffix(path.Base(rel), ".mrt"), Size: sums[i].Size, Sum: sums[i].SHA}
 	}
 	return out, nil
 }

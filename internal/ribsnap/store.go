@@ -243,24 +243,33 @@ func (st *Store) WriteShardsLineage(shards []*rib.Frozen, window timex.Range, di
 	return st.m.Append(GenWritten, digest)
 }
 
-// textJournalName is the text journal's file at the store root.
-const textJournalName = "text.journal"
+// The text journal (internal/archive) and the archive manifest
+// (internal/filesum) are files at the store root that a load reads
+// whole, nil when there is none, and replaces whole (see writeRoot).
+const (
+	textJournalName     = "text.journal"
+	archiveManifestName = "archive.manifest"
+)
 
-// ReadTextJournal returns the text journal (internal/archive) the last
-// clean text load left at the store root, nil when there is none.
-func (st *Store) ReadTextJournal() []byte {
-	b, err := os.ReadFile(filepath.Join(st.dir, textJournalName))
+func (st *Store) ReadTextJournal() []byte             { return st.readRoot(textJournalName) }
+func (st *Store) WriteTextJournal(b []byte) error     { return st.writeRoot(textJournalName, b) }
+func (st *Store) ReadArchiveManifest() []byte         { return st.readRoot(archiveManifestName) }
+func (st *Store) WriteArchiveManifest(b []byte) error { return st.writeRoot(archiveManifestName, b) }
+
+func (st *Store) readRoot(name string) []byte {
+	b, err := os.ReadFile(filepath.Join(st.dir, name))
 	if err != nil {
 		return nil
 	}
 	return b
 }
 
-// WriteTextJournal replaces the text journal through the store's FS: a
-// temp file (swept at open) renamed over the old one. It is neither
-// synced nor in the manifest: a torn or lost journal fails its own
-// checks, which costs one text parse (DESIGN.md, "The text journal").
-func (st *Store) WriteTextJournal(b []byte) error {
+// writeRoot replaces the file name at the store root through the
+// store's FS: a temp file (swept at open) renamed over the old one. It
+// is neither synced nor in the manifest journal: a torn or lost file
+// fails its own checks, which costs the next load one parse or one
+// hash of the archive (DESIGN.md, "The text journal").
+func (st *Store) writeRoot(name string, b []byte) error {
 	f, err := st.fsys.CreateTemp(st.dir, tempPattern)
 	if err != nil {
 		return err
@@ -270,7 +279,7 @@ func (st *Store) WriteTextJournal(b []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = st.fsys.Rename(f.Name(), filepath.Join(st.dir, textJournalName))
+		err = st.fsys.Rename(f.Name(), filepath.Join(st.dir, name))
 	}
 	if err != nil {
 		st.fsys.Remove(f.Name())

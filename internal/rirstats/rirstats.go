@@ -467,21 +467,6 @@ func (t *Timeline) FreePool(registry RIR, d timex.Day) uint64 {
 	return n
 }
 
-// SpaceWhere returns the union of managed blocks of the registry (or all
-// registries if registry is empty) whose status on day d satisfies keep.
-func (t *Timeline) SpaceWhere(registry RIR, d timex.Day, keep func(Status) bool) *netx.Set {
-	var set netx.Set
-	for _, h := range t.blocks {
-		if registry != "" && h.registry != registry {
-			continue
-		}
-		if keep(h.statusAt(d)) {
-			set.Add(h.prefix)
-		}
-	}
-	return &set
-}
-
 // EachAt calls fn with every managed block, its registry and its status
 // on day d, in registration order. It walks the timeline in place: for
 // sums over the blocks, where RecordsAt would sort records that are

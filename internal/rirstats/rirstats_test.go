@@ -181,18 +181,6 @@ func TestFreePool(t *testing.T) {
 	}
 }
 
-func TestSpaceWhere(t *testing.T) {
-	tl := newTimeline(t)
-	avail := tl.SpaceWhere("", d0, func(s Status) bool { return s == Available })
-	if got := avail.AddrCount(); got != 1<<24+1<<16 {
-		t.Errorf("available space = %d", got)
-	}
-	arinOnly := tl.SpaceWhere(ARIN, d0, func(s Status) bool { return s == Allocated })
-	if got := arinOnly.AddrCount(); got != 1<<24 {
-		t.Errorf("arin allocated = %d", got)
-	}
-}
-
 func TestRecordsAt(t *testing.T) {
 	tl := newTimeline(t)
 	p := netx.MustParsePrefix("41.0.0.0/8")

@@ -87,7 +87,7 @@ func TestMaxLengthAnalysis(t *testing.T) {
 
 func TestPathEndCounterfactual(t *testing.T) {
 	_, p := pipeline(t)
-	pe := p.PathEndCounterfactual()
+	pe := p.PathEndWithCase(p.Fig4RPKIValidHijacks().CasePrefix)
 	if pe.RecordsBuilt == 0 {
 		t.Fatal("no path-end records enrolled")
 	}

@@ -271,20 +271,3 @@ func (p *Pipeline) adjacentToOrigin(ls []*Listing, a bgp.ASN) bool {
 	}
 	return false
 }
-
-// CDFPoint converts a sorted series into (x, fraction≤x) pairs for
-// rendering.
-func CDFPoint(sorted []int) []struct {
-	X    int
-	Frac float64
-} {
-	out := make([]struct {
-		X    int
-		Frac float64
-	}, len(sorted))
-	for i, x := range sorted {
-		out[i].X = x
-		out[i].Frac = float64(i+1) / float64(len(sorted))
-	}
-	return out
-}

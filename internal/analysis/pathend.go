@@ -25,19 +25,12 @@ type PathEndImpact struct {
 	CaseStudyCaught bool
 }
 
-// PathEndCounterfactual builds path-end records from the first 30 days of
-// the window — each origin authorizes the neighbors it then used — and
+// PathEndWithCase builds path-end records from the first 30 days of the
+// window — each origin authorizes the neighbors it then used — and
 // validates every non-incident hijacked listing's announcement path on
-// its listing day. It re-derives the case-study prefix by running the
-// Figure-4 analysis; callers that already have it (the parallel Results
-// scheduler) use PathEndWithCase instead.
-func (p *Pipeline) PathEndCounterfactual() PathEndImpact {
-	return p.PathEndWithCase(p.Fig4RPKIValidHijacks().CasePrefix)
-}
-
-// PathEndWithCase is PathEndCounterfactual with the case-study prefix
-// (Fig4.CasePrefix) supplied by the caller, skipping the embedded Fig4
-// recomputation. A zero prefix simply never matches, leaving
+// its listing day. casePrefix is the Figure-4 case-study prefix
+// (Fig4.CasePrefix); the case study counts as caught when its path
+// fails validation. A zero prefix simply never matches, leaving
 // CaseStudyCaught false.
 func (p *Pipeline) PathEndWithCase(casePrefix netx.Prefix) PathEndImpact {
 	var out PathEndImpact

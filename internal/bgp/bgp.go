@@ -50,13 +50,8 @@ func parseASN[S string | []byte](s S) (ASN, error) {
 	return ASN(n), nil
 }
 
-// Message type codes from RFC 4271 §4.1.
-const (
-	TypeOpen         = 1
-	TypeUpdate       = 2
-	TypeNotification = 3
-	TypeKeepalive    = 4
-)
+// TypeUpdate is the UPDATE message type code (RFC 4271 §4.1).
+const TypeUpdate = 2
 
 // Path attribute type codes used in this pipeline.
 const (
@@ -411,11 +406,8 @@ func DecodeUpdateInto(msg []byte, u *Update) error {
 	return err
 }
 
-// DecodePrefixes parses a run of RFC 4271 length-prefixed NLRI entries.
-func DecodePrefixes(b []byte) ([]netx.Prefix, error) {
-	return appendDecodedPrefixes(nil, b)
-}
-
+// appendDecodedPrefixes parses a run of RFC 4271 length-prefixed NLRI
+// entries onto out.
 func appendDecodedPrefixes(out []netx.Prefix, b []byte) ([]netx.Prefix, error) {
 	for len(b) > 0 {
 		bits := int(b[0])

@@ -173,20 +173,20 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		t.Error("expected length mismatch error")
 	}
 	// Non-UPDATE type.
-	msg[16], msg[17], msg[18] = 0, 19, TypeKeepalive
+	msg[16], msg[17], msg[18] = 0, 19, 4 // KEEPALIVE
 	if _, err := DecodeUpdate(msg); err == nil {
 		t.Error("expected non-update error")
 	}
 }
 
 func TestDecodePrefixesRejectsBadNLRI(t *testing.T) {
-	if _, err := DecodePrefixes([]byte{33, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := appendDecodedPrefixes(nil, []byte{33, 0, 0, 0, 0, 0}); err == nil {
 		t.Error("length 33 should fail")
 	}
-	if _, err := DecodePrefixes([]byte{24, 192, 0}); err == nil {
+	if _, err := appendDecodedPrefixes(nil, []byte{24, 192, 0}); err == nil {
 		t.Error("truncated NLRI should fail")
 	}
-	if _, err := DecodePrefixes([]byte{8, 10, 99}); err == nil {
+	if _, err := appendDecodedPrefixes(nil, []byte{8, 10, 99}); err == nil {
 		t.Error("trailing garbage should fail as truncated entry")
 	}
 }

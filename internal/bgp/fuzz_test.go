@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"bytes"
 	"strconv"
 	"strings"
 	"testing"
@@ -39,27 +38,6 @@ func FuzzDecodeUpdate(f *testing.F) {
 		}
 		if _, err := DecodeUpdate(wire); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
-		}
-	})
-}
-
-func FuzzReadMessage(f *testing.F) {
-	f.Add(fuzzSeedUpdate())
-	f.Add(EncodeKeepalive())
-	f.Add(EncodeNotification(&Notification{Code: NotifCease}))
-	f.Add(EncodeOpen(&Open{AS: 64500, HoldTime: 90, RouterID: 1}))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := ReadMessage(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		switch msg.Type {
-		case TypeOpen:
-			_, _ = DecodeOpen(msg.Body)
-		case TypeNotification:
-			_, _ = DecodeNotification(msg.Body)
-		case TypeUpdate:
-			_, _ = DecodeUpdate(msg.Raw)
 		}
 	})
 }

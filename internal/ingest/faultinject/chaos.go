@@ -1,10 +1,10 @@
-// Chaos connection wrapper: the live-session counterpart of the MRT
+// Chaos connection wrapper: the network counterpart of the MRT
 // byte-stream damage in this package. A Chaoser wraps net.Conns so
 // that each carries one seeded fault — a mid-message reset, a stall
 // that ends in a reset, a partial write, or read truncation — and
 // after a configured number of faults passes connections through
-// untouched, so a supervised session layer can be soaked with N
-// deterministic failures and then allowed to converge.
+// untouched, so a server can be soaked with N deterministic failures
+// and then checked for recovery (the daemon's TestChaosSoakServe).
 //
 // The fault parameters (kind, trigger byte count) are a pure function
 // of the seed; the exact byte at which a fault lands may shift with
@@ -146,18 +146,6 @@ func (c *Chaoser) Wrap(conn net.Conn) net.Conn {
 		budget += c.in.intn(span + 1)
 	}
 	return &chaosConn{Conn: conn, kind: kind, budget: budget, stall: c.cfg.Stall}
-}
-
-// Dialer wraps a dial function so every dialed connection passes
-// through Wrap.
-func (c *Chaoser) Dialer(dial func() (net.Conn, error)) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		conn, err := dial()
-		if err != nil {
-			return nil, err
-		}
-		return c.Wrap(conn), nil
-	}
 }
 
 // chaosConn carries exactly one scheduled fault. Reads and writes

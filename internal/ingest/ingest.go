@@ -100,17 +100,6 @@ type Source struct {
 	Quarantined bool
 	Note        string // quarantine reason, empty otherwise
 
-	// Session-level liveness counters, filled by the live collectors
-	// and RTR clients rather than the archive loaders. Reconnects
-	// counts successful re-establishments after a session failure;
-	// StaleRetained counts routes kept across a session loss under
-	// graceful-restart semantics; StaleSwept counts retained routes
-	// that were never re-announced and were swept by the stale timer
-	// or end-of-RIB marker.
-	Reconnects    uint64
-	StaleRetained uint64
-	StaleSwept    uint64
-
 	// ReloadRetries counts the failed generation-reload attempts the
 	// query daemon's supervisor retried, under backoff, before the load
 	// this source reports on succeeded.
@@ -135,15 +124,6 @@ func (s *Source) Coverage() float64 {
 	}
 	return float64(s.Records) / float64(total)
 }
-
-// Reconnect counts one successful session re-establishment.
-func (s *Source) Reconnect() { s.Reconnects++ }
-
-// RetainStale counts n routes retained across a session loss.
-func (s *Source) RetainStale(n uint64) { s.StaleRetained += n }
-
-// SweepStale counts n retained routes swept unrefreshed.
-func (s *Source) SweepStale(n uint64) { s.StaleSwept += n }
 
 // CountReloadRetry counts one failed, retried reload attempt.
 func (s *Source) CountReloadRetry() { s.ReloadRetries++ }
@@ -205,7 +185,6 @@ func (h *Health) Report() Report {
 		if s.Quarantined {
 			r.Quarantined = append(r.Quarantined, s.Name)
 		}
-		r.TotalReconnects += s.Reconnects
 		sr := SourceReport{
 			Name:          s.Name,
 			Records:       s.Records,
@@ -213,9 +192,6 @@ func (h *Health) Report() Report {
 			Coverage:      s.Coverage(),
 			Quarantined:   s.Quarantined,
 			Note:          s.Note,
-			Reconnects:    s.Reconnects,
-			StaleRetained: s.StaleRetained,
-			StaleSwept:    s.StaleSwept,
 			ReloadRetries: s.ReloadRetries,
 		}
 		r.Sources = append(r.Sources, sr)
@@ -226,11 +202,10 @@ func (h *Health) Report() Report {
 // Report is a flattened Health snapshot: sources in name order, totals,
 // and the quarantine list. The zero Report is Clean.
 type Report struct {
-	Sources         []SourceReport `json:"sources,omitempty"`
-	TotalRecords    uint64         `json:"total_records"`
-	TotalSkipped    uint64         `json:"total_skipped"`
-	TotalReconnects uint64         `json:"total_reconnects,omitempty"`
-	Quarantined     []string       `json:"quarantined,omitempty"`
+	Sources      []SourceReport `json:"sources,omitempty"`
+	TotalRecords uint64         `json:"total_records"`
+	TotalSkipped uint64         `json:"total_skipped"`
+	Quarantined  []string       `json:"quarantined,omitempty"`
 }
 
 // SourceReport is one source's flattened state.
@@ -241,9 +216,6 @@ type SourceReport struct {
 	Coverage      float64  `json:"coverage"`
 	Quarantined   bool     `json:"quarantined,omitempty"`
 	Note          string   `json:"note,omitempty"`
-	Reconnects    uint64   `json:"reconnects,omitempty"`
-	StaleRetained uint64   `json:"stale_retained,omitempty"`
-	StaleSwept    uint64   `json:"stale_swept,omitempty"`
 	ReloadRetries uint64   `json:"reload_retries,omitempty"`
 }
 

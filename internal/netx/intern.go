@@ -5,7 +5,7 @@ package netx
 // times (per-peer RIB spans, most obviously) can store a 4-byte ID
 // instead of the prefix value plus map overhead. The zero value is
 // ready to use. An Interner is not safe for concurrent mutation;
-// lookups against a no-longer-mutated Interner are safe from any
+// reads of a no-longer-mutated Interner are safe from any
 // number of goroutines.
 type Interner struct {
 	ids      map[Prefix]uint32
@@ -25,12 +25,6 @@ func (in *Interner) Intern(p Prefix) uint32 {
 	in.prefixes = append(in.prefixes, p)
 	in.ids[p] = id
 	return id
-}
-
-// Lookup returns the handle for p without interning it.
-func (in *Interner) Lookup(p Prefix) (uint32, bool) {
-	id, ok := in.ids[p]
-	return id, ok
 }
 
 // At returns the prefix for a handle previously returned by Intern.

@@ -20,12 +20,6 @@ func (s *Set) Contains(p Prefix) bool {
 	return ok
 }
 
-// ContainsAddr reports whether any member covers address a.
-func (s *Set) ContainsAddr(a Addr) bool {
-	_, _, ok := s.t.LongestMatch(PrefixFrom(a, 32))
-	return ok
-}
-
 // CoveredBy reports whether p is covered by some member (equal or less
 // specific than p).
 func (s *Set) CoveredBy(p Prefix) bool {
@@ -94,12 +88,4 @@ func (s *Set) MembersCoveredBy(p Prefix) []Prefix {
 		return true
 	})
 	return out
-}
-
-// Union adds every member of other to s.
-func (s *Set) Union(other *Set) {
-	other.t.Walk(func(p Prefix, _ struct{}) bool {
-		s.Add(p)
-		return true
-	})
 }

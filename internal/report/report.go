@@ -22,20 +22,6 @@ func NewTable(title string, header ...string) *Table {
 	return &Table{Title: title, header: header}
 }
 
-// Row appends one row; values are formatted with %v.
-func (t *Table) Row(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.1f%%", v*100)
-		default:
-			row[i] = fmt.Sprint(c)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
 // RawRow appends one row of preformatted strings.
 func (t *Table) RawRow(cells ...string) {
 	t.rows = append(t.rows, cells)

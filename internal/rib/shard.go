@@ -256,10 +256,6 @@ func ShardedFromFrozen(fs []*Frozen, workers int) (*Sharded, error) {
 // NumShards returns the shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// Bounds returns the boundary table: the first prefix of each shard.
-// Callers must not mutate it.
-func (s *Sharded) Bounds() []netx.Prefix { return s.bounds }
-
 // shardFor returns the owning shard of p: the largest i with
 // bounds[i] <= p, or 0 when p sorts before every bound (that range
 // holds no prefixes, so shard 0 correctly answers "not observed").

@@ -64,7 +64,7 @@ func shardProbes(ix *Index, sh *Sharded) []netx.Prefix {
 	sorted := ix.Prefixes()
 	var probes []netx.Prefix
 	probes = append(probes, sorted...)
-	for _, bound := range sh.Bounds()[1:] {
+	for _, bound := range sh.bounds[1:] {
 		i := sort.Search(len(sorted), func(j int) bool {
 			return sorted[j].Compare(bound) >= 0
 		})

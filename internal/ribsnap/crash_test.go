@@ -352,36 +352,3 @@ func TestWriteBitFlips(t *testing.T) {
 		})
 	}
 }
-
-// TestSweepTemps: the startup sweep removes exactly the orphaned write
-// temps and reports them, leaving everything else alone.
-func TestSweepTemps(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{".ribsnap-123", ".ribsnap-abc"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("orphan"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keep := filepath.Join(dir, "index.ribsnap")
-	if err := os.WriteFile(keep, []byte("snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	swept, err := ribsnap.SweepTemps(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(swept) != 2 {
-		t.Fatalf("swept %v, want the two orphans", swept)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "index.ribsnap" {
-		t.Fatalf("sweep touched the wrong files: %v", entries)
-	}
-	// Missing directory is a clean no-op, not an error.
-	if _, err := ribsnap.SweepTemps(filepath.Join(dir, "nope")); err != nil {
-		t.Fatalf("sweep of missing dir: %v", err)
-	}
-}

@@ -40,20 +40,16 @@ type FS = fsio.FS
 // OS is the real filesystem.
 var OS FS = fsio.OS
 
-// tempPattern names the writer's temp files. SweepTemps matches on the
+// tempPattern names the writer's temp files. sweepTempsFS matches on the
 // prefix (the part before "*"), so the two stay in lockstep.
 const tempPattern = ".ribsnap-*"
 
-// SweepTemps garbage-collects orphaned snapshot temp files under dir —
-// the debris of writers that crashed between CreateTemp and Rename.
+// sweepTempsFS garbage-collects orphaned snapshot temp files under dir
+// — the debris of writers that crashed between CreateTemp and Rename.
 // It returns the names removed. Call it at startup, before any writer
 // is live: the sweep cannot tell an orphan from an in-flight temp, so
 // it assumes the single-writer discipline the snapshot store already
 // requires. A missing dir sweeps nothing.
-func SweepTemps(dir string) ([]string, error) {
-	return sweepTempsFS(OS, dir)
-}
-
 func sweepTempsFS(fsys FS, dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

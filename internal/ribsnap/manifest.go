@@ -115,14 +115,10 @@ type Manifest struct {
 	havePromoted bool
 }
 
-// OpenManifest replays (and, if its tail is torn, truncates) the
+// OpenManifestFS replays (and, if its tail is torn, truncates) the
 // journal under dir, creating an empty one implicitly on first append.
-func OpenManifest(dir string) (*Manifest, error) {
-	return OpenManifestFS(OS, dir)
-}
-
-// OpenManifestFS is OpenManifest over an explicit filesystem seam for
-// the append path (replay always reads the real file).
+// fsys is the filesystem seam for the append path (replay always reads
+// the real file).
 func OpenManifestFS(fsys FS, dir string) (*Manifest, error) {
 	m := &Manifest{
 		dir:    dir,

@@ -38,7 +38,7 @@ func dg(b byte) (d [32]byte) {
 
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	m, err := OpenManifest(dir)
+	m, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 
 	// Reopen: replay must reconstruct the same state.
-	m2, err := OpenManifest(dir)
+	m2, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestManifestRoundTrip(t *testing.T) {
 
 func TestManifestLastRecordWins(t *testing.T) {
 	dir := t.TempDir()
-	m, err := OpenManifest(dir)
+	m, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestManifestLastRecordWins(t *testing.T) {
 	if got := m.Status(a); got != GenWritten {
 		t.Fatalf("status after rewrite = %v, want written", got)
 	}
-	m2, err := OpenManifest(dir)
+	m2, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestManifestLastRecordWins(t *testing.T) {
 
 func TestManifestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	m, err := OpenManifest(dir)
+	m, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestManifestTornTailTruncated(t *testing.T) {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m2, err := OpenManifest(dir)
+		m2, err := OpenManifestFS(OS, dir)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
@@ -151,7 +151,7 @@ func TestManifestTornTailTruncated(t *testing.T) {
 		if err := m2.Append(GenRetired, dg(4)); err != nil {
 			t.Fatalf("cut=%d: append after truncation: %v", cut, err)
 		}
-		m3, err := OpenManifest(dir)
+		m3, err := OpenManifestFS(OS, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestManifestTornTailTruncated(t *testing.T) {
 
 func TestManifestCorruptRecordStopsReplay(t *testing.T) {
 	dir := t.TempDir()
-	m, err := OpenManifest(dir)
+	m, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestManifestCorruptRecordStopsReplay(t *testing.T) {
 	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := OpenManifest(dir)
+	m2, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestManifestCorruptRecordStopsReplay(t *testing.T) {
 
 func TestManifestUnknownOpSkipped(t *testing.T) {
 	dir := t.TempDir()
-	m, err := OpenManifest(dir)
+	m, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +208,14 @@ func TestManifestUnknownOpSkipped(t *testing.T) {
 	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := OpenManifest(dir)
+	m2, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m2.Append(GenPromoted, dg(6)); err != nil {
 		t.Fatal(err)
 	}
-	m3, err := OpenManifest(dir)
+	m3, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestReadManifest(t *testing.T) {
 	if _, err := ReadManifest(dir); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing journal: %v", err)
 	}
-	m, err := OpenManifest(dir)
+	m, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestReadManifest(t *testing.T) {
 // records around them apply, and appends land after them.
 func TestManifestSkipsDerivedRecords(t *testing.T) {
 	dir := t.TempDir()
-	m, err := OpenManifest(dir)
+	m, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestManifestSkipsDerivedRecords(t *testing.T) {
 	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := OpenManifest(dir)
+	m2, err := OpenManifestFS(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

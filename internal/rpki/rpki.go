@@ -45,12 +45,6 @@ var DefaultTALs = []TrustAnchor{TAAfrinic, TAAPNIC, TAARIN, TALACNIC, TARIPE}
 // a validator runs with once an operator opts in to AS0 filtering.
 var WithAS0TALs = []TrustAnchor{TAAfrinic, TAAPNIC, TAARIN, TALACNIC, TARIPE, TAAPNICAS0, TALACNICAS0}
 
-// IsAS0TAL reports whether ta is one of the informational AS0 trust
-// anchors that validators do not configure by default.
-func (ta TrustAnchor) IsAS0TAL() bool {
-	return ta == TAAPNICAS0 || ta == TALACNICAS0
-}
-
 // ROA is a route origin authorization.
 type ROA struct {
 	Prefix    netx.Prefix
@@ -199,21 +193,6 @@ func (a *Archive) ChangeDays() []timex.Day {
 
 func (sp *roaSpan) liveAt(d timex.Day) bool {
 	return d >= sp.created && (sp.open || d < sp.revoked)
-}
-
-// CoveringAt returns the ROAs live on day d whose prefix covers p,
-// restricted to the given trust anchors (nil means all).
-func (a *Archive) CoveringAt(p netx.Prefix, d timex.Day, tals []TrustAnchor) []ROA {
-	var out []ROA
-	a.trie.Covering(p, func(_ netx.Prefix, lst []*roaSpan) bool {
-		for _, sp := range lst {
-			if sp.liveAt(d) && talAllowed(sp.roa.TA, tals) {
-				out = append(out, sp.roa)
-			}
-		}
-		return true
-	})
-	return out
 }
 
 func talAllowed(ta TrustAnchor, tals []TrustAnchor) bool {

@@ -151,9 +151,6 @@ func TestAS0TALFiltering(t *testing.T) {
 	if got := a.ValidateAt(p24, 64500, d0+1, withAS0); got != Invalid {
 		t.Errorf("AS0 TAL should invalidate the squat: %v", got)
 	}
-	if !TAAPNICAS0.IsAS0TAL() || TAAPNIC.IsAS0TAL() {
-		t.Error("IsAS0TAL misclassifies")
-	}
 }
 
 func TestFirstSignedAndHistory(t *testing.T) {
@@ -245,61 +242,5 @@ func TestLiveAtTALRestriction(t *testing.T) {
 	}
 	if got := len(a.LiveAt(d0+1, DefaultTALs)); got != 1 {
 		t.Errorf("default TALs: %d", got)
-	}
-}
-
-func TestTALRoundTrip(t *testing.T) {
-	tal := &TALFile{
-		Name: TAAPNICAS0,
-		URIs: []string{
-			"rsync://rpki.apnic.net/repository/apnic-as0.cer",
-			"https://rpki.apnic.net/repository/apnic-as0.cer",
-		},
-		PublicKey: bytes.Repeat([]byte{0x30, 0x82, 0x01, 0x22}, 70), // > one b64 line
-	}
-	var buf bytes.Buffer
-	if err := WriteTAL(&buf, tal); err != nil {
-		t.Fatal(err)
-	}
-	// Wrapped at 64 columns.
-	for i, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-		if len(line) > 80 {
-			t.Errorf("line %d too long: %d", i, len(line))
-		}
-	}
-	got, err := ParseTAL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.URIs) != 2 || got.URIs[0] != tal.URIs[0] {
-		t.Errorf("URIs = %v", got.URIs)
-	}
-	if !bytes.Equal(got.PublicKey, tal.PublicKey) {
-		t.Error("public key mismatch")
-	}
-}
-
-func TestParseTALErrors(t *testing.T) {
-	cases := map[string]string{
-		"no URIs":    "\n\nAAAA\n",
-		"bad scheme": "ftp://example.net/ta.cer\n\nAAAA\n",
-		"no key":     "rsync://example.net/ta.cer\n\n",
-		"bad base64": "rsync://example.net/ta.cer\n\n!!!!\n",
-	}
-	for name, s := range cases {
-		if _, err := ParseTAL(bytes.NewReader([]byte(s))); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
-func TestParseTALComments(t *testing.T) {
-	in := "# production TAL\nrsync://example.net/ta.cer\n\nQUJD\n"
-	tal, err := ParseTAL(bytes.NewReader([]byte(in)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(tal.PublicKey) != "ABC" {
-		t.Errorf("key = %q", tal.PublicKey)
 	}
 }

@@ -1,10 +1,9 @@
 // Package rtr implements the RPKI-to-Router protocol (RFC 8210, version
 // 1) for IPv4 prefixes: the PDU wire format, a Server that feeds
-// validated ROA payloads (VRPs) from an rpki.Archive snapshot to routers,
-// and a Client that performs the synchronization handshake. This is the
-// deployment mechanism for the route origin validation the paper
-// evaluates — operators run exactly this protocol between validator and
-// router.
+// validated ROA payloads (VRPs) from an rpki.Archive snapshot to routers
+// (cmd/rtrd serves an archive day with it). This is the deployment
+// mechanism for the route origin validation the paper evaluates —
+// operators run exactly this protocol between validator and router.
 package rtr
 
 import (

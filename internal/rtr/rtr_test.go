@@ -115,28 +115,28 @@ func TestResetHandshakeOverPipe(t *testing.T) {
 		_ = srv.HandleConn(server)
 	}()
 
-	c := NewClient(client)
-	if err := c.Reset(); err != nil {
+	c := &reader{conn: client}
+	if err := c.reset(); err != nil {
 		t.Fatal(err)
 	}
-	if c.SessionID != 99 || c.Serial != 1 {
-		t.Errorf("session=%d serial=%d", c.SessionID, c.Serial)
+	if c.sessionID != 99 || c.serial != 1 {
+		t.Errorf("session=%d serial=%d", c.sessionID, c.serial)
 	}
-	if len(c.VRPs) != 3 {
-		t.Fatalf("VRPs = %+v", c.VRPs)
+	if len(c.vrps) != 3 {
+		t.Fatalf("VRPs = %+v", c.vrps)
 	}
 
 	// Router-side validation using the synced VRPs.
-	if v := c.Validate(VRPQuery{Prefix: netx.MustParsePrefix("132.255.0.0/22"), Origin: 263692}); v != rpki.Valid {
+	if v := validate(c.vrps, netx.MustParsePrefix("132.255.0.0/22"), 263692); v != rpki.Valid {
 		t.Errorf("owner announcement = %v", v)
 	}
-	if v := c.Validate(VRPQuery{Prefix: netx.MustParsePrefix("132.255.0.0/22"), Origin: 50509}); v != rpki.Invalid {
+	if v := validate(c.vrps, netx.MustParsePrefix("132.255.0.0/22"), 50509); v != rpki.Invalid {
 		t.Errorf("forged origin = %v", v)
 	}
-	if v := c.Validate(VRPQuery{Prefix: netx.MustParsePrefix("192.0.2.0/24"), Origin: 64500}); v != rpki.Invalid {
+	if v := validate(c.vrps, netx.MustParsePrefix("192.0.2.0/24"), 64500); v != rpki.Invalid {
 		t.Errorf("AS0-covered announcement = %v", v)
 	}
-	if v := c.Validate(VRPQuery{Prefix: netx.MustParsePrefix("203.0.113.0/24"), Origin: 64500}); v != rpki.NotFound {
+	if v := validate(c.vrps, netx.MustParsePrefix("203.0.113.0/24"), 64500); v != rpki.NotFound {
 		t.Errorf("uncovered announcement = %v", v)
 	}
 
@@ -150,26 +150,26 @@ func TestSerialQueryFlow(t *testing.T) {
 	go func() { _ = srv.HandleConn(server) }()
 	defer client.Close()
 
-	c := NewClient(client)
-	if err := c.Reset(); err != nil {
+	c := &reader{conn: client}
+	if err := c.reset(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Poll while current: empty delta, same serial.
-	if err := c.Poll(); err != nil {
+	if err := c.poll(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Serial != 1 || len(c.VRPs) != 3 {
-		t.Errorf("after current poll: serial=%d vrps=%d", c.Serial, len(c.VRPs))
+	if c.serial != 1 || len(c.vrps) != 3 {
+		t.Errorf("after current poll: serial=%d vrps=%d", c.serial, len(c.vrps))
 	}
 
 	// Cache updates: the next poll receives the incremental delta.
 	srv.Update(sampleVRPs()[:1])
-	if err := c.Poll(); err != nil {
+	if err := c.poll(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Serial != 2 || len(c.VRPs) != 1 {
-		t.Errorf("after update poll: serial=%d vrps=%d", c.Serial, len(c.VRPs))
+	if c.serial != 2 || len(c.vrps) != 1 {
+		t.Errorf("after update poll: serial=%d vrps=%d", c.serial, len(c.vrps))
 	}
 }
 
@@ -204,12 +204,12 @@ func TestServeOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn)
-	if err := c.Reset(); err != nil {
+	c := &reader{conn: conn}
+	if err := c.reset(); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.VRPs) != 3 {
-		t.Errorf("VRPs over TCP = %d", len(c.VRPs))
+	if len(c.vrps) != 3 {
+		t.Errorf("VRPs over TCP = %d", len(c.vrps))
 	}
 	conn.Close()
 
@@ -254,8 +254,8 @@ func TestIncrementalDelta(t *testing.T) {
 	go func() { _ = srv.HandleConn(server) }()
 	defer client.Close()
 
-	c := NewClient(client)
-	if err := c.Reset(); err != nil {
+	c := &reader{conn: client}
+	if err := c.reset(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -263,17 +263,17 @@ func TestIncrementalDelta(t *testing.T) {
 	added := VRP{Prefix: netx.MustParsePrefix("203.0.113.0/24"), MaxLength: 24, ASN: 65000}
 	v2 := append(append([]VRP{}, vrps[1:]...), added)
 	srv.Update(v2)
-	if err := c.Poll(); err != nil {
+	if err := c.poll(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Serial != 2 {
-		t.Errorf("serial = %d", c.Serial)
+	if c.serial != 2 {
+		t.Errorf("serial = %d", c.serial)
 	}
-	if len(c.VRPs) != 3 {
-		t.Fatalf("VRPs after delta = %+v", c.VRPs)
+	if len(c.vrps) != 3 {
+		t.Fatalf("VRPs after delta = %+v", c.vrps)
 	}
 	found := false
-	for _, v := range c.VRPs {
+	for _, v := range c.vrps {
 		if v == vrps[0] {
 			t.Errorf("withdrawn VRP still present: %+v", v)
 		}
@@ -290,11 +290,11 @@ func TestIncrementalDelta(t *testing.T) {
 	v3 = append(v3, vrps[0])
 	srv.Update(v3)
 	srv.Update(v2) // and remove it again: net change vs serial 2 is zero
-	if err := c.Poll(); err != nil {
+	if err := c.poll(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Serial != 4 || len(c.VRPs) != 3 {
-		t.Errorf("after coalesced delta: serial=%d vrps=%d", c.Serial, len(c.VRPs))
+	if c.serial != 4 || len(c.vrps) != 3 {
+		t.Errorf("after coalesced delta: serial=%d vrps=%d", c.serial, len(c.vrps))
 	}
 }
 
@@ -304,8 +304,8 @@ func TestDeltaHistoryEviction(t *testing.T) {
 	go func() { _ = srv.HandleConn(server) }()
 	defer client.Close()
 
-	c := NewClient(client)
-	if err := c.Reset(); err != nil {
+	c := &reader{conn: client}
+	if err := c.reset(); err != nil {
 		t.Fatal(err)
 	}
 	// Push far more versions than the retained history.
@@ -314,12 +314,46 @@ func TestDeltaHistoryEviction(t *testing.T) {
 		cur = append(cur, VRP{Prefix: netx.PrefixFrom(netx.AddrFrom4(10, 99, byte(i), 0), 24), MaxLength: 24, ASN: 65001})
 		srv.Update(append([]VRP{}, cur...))
 	}
-	// Client at serial 1 is far behind: the server forces a reset, and
-	// the client recovers the full current set.
-	if err := c.Poll(); err != nil {
+	// A reader at serial 1 is far behind: the server forces a reset,
+	// and the reader recovers the full current set.
+	if err := c.poll(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Serial != 21 || len(c.VRPs) != len(cur) {
-		t.Errorf("after reset recovery: serial=%d vrps=%d want %d", c.Serial, len(c.VRPs), len(cur))
+	if c.serial != 21 || len(c.vrps) != len(cur) {
+		t.Errorf("after reset recovery: serial=%d vrps=%d want %d", c.serial, len(c.vrps), len(cur))
+	}
+}
+
+// TestEndOfDataIntervals pins the timers a cache advertises, which
+// rtrd sets from its -refresh, -retry and -expire flags: End of Data
+// carries the RFC 8210 suggested values until SetIntervals, and the set
+// values on every answer after it, incremental or full.
+func TestEndOfDataIntervals(t *testing.T) {
+	srv := NewServer(7, sampleVRPs())
+	client, server := net.Pipe()
+	go func() { _ = srv.HandleConn(server) }()
+	defer client.Close()
+
+	c := &reader{conn: client}
+	if err := c.reset(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Intervals{Refresh: 3600, Retry: 600, Expire: 7200}); c.intervals != want || DefaultIntervals != want {
+		t.Errorf("default End of Data intervals = %+v (DefaultIntervals %+v), want %+v", c.intervals, DefaultIntervals, want)
+	}
+
+	set := Intervals{Refresh: 60, Retry: 300, Expire: 600}
+	srv.SetIntervals(set)
+	if err := c.poll(); err != nil {
+		t.Fatal(err)
+	}
+	if c.intervals != set {
+		t.Errorf("after SetIntervals, serial poll: End of Data intervals = %+v, want %+v", c.intervals, set)
+	}
+	if err := c.reset(); err != nil {
+		t.Fatal(err)
+	}
+	if c.intervals != set {
+		t.Errorf("after SetIntervals, reset: End of Data intervals = %+v, want %+v", c.intervals, set)
 	}
 }

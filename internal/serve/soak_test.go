@@ -15,8 +15,7 @@ import (
 )
 
 // chaosListener wraps every accepted connection with the next scheduled
-// fault — the serving-side mirror of the chaos dialer the live-session
-// soak uses.
+// fault.
 type chaosListener struct {
 	net.Listener
 	chaos *faultinject.Chaoser

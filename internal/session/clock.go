@@ -1,7 +1,7 @@
-// Clock abstraction for the supervision layer. Every timer the live
-// session code arms — reconnect backoff, BGP hold timers, RTR
-// refresh/retry/expire — goes through a Clock so tests drive the whole
-// state machine deterministically with a FakeClock instead of sleeping.
+// Clock abstraction for the supervision layer. Every timer the daemon's
+// reload loop arms — the restart backoff and the archive watch poll —
+// goes through a Clock so tests drive the whole loop deterministically
+// with a FakeClock instead of sleeping.
 package session
 
 import (

@@ -1,11 +1,9 @@
-// Package session supervises long-lived network sessions: the BGP
-// feeds and RPKI-to-Router synchronization the paper's measurement
-// substrate keeps up for years across flapping peers and stalled
-// caches. A Supervisor runs a session function, and when it fails,
-// restarts it under jittered exponential backoff with an optional
-// restart budget — the generic self-healing layer under
-// bgpd.Collector.DialPeer and rtr.ClientSession. All waiting goes
-// through a Clock, so tests drive every retry deterministically.
+// Package session retries failing work under supervision. A Supervisor
+// runs a session function, and when it fails, restarts it under
+// jittered exponential backoff with an optional restart budget. The
+// query daemon's generation reload (serve/reload.go) runs under one.
+// All waiting goes through a Clock, so tests drive every retry
+// deterministically.
 package session
 
 import (
@@ -191,9 +189,4 @@ func (s *Supervisor) Run(ctx context.Context) error {
 		case <-t.C():
 		}
 	}
-}
-
-// Supervise is the one-call form: New(name, run, cfg).Run(ctx).
-func Supervise(ctx context.Context, name string, run func(context.Context) error, cfg Config) error {
-	return New(name, run, cfg).Run(ctx)
 }

@@ -238,40 +238,3 @@ func (g *Graph) PathsFrom(injector bgp.ASN) map[bgp.ASN][]bgp.ASN {
 	}
 	return out
 }
-
-// CustomerCone returns the set of ASes reachable from a by walking only
-// provider→customer edges, including a itself — the AS-rank notion of an
-// AS's customer cone. Cone size is the standard proxy for how much of the
-// Internet an AS can send hijacked routes to from "below".
-func (g *Graph) CustomerCone(a bgp.ASN) []bgp.ASN {
-	g.init()
-	if !g.asns[a] {
-		return nil
-	}
-	seen := map[bgp.ASN]bool{a: true}
-	queue := []bgp.ASN{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, c := range g.customers[cur] {
-			if !seen[c] {
-				seen[c] = true
-				queue = append(queue, c)
-			}
-		}
-	}
-	out := make([]bgp.ASN, 0, len(seen))
-	for asn := range seen {
-		out = append(out, asn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// PathBetween returns the valley-free best path from src toward injector,
-// if one exists.
-func (g *Graph) PathBetween(src, injector bgp.ASN) ([]bgp.ASN, bool) {
-	paths := g.PathsFrom(injector)
-	p, ok := paths[src]
-	return p, ok
-}

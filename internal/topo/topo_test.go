@@ -120,11 +120,8 @@ func TestUnreachableAndUnknown(t *testing.T) {
 	if got := g.PathsFrom(1234); got != nil {
 		t.Errorf("unknown injector should return nil, got %v", got)
 	}
-	if _, ok := g.PathBetween(99, 12); ok {
-		t.Error("PathBetween to isolated AS")
-	}
-	if p, ok := g.PathBetween(22, 12); !ok || len(p) == 0 {
-		t.Error("PathBetween should find valley-free route")
+	if len(paths[22]) == 0 {
+		t.Error("AS22 should have a valley-free route")
 	}
 }
 
@@ -208,43 +205,5 @@ func TestLargeConeFixpoint(t *testing.T) {
 	paths := g.PathsFrom(100) // bottom of the chain
 	if got := len(paths[0]); got != 101 {
 		t.Errorf("top-of-chain path length = %d", got)
-	}
-}
-
-func TestCustomerCone(t *testing.T) {
-	g := buildChain(t)
-	cone := g.CustomerCone(10) // T1: P1, C1 under it
-	if !pathEq(cone, 10, 11, 12) {
-		t.Errorf("T1 cone = %v", cone)
-	}
-	// Leaf AS cone is itself.
-	if !pathEq(g.CustomerCone(12), 12) {
-		t.Errorf("leaf cone = %v", g.CustomerCone(12))
-	}
-	// Peering does not extend the cone.
-	for _, asn := range g.CustomerCone(10) {
-		if asn == 20 || asn == 21 || asn == 22 {
-			t.Errorf("peer's customers leaked into cone: %v", g.CustomerCone(10))
-		}
-	}
-	if g.CustomerCone(9999) != nil {
-		t.Error("unknown AS should have nil cone")
-	}
-}
-
-func TestCustomerConeMultihomed(t *testing.T) {
-	var g Graph
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Diamond: 1 -> 2, 1 -> 3, 2 -> 4, 3 -> 4. AS4 counted once.
-	must(g.Link(1, 2, ProviderOf))
-	must(g.Link(1, 3, ProviderOf))
-	must(g.Link(2, 4, ProviderOf))
-	must(g.Link(3, 4, ProviderOf))
-	if cone := g.CustomerCone(1); !pathEq(cone, 1, 2, 3, 4) {
-		t.Errorf("diamond cone = %v", cone)
 	}
 }

@@ -19,7 +19,6 @@ SUBCOMMANDS="build vet fmt test race bench fuzz warmstart serve shard delta life
 # loop in fuzz().
 FUZZ_TARGETS="
 internal/bgp FuzzDecodeUpdate
-internal/bgp FuzzReadMessage
 internal/bgp FuzzParseASN
 internal/drop FuzzParse
 internal/irr FuzzParse
@@ -65,8 +64,8 @@ test_() {
 }
 
 # race runs every test in the repo under the race detector, uncached:
-# the fault-injection, live-session chaos, serving soak and crash
-# recovery suites included.
+# the fault-injection, serving chaos soak and crash recovery suites
+# included.
 race() { go test -race -count=1 ./...; }
 
 # bench compiles and runs every Benchmark* function exactly once — a
@@ -74,17 +73,28 @@ race() { go test -race -count=1 ./...; }
 bench() { go test -bench=. -benchtime=1x -run='^$' ./...; }
 
 # fuzz runs each seed corpus plus FUZZ_SMOKE_TIME (default 10s) of new
-# inputs per target. It first fails if a Fuzz* function in the tree is
-# missing from FUZZ_TARGETS, which would leave it unrun.
+# inputs per target. It first fails if FUZZ_TARGETS and the Fuzz*
+# functions in the tree differ either way: a function missing from the
+# list would go unrun, and a stale entry would pass silently, because
+# `go test -fuzz` with a pattern that matches nothing exits 0.
 fuzz() {
-  local t="${FUZZ_SMOKE_TIME:-10s}" missing
-  missing="$(grep -rEo --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
+  local t="${FUZZ_SMOKE_TIME:-10s}" found listed missing stale
+  found="$(grep -rEo --include='*_test.go' --exclude-dir=.git --exclude-dir=.bench_build \
       '^func Fuzz[A-Za-z0-9_]*' . |
     awk -F: '{ d = $1; sub(/^\.\//, "", d); sub(/\/?[^\/]*$/, "", d); sub(/^func /, "", $2); print (d == "" ? "." : d), $2 }' |
-    grep -vxF -f <(echo "$FUZZ_TARGETS" | sed '/^$/d') || true)"
+    LC_ALL=C sort -u)"
+  listed="$(echo "$FUZZ_TARGETS" | sed '/^$/d' | LC_ALL=C sort -u)"
+  missing="$(LC_ALL=C comm -23 <(echo "$found") <(echo "$listed"))"
+  stale="$(LC_ALL=C comm -13 <(echo "$found") <(echo "$listed"))"
   if [ -n "$missing" ]; then
     echo "fuzz: targets missing from FUZZ_TARGETS:" >&2
     echo "$missing" >&2
+  fi
+  if [ -n "$stale" ]; then
+    echo "fuzz: FUZZ_TARGETS entries with no such Fuzz function:" >&2
+    echo "$stale" >&2
+  fi
+  if [ -n "$missing$stale" ]; then
     return 1
   fi
   echo "$FUZZ_TARGETS" | while read -r pkg target; do

@@ -84,7 +84,7 @@ func TestAppendByteIdentical(t *testing.T) {
 	}
 	refParallel := renderStudy(t, cold, false)
 	refSerial := renderStudy(t, cold, true)
-	coldStrict, err := LoadStudy(dir, smallConfig())
+	coldStrict, err := LoadStudyWithOptions(dir, smallConfig(), IngestOptions{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,15 +104,6 @@ func newStudy(cfg Config, workers int) (*Study, error) {
 	return &Study{World: w, Pipeline: p}, nil
 }
 
-// LoadStudy builds the pipeline from archives previously written with
-// (*Study).WriteArchives — the file-based path a downstream user takes
-// with their own data. It is strict: the first corrupt record or
-// malformed line fails the load. Use LoadStudyWithOptions to run over
-// damaged archives.
-func LoadStudy(dir string, cfg Config) (*Study, error) {
-	return LoadStudyWithOptions(dir, cfg, IngestOptions{Strict: true})
-}
-
 // IngestOptions configures how LoadStudyWithOptions reads archives and
 // builds the pipeline.
 type IngestOptions struct {
@@ -168,11 +159,14 @@ type IngestOptions struct {
 	Append bool
 }
 
-// LoadStudyWithOptions is LoadStudy under explicit ingest options. After
-// a lenient load, per-source skip accounting and quarantine decisions
-// are available via the pipeline's Health and appear in the rendered
-// report's data-health section; over undamaged archives the lenient
-// path's output is byte-identical to the strict path's. The load itself
+// LoadStudyWithOptions builds the pipeline from archives previously
+// written with (*Study).WriteArchives — the file-based path a downstream
+// user takes with their own data. With opts.Strict, the first corrupt
+// record or malformed line fails the load. After a lenient load,
+// per-source skip accounting and quarantine decisions are available via
+// the pipeline's Health and appear in the rendered report's data-health
+// section; over undamaged archives the lenient path's output is
+// byte-identical to the strict path's. The load itself
 // — delta, warm or cold, and what is persisted — is internal/loader's,
 // shared with the dropscoped daemon.
 func LoadStudyWithOptions(dir string, cfg Config, opts IngestOptions) (*Study, error) {

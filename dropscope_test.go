@@ -2,6 +2,8 @@ package dropscope
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -65,13 +67,47 @@ func TestRenderProducesEverySection(t *testing.T) {
 	}
 }
 
+// failOnce fails the one write that contains needle and counts the
+// writes that reach it afterwards.
+type failOnce struct {
+	needle string
+	err    error
+	failed bool
+	after  int
+}
+
+func (f *failOnce) Write(p []byte) (int, error) {
+	switch {
+	case f.failed:
+		f.after++
+	case strings.Contains(string(p), f.needle):
+		f.failed = true
+		return 0, f.err
+	}
+	return len(p), nil
+}
+
+// TestRenderReturnsWriteError: a write that fails inside §5, on a line
+// whose error used to be dropped, is what Render returns, and nothing is
+// written after it.
+func TestRenderReturnsWriteError(t *testing.T) {
+	boom := errors.New("disk full")
+	w := &failOnce{needle: "objects created ≤1 month before listing", err: boom}
+	if err := study(t).Results().Render(w); !errors.Is(err, boom) {
+		t.Fatalf("Render = %v, want %v", err, boom)
+	}
+	if !w.failed || w.after != 0 {
+		t.Errorf("failed %v, %d writes after the failing one; want true, 0", w.failed, w.after)
+	}
+}
+
 func TestWriteAndLoadStudy(t *testing.T) {
 	s := study(t)
 	dir := t.TempDir()
 	if err := s.WriteArchives(dir); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadStudy(dir, smallConfig())
+	loaded, err := LoadStudyWithOptions(dir, smallConfig(), IngestOptions{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +124,36 @@ func TestWriteAndLoadStudy(t *testing.T) {
 	}
 	if a.Sec5.WithHijackerASNObject != b.Sec5.WithHijackerASNObject {
 		t.Errorf("Sec5 differs after reload")
+	}
+}
+
+// TestWindowMustHoldADay: a window whose last day is before its first
+// fails both facade paths with an error naming the window (it used to
+// build, then panic in the experiments); a one-day window still renders.
+func TestWindowMustHoldADay(t *testing.T) {
+	dir := t.TempDir()
+	if err := study(t).WriteArchives(dir); err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	day := cfg.Window.Last
+	cfg.Window.First, cfg.Window.Last = cfg.Window.Last, cfg.Window.First
+	want := cfg.Window.String()
+	if _, err := NewStudy(cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("NewStudy over %s: err = %v, want one naming the window", want, err)
+	}
+	if _, err := LoadStudyWithOptions(dir, cfg, IngestOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("LoadStudyWithOptions over %s: err = %v, want one naming the window", want, err)
+	}
+
+	cfg.Window.First, cfg.Window.Last = day, day
+	s, err := LoadStudyWithOptions(dir, cfg, IngestOptions{Strict: true})
+	if err != nil {
+		t.Fatalf("one-day window %s: %v", cfg.Window, err)
+	}
+	defer s.Close()
+	if err := s.Results().Render(io.Discard); err != nil {
+		t.Fatal(err)
 	}
 }
 

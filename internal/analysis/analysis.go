@@ -78,10 +78,14 @@ type Options struct {
 
 // NewWithOptions builds the pipeline over a prebuilt index: it extracts
 // DROP listing events, classifies SBL records, and annotates listings
-// with registry and allocation state.
+// with registry and allocation state. The window must hold at least one
+// day: every experiment reads its last day.
 func NewWithOptions(ds Dataset, opts Options) (*Pipeline, error) {
 	if ds.DROP == nil || ds.SBL == nil || ds.IRR == nil || ds.RPKI == nil || ds.RIR == nil || opts.Index == nil {
 		return nil, fmt.Errorf("analysis: incomplete dataset")
+	}
+	if ds.Window.Last < ds.Window.First {
+		return nil, fmt.Errorf("analysis: window %s is empty: its last day is before its first", ds.Window)
 	}
 	p := &Pipeline{ds: ds, Index: opts.Index, Health: opts.Health}
 	for _, l := range ds.DROP.Listings() {
@@ -141,9 +145,10 @@ func (p *Pipeline) originAtListing(l *Listing) (bgp.ASN, bool) {
 
 // addrSpace sums the union address space of the given listings.
 func addrSpace(ls []*Listing) uint64 {
-	var set netx.Set
-	for _, l := range ls {
-		set.Add(l.Prefix)
+	ps := make([]netx.Prefix, len(ls))
+	for i, l := range ls {
+		ps[i] = l.Prefix
 	}
-	return set.AddrCount()
+	netx.SortPrefixes(ps)
+	return netx.NewSortedSet(ps).AddrCount()
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dropscope/internal/rirstats"
@@ -41,6 +42,19 @@ func near(t *testing.T, name string, got, want, tol float64) {
 func TestPipelineRejectsIncompleteDataset(t *testing.T) {
 	if _, err := NewWithOptions(Dataset{}, Options{}); err == nil {
 		t.Error("empty dataset should fail")
+	}
+}
+
+func TestPipelineRejectsInvertedWindow(t *testing.T) {
+	_, p := pipeline(t)
+	ds := p.Dataset()
+	ds.Window.First, ds.Window.Last = ds.Window.Last, ds.Window.First
+	if _, err := NewWithOptions(ds, Options{Index: p.Index}); err == nil || !strings.Contains(err.Error(), ds.Window.String()) {
+		t.Errorf("window %s: err = %v, want one naming the window", ds.Window, err)
+	}
+	ds.Window.First = ds.Window.Last
+	if _, err := NewWithOptions(ds, Options{Index: p.Index}); err != nil {
+		t.Errorf("one-day window %s: %v", ds.Window, err)
 	}
 }
 

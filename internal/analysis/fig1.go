@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"dropscope/internal/netx"
-	"dropscope/internal/sbl"
-)
+import "dropscope/internal/sbl"
 
 // Fig1Row is one category bar of Figure 1.
 type Fig1Row struct {
@@ -40,12 +37,10 @@ func (p *Pipeline) Fig1Classification() Fig1 {
 	out.TotalPrefixes = len(p.Listings)
 
 	byCat := make(map[sbl.Category][]*Listing)
-	var all netx.Set
-	var incidentSet netx.Set
+	var incident []*Listing
 	for _, l := range p.Listings {
-		all.Add(l.Prefix)
 		if l.Incident {
-			incidentSet.Add(l.Prefix)
+			incident = append(incident, l)
 		}
 		if !l.Has(sbl.NoRecord) {
 			out.WithRecord++
@@ -57,8 +52,8 @@ func (p *Pipeline) Fig1Classification() Fig1 {
 			byCat[c] = append(byCat[c], l)
 		}
 	}
-	out.TotalSpace = all.AddrCount()
-	incidentSpace := incidentSet.AddrCount()
+	out.TotalSpace = addrSpace(p.Listings)
+	incidentSpace := addrSpace(incident)
 	if out.TotalSpace > 0 {
 		out.IncidentSpaceShare = float64(incidentSpace) / float64(out.TotalSpace)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"dropscope/internal/bgp"
 	"dropscope/internal/irr"
-	"dropscope/internal/netx"
 	"dropscope/internal/sbl"
 )
 
@@ -66,10 +65,9 @@ func (p *Pipeline) Sec5IRR() Sec5 {
 	// full set for coverage but the non-incident set for hijack analysis.
 	all := p.Listings
 
-	var dropSet, coveredSet netx.Set
+	var covered []*Listing
 	createdMonthBefore, removedMonthAfter := 0, 0
 	for _, l := range all {
-		dropSet.Add(l.Prefix)
 		spans := p.ds.IRR.RouteHistory(l.Prefix)
 		var covering []irr.RouteSpan
 		for _, s := range spans {
@@ -84,7 +82,7 @@ func (p *Pipeline) Sec5IRR() Sec5 {
 			continue
 		}
 		out.CoveredListings++
-		coveredSet.Add(l.Prefix)
+		covered = append(covered, l)
 		newest := covering[len(covering)-1]
 		if l.Added-newest.Created <= 30 {
 			createdMonthBefore++
@@ -102,8 +100,8 @@ func (p *Pipeline) Sec5IRR() Sec5 {
 	if n := len(all); n > 0 {
 		out.CoveredFraction = float64(out.CoveredListings) / float64(n)
 	}
-	if total := dropSet.AddrCount(); total > 0 {
-		out.CoveredSpaceFraction = float64(coveredSet.AddrCount()) / float64(total)
+	if total := addrSpace(all); total > 0 {
+		out.CoveredSpaceFraction = float64(addrSpace(covered)) / float64(total)
 	}
 	if out.CoveredListings > 0 {
 		out.CreatedMonthBefore = float64(createdMonthBefore) / float64(out.CoveredListings)

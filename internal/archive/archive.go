@@ -228,12 +228,7 @@ func loadDROP(files *filesum.Manifest, a *drop.Archive, h *ingest.Health, rec *r
 		if rec != nil {
 			rec.drop = append(rec.drop, fileSum{path, sum})
 		}
-		var entries []drop.Entry
-		if h != nil {
-			entries, err = drop.ParseHealth(bytes.NewReader(buf.Bytes()), h.Source(path))
-		} else {
-			entries, err = drop.Parse(bytes.NewReader(buf.Bytes()))
-		}
+		entries, err := drop.ParseHealth(bytes.NewReader(buf.Bytes()), h.Source(path))
 		if err != nil {
 			return err
 		}
@@ -299,10 +294,7 @@ func loadSBL(path string, db *sbl.DB, h *ingest.Health) error {
 		return err
 	}
 	defer f.Close()
-	if h != nil {
-		return sbl.ParseStoreHealth(f, db, h.Source("sbl/records.txt"))
-	}
-	return sbl.ParseStore(f, db)
+	return sbl.ParseStoreHealth(f, db, h.Source("sbl/records.txt"))
 }
 
 // --- IRR ----------------------------------------------------------------
@@ -324,12 +316,7 @@ func loadIRR(path string, db *irr.DB, h *ingest.Health) error {
 	if err != nil {
 		return err
 	}
-	var parsed *irr.DB
-	if h != nil {
-		parsed, err = irr.ParseJournalHealth(raw, h.Source("irr/journal.rpsl"))
-	} else {
-		parsed, err = irr.ParseJournal(raw)
-	}
+	parsed, err := irr.ParseJournalHealth(raw, h.Source("irr/journal.rpsl"))
 	if err != nil {
 		return err
 	}
@@ -375,12 +362,7 @@ func loadRPKI(files *filesum.Manifest, a *rpki.Archive, h *ingest.Health, rec *r
 		if rec != nil {
 			rec.rpki = append(rec.rpki, fileSum{path, sum})
 		}
-		var roas []rpki.ROA
-		if h != nil {
-			roas, err = rpki.ParseSnapshotCSVHealth(bytes.NewReader(buf.Bytes()), h.Source(path))
-		} else {
-			roas, err = rpki.ParseSnapshotCSV(bytes.NewReader(buf.Bytes()))
-		}
+		roas, err := rpki.ParseSnapshotCSVHealth(bytes.NewReader(buf.Bytes()), h.Source(path))
 		if err != nil {
 			return err
 		}
@@ -610,11 +592,7 @@ func parseRIRDay(files *filesum.Manifest, day string, h *ingest.Health, sc *rirS
 		if hash {
 			sc.sums = append(sc.sums, fileSum{path, sum})
 		}
-		var src *ingest.Source
-		if h != nil {
-			src = h.Source(path)
-		}
-		if sc.blocks, err = rirstats.AppendBlocks(sc.blocks, sc.file.Bytes(), src); err != nil {
+		if sc.blocks, err = rirstats.AppendBlocks(sc.blocks, sc.file.Bytes(), h.Source(path)); err != nil {
 			return err
 		}
 	}

@@ -54,7 +54,8 @@ func Parse(r io.Reader) ([]Entry, error) {
 
 // ParseHealth is the lenient variant of Parse: a line that does not
 // parse is skipped and counted on src rather than failing the snapshot.
-// Accepted entries are also counted on src.
+// Accepted entries are also counted on src. A nil src parses strictly,
+// as Parse does.
 func ParseHealth(r io.Reader, src *ingest.Source) ([]Entry, error) {
 	return parse(r, src)
 }

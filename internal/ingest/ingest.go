@@ -152,7 +152,12 @@ func NewHealth() *Health {
 
 // Source returns the named source, creating it on first use. Safe for
 // concurrent callers; the returned Source itself is single-goroutine.
+// A nil Health is a strict load: it returns nil, which every parser
+// reads as "fail on the first bad record".
 func (h *Health) Source(name string) *Source {
+	if h == nil {
+		return nil
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s, ok := h.sources[name]

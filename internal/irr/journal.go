@@ -43,7 +43,7 @@ func ParseJournal(raw []byte) (*DB, error) {
 // ParseJournalHealth is the lenient variant of ParseJournal: a journal
 // entry that cannot be parsed or replayed is skipped and counted on src
 // rather than failing the journal. Replayed entries are also counted on
-// src.
+// src. A nil src parses strictly, as ParseJournal does.
 func ParseJournalHealth(raw []byte, src *ingest.Source) (*DB, error) {
 	return parseJournal(raw, src)
 }

@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"dropscope/internal/bgp"
-	"dropscope/internal/ingest"
 	"dropscope/internal/netx"
 	"dropscope/internal/timex"
 )
@@ -147,21 +146,9 @@ func parseASN(s string) (bgp.ASN, error) {
 
 // Parse reads a stream of RPSL objects: "name: value" lines, '+' or
 // whitespace continuation, '#' comments, blank-line separators. The
-// first malformed line fails the parse; use ParseHealth to quarantine
-// bad lines instead.
+// first malformed line fails the parse; ParseJournalHealth quarantines
+// a journal entry that fails it instead.
 func Parse(r io.Reader) ([]*Object, error) {
-	return parse(r, nil)
-}
-
-// ParseHealth is the lenient variant of Parse: a line that is not a
-// well-formed attribute or continuation is skipped and counted on src
-// rather than failing the stream. Completed objects are also counted on
-// src.
-func ParseHealth(r io.Reader, src *ingest.Source) ([]*Object, error) {
-	return parse(r, src)
-}
-
-func parse(r io.Reader, src *ingest.Source) ([]*Object, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	var objs []*Object
@@ -170,18 +157,8 @@ func parse(r io.Reader, src *ingest.Source) ([]*Object, error) {
 	flush := func() {
 		if cur != nil && len(cur.Attrs) > 0 {
 			objs = append(objs, cur)
-			if src != nil {
-				src.Accept(1)
-			}
 		}
 		cur = nil
-	}
-	skip := func(format string, args ...interface{}) error {
-		if src != nil {
-			src.Skip(ingest.BadLine)
-			return nil
-		}
-		return fmt.Errorf(format, args...)
 	}
 	for sc.Scan() {
 		lineNo++
@@ -196,10 +173,7 @@ func parse(r io.Reader, src *ingest.Source) ([]*Object, error) {
 		// Continuation: leading whitespace or '+'.
 		if line[0] == ' ' || line[0] == '\t' || line[0] == '+' {
 			if cur == nil || len(cur.Attrs) == 0 {
-				if err := skip("irr: line %d: continuation without attribute", lineNo); err != nil {
-					return nil, err
-				}
-				continue
+				return nil, fmt.Errorf("irr: line %d: continuation without attribute", lineNo)
 			}
 			last := &cur.Attrs[len(cur.Attrs)-1]
 			last.Value += " " + strings.TrimSpace(strings.TrimPrefix(line, "+"))
@@ -207,17 +181,11 @@ func parse(r io.Reader, src *ingest.Source) ([]*Object, error) {
 		}
 		colon := strings.IndexByte(line, ':')
 		if colon <= 0 {
-			if err := skip("irr: line %d: malformed attribute %q", lineNo, line); err != nil {
-				return nil, err
-			}
-			continue
+			return nil, fmt.Errorf("irr: line %d: malformed attribute %q", lineNo, line)
 		}
 		name := strings.TrimSpace(line[:colon])
 		if name == "" {
-			if err := skip("irr: line %d: empty attribute name", lineNo); err != nil {
-				return nil, err
-			}
-			continue
+			return nil, fmt.Errorf("irr: line %d: empty attribute name", lineNo)
 		}
 		if cur == nil {
 			cur = &Object{}

@@ -582,6 +582,25 @@ func (f fixture) runCell(t *testing.T, cacheKind string, shards int, ev event, s
 	sameIndex(t, "facade", ref.l.Pipeline.Index, study.Pipeline.Index, window)
 }
 
+// TestLoadRejectsInvertedWindow: the load both programs boot through
+// fails on a window whose last day is before its first, naming it, and
+// promotes no generation for it.
+func TestLoadRejectsInvertedWindow(t *testing.T) {
+	f := getFixture(t)
+	st, err := ribsnap.OpenStore(filepath.Join(t.TempDir(), "ribsnap"), ribsnap.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := timex.Range{First: f.window.Last, Last: f.window.First}
+	_, err = loader.Load(f.archiveDir(t, "base"), loader.Options{Window: window, Store: st})
+	if err == nil || !strings.Contains(err.Error(), window.String()) {
+		t.Fatalf("window %s: err = %v, want one naming the window", window, err)
+	}
+	if live, ok := st.Promoted(); ok {
+		t.Errorf("the failed load promoted generation %x", live[:8])
+	}
+}
+
 // TestDamagedLoadKeepsDeltaBase: a lenient load over a damaged
 // collector refuses to persist, so it has no generation to promote.
 // Journaling it live anyway would retire the last good generation and

@@ -22,14 +22,16 @@ func ExampleTrie_LongestMatch() {
 	// 10.0.0.0/8 aggregate
 }
 
-// ExampleSet_SlashEquivalents shows the /8-equivalent accounting used for
+// ExampleSlashEquivalents shows the /8-equivalent accounting used for
 // the paper's address-space figures.
-func ExampleSet_SlashEquivalents() {
-	var s netx.Set
-	s.Add(netx.MustParsePrefix("41.0.0.0/8"))
-	s.Add(netx.MustParsePrefix("41.0.0.0/16")) // nested: no double count
-	s.Add(netx.MustParsePrefix("102.0.0.0/9"))
-	fmt.Printf("%.1f /8 equivalents\n", s.SlashEquivalents(8))
+func ExampleSlashEquivalents() {
+	ps := []netx.Prefix{
+		netx.MustParsePrefix("41.0.0.0/8"),
+		netx.MustParsePrefix("41.0.0.0/16"), // nested: no double count
+		netx.MustParsePrefix("102.0.0.0/9"),
+	}
+	n := netx.NewSortedSet(ps).AddrCount()
+	fmt.Printf("%.1f /8 equivalents\n", netx.SlashEquivalents(n, 8))
 	// Output:
 	// 1.5 /8 equivalents
 }

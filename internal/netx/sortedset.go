@@ -2,9 +2,10 @@ package netx
 
 // SortedSet is an immutable prefix set held as an address-sorted slice,
 // for sets that are built once and then only read: a day's routed space,
-// the prefixes signed on one day. It answers Set's read queries with
-// binary searches and allocates nothing per query, where a Set costs one
-// trie node per prefix bit to build. Use Set for sets that are mutated.
+// the prefixes signed on one day, the DROP listings whose union address
+// space a figure reports. It answers membership, cover and overlap
+// queries with binary searches and allocates nothing per query. A prefix
+// set that is mutated is a Trie.
 //
 // IPv4 prefix ranges are laminar: two prefixes are disjoint or one
 // covers the other. So a member that covers a query, or overlaps it,

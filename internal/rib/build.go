@@ -127,10 +127,7 @@ type built struct {
 }
 
 func build(s Stream, h *ingest.Health, maxSkip int) built {
-	var src *ingest.Source
-	if h != nil {
-		src = h.Source("mrt/" + s.Name)
-	}
+	src := h.Source("mrt/" + s.Name)
 	rs, err := s.Open(src)
 	if err != nil {
 		return built{err: err, streamErr: true}

@@ -341,7 +341,8 @@ func ParseSnapshotCSV(r io.Reader) ([]ROA, error) {
 
 // ParseSnapshotCSVHealth is the lenient variant of ParseSnapshotCSV: a
 // malformed line is skipped and counted on src rather than failing the
-// snapshot. Accepted ROAs are also counted on src.
+// snapshot. Accepted ROAs are also counted on src. A nil src parses
+// strictly, as ParseSnapshotCSV does.
 func ParseSnapshotCSVHealth(r io.Reader, src *ingest.Source) ([]ROA, error) {
 	return parseSnapshotCSV(r, src)
 }

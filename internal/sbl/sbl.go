@@ -266,7 +266,8 @@ func ParseStore(r io.Reader, db *DB) error {
 
 // ParseStoreHealth is the accounting variant of ParseStore: stored
 // records are counted on src, and orphan lines preceding the first
-// record header are counted as skipped.
+// record header are counted as skipped. A nil src counts nothing, as
+// ParseStore does.
 func ParseStoreHealth(r io.Reader, db *DB, src *ingest.Source) error {
 	return parseStore(r, db, src)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"strconv"
+	"strings"
 
 	"dropscope/internal/bgp"
 	"dropscope/internal/netx"
@@ -38,12 +39,12 @@ func parseParams(raw string, st *reqState) params {
 	var q params
 	for len(raw) > 0 {
 		var kv string
-		if i := indexByte(raw, '&'); i >= 0 {
+		if i := strings.IndexByte(raw, '&'); i >= 0 {
 			kv, raw = raw[:i], raw[i+1:]
 		} else {
 			kv, raw = raw, ""
 		}
-		eq := indexByte(kv, '=')
+		eq := strings.IndexByte(kv, '=')
 		if eq < 0 {
 			continue
 		}
@@ -75,15 +76,6 @@ func parseParams(raw string, st *reqState) params {
 		}
 	}
 	return q
-}
-
-func indexByte(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // unescape percent-decodes s into dst ('+' decodes to space). It

@@ -7,6 +7,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dropscope/internal/bgp"
@@ -56,12 +57,12 @@ func (g *Graph) Link(a, b bgp.ASN, rel Rel) error {
 	g.asns[a], g.asns[b] = true, true
 	switch rel {
 	case ProviderOf:
-		if !contains(g.customers[a], b) {
+		if !slices.Contains(g.customers[a], b) {
 			g.customers[a] = append(g.customers[a], b)
 			g.providers[b] = append(g.providers[b], a)
 		}
 	case PeerWith:
-		if !contains(g.peers[a], b) {
+		if !slices.Contains(g.peers[a], b) {
 			g.peers[a] = append(g.peers[a], b)
 			g.peers[b] = append(g.peers[b], a)
 		}
@@ -69,15 +70,6 @@ func (g *Graph) Link(a, b bgp.ASN, rel Rel) error {
 		return fmt.Errorf("topo: unknown relationship %d", rel)
 	}
 	return nil
-}
-
-func contains(s []bgp.ASN, v bgp.ASN) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Has reports whether the AS is part of the graph.

@@ -15,37 +15,51 @@ import (
 // renderAll writes each section in a fixed order. It reads only the
 // Results value — never the pipeline — so it is deterministic over a
 // given Results, whether that was produced by the parallel scheduler or
-// the serial runner.
+// the serial runner. Every section writes through one reportWriter, and
+// renderAll returns the first write error.
 func renderAll(w io.Writer, r Results) error {
-	renderers := []func(io.Writer, Results) error{
+	rw := &reportWriter{w: w}
+	renderers := []func(*reportWriter, Results){
 		renderFig1, renderFig2, renderTable1, renderSec5, renderFig4,
 		renderFig5, renderFig6, renderFig7, renderTable2,
 		renderCounterfactuals,
 	}
 	for _, fn := range renderers {
-		if err := fn(w, r); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		fn(rw, r)
+		rw.print("\n")
 	}
 	// The data-health section appears only when ingest saw damage, so a
 	// lenient run over clean archives renders byte-identically to strict.
 	if !r.Health.Clean() {
-		if err := renderHealth(w, r); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		renderHealth(rw, r)
+		rw.print("\n")
 	}
-	return nil
+	return rw.err
 }
+
+// reportWriter is the report's one error path: it keeps the first write
+// error, and every write after it is a no-op that returns it.
+type reportWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (rw *reportWriter) Write(p []byte) (int, error) {
+	if rw.err != nil {
+		return 0, rw.err
+	}
+	n, err := rw.w.Write(p)
+	rw.err = err
+	return n, err
+}
+
+func (rw *reportWriter) printf(format string, args ...any) { fmt.Fprintf(rw, format, args...) }
+
+func (rw *reportWriter) print(s string) { io.WriteString(rw, s) }
 
 // renderHealth reports what lenient ingest skipped and quarantined.
 // Clean sources are omitted; totals cover every source.
-func renderHealth(w io.Writer, r Results) error {
+func renderHealth(w *reportWriter, r Results) {
 	t := report.NewTable("Data health — lenient ingest",
 		"Source", "Records", "Skips", "Coverage", "Status")
 	for _, s := range r.Health.Sources {
@@ -66,15 +80,12 @@ func renderHealth(w io.Writer, r Results) error {
 			status,
 		)
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "total records: %d; total skipped: %d; quarantined collectors: %d\n",
+	w.print(t.String())
+	w.printf("total records: %d; total skipped: %d; quarantined collectors: %d\n",
 		r.Health.TotalRecords, r.Health.TotalSkipped, len(r.Health.Quarantined))
-	return err
 }
 
-func renderFig1(w io.Writer, r Results) error {
+func renderFig1(w *reportWriter, r Results) {
 	t := report.NewTable("Figure 1 — DROP classification",
 		"Category", "Exclusive", "+Shared", "Space(/8 eq)", "Incident pfx")
 	for _, row := range r.Fig1.Rows {
@@ -88,18 +99,13 @@ func renderFig1(w io.Writer, r Results) error {
 	t.RawRow("TOTAL",
 		fmt.Sprint(r.Fig1.TotalPrefixes), "",
 		fmt.Sprintf("%.3f", netx.SlashEquivalents(r.Fig1.TotalSpace, 8)), "")
-	if err := t.Render(w); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "with SBL record: %d; multi-label: %d; incident space share: %.1f%%\n",
+	w.print(t.String())
+	w.printf("with SBL record: %d; multi-label: %d; incident space share: %.1f%%\n",
 		r.Fig1.WithRecord, r.Fig1.OverlapPrefixes, r.Fig1.IncidentSpaceShare*100)
-	return err
 }
 
-func renderFig2(w io.Writer, r Results) error {
-	if _, err := fmt.Fprintf(w, "Figure 2 — routing visibility around listing\n"); err != nil {
-		return err
-	}
+func renderFig2(w *reportWriter, r Results) {
+	w.printf("Figure 2 — routing visibility around listing\n")
 	for _, off := range analysis.Fig2Offsets {
 		xs := r.Fig2.CDF[off]
 		n30 := 0
@@ -108,38 +114,27 @@ func renderFig2(w io.Writer, r Results) error {
 				n30++
 			}
 		}
-		if _, err := fmt.Fprintf(w, "  day %+3d: %d listings, %d unobserved\n", off, len(xs), n30); err != nil {
-			return err
-		}
+		w.printf("  day %+3d: %d listings, %d unobserved\n", off, len(xs), n30)
 	}
-	if _, err := fmt.Fprintf(w, "withdrawn within 30 days: %.1f%% (HJ %.1f%%, UA %.1f%%)\n",
+	w.printf("withdrawn within 30 days: %.1f%% (HJ %.1f%%, UA %.1f%%)\n",
 		r.Fig2.WithdrawnWithin30*100,
 		r.Fig2.WithdrawnByCategory[sbl.Hijacked]*100,
-		r.Fig2.WithdrawnByCategory[sbl.Unallocated]*100); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "filtering peers detected: %d\n", len(r.Fig2.FilteringPeers)); err != nil {
-		return err
-	}
+		r.Fig2.WithdrawnByCategory[sbl.Unallocated]*100)
+	w.printf("filtering peers detected: %d\n", len(r.Fig2.FilteringPeers))
 	for _, ref := range r.Fig2.FilteringPeers {
-		if _, err := fmt.Fprintf(w, "  %s carries %.1f%% of listed prefixes\n",
-			ref, r.Fig2.PeerCarryFraction[ref]*100); err != nil {
-			return err
-		}
+		w.printf("  %s carries %.1f%% of listed prefixes\n",
+			ref, r.Fig2.PeerCarryFraction[ref]*100)
 	}
-	if _, err := fmt.Fprintf(w, "deallocation: MH space %.1f%%; removed listings %.1f%% (within a week: %.1f%%)\n",
+	w.printf("deallocation: MH space %.1f%%; removed listings %.1f%% (within a week: %.1f%%)\n",
 		r.Dealloc.MalHostingSpaceDealloc*100, r.Dealloc.RemovedDealloc*100,
-		r.Dealloc.RemovedWithinWeekOfDealloc*100); err != nil {
-		return err
-	}
+		r.Dealloc.RemovedWithinWeekOfDealloc*100)
 	// Left panel: visibility CDF 30 days after listing.
-	_, err := io.WriteString(w, report.CDF(
+	w.print(report.CDF(
 		"CDF of listings by fraction of peers observing, 30 days after listing",
 		"fraction of peers", r.Fig2.CDF[30], 60, 8))
-	return err
 }
 
-func renderTable1(w io.Writer, r Results) error {
+func renderTable1(w *reportWriter, r Results) {
 	t := report.NewTable("Table 1 — RPKI signing rate of prefixes without a ROA",
 		"Region", "Never on DROP", "Removed from DROP", "Present on DROP")
 	cell := func(c analysis.Table1Cell) string {
@@ -150,34 +145,29 @@ func renderTable1(w io.Writer, r Results) error {
 	}
 	never, removed, present := r.Table1.Overall()
 	t.RawRow("Overall", cell(never), cell(removed), cell(present))
-	if err := t.Render(w); err != nil {
-		return err
-	}
+	w.print(t.String())
 	tot := r.Table1.RemovedSignedDifferentASN + r.Table1.RemovedSignedSameASN + r.Table1.RemovedSignedUnrouted
 	if tot == 0 {
-		return nil
+		return
 	}
-	_, err := fmt.Fprintf(w, "removed+signed: %.1f%% different ASN, %.1f%% same ASN, %.1f%% unrouted at listing\n",
+	w.printf("removed+signed: %.1f%% different ASN, %.1f%% same ASN, %.1f%% unrouted at listing\n",
 		100*float64(r.Table1.RemovedSignedDifferentASN)/float64(tot),
 		100*float64(r.Table1.RemovedSignedSameASN)/float64(tot),
 		100*float64(r.Table1.RemovedSignedUnrouted)/float64(tot))
-	return err
 }
 
-func renderSec5(w io.Writer, r Results) error {
+func renderSec5(w *reportWriter, r Results) {
 	s := r.Sec5
-	if _, err := fmt.Fprintf(w, "Section 5 / Figure 3 — IRR effectiveness\n"); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "listings with route objects ≤7d pre-listing: %d (%.1f%% of listings, %.1f%% of space)\n",
+	w.printf("Section 5 / Figure 3 — IRR effectiveness\n")
+	w.printf("listings with route objects ≤7d pre-listing: %d (%.1f%% of listings, %.1f%% of space)\n",
 		s.CoveredListings, s.CoveredFraction*100, s.CoveredSpaceFraction*100)
-	fmt.Fprintf(w, "objects created ≤1 month before listing: %.1f%%; removed ≤1 month after: %.1f%%\n",
+	w.printf("objects created ≤1 month before listing: %.1f%%; removed ≤1 month after: %.1f%%\n",
 		s.CreatedMonthBefore*100, s.RemovedMonthAfter*100)
-	fmt.Fprintf(w, "named hijacks: %d; with hijacker-ASN object: %d; without/different: %d\n",
+	w.printf("named hijacks: %d; with hijacker-ASN object: %d; without/different: %d\n",
 		s.NamedHijacks, s.WithHijackerASNObject, s.WithoutOrDifferent)
-	fmt.Fprintf(w, "distinct hijacker ASNs in objects: %d; top-3 ORG-IDs cover %d; pre-existing entries: %d\n",
+	w.printf("distinct hijacker ASNs in objects: %d; top-3 ORG-IDs cover %d; pre-existing entries: %d\n",
 		s.DistinctHijackerASNs, s.TopOrgsCover, s.PreexistingIRREntries)
-	fmt.Fprintf(w, "common transit %s on %d prefixes of one ORG; late IRR creations: %d; unallocated with object: %d\n",
+	w.printf("common transit %s on %d prefixes of one ORG; late IRR creations: %d; unallocated with object: %d\n",
 		s.CommonTransit, s.CommonTransitPrefixes, s.LateCreations, s.UnallocatedWithObject)
 
 	// Figure 3 CDF.
@@ -185,29 +175,26 @@ func renderSec5(w io.Writer, r Results) error {
 	for i, d := range s.DaysToBGP {
 		xs[i] = float64(d)
 	}
-	if _, err := io.WriteString(w, report.CDF("Figure 3 — days from IRR object creation to BGP appearance",
-		"days", xs, 60, 10)); err != nil {
-		return err
-	}
-	return nil
+	w.print(report.CDF("Figure 3 — days from IRR object creation to BGP appearance",
+		"days", xs, 60, 10))
 }
 
-func renderFig4(w io.Writer, r Results) error {
+func renderFig4(w *reportWriter, r Results) {
 	f := r.Fig4
-	fmt.Fprintf(w, "Figure 4 / §6.1 — RPKI-valid hijack case study\n")
-	fmt.Fprintf(w, "hijacked listings: %d; RPKI-signed before listing: %d\n",
+	w.printf("Figure 4 / §6.1 — RPKI-valid hijack case study\n")
+	w.printf("hijacked listings: %d; RPKI-signed before listing: %d\n",
 		f.HijackedListings, len(f.PreSigned))
 	for _, h := range f.PreSigned {
 		kind := "attacker-controlled ROA"
 		if h.RPKIValidHijack {
 			kind = "RPKI-VALID HIJACK"
 		}
-		fmt.Fprintf(w, "  %s listed %s: %s\n", h.Prefix, h.Listed, kind)
+		w.printf("  %s listed %s: %s\n", h.Prefix, h.Listed, kind)
 	}
 	if len(f.Rows) == 0 {
-		return nil
+		return
 	}
-	fmt.Fprintf(w, "case: %s origin %s via transit %s; %d siblings (%d listed)\n",
+	w.printf("case: %s origin %s via transit %s; %d siblings (%d listed)\n",
 		f.CasePrefix, f.CaseOrigin, f.CaseTransit, f.SiblingCount, f.SiblingsListed)
 
 	var min, max float64
@@ -231,11 +218,10 @@ func renderFig4(w io.Writer, r Results) error {
 		}
 		rows = append(rows, gr)
 	}
-	_, err := io.WriteString(w, report.Gantt("origination timeline", min, max, rows, 60))
-	return err
+	w.print(report.Gantt("origination timeline", min, max, rows, 60))
 }
 
-func renderFig5(w io.Writer, r Results) error {
+func renderFig5(w *reportWriter, r Results) {
 	f := r.Fig5
 	var signed, routed, unroutedNoROA, pct []float64
 	for _, s := range f.Samples {
@@ -246,18 +232,16 @@ func renderFig5(w io.Writer, r Results) error {
 	}
 	firstDay := f.Samples[0].Day.String()
 	lastDay := f.Samples[len(f.Samples)-1].Day.String()
-	if _, err := io.WriteString(w, report.TimeSeries(
+	w.print(report.TimeSeries(
 		"Figure 5 — routing status of ROAs (/8 equivalents, scaled world)",
 		[2]string{firstDay, lastDay},
 		[]report.Series{
 			{Name: "signed space", Points: signed},
 			{Name: "signed+routed", Points: routed},
 			{Name: "alloc unrouted no-ROA", Points: unroutedNoROA},
-		}, 68, 12)); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "percent of signed space routed: %.1f%% -> %.1f%%\n", pct[0], pct[len(pct)-1])
-	fmt.Fprintf(w, "signed-unrouted at end: %.3f /8 eq\n",
+		}, 68, 12))
+	w.printf("percent of signed space routed: %.1f%% -> %.1f%%\n", pct[0], pct[len(pct)-1])
+	w.printf("signed-unrouted at end: %.3f /8 eq\n",
 		netx.SlashEquivalents(f.Samples[len(f.Samples)-1].SignedUnrouted, 8))
 	var tot uint64
 	for _, v := range f.UnroutedNoROAByRIR {
@@ -265,40 +249,38 @@ func renderFig5(w io.Writer, r Results) error {
 	}
 	for _, rir := range rirstats.AllRIRs {
 		if v := f.UnroutedNoROAByRIR[rir]; v > 0 && tot > 0 {
-			fmt.Fprintf(w, "  alloc-unrouted-unsigned %s: %.1f%%\n", rir, 100*float64(v)/float64(tot))
+			w.printf("  alloc-unrouted-unsigned %s: %.1f%%\n", rir, 100*float64(v)/float64(tot))
 		}
 	}
 	for _, h := range f.TopSignedUnroutedHoldings {
-		fmt.Fprintf(w, "  top signed-unrouted holding %s: %.3f /8 eq\n", h.ASN, netx.SlashEquivalents(h.Space, 8))
+		w.printf("  top signed-unrouted holding %s: %.3f /8 eq\n", h.ASN, netx.SlashEquivalents(h.Space, 8))
 	}
-	return nil
 }
 
-func renderFig6(w io.Writer, r Results) error {
+func renderFig6(w *reportWriter, r Results) {
 	f := r.Fig6
-	fmt.Fprintf(w, "Figure 6 — unallocated space on DROP\n")
-	fmt.Fprintf(w, "events: %d\n", len(f.Events))
+	w.printf("Figure 6 — unallocated space on DROP\n")
+	w.printf("events: %d\n", len(f.Events))
 	rirs := make([]string, 0, len(f.ByRIR))
 	for rir := range f.ByRIR {
 		rirs = append(rirs, string(rir))
 	}
 	sort.Strings(rirs)
 	for _, rir := range rirs {
-		fmt.Fprintf(w, "  %s: %d\n", rir, f.ByRIR[rirstats.RIR(rir)])
+		w.printf("  %s: %d\n", rir, f.ByRIR[rirstats.RIR(rir)])
 	}
 	if f.HasAPNICAS0 {
-		fmt.Fprintf(w, "APNIC AS0 policy detected: %s\n", f.APNICAS0Day)
+		w.printf("APNIC AS0 policy detected: %s\n", f.APNICAS0Day)
 	}
 	if f.HasLACNICAS0 {
-		fmt.Fprintf(w, "LACNIC AS0 policy detected: %s\n", f.LACNICAS0Day)
+		w.printf("LACNIC AS0 policy detected: %s\n", f.LACNICAS0Day)
 	}
-	fmt.Fprintf(w, "routed prefixes AS0 TALs would filter at window end: %d\n", f.FilterableAtEnd)
-	return nil
+	w.printf("routed prefixes AS0 TALs would filter at window end: %d\n", f.FilterableAtEnd)
 }
 
-func renderFig7(w io.Writer, r Results) error {
+func renderFig7(w *reportWriter, r Results) {
 	if len(r.Fig7) == 0 {
-		return nil
+		return
 	}
 	var series []report.Series
 	for _, rir := range rirstats.AllRIRs {
@@ -308,62 +290,60 @@ func renderFig7(w io.Writer, r Results) error {
 		}
 		series = append(series, s)
 	}
-	_, err := io.WriteString(w, report.TimeSeries(
+	w.print(report.TimeSeries(
 		"Figure 7 — RIR free pools (millions of addresses)",
 		[2]string{r.Fig7[0].Day.String(), r.Fig7[len(r.Fig7)-1].Day.String()},
 		series, 68, 12))
-	return err
 }
 
-func renderTable2(w io.Writer, r Results) error {
+func renderTable2(w *reportWriter, r Results) {
 	t := report.NewTable("Table 2 / Appendix A — SBL keyword classification", "Outcome", "Records")
 	t.RawRow("one category", fmt.Sprint(r.Table2.OneCategory))
 	t.RawRow("multi-label", fmt.Sprint(r.Table2.MultiLabel))
 	t.RawRow("needs manual review", fmt.Sprint(r.Table2.NeedsReview))
 	t.RawRow("naming a malicious ASN", fmt.Sprint(r.Table2.WithASN))
 	t.RawRow("total", fmt.Sprint(r.Table2.Records))
-	return t.Render(w)
+	w.print(t.String())
 }
 
-func renderCounterfactuals(w io.Writer, r Results) error {
-	fmt.Fprintf(w, "Counterfactuals — what the defenses could have stopped\n")
+func renderCounterfactuals(w *reportWriter, r Results) {
+	w.printf("Counterfactuals — what the defenses could have stopped\n")
 	rov := r.ROV
-	fmt.Fprintf(w, "universal ROV on hijacked listings: %d blocked (invalid), %d accepted (RPKI-valid!),\n",
+	w.printf("universal ROV on hijacked listings: %d blocked (invalid), %d accepted (RPKI-valid!),\n",
 		rov.HijacksBlocked, rov.HijacksAccepted)
-	fmt.Fprintf(w, "  %d uncovered (no ROA), %d unrouted at listing\n",
+	w.printf("  %d uncovered (no ROA), %d unrouted at listing\n",
 		rov.HijacksUncovered, rov.HijacksUnrouted)
-	fmt.Fprintf(w, "squats: %d/%d blocked with production TALs; %d/%d with the RIR AS0 TALs loaded\n",
+	w.printf("squats: %d/%d blocked with production TALs; %d/%d with the RIR AS0 TALs loaded\n",
 		rov.SquatsBlockedDefault, rov.SquatsTotal, rov.SquatsBlockedWithAS0, rov.SquatsTotal)
 	a := r.AS0WhatIf
-	fmt.Fprintf(w, "AS0 remediation: %.4f /8 eq of signed-unrouted forgeable space;\n",
+	w.printf("AS0 remediation: %.4f /8 eq of signed-unrouted forgeable space;\n",
 		netx.SlashEquivalents(a.VulnerableSpace, 8))
-	fmt.Fprintf(w, "  top-3 holders adopting AS0 removes %.1f%%; %.4f /8 eq remains unsigned+unrouted\n",
+	w.printf("  top-3 holders adopting AS0 removes %.1f%%; %.4f /8 eq remains unsigned+unrouted\n",
 		pct(a.RemediedByTop3, a.VulnerableSpace), netx.SlashEquivalents(a.UnsignedUnroutedSpace, 8))
 	m := r.MaxLength
-	fmt.Fprintf(w, "maxLength audit: %d/%d ROAs loose; %d forgeable sub-prefix surfaces (%.4f /8 eq)\n",
+	w.printf("maxLength audit: %d/%d ROAs loose; %d forgeable sub-prefix surfaces (%.4f /8 eq)\n",
 		m.LooseMaxLength, m.ROAs, m.VulnerableLoose, netx.SlashEquivalents(m.ForgeableSpace, 8))
 	pe := r.PathEnd
-	fmt.Fprintf(w, "path-end validation (%d records enrolled): %d hijacks caught, %d missed,\n",
+	w.printf("path-end validation (%d records enrolled): %d hijacks caught, %d missed,\n",
 		pe.RecordsBuilt, pe.HijacksInvalid, pe.HijacksValid)
-	fmt.Fprintf(w, "  %d silent (abandoned origins), case-study hijack caught: %v\n",
+	w.printf("  %d silent (abandoned origins), case-study hijack caught: %v\n",
 		pe.HijacksNotFound, pe.CaseStudyCaught)
 
 	if len(r.Hijackers) > 0 {
-		fmt.Fprintf(w, "serial-hijacker profiles (≥3 prefixes, ≥50%% listed, brief announcements):\n")
+		w.printf("serial-hijacker profiles (≥3 prefixes, ≥50%% listed, brief announcements):\n")
 		for i, h := range r.Hijackers {
 			if i == 8 {
-				fmt.Fprintf(w, "  ... and %d more\n", len(r.Hijackers)-8)
+				w.printf("  ... and %d more\n", len(r.Hijackers)-8)
 				break
 			}
-			fmt.Fprintf(w, "  %-9s %3d prefixes, %3d listed (%.0f%%), median span %d days\n",
+			w.printf("  %-9s %3d prefixes, %3d listed (%.0f%%), median span %d days\n",
 				h.Origin, h.PrefixCount, h.ListedCount, h.ListedFraction*100, h.MedianSpanDays)
 		}
 	}
 	if n := len(r.MOAS.Samples); n > 0 {
 		last := r.MOAS.Samples[n-1]
-		fmt.Fprintf(w, "MOAS conflicts at window end: %d (%d listed on DROP)\n", last.Conflicts, last.Listed)
+		w.printf("MOAS conflicts at window end: %d (%d listed on DROP)\n", last.Conflicts, last.Listed)
 	}
-	return nil
 }
 
 func pct(part, whole uint64) float64 {

@@ -37,6 +37,7 @@ internal/archive FuzzTextJournal
 internal/rirstats FuzzParseFile
 internal/rpki FuzzParseSnapshotCSV
 internal/rtr FuzzReadPDU
+internal/serve FuzzParseParams
 internal/timex FuzzParseDay
 "
 

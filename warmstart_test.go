@@ -73,7 +73,7 @@ func TestWarmStartByteIdentical(t *testing.T) {
 	}
 	refParallel := renderStudy(t, coldLenient, false)
 	refSerial := renderStudy(t, coldLenient, true)
-	coldStrict, err := LoadStudy(dir, smallConfig())
+	coldStrict, err := LoadStudyWithOptions(dir, smallConfig(), IngestOptions{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}

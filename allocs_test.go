@@ -11,12 +11,14 @@ import (
 // on the machine, which is why these are constants in a test; timings
 // come from paired benchmark/run.sh runs.
 const (
-	// About 380k of a cold load is parsing the text archives. The warm
-	// and append loads find the text journal the first cached load
-	// recorded and replay it instead, so the text costs them about 60k.
-	// A cold load decodes through pooled records, so its MRT decode
-	// allocates next to nothing per record.
-	coldLoadAllocs   = 454037 * 105 / 100
+	// About 150k of a cold load is loading the text archives, each
+	// day's file parsed as a diff against the day before's (it was 380k
+	// when every line of every day was parsed). The warm and append
+	// loads find the text journal the first cached load recorded and
+	// replay it instead, so the text costs them about 60k. A cold load
+	// decodes through pooled records, so its MRT decode allocates next
+	// to nothing per record.
+	coldLoadAllocs   = 202199 * 105 / 100
 	warmLoadAllocs   = 74945 * 105 / 100
 	appendLoadAllocs = 89848 * 105 / 100
 )

@@ -16,9 +16,9 @@ package archive
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -83,10 +83,12 @@ type LoadOptions struct {
 	// SkipMRT does nothing: no load opens mrt/, which the RIB build
 	// decodes (internal/loader). It is kept for callers that set it.
 	SkipMRT bool
-	// Workers bounds the goroutines parsing rirstats day directories or
-	// summing the text files; <= 0 means runtime.GOMAXPROCS(0). Above 1
-	// the five sources also load concurrently with each other; at 1 the
-	// whole load runs on the calling goroutine, one source after another.
+	// Workers bounds the rirstats day directories read (and, for the
+	// journal, hashed) ahead of the in-order diff that parses and applies
+	// them, or the goroutines summing the text files for a replay; <= 0
+	// means runtime.GOMAXPROCS(0). Above 1 the five sources also load
+	// concurrently with each other; at 1 the whole load runs on the
+	// calling goroutine, one source after another.
 	Workers int
 	// Journal, when non-nil, keeps the text journal (journal.go): DROP,
 	// RPKI and rirstats are replayed from it when it was recorded from
@@ -211,31 +213,90 @@ func writeDROP(dir string, a *drop.Archive) error {
 	return nil
 }
 
-// loadDROP adds each day's snapshot in day order. With rec, it also
-// keeps each file's sum for the journal.
+// loadDROP adds each day's snapshot in day order, parsing each file as a
+// diff against the day before's (dropDiff). With rec, it also keeps each
+// file's sum for the journal.
 func loadDROP(files *filesum.Manifest, a *drop.Archive, h *ingest.Health, rec *record) error {
 	days, err := snapshotDays(files.Path("drop"), ".txt")
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
+	var d dropDiff
 	for _, day := range days {
 		path := "drop/" + day.Compact() + ".txt"
-		sum, err := files.Read(path, &buf, rec != nil)
+		sum, err := files.Read(path, &d.cur.buf, rec != nil)
 		if err != nil {
 			return err
 		}
 		if rec != nil {
 			rec.drop = append(rec.drop, fileSum{path, sum})
 		}
-		entries, err := drop.ParseHealth(bytes.NewReader(buf.Bytes()), h.Source(path))
-		if err != nil {
+		if err := d.next(h.Source(path)); err != nil {
 			return err
 		}
-		if err := a.AddSnapshot(day, entries); err != nil {
+		if err := a.AddSnapshot(day, d.day.entries); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// dropDiff carries a DROP load from one day's snapshot to the next: the
+// day before's file and its entries.
+type dropDiff struct {
+	prev, cur dayText
+	day       dropLines // the day before's entries; after next, the day's
+	in, spare dropLines // the inserted lines' entries; the next day's, being built
+}
+
+// dropLines is a snapshot's entries, each with the number of its line.
+type dropLines struct {
+	entries []drop.Entry
+	lines   []int
+}
+
+func (s *dropLines) add(e drop.Entry, line int) {
+	s.entries, s.lines = append(s.entries, e), append(s.lines, line)
+}
+
+// next parses d.cur against d.prev, leaves its entries in d.day and
+// makes it the day before. The entries of carried lines are the day
+// before's, their lines shifted by what the hunks before them added.
+func (d *dropDiff) next(src *ingest.Source) error {
+	d.in = dropLines{d.in.entries[:0], d.in.lines[:0]}
+	err := parseDay(&d.prev, &d.cur, false, src, func(data []byte, line int, removed bool, src *ingest.Source) error {
+		return drop.ParseLines(data, line, src, func(n int, e drop.Entry) {
+			if !removed {
+				d.in.add(e, n)
+			}
+		})
+	})
+	if err != nil {
+		return err
+	}
+	// In file order: before each hunk the carried run since the last
+	// one, then the hunk's inserted entries; after the last, the rest.
+	old, cur := d.prev.buf.Bytes(), d.cur.buf.Bytes()
+	out := dropLines{d.spare.entries[:0], d.spare.lines[:0]}
+	oldEnd, curEnd, j, k := 0, 0, 0, 0
+	carry := func(upTo int, shift int) {
+		for ; j < len(d.day.lines) && d.day.lines[j] <= upTo; j++ {
+			if n := d.day.lines[j]; n > oldEnd {
+				out.add(d.day.entries[j], n+shift)
+			}
+		}
+	}
+	for _, h := range d.cur.hunks {
+		carry(h.old.line, h.cur.line-h.old.line)
+		oldEnd = h.old.line + lineCount(old[h.old.lo:h.old.hi])
+		curEnd = h.cur.line + lineCount(cur[h.cur.lo:h.cur.hi])
+		for ; k < len(d.in.lines) && d.in.lines[k] <= curEnd; k++ {
+			out.add(d.in.entries[k], d.in.lines[k])
+		}
+	}
+	carry(math.MaxInt, curEnd-oldEnd)
+	d.day, d.spare = out, d.day
+	d.prev, d.cur = d.cur, d.prev
 	return nil
 }
 
@@ -344,57 +405,90 @@ func writeRPKI(dir string, a *rpki.Archive) error {
 }
 
 // loadRPKI journals, day by day, the ROAs each snapshot revokes and
-// creates against the one before. With rec, it also keeps each file's
-// sum for the journal.
+// creates against the one before, parsing each file as a diff against
+// the day before's (roaDiff). With rec, it also keeps each file's sum
+// for the journal.
 func loadRPKI(files *filesum.Manifest, a *rpki.Archive, h *ingest.Health, rec *record) error {
 	days, err := snapshotDays(files.Path("rpki"), ".csv")
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	prev := make(map[rpki.ROA]bool)
+	d := roaDiff{rows: make(map[rpki.ROA]int), delta: make(map[rpki.ROA]int)}
 	for _, day := range days {
 		path := "rpki/" + day.Compact() + ".csv"
-		sum, err := files.Read(path, &buf, rec != nil)
+		sum, err := files.Read(path, &d.cur.buf, rec != nil)
 		if err != nil {
 			return err
 		}
 		if rec != nil {
 			rec.rpki = append(rec.rpki, fileSum{path, sum})
 		}
-		roas, err := rpki.ParseSnapshotCSVHealth(bytes.NewReader(buf.Bytes()), h.Source(path))
-		if err != nil {
+		if err := d.next(h.Source(path)); err != nil {
 			return err
 		}
-		cur := make(map[rpki.ROA]bool, len(roas))
-		var added []rpki.ROA
-		for _, r := range roas {
-			if !cur[r] && !prev[r] {
-				added = append(added, r)
-			}
-			cur[r] = true
-		}
-		var revoked []rpki.ROA
-		for r := range prev {
-			if !cur[r] {
-				revoked = append(revoked, r)
-			}
-		}
 		// Revocations then creations, deterministically ordered.
-		sortROAs(revoked)
-		for _, r := range revoked {
+		for _, r := range d.revoked {
 			if err := a.Revoke(day, r); err != nil {
 				return err
 			}
 		}
-		sortROAs(added)
-		for _, r := range added {
+		for _, r := range d.added {
 			if err := a.Add(day, r); err != nil {
 				return err
 			}
 		}
-		prev = cur
 	}
+	return nil
+}
+
+// roaDiff carries an RPKI load from one day's snapshot to the next: the
+// day before's file and how many of its rows hold each ROA. Rows are
+// diffed on their roaKey, so a row whose dates alone changed is carried.
+type roaDiff struct {
+	prev, cur      dayText
+	rows           map[rpki.ROA]int
+	delta          map[rpki.ROA]int // the day's change to rows
+	parsed         []rpki.ROA
+	revoked, added []rpki.ROA
+}
+
+// next parses d.cur against d.prev and makes it the day before. It
+// leaves in d.revoked the ROAs no row holds any more and in d.added
+// those no row held before, each in sortROAs order.
+func (d *roaDiff) next(src *ingest.Source) error {
+	clear(d.delta)
+	err := parseDay(&d.prev, &d.cur, true, src, func(data []byte, line int, removed bool, src *ingest.Source) (err error) {
+		d.parsed, err = rpki.AppendSnapshotCSV(d.parsed[:0], data, line == 0, src)
+		for _, r := range d.parsed {
+			if removed {
+				d.delta[r]--
+			} else {
+				d.delta[r]++
+			}
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	d.revoked, d.added = d.revoked[:0], d.added[:0]
+	for r, dn := range d.delta {
+		n := d.rows[r]
+		switch {
+		case n > 0 && n+dn == 0:
+			d.revoked = append(d.revoked, r)
+		case n == 0 && dn > 0:
+			d.added = append(d.added, r)
+		}
+		if n+dn == 0 {
+			delete(d.rows, r)
+		} else {
+			d.rows[r] = n + dn
+		}
+	}
+	sortROAs(d.revoked)
+	sortROAs(d.added)
+	d.prev, d.cur = d.cur, d.prev
 	return nil
 }
 
@@ -454,13 +548,21 @@ type rirKey struct {
 	prefix   netx.Prefix
 }
 
+// rirKeyState is what a load knows of a key: its status as last applied,
+// and how many blocks of the last day counted hold it.
+type rirKeyState struct {
+	status rirstats.Status
+	n      int
+}
+
 // loadRIRStats rebuilds the timeline from the day directories: the
 // first day registers every block, each later day journals the blocks
-// whose status differs from the day before. Days are parsed up to
-// workers at a time and applied one at a time in day order, so the
-// timeline, the health counts and the error a damaged archive fails
-// with do not depend on workers. With rec, it also keeps each file's
-// sum and every Manage and SetStatus call for the journal.
+// whose status differs from the day before. Up to workers days are read
+// (and with rec hashed) ahead; rirLoad.apply diffs, parses and applies
+// them one at a time in day order, so the timeline, the health counts
+// and the error a damaged archive fails with do not depend on workers.
+// With rec, it also keeps each file's sum and every Manage and SetStatus
+// call for the journal.
 func loadRIRStats(files *filesum.Manifest, t *rirstats.Timeline, h *ingest.Health, workers int, rec *record) error {
 	dir := files.Path("rirstats")
 	days, err := snapshotDays(dir, "")
@@ -470,57 +572,29 @@ func loadRIRStats(files *filesum.Manifest, t *rirstats.Timeline, h *ingest.Healt
 	if len(days) == 0 {
 		return fmt.Errorf("archive: no rirstats snapshots in %s", dir)
 	}
-	prev := make(map[rirKey]rirstats.Status)
-	apply := func(i int, sc *rirScratch) error {
-		if rec != nil {
-			rec.rir = append(rec.rir, sc.sums...)
-		}
-		for _, b := range sc.blocks {
-			k := rirKey{b.Registry, b.Prefix}
-			if i == 0 {
-				if err := t.Manage(b.Prefix, b.Registry, b.Status); err != nil {
-					return err
-				}
-				if rec != nil {
-					rec.manage = append(rec.manage, b)
-				}
-				prev[k] = b.Status
-			} else if prev[k] != b.Status {
-				if err := t.SetStatus(b.Prefix, days[i], b.Status); err != nil {
-					return err
-				}
-				if rec != nil {
-					rec.changes = append(rec.changes, rirChange{days[i], b})
-				}
-				prev[k] = b.Status
-			}
-		}
-		return nil
-	}
+	l := newRIRLoad(t, h, rec, days)
 
 	if workers == 1 {
-		var sc rirScratch
+		sc := newRIRScratch()
 		for i, day := range days {
-			if err := parseRIRDay(files, day.Compact(), h, &sc, rec != nil); err != nil {
-				return err
-			}
-			if err := apply(i, &sc); err != nil {
+			err := readRIRDay(files, day.Compact(), sc, rec != nil)
+			if sc, err = l.apply(i, sc, err); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	type parsed struct {
+	type read struct {
 		*rirScratch
 		err error
 	}
-	// pending queues one slot per day in day order. A day is parsed once
+	// pending queues one slot per day in day order. A day is read once
 	// its slot is queued, so the queue's capacity plus the slot being
-	// applied is the look-ahead: at most workers days are parsed or held
-	// parsed at once, however many days the archive has.
-	pending := make(chan chan parsed, workers-1)
-	// free hands applied days' buffers back to the parsers.
+	// applied is the look-ahead: at most workers days are being read or
+	// held read at once, however many days the archive has.
+	pending := make(chan chan read, workers-1)
+	// free hands the buffers of days no longer needed back to the readers.
 	free := make(chan *rirScratch, workers)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -531,7 +605,7 @@ func loadRIRStats(files *filesum.Manifest, t *rirstats.Timeline, h *ingest.Healt
 		defer wg.Done()
 		defer close(pending)
 		for _, day := range days {
-			slot := make(chan parsed, 1)
+			slot := make(chan read, 1)
 			select {
 			case pending <- slot:
 			case <-stop:
@@ -544,57 +618,166 @@ func loadRIRStats(files *filesum.Manifest, t *rirstats.Timeline, h *ingest.Healt
 				select {
 				case sc = <-free:
 				default:
-					sc = new(rirScratch)
+					sc = newRIRScratch()
 				}
-				slot <- parsed{sc, parseRIRDay(files, day.Compact(), h, sc, rec != nil)}
+				slot <- read{sc, readRIRDay(files, day.Compact(), sc, rec != nil)}
 			}()
 		}
 	}()
 	i := 0
 	for slot := range pending {
-		p := <-slot
-		if p.err != nil {
-			return p.err
-		}
-		if err := apply(i, p.rirScratch); err != nil {
+		r := <-slot
+		done, err := l.apply(i, r.rirScratch, r.err)
+		if err != nil {
 			return err
 		}
 		i++
 		select {
-		case free <- p.rirScratch:
+		case free <- done:
 		default:
 		}
 	}
 	return nil
 }
 
-// rirScratch is what parsing a day fills and the next day parsed can
-// reuse: a file's bytes, the day's blocks and, for the journal, its
-// files' sums.
+// rirScratch is one rirstats day as readRIRDay leaves it: each
+// registry's file, its path, and for the journal the files' sums; read
+// files were read before an error stopped the rest.
 type rirScratch struct {
-	file   bytes.Buffer
-	blocks []rirstats.Block
-	sums   []fileSum
+	files []dayText
+	paths []string
+	sums  []fileSum
+	read  int
 }
 
-// parseRIRDay leaves the blocks of the five files of the rirstats day
-// directory named day in sc.blocks, in registry then file order, and
-// with hash their sums in sc.sums.
-func parseRIRDay(files *filesum.Manifest, day string, h *ingest.Health, sc *rirScratch, hash bool) error {
-	sc.blocks, sc.sums = sc.blocks[:0], sc.sums[:0]
+func newRIRScratch() *rirScratch {
+	return &rirScratch{files: make([]dayText, len(rirFiles)), paths: make([]string, len(rirFiles))}
+}
+
+// readRIRDay reads the five files of the rirstats day directory named
+// day into sc, in registry order, and with hash their sums.
+func readRIRDay(files *filesum.Manifest, day string, sc *rirScratch, hash bool) error {
+	sc.sums, sc.read = sc.sums[:0], 0
 	dayDir := "rirstats/" + day + "/"
-	for _, name := range rirFiles {
-		path := dayDir + name
-		sum, err := files.Read(path, &sc.file, hash)
+	for j, name := range rirFiles {
+		sc.paths[j] = dayDir + name
+		sum, err := files.Read(sc.paths[j], &sc.files[j].buf, hash)
 		if err != nil {
 			return err
 		}
 		if hash {
-			sc.sums = append(sc.sums, fileSum{path, sum})
+			sc.sums = append(sc.sums, fileSum{sc.paths[j], sum})
 		}
-		if sc.blocks, err = rirstats.AppendBlocks(sc.blocks, sc.file.Bytes(), h.Source(path)); err != nil {
-			return err
-		}
+		sc.read++
 	}
 	return nil
+}
+
+// rirLoad carries a rirstats load from one day to the next.
+type rirLoad struct {
+	t    *rirstats.Timeline
+	h    *ingest.Health
+	rec  *record
+	days []timex.Day
+
+	prev *rirScratch // the day before's files; empty before the first day
+	keys map[rirKey]rirKeyState
+	dups int // keys more than one block of the day before holds
+
+	removed, inserted, all []rirstats.Block
+	parse                  lineParser
+}
+
+func newRIRLoad(t *rirstats.Timeline, h *ingest.Health, rec *record, days []timex.Day) *rirLoad {
+	l := &rirLoad{t: t, h: h, rec: rec, days: days, prev: newRIRScratch(), keys: make(map[rirKey]rirKeyState)}
+	l.parse = func(data []byte, line int, removed bool, src *ingest.Source) (err error) {
+		if removed {
+			l.removed, err = rirstats.AppendBlocks(l.removed, data, line, src)
+		} else {
+			l.inserted, err = rirstats.AppendBlocks(l.inserted, data, line, src)
+		}
+		return err
+	}
+	return l
+}
+
+// apply diffs and parses day i, read into sc up to readErr, against the
+// day before, and journals its changes: on the first day every block is
+// registered, on a later one each inserted block whose status differs
+// from its key's. A line carried from the day before holds a key one
+// block held then and one holds now, so its status is already its
+// key's. That holds only while each key is on one block, so a day on
+// which some key is on two, and the day after it, apply every block of
+// the day in file order instead, as a parse of every line would. It
+// returns the scratch the day before held, for reuse.
+func (l *rirLoad) apply(i int, sc *rirScratch, readErr error) (*rirScratch, error) {
+	if l.rec != nil {
+		l.rec.rir = append(l.rec.rir, sc.sums...)
+	}
+	l.removed, l.inserted = l.removed[:0], l.inserted[:0]
+	for j := range sc.files {
+		if j == sc.read {
+			return nil, readErr
+		}
+		if err := parseDay(&l.prev.files[j], &sc.files[j], false, l.h.Source(sc.paths[j]), l.parse); err != nil {
+			return nil, err
+		}
+	}
+	dupsBefore := l.dups
+	l.count(l.removed, -1)
+	l.count(l.inserted, 1)
+	blocks := l.inserted
+	if l.dups > 0 || dupsBefore > 0 {
+		// Every line of the day has been parsed, today or on a day before
+		// it, and counted: this lenient parse into a scratch source only
+		// collects the blocks, and cannot fail.
+		var scratch ingest.Source
+		l.all = l.all[:0]
+		for j := range sc.files {
+			l.all, _ = rirstats.AppendBlocks(l.all, sc.files[j].buf.Bytes(), 0, &scratch)
+		}
+		blocks = l.all
+	}
+	for _, b := range blocks {
+		k := rirKey{b.Registry, b.Prefix}
+		s := l.keys[k]
+		if i == 0 {
+			if err := l.t.Manage(b.Prefix, b.Registry, b.Status); err != nil {
+				return nil, err
+			}
+			if l.rec != nil {
+				l.rec.manage = append(l.rec.manage, b)
+			}
+		} else if s.status != b.Status {
+			if err := l.t.SetStatus(b.Prefix, l.days[i], b.Status); err != nil {
+				return nil, err
+			}
+			if l.rec != nil {
+				l.rec.changes = append(l.rec.changes, rirChange{l.days[i], b})
+			}
+		} else {
+			continue
+		}
+		s.status = b.Status
+		l.keys[k] = s
+	}
+	done := l.prev
+	l.prev = sc
+	return done, nil
+}
+
+// count adds by to the block count of each block's key.
+func (l *rirLoad) count(blocks []rirstats.Block, by int) {
+	for _, b := range blocks {
+		k := rirKey{b.Registry, b.Prefix}
+		s := l.keys[k]
+		s.n += by
+		switch {
+		case by > 0 && s.n == 2:
+			l.dups++
+		case by < 0 && s.n == 1:
+			l.dups--
+		}
+		l.keys[k] = s
+	}
 }

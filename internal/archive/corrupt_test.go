@@ -10,16 +10,46 @@ import (
 	"dropscope/internal/scenario"
 )
 
-// goldenDirs holds one generated archive per seed, removed by TestMain
-// once every test has run.
-var goldenDirs = map[int64]string{}
+// goldenDirs holds one generated archive per seed, and scaleDirs one
+// per scale, removed by TestMain once every test has run.
+var (
+	goldenDirs = map[int64]string{}
+	scaleDirs  = map[int]string{}
+)
 
 func TestMain(m *testing.M) {
 	code := m.Run()
 	for _, dir := range goldenDirs {
 		os.RemoveAll(dir)
 	}
+	for _, dir := range scaleDirs {
+		os.RemoveAll(dir)
+	}
 	os.Exit(code)
+}
+
+// scaleWorld returns the archive directory of the default world at the
+// given scale, every day of it, generated and written once per process.
+// Callers must not write to it.
+func scaleWorld(tb testing.TB, scale int) string {
+	tb.Helper()
+	if scaleDirs[scale] == "" {
+		p := scenario.DefaultParams()
+		p.Scale = scale
+		w, err := scenario.Generate(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		dir, err := os.MkdirTemp("", "dropscope-scale-*")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := Write(dir, &Bundle{MRT: w.MRT, DROP: w.DROP, SBL: w.SBL, IRR: w.IRR, RPKI: w.RPKI, RIR: w.RIR}); err != nil {
+			tb.Fatal(err)
+		}
+		scaleDirs[scale] = dir
+	}
+	return scaleDirs[scale]
 }
 
 // writeSmallWorld returns a fresh copy of a tiny world's archive

@@ -20,12 +20,13 @@ import (
 )
 
 // referenceLoad is the naive loader the concurrent one is held to: the
-// five text sources one after another, every rirstats day parsed into
-// records and diffed a record at a time under "registry|prefix" string
-// keys, and both ROA sets sorted in full on every snapshot day.
+// five text sources one after another, every line of every file parsed
+// (no day diff), every rirstats day parsed into records and diffed a
+// record at a time under "registry|prefix" string keys, and both ROA
+// sets sorted in full on every snapshot day.
 func referenceLoad(dir string, h *ingest.Health) (*Bundle, error) {
 	b := &Bundle{SBL: sbl.NewDB(), DROP: drop.NewArchive(), IRR: &irr.DB{}, RPKI: &rpki.Archive{}, RIR: &rirstats.Timeline{}}
-	if err := loadDROP(filesum.Open(dir, nil), b.DROP, h, nil); err != nil {
+	if err := referenceLoadDROP(filepath.Join(dir, "drop"), b.DROP, h); err != nil {
 		return nil, err
 	}
 	if err := loadSBL(filepath.Join(dir, "sbl", "records.txt"), b.SBL, h); err != nil {
@@ -41,6 +42,30 @@ func referenceLoad(dir string, h *ingest.Health) (*Bundle, error) {
 		return nil, err
 	}
 	return b, nil
+}
+
+// referenceLoadDROP parses every DROP snapshot in full.
+func referenceLoadDROP(dir string, a *drop.Archive, h *ingest.Health) error {
+	days, err := snapshotDays(dir, ".txt")
+	if err != nil {
+		return err
+	}
+	for _, day := range days {
+		name := day.Compact() + ".txt"
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			return err
+		}
+		entries, err := drop.ParseHealth(f, h.Source("drop/"+name))
+		f.Close()
+		if err != nil {
+			return err
+		}
+		if err := a.AddSnapshot(day, entries); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func referenceLoadRPKI(dir string, a *rpki.Archive, h *ingest.Health) error {
@@ -221,52 +246,68 @@ func compareTimelines(t *testing.T, got, want *rirstats.Timeline) {
 	}
 }
 
-// TestRIRDayAllocations pins the loader's allocations per file as
-// independent of the file's length: a day of long files costs what a day
-// of short ones does, once the scratch buffers have grown.
+// TestRIRDayAllocations pins the loader's allocations per day as
+// independent of the files' length: reading a day and applying it as a
+// diff against the day before costs the same over 10-line files as over
+// 5000-line ones, once the scratch buffers have grown, both for a day
+// that changes nothing but the version lines and for one that changes
+// one line.
 func TestRIRDayAllocations(t *testing.T) {
-	perDay := func(lines int) float64 {
+	perDay := func(lines int, change bool) float64 {
 		dir := t.TempDir()
-		day := timex.MustParseDay("2020-01-01")
-		for i, rir := range rirstats.AllRIRs {
-			recs := make([]rirstats.Record, lines)
-			for j := range recs {
-				recs[j] = rirstats.Record{Registry: rir, CC: "ZZ", Start: netx.Addr(i<<24 | j<<8), Count: 256, Status: rirstats.Allocated, OpaqueID: "o"}
-			}
-			path := filepath.Join(dir, "rirstats", day.Compact(), fmt.Sprintf("delegated-%s-extended", rir))
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rirstats.WriteFile(f, rir, day, recs); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
+		days := []timex.Day{timex.MustParseDay("2020-01-01"), timex.MustParseDay("2020-01-02")}
+		for d, day := range days {
+			for i, rir := range rirstats.AllRIRs {
+				recs := make([]rirstats.Record, lines)
+				for j := range recs {
+					recs[j] = rirstats.Record{Registry: rir, CC: "ZZ", Start: netx.Addr(i<<24 | j<<8), Count: 256, Status: rirstats.Allocated, OpaqueID: "o"}
+				}
+				if change && d == 1 && i == 2 {
+					recs[lines/2].Status = rirstats.Available
+				}
+				path := filepath.Join(dir, "rirstats", day.Compact(), fmt.Sprintf("delegated-%s-extended", rir))
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				f, err := os.Create(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rirstats.WriteFile(f, rir, day, recs); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-		var sc rirScratch
 		files, h := filesum.Open(dir, nil), ingest.NewHealth()
-		// Collect the fixture's garbage now, and name the day directory
-		// (Compact formats through fmt) outside the runs: a collection
-		// during them, or under -race a dropped Put, empties fmt's printer
-		// pool, and the refill would be counted.
+		l := newRIRLoad(&rirstats.Timeline{}, h, nil, days)
+		sc := newRIRScratch()
+		apply := func(i int, rel string) {
+			sc, _ = l.apply(i, sc, readRIRDay(files, rel, sc, false))
+			if sc == nil {
+				t.Fatalf("day %s did not apply", rel)
+			}
+		}
+		// Name the day directories (Compact formats through fmt) outside
+		// the runs, then register the first day's blocks; each run applies
+		// the second day over the first and the first back over it. Collect
+		// the fixture's garbage now: a collection during the runs, or under
+		// -race a dropped Put, empties fmt's printer pool, and the refill
+		// would be counted.
+		rel0, rel1 := days[0].Compact(), days[1].Compact()
+		apply(0, rel0)
 		runtime.GC()
-		rel := day.Compact()
 		return testing.AllocsPerRun(5, func() {
-			if err := parseRIRDay(files, rel, h, &sc, false); err != nil {
-				t.Fatal(err)
-			}
-			if len(sc.blocks) != lines*len(rirstats.AllRIRs) {
-				t.Fatalf("parsed %d blocks", len(sc.blocks))
-			}
+			apply(1, rel1)
+			apply(1, rel0)
 		})
 	}
-	short, long := perDay(10), perDay(5000)
-	if short != long {
-		t.Errorf("allocations per day: %v over 10-line files, %v over 5000-line files", short, long)
+	for _, change := range []bool{false, true} {
+		short, long := perDay(10, change), perDay(5000, change)
+		if short != long {
+			t.Errorf("one changed line = %v: allocations per day pair: %v over 10-line files, %v over 5000-line files", change, short, long)
+		}
 	}
 }

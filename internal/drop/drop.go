@@ -7,6 +7,7 @@ package drop
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -61,39 +62,63 @@ func ParseHealth(r io.Reader, src *ingest.Source) ([]Entry, error) {
 }
 
 func parse(r io.Reader, src *ingest.Source) ([]Entry, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
 	var out []Entry
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, ";") {
+	err = ParseLines(data, 0, src, func(_ int, e Entry) { out = append(out, e) })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// maxLine bounds one line, its newline excluded: a longer one fails the
+// snapshot in either mode with bufio.ErrTooLong, as bufio.Scanner does
+// with a 1 MiB buffer.
+const maxLine = 1 << 20
+
+// ParseLines parses whole lines of a DROP snapshot held in memory, the
+// first of them line line+1 of the file (0 for the whole file), as
+// ParseHealth does, and calls fn with each entry and the number of its
+// line. A nil src parses strictly.
+func ParseLines(data []byte, line int, src *ingest.Source, fn func(line int, e Entry)) error {
+	for len(data) > 0 {
+		raw := data
+		if i := bytes.IndexByte(raw, '\n'); i >= 0 {
+			raw, data = raw[:i], raw[i+1:]
+		} else {
+			data = nil
+		}
+		line++
+		if len(raw) >= maxLine {
+			return bufio.ErrTooLong
+		}
+		ln := string(bytes.TrimSpace(raw))
+		if ln == "" || ln[0] == ';' {
 			continue
 		}
 		var e Entry
-		if i := strings.Index(line, ";"); i >= 0 {
-			e.SBLRef = strings.TrimSpace(line[i+1:])
-			line = strings.TrimSpace(line[:i])
+		if i := strings.IndexByte(ln, ';'); i >= 0 {
+			e.SBLRef = strings.TrimSpace(ln[i+1:])
+			ln = strings.TrimSpace(ln[:i])
 		}
-		p, err := netx.ParsePrefix(line)
+		p, err := netx.ParsePrefix(ln)
 		if err != nil {
 			if src != nil {
 				src.Skip(ingest.BadLine)
 				continue
 			}
-			return nil, fmt.Errorf("drop: line %d: %v", lineNo, err)
+			return fmt.Errorf("drop: line %d: %v", line, err)
 		}
 		e.Prefix = p
-		out = append(out, e)
+		fn(line, e)
 		if src != nil {
 			src.Accept(1)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return nil
 }
 
 // Archive stores daily DROP snapshots and derives listing events.

@@ -1,10 +1,12 @@
 package drop
 
 import (
+	"bufio"
 	"bytes"
 	"strings"
 	"testing"
 
+	"dropscope/internal/ingest"
 	"dropscope/internal/netx"
 	"dropscope/internal/timex"
 )
@@ -124,5 +126,27 @@ func TestListedAtAndSnapshotLookup(t *testing.T) {
 func TestListingsEmptyArchive(t *testing.T) {
 	if got := NewArchive().Listings(); len(got) != 0 {
 		t.Errorf("empty archive listings = %v", got)
+	}
+}
+
+// TestParseLineLimit pins the line limit the parser kept from
+// bufio.Scanner with a 1 MiB buffer: a line of 1 MiB or more, its
+// newline excluded, fails the snapshot in either mode; one byte less
+// parses.
+func TestParseLineLimit(t *testing.T) {
+	for _, n := range []int{1<<20 - 1, 1 << 20} {
+		for _, end := range []string{"\n", ""} {
+			data := "; Spamhaus DROP List 2019-06-05\n" + strings.Repeat(" ", n-len("10.0.0.0/8")) + "10.0.0.0/8" + end
+			for _, lenient := range []bool{false, true} {
+				var src *ingest.Source
+				if lenient {
+					src = new(ingest.Source)
+				}
+				entries, err := ParseHealth(strings.NewReader(data), src)
+				if tooLong := n >= 1<<20; (err == bufio.ErrTooLong) != tooLong || (!tooLong && len(entries) != 1) {
+					t.Errorf("%d-byte line, newline %q, lenient %v: %d entries, error %v", n, end, lenient, len(entries), err)
+				}
+			}
+		}
 	}
 }

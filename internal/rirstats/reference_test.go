@@ -162,7 +162,7 @@ func checkAgainstReference(t *testing.T, data []byte) {
 			t.Fatalf("lenient=%v: ParseFile records\n got %+v\nwant %+v", lenient, got, want)
 		}
 
-		blocks, err := AppendBlocks(nil, data, blkSrc)
+		blocks, err := AppendBlocks(nil, data, 0, blkSrc)
 		if errText(err) != errText(wantErr) {
 			t.Fatalf("lenient=%v: AppendBlocks error %q, reference %q", lenient, errText(err), errText(wantErr))
 		}
@@ -255,12 +255,12 @@ func TestAppendBlocksAllocations(t *testing.T) {
 	for _, lines := range []int{10, 10000} {
 		data := sampleFile(lines)
 		var src ingest.Source
-		dst, err := AppendBlocks(nil, data, &src)
+		dst, err := AppendBlocks(nil, data, 0, &src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
-			if dst, err = AppendBlocks(dst[:0], data, &src); err != nil {
+			if dst, err = AppendBlocks(dst[:0], data, 0, &src); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -178,14 +178,15 @@ type Block struct {
 	Status   Status
 }
 
-// AppendBlocks parses a delegated-extended file held in memory and
-// appends the CIDR decomposition of each of its IPv4 records to dst, in
-// file order: what ParseFile followed by Record.Prefixes yields, without
-// a Record, a string or a prefix slice per line. A nil src parses
-// strictly, as ParseFile does; otherwise malformed lines and accepted
-// records are counted on src, as ParseFileHealth does.
-func AppendBlocks(dst []Block, data []byte, src *ingest.Source) ([]Block, error) {
-	sc := scanner{data: data, src: src}
+// AppendBlocks parses whole lines of a delegated-extended file held in
+// memory, the first of them line line+1 of the file (0 for the whole
+// file), and appends the CIDR decomposition of each IPv4 record to dst,
+// in file order: what ParseFile followed by Record.Prefixes yields,
+// without a Record, a string or a prefix slice per line. A nil src
+// parses strictly, as ParseFile does; otherwise malformed lines and
+// accepted records are counted on src, as ParseFileHealth does.
+func AppendBlocks(dst []Block, data []byte, line int, src *ingest.Source) ([]Block, error) {
+	sc := scanner{data: data, lineNo: line, src: src}
 	for {
 		ok, err := sc.next()
 		if err != nil {

@@ -7,6 +7,7 @@ package rpki
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -348,10 +349,29 @@ func ParseSnapshotCSVHealth(r io.Reader, src *ingest.Source) ([]ROA, error) {
 }
 
 func parseSnapshotCSV(r io.Reader, src *ingest.Source) ([]ROA, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	var out []ROA
-	first := true
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	roas, err := AppendSnapshotCSV(nil, data, true, src)
+	if err != nil {
+		return nil, err
+	}
+	return roas, nil
+}
+
+// maxLine bounds one line, its newline excluded: a longer one fails the
+// snapshot in either mode with bufio.ErrTooLong, as bufio.Scanner does
+// with a 1 MiB buffer.
+const maxLine = 1 << 20
+
+// AppendSnapshotCSV parses whole lines of a snapshot CSV held in memory
+// and appends their ROAs to dst, in file order, as
+// ParseSnapshotCSVHealth does. With header, data starts the file and its
+// first non-blank line is skipped when it starts "URI,"; without, every
+// non-blank line is a row. A row's ROA depends only on its first four
+// fields (URI, ASN, prefix, max length). A nil src parses strictly.
+func AppendSnapshotCSV(dst []ROA, data []byte, header bool, src *ingest.Source) ([]ROA, error) {
 	skip := func(err error) error {
 		if src != nil {
 			src.Skip(ingest.BadLine)
@@ -359,64 +379,64 @@ func parseSnapshotCSV(r io.Reader, src *ingest.Source) ([]ROA, error) {
 		}
 		return err
 	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	for len(data) > 0 {
+		raw := data
+		if i := bytes.IndexByte(raw, '\n'); i >= 0 {
+			raw, data = raw[:i], raw[i+1:]
+		} else {
+			data = nil
+		}
+		if len(raw) >= maxLine {
+			return dst, bufio.ErrTooLong
+		}
+		line := string(bytes.TrimSpace(raw))
 		if line == "" {
 			continue
 		}
-		if first {
-			first = false
+		if header {
+			header = false
 			if strings.HasPrefix(line, "URI,") {
 				continue
 			}
 		}
-		fields := strings.Split(line, ",")
-		if len(fields) < 4 {
-			if err := skip(fmt.Errorf("rpki: malformed CSV line %q", line)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		var roa ROA
-		roa.TA = taFromURI(fields[0])
-		asnStr := strings.TrimPrefix(strings.TrimSpace(fields[1]), "AS")
-		asn, err := strconv.ParseUint(asnStr, 10, 32)
-		if err != nil {
-			if err := skip(fmt.Errorf("rpki: bad ASN %q", fields[1])); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		roa.ASN = bgp.ASN(asn)
-		roa.Prefix, err = netx.ParsePrefix(strings.TrimSpace(fields[2]))
+		roa, err := parseCSVRow(line)
 		if err != nil {
 			if err := skip(err); err != nil {
-				return nil, err
+				return dst, err
 			}
 			continue
 		}
-		roa.MaxLength, err = strconv.Atoi(strings.TrimSpace(fields[3]))
-		if err != nil {
-			if err := skip(fmt.Errorf("rpki: bad maxLength %q", fields[3])); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if err := roa.Validate(); err != nil {
-			if err := skip(err); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		out = append(out, roa)
+		dst = append(dst, roa)
 		if src != nil {
 			src.Accept(1)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	return dst, nil
+}
+
+// parseCSVRow reads the ROA of one non-blank CSV row.
+func parseCSVRow(line string) (ROA, error) {
+	fields := strings.Split(line, ",")
+	if len(fields) < 4 {
+		return ROA{}, fmt.Errorf("rpki: malformed CSV line %q", line)
 	}
-	return out, nil
+	var roa ROA
+	roa.TA = taFromURI(fields[0])
+	asn, err := strconv.ParseUint(strings.TrimPrefix(strings.TrimSpace(fields[1]), "AS"), 10, 32)
+	if err != nil {
+		return ROA{}, fmt.Errorf("rpki: bad ASN %q", fields[1])
+	}
+	roa.ASN = bgp.ASN(asn)
+	if roa.Prefix, err = netx.ParsePrefix(strings.TrimSpace(fields[2])); err != nil {
+		return ROA{}, err
+	}
+	if roa.MaxLength, err = strconv.Atoi(strings.TrimSpace(fields[3])); err != nil {
+		return ROA{}, fmt.Errorf("rpki: bad maxLength %q", fields[3])
+	}
+	if err := roa.Validate(); err != nil {
+		return ROA{}, err
+	}
+	return roa, nil
 }
 
 func taFromURI(uri string) TrustAnchor {

@@ -1,10 +1,13 @@
 package rpki
 
 import (
+	"bufio"
 	"bytes"
+	"strings"
 	"testing"
 
 	"dropscope/internal/bgp"
+	"dropscope/internal/ingest"
 	"dropscope/internal/netx"
 	"dropscope/internal/timex"
 )
@@ -242,5 +245,28 @@ func TestLiveAtTALRestriction(t *testing.T) {
 	}
 	if got := len(a.LiveAt(d0+1, DefaultTALs)); got != 1 {
 		t.Errorf("default TALs: %d", got)
+	}
+}
+
+// TestParseSnapshotCSVLineLimit pins the line limit the parser kept
+// from bufio.Scanner with a 1 MiB buffer: a line of 1 MiB or more, its
+// newline excluded, fails the snapshot in either mode; one byte less
+// parses.
+func TestParseSnapshotCSVLineLimit(t *testing.T) {
+	const row = "rsync://rpki.example.net/ripe/1.roa,AS64500,10.0.0.0/8,24,2020-01-01,2021-01-01"
+	for _, n := range []int{1<<20 - 1, 1 << 20} {
+		for _, end := range []string{"\n", ""} {
+			data := "URI,ASN,IP Prefix,Max Length,Not Before,Not After\n" + strings.Repeat(" ", n-len(row)) + row + end
+			for _, lenient := range []bool{false, true} {
+				var src *ingest.Source
+				if lenient {
+					src = new(ingest.Source)
+				}
+				roas, err := ParseSnapshotCSVHealth(strings.NewReader(data), src)
+				if tooLong := n >= 1<<20; (err == bufio.ErrTooLong) != tooLong || (!tooLong && len(roas) != 1) {
+					t.Errorf("%d-byte line, newline %q, lenient %v: %d ROAs, error %v", n, end, lenient, len(roas), err)
+				}
+			}
+		}
 	}
 }

@@ -34,6 +34,7 @@ internal/ribsnap FuzzSnapshotLoad
 internal/ribsnap FuzzDecodeLineage
 internal/filesum FuzzArchiveManifest
 internal/archive FuzzTextJournal
+internal/archive FuzzDayDiff
 internal/rirstats FuzzParseFile
 internal/rpki FuzzParseSnapshotCSV
 internal/rtr FuzzReadPDU

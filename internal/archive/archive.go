@@ -83,12 +83,11 @@ type LoadOptions struct {
 	// SkipMRT does nothing: no load opens mrt/, which the RIB build
 	// decodes (internal/loader). It is kept for callers that set it.
 	SkipMRT bool
-	// Workers bounds the rirstats day directories read (and, for the
-	// journal, hashed) ahead of the in-order diff that parses and applies
-	// them, or the goroutines summing the text files for a replay; <= 0
-	// means runtime.GOMAXPROCS(0). Above 1 the five sources also load
-	// concurrently with each other; at 1 the whole load runs on the
-	// calling goroutine, one source after another.
+	// Workers bounds the goroutines summing the text files for a
+	// replay; <= 0 means runtime.GOMAXPROCS(0). Above 1 the five sources
+	// also load concurrently with each other; at 1 the whole load runs
+	// on the calling goroutine, one source after another. Each source
+	// reads its days serially whatever the value.
 	Workers int
 	// Journal, when non-nil, keeps the text journal (journal.go): DROP,
 	// RPKI and rirstats are replayed from it when it was recorded from
@@ -126,7 +125,7 @@ func LoadWithOptions(dir string, opts LoadOptions) (*Bundle, error) {
 		func() error { return loadSBL(filepath.Join(dir, "sbl", "records.txt"), b.SBL, h) },
 		func() error { return loadIRR(filepath.Join(dir, "irr", "journal.rpsl"), b.IRR, h) },
 		func() error { return loadRPKI(files, b.RPKI, h, rec) },
-		func() error { return loadRIRStats(files, b.RIR, h, workers, rec) },
+		func() error { return loadRIRStats(files, b.RIR, h, rec) },
 	}
 	errs := make([]error, len(loaders))
 	var wg sync.WaitGroup
@@ -557,13 +556,11 @@ type rirKeyState struct {
 
 // loadRIRStats rebuilds the timeline from the day directories: the
 // first day registers every block, each later day journals the blocks
-// whose status differs from the day before. Up to workers days are read
-// (and with rec hashed) ahead; rirLoad.apply diffs, parses and applies
-// them one at a time in day order, so the timeline, the health counts
-// and the error a damaged archive fails with do not depend on workers.
-// With rec, it also keeps each file's sum and every Manage and SetStatus
-// call for the journal.
-func loadRIRStats(files *filesum.Manifest, t *rirstats.Timeline, h *ingest.Health, workers int, rec *record) error {
+// whose status differs from the day before. rirLoad.apply reads (and
+// with rec hashes), diffs, parses and applies one day at a time in day
+// order. With rec, it also keeps each file's sum and every Manage and
+// SetStatus call for the journal.
+func loadRIRStats(files *filesum.Manifest, t *rirstats.Timeline, h *ingest.Health, rec *record) error {
 	dir := files.Path("rirstats")
 	days, err := snapshotDays(dir, "")
 	if err != nil {
@@ -572,124 +569,36 @@ func loadRIRStats(files *filesum.Manifest, t *rirstats.Timeline, h *ingest.Healt
 	if len(days) == 0 {
 		return fmt.Errorf("archive: no rirstats snapshots in %s", dir)
 	}
-	l := newRIRLoad(t, h, rec, days)
-
-	if workers == 1 {
-		sc := newRIRScratch()
-		for i, day := range days {
-			err := readRIRDay(files, day.Compact(), sc, rec != nil)
-			if sc, err = l.apply(i, sc, err); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	type read struct {
-		*rirScratch
-		err error
-	}
-	// pending queues one slot per day in day order. A day is read once
-	// its slot is queued, so the queue's capacity plus the slot being
-	// applied is the look-ahead: at most workers days are being read or
-	// held read at once, however many days the archive has.
-	pending := make(chan chan read, workers-1)
-	// free hands the buffers of days no longer needed back to the readers.
-	free := make(chan *rirScratch, workers)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer close(stop)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(pending)
-		for _, day := range days {
-			slot := make(chan read, 1)
-			select {
-			case pending <- slot:
-			case <-stop:
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var sc *rirScratch
-				select {
-				case sc = <-free:
-				default:
-					sc = newRIRScratch()
-				}
-				slot <- read{sc, readRIRDay(files, day.Compact(), sc, rec != nil)}
-			}()
-		}
-	}()
-	i := 0
-	for slot := range pending {
-		r := <-slot
-		done, err := l.apply(i, r.rirScratch, r.err)
-		if err != nil {
+	l := newRIRLoad(files, t, h, rec, days)
+	for i, day := range days {
+		if err := l.apply(i, day.Compact()); err != nil {
 			return err
 		}
-		i++
-		select {
-		case free <- done:
-		default:
-		}
-	}
-	return nil
-}
-
-// rirScratch is one rirstats day as readRIRDay leaves it: each
-// registry's file, its path, and for the journal the files' sums; read
-// files were read before an error stopped the rest.
-type rirScratch struct {
-	files []dayText
-	paths []string
-	sums  []fileSum
-	read  int
-}
-
-func newRIRScratch() *rirScratch {
-	return &rirScratch{files: make([]dayText, len(rirFiles)), paths: make([]string, len(rirFiles))}
-}
-
-// readRIRDay reads the five files of the rirstats day directory named
-// day into sc, in registry order, and with hash their sums.
-func readRIRDay(files *filesum.Manifest, day string, sc *rirScratch, hash bool) error {
-	sc.sums, sc.read = sc.sums[:0], 0
-	dayDir := "rirstats/" + day + "/"
-	for j, name := range rirFiles {
-		sc.paths[j] = dayDir + name
-		sum, err := files.Read(sc.paths[j], &sc.files[j].buf, hash)
-		if err != nil {
-			return err
-		}
-		if hash {
-			sc.sums = append(sc.sums, fileSum{sc.paths[j], sum})
-		}
-		sc.read++
 	}
 	return nil
 }
 
 // rirLoad carries a rirstats load from one day to the next.
 type rirLoad struct {
-	t    *rirstats.Timeline
-	h    *ingest.Health
-	rec  *record
-	days []timex.Day
+	files *filesum.Manifest
+	t     *rirstats.Timeline
+	h     *ingest.Health
+	rec   *record
+	days  []timex.Day
 
-	prev *rirScratch // the day before's files; empty before the first day
-	keys map[rirKey]rirKeyState
-	dups int // keys more than one block of the day before holds
+	// prev and cur hold each registry's file of the day before (empty
+	// before the first day) and of the day.
+	prev, cur []dayText
+	keys      map[rirKey]rirKeyState
+	dups      int // keys more than one block of the day before holds
 
 	removed, inserted, all []rirstats.Block
 	parse                  lineParser
 }
 
-func newRIRLoad(t *rirstats.Timeline, h *ingest.Health, rec *record, days []timex.Day) *rirLoad {
-	l := &rirLoad{t: t, h: h, rec: rec, days: days, prev: newRIRScratch(), keys: make(map[rirKey]rirKeyState)}
+func newRIRLoad(files *filesum.Manifest, t *rirstats.Timeline, h *ingest.Health, rec *record, days []timex.Day) *rirLoad {
+	l := &rirLoad{files: files, t: t, h: h, rec: rec, days: days, keys: make(map[rirKey]rirKeyState),
+		prev: make([]dayText, len(rirFiles)), cur: make([]dayText, len(rirFiles))}
 	l.parse = func(data []byte, line int, removed bool, src *ingest.Source) (err error) {
 		if removed {
 			l.removed, err = rirstats.AppendBlocks(l.removed, data, line, src)
@@ -701,26 +610,28 @@ func newRIRLoad(t *rirstats.Timeline, h *ingest.Health, rec *record, days []time
 	return l
 }
 
-// apply diffs and parses day i, read into sc up to readErr, against the
-// day before, and journals its changes: on the first day every block is
+// apply reads the five files of day i, whose directory is named day,
+// in registry order, diffs and parses each against the day before's,
+// and journals the day's changes: on the first day every block is
 // registered, on a later one each inserted block whose status differs
 // from its key's. A line carried from the day before holds a key one
 // block held then and one holds now, so its status is already its
 // key's. That holds only while each key is on one block, so a day on
 // which some key is on two, and the day after it, apply every block of
-// the day in file order instead, as a parse of every line would. It
-// returns the scratch the day before held, for reuse.
-func (l *rirLoad) apply(i int, sc *rirScratch, readErr error) (*rirScratch, error) {
-	if l.rec != nil {
-		l.rec.rir = append(l.rec.rir, sc.sums...)
-	}
+// the day in file order instead, as a parse of every line would.
+func (l *rirLoad) apply(i int, day string) error {
 	l.removed, l.inserted = l.removed[:0], l.inserted[:0]
-	for j := range sc.files {
-		if j == sc.read {
-			return nil, readErr
+	for j, name := range rirFiles {
+		path := "rirstats/" + day + "/" + name
+		sum, err := l.files.Read(path, &l.cur[j].buf, l.rec != nil)
+		if err != nil {
+			return err
 		}
-		if err := parseDay(&l.prev.files[j], &sc.files[j], false, l.h.Source(sc.paths[j]), l.parse); err != nil {
-			return nil, err
+		if l.rec != nil {
+			l.rec.rir = append(l.rec.rir, fileSum{path, sum})
+		}
+		if err := parseDay(&l.prev[j], &l.cur[j], false, l.h.Source(path), l.parse); err != nil {
+			return err
 		}
 	}
 	dupsBefore := l.dups
@@ -733,8 +644,8 @@ func (l *rirLoad) apply(i int, sc *rirScratch, readErr error) (*rirScratch, erro
 		// collects the blocks, and cannot fail.
 		var scratch ingest.Source
 		l.all = l.all[:0]
-		for j := range sc.files {
-			l.all, _ = rirstats.AppendBlocks(l.all, sc.files[j].buf.Bytes(), 0, &scratch)
+		for j := range l.cur {
+			l.all, _ = rirstats.AppendBlocks(l.all, l.cur[j].buf.Bytes(), 0, &scratch)
 		}
 		blocks = l.all
 	}
@@ -743,14 +654,14 @@ func (l *rirLoad) apply(i int, sc *rirScratch, readErr error) (*rirScratch, erro
 		s := l.keys[k]
 		if i == 0 {
 			if err := l.t.Manage(b.Prefix, b.Registry, b.Status); err != nil {
-				return nil, err
+				return err
 			}
 			if l.rec != nil {
 				l.rec.manage = append(l.rec.manage, b)
 			}
 		} else if s.status != b.Status {
 			if err := l.t.SetStatus(b.Prefix, l.days[i], b.Status); err != nil {
-				return nil, err
+				return err
 			}
 			if l.rec != nil {
 				l.rec.changes = append(l.rec.changes, rirChange{l.days[i], b})
@@ -761,9 +672,8 @@ func (l *rirLoad) apply(i int, sc *rirScratch, readErr error) (*rirScratch, erro
 		s.status = b.Status
 		l.keys[k] = s
 	}
-	done := l.prev
-	l.prev = sc
-	return done, nil
+	l.prev, l.cur = l.cur, l.prev
+	return nil
 }
 
 // count adds by to the block count of each block's key.

@@ -396,7 +396,7 @@ func sameCounts(t *testing.T, format string, got, want *ingest.Source) {
 }
 
 func fuzzRIRDay(t *testing.T, prev, cur []byte, strict bool) {
-	l := newRIRLoad(nil, nil, nil, nil)
+	l := newRIRLoad(nil, nil, nil, nil, nil)
 	counts := func() map[rirKey]int {
 		m := make(map[rirKey]int)
 		for k, s := range l.keys {

@@ -7,25 +7,26 @@ package archive
 // record count, keyed on a digest of exactly the bytes it read; a later
 // load whose files hash to that digest replays them instead of parsing.
 //
-// Layout: "DSTJ", version (uint32 LE), text digest, body, CRC-32C of
-// all before it (uint32 LE). The body, in varints and 5-byte prefixes:
-// the record counts; the DROP snapshots, each entry a reference into
-// the one before or given in full; the ROA events; the Manage calls;
-// the SetStatus calls. A trust anchor, registry or status is an index
-// into its package's constants (0: the string follows), so a replay
-// hands the stores the values a parse interns.
+// Layout: the store's frame (fsio.Frame: "DSTJ", version, CRC-32C
+// trailer) around the text digest and the body. The body, in varints
+// and 5-byte prefixes: the record counts; the DROP snapshots, each
+// entry a reference into the one before or given in full; the ROA
+// events; the Manage calls; the SetStatus calls. A trust anchor,
+// registry or status is an index into its package's constants (0: the
+// string follows), so a replay hands the stores the values a parse
+// interns.
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"path/filepath"
 	"slices"
 
 	"dropscope/internal/bgp"
 	"dropscope/internal/drop"
 	"dropscope/internal/filesum"
+	"dropscope/internal/fsio"
 	"dropscope/internal/ingest"
 	"dropscope/internal/netx"
 	"dropscope/internal/rirstats"
@@ -38,11 +39,9 @@ const (
 	// journalVersion changes with anything that makes the same text
 	// record another journal; TestJournalGolden pins it.
 	journalVersion = 1
-	journalHeader  = len(journalMagic) + 4 + sha256.Size // magic, version, digest
 )
 
 var (
-	castagnoli  = crc32.MakeTable(crc32.Castagnoli)
 	errJournal  = errors.New("archive: malformed text journal")
 	rirStatuses = []rirstats.Status{rirstats.Available, rirstats.Allocated, rirstats.Assigned, rirstats.Reserved}
 )
@@ -131,8 +130,7 @@ type rirChange struct {
 // write is best-effort: without a journal the next load parses.
 func (r *record) save(js JournalStore, b *Bundle, h *ingest.Health) {
 	files := slices.Concat(r.drop, r.rpki, r.rir)
-	e := enc{b: []byte(journalMagic)}
-	e.b = binary.LittleEndian.AppendUint32(e.b, journalVersion)
+	e := enc{b: fsio.Frame(journalMagic, journalVersion)}
 	digest := textDigest(files)
 	e.b = append(e.b, digest[:]...)
 	e.uvarint(uint64(len(files)))
@@ -146,8 +144,7 @@ func (r *record) save(js JournalStore, b *Bundle, h *ingest.Health) {
 	e.drop(b.DROP)
 	e.rpki(b.RPKI.Events())
 	e.rir(r.manage, r.changes)
-	e.b = binary.LittleEndian.AppendUint32(e.b, crc32.Checksum(e.b, castagnoli))
-	_ = js.WriteTextJournal(e.b)
+	_ = js.WriteTextJournal(fsio.Seal(e.b))
 }
 
 // replay loads DROP, RPKI and rirstats from the store's journal: it
@@ -202,19 +199,15 @@ func replay(files *filesum.Manifest, js JournalStore, b *Bundle, h *ingest.Healt
 	return true
 }
 
-// openJournal checks a journal's framing and returns its digest and
+// openJournal checks a journal's frame and returns its digest and
 // body; ok is false for anything but an intact journal of this version.
 func openJournal(data []byte) (digest [sha256.Size]byte, body []byte, ok bool) {
-	if len(data) < journalHeader+4 || string(data[:len(journalMagic)]) != journalMagic ||
-		binary.LittleEndian.Uint32(data[len(journalMagic):]) != journalVersion {
+	body, err := fsio.Open(data, journalMagic, journalVersion)
+	if err != nil || len(body) < sha256.Size {
 		return digest, nil, false
 	}
-	end := len(data) - 4
-	if crc32.Checksum(data[:end], castagnoli) != binary.LittleEndian.Uint32(data[end:]) {
-		return digest, nil, false
-	}
-	copy(digest[:], data[journalHeader-sha256.Size:])
-	return digest, data[journalHeader:end], true
+	copy(digest[:], body)
+	return digest, body[sha256.Size:], true
 }
 
 // decodeJournal replays a journal body into b's empty DROP, RPKI and

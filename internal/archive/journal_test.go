@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +15,7 @@ import (
 	"dropscope/internal/bgp"
 	"dropscope/internal/drop"
 	"dropscope/internal/filesum"
+	"dropscope/internal/fsio"
 	"dropscope/internal/ingest"
 	"dropscope/internal/irr"
 	"dropscope/internal/netx"
@@ -198,6 +198,9 @@ func TestJournalDamagedLoadWritesNone(t *testing.T) {
 	}
 }
 
+// journalHeader is the journal's head: magic, version, text digest.
+const journalHeader = len(journalMagic) + 4 + sha256.Size
+
 // Digests of the journal a clean lenient load of writeWorld(t, 1)
 // records: the text it is keyed on, and the whole file.
 const (
@@ -308,11 +311,9 @@ func TestJournalCorruptIsMiss(t *testing.T) {
 	// resealed rewrites a header field and recomputes the CRC, so only
 	// the field's own check can refuse it.
 	resealed := func(at int, b []byte) []byte {
-		out := slices.Clone(good)
+		out := slices.Clone(good[:len(good)-4])
 		copy(out[at:], b)
-		end := len(out) - 4
-		binary.LittleEndian.PutUint32(out[end:], crc32.Checksum(out[:end], castagnoli))
-		return out
+		return fsio.Seal(out)
 	}
 	flipped := slices.Clone(good)
 	flipped[len(flipped)/2] ^= 0x10

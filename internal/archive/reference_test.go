@@ -282,12 +282,10 @@ func TestRIRDayAllocations(t *testing.T) {
 			}
 		}
 		files, h := filesum.Open(dir, nil), ingest.NewHealth()
-		l := newRIRLoad(&rirstats.Timeline{}, h, nil, days)
-		sc := newRIRScratch()
+		l := newRIRLoad(files, &rirstats.Timeline{}, h, nil, days)
 		apply := func(i int, rel string) {
-			sc, _ = l.apply(i, sc, readRIRDay(files, rel, sc, false))
-			if sc == nil {
-				t.Fatalf("day %s did not apply", rel)
+			if err := l.apply(i, rel); err != nil {
+				t.Fatalf("day %s did not apply: %v", rel, err)
 			}
 		}
 		// Name the day directories (Compact formats through fmt) outside

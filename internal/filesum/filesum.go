@@ -3,9 +3,10 @@
 // unchanged file's sum from a stat, not a read — git's index applied to
 // the archive (DESIGN.md, "Warm starts").
 //
-// Layout (little-endian): "DSAM", version u32, recording time i64 (ns),
-// row count u32, the rows in path order — path length u16, path, size,
-// mtime, ctime, device, inode (8 bytes each), SHA-256 — and a CRC-32C.
+// Layout (little-endian): the store's frame (fsio.Frame: "DSAM",
+// version u32, CRC-32C trailer) around the recording time i64 (ns), the
+// row count u32 and the rows in path order — path length u16, path,
+// size, mtime, ctime, device, inode (8 bytes each), SHA-256.
 package filesum
 
 import (
@@ -14,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash"
-	"hash/crc32"
 	"io"
 	"maps"
 	"path/filepath"
@@ -23,23 +23,23 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dropscope/internal/fsio"
 )
 
 const (
 	magic   = "DSAM"
 	version = 1
-	header  = len(magic) + 4 + 8 + 4 // magic, version, recording time, row count
-	rowSize = 2 + 5*8 + sha256.Size  // path length, stat tuple, SHA-256; then the path
-	trailer = 4                      // CRC-32C
+	header  = 8 + 4                 // recording time, row count
+	rowSize = 2 + 5*8 + sha256.Size // path length, stat tuple, SHA-256; then the path
 	// racyMargin is above the coarsest file timestamp tick: a write after
 	// the read that hashed a file cannot leave the recorded times.
 	racyMargin = int64(time.Second)
 )
 
 var (
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-	errFormat  = errors.New("filesum: malformed archive manifest")
-	opened     atomic.Int64
+	errFormat = errors.New("filesum: malformed archive manifest")
+	opened    atomic.Int64
 )
 
 // Opened returns how many files the package has opened to read.
@@ -256,8 +256,7 @@ func (m *Manifest) Encode() ([]byte, bool) {
 }
 
 func encode(recorded int64, rows map[string]row) []byte {
-	b := binary.LittleEndian.AppendUint32([]byte(magic), version)
-	b = binary.LittleEndian.AppendUint64(b, uint64(recorded))
+	b := binary.LittleEndian.AppendUint64(fsio.Frame(magic, version), uint64(recorded))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
 	for _, p := range slices.Sorted(maps.Keys(rows)) {
 		r := rows[p]
@@ -267,19 +266,18 @@ func encode(recorded int64, rows map[string]row) []byte {
 		}
 		b = append(b, r.sha[:]...)
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+	return fsio.Seal(b)
 }
 
 // decode parses an encoding: another version, a bad checksum, paths out
 // of order or any byte out of place fails.
 func decode(b []byte) (recorded int64, rows map[string]row, err error) {
-	end := len(b) - trailer
-	if end < header || string(b[:len(magic)]) != magic || binary.LittleEndian.Uint32(b[len(magic):]) != version ||
-		crc32.Checksum(b[:end], castagnoli) != binary.LittleEndian.Uint32(b[end:]) {
+	body, err := fsio.Open(b, magic, version)
+	if err != nil || len(body) < header {
 		return 0, nil, errFormat
 	}
-	recorded = int64(binary.LittleEndian.Uint64(b[len(magic)+4:]))
-	n, rest := int(binary.LittleEndian.Uint32(b[header-4:])), b[header:end]
+	recorded = int64(binary.LittleEndian.Uint64(body))
+	n, rest := int(binary.LittleEndian.Uint32(body[8:])), body[header:]
 	if n > len(rest)/rowSize {
 		return 0, nil, errFormat
 	}

@@ -3,8 +3,6 @@ package filesum
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +10,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"dropscope/internal/fsio"
 )
 
 // archive writes n small files under a fresh root and returns the root
@@ -241,8 +241,8 @@ func FuzzArchiveManifest(f *testing.F) {
 	// mutations reach the rows instead of dying at the checksum.
 	f.Fuzz(func(t *testing.T, data []byte) {
 		probes := [][]byte{data}
-		if n := len(data) - trailer; n >= 0 {
-			probes = append(probes, binary.LittleEndian.AppendUint32(slices.Clip(data[:n]), crc32.Checksum(data[:n], castagnoli)))
+		if n := len(data) - 4; n >= 0 {
+			probes = append(probes, fsio.Seal(slices.Clip(data[:n])))
 		}
 		for _, b := range probes {
 			at, rows, err := decode(b)

@@ -150,7 +150,7 @@ func parseASN(s string) (bgp.ASN, error) {
 // a journal entry that fails it instead.
 func Parse(r io.Reader) ([]*Object, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024)
 	var objs []*Object
 	var cur *Object
 	lineNo := 0

@@ -1,6 +1,7 @@
 package irr
 
 import (
+	"bufio"
 	"bytes"
 	"strings"
 	"testing"
@@ -60,6 +61,24 @@ func TestParseErrors(t *testing.T) {
 	}
 	if _, err := Parse(strings.NewReader(":empty name\n")); err == nil {
 		t.Error("empty attribute name should fail")
+	}
+}
+
+// TestParseLineLimit pins Parse's line limit: a line of 1 MiB or more,
+// its newline excluded, fails the parse; one byte less parses.
+func TestParseLineLimit(t *testing.T) {
+	for _, n := range []int{1<<20 - 1, 1 << 20} {
+		for _, end := range []string{"\n", ""} {
+			data := "remarks:" + strings.Repeat("x", n-len("remarks:")) + end
+			objs, err := Parse(strings.NewReader(data))
+			var got string
+			if len(objs) == 1 {
+				got, _ = objs[0].Get("remarks")
+			}
+			if tooLong := n >= 1<<20; (err == bufio.ErrTooLong) != tooLong || (!tooLong && len(got) != n-len("remarks:")) {
+				t.Errorf("%d-byte line, newline %q: %d objects, error %v", n, end, len(objs), err)
+			}
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"dropscope"
 	"dropscope/internal/archive"
+	"dropscope/internal/fsio"
 	"dropscope/internal/ingest"
 	"dropscope/internal/ingest/faultinject"
 	"dropscope/internal/loader"
@@ -710,7 +711,7 @@ func TestOlderStoreRebuiltOnce(t *testing.T) {
 	copy(p[20:52], grown[:])
 	copy(p[52:84], base[:])
 	binary.LittleEndian.PutUint32(derived[0:4], uint32(len(p)))
-	binary.LittleEndian.PutUint32(derived[4:8], crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+	binary.LittleEndian.PutUint32(derived[4:8], crc32.Checksum(p, fsio.Castagnoli))
 	journal, err := os.OpenFile(filepath.Join(cacheDir, ribsnap.ManifestName), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)

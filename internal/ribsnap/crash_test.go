@@ -13,9 +13,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"dropscope/internal/bgp"
@@ -271,8 +273,24 @@ func TestCrashWithoutPredecessor(t *testing.T) {
 	}
 }
 
-// TestWriteENOSPC: an exhausted disk fails the write, and recovery
-// finds the old generation or a miss, never a partial one.
+// noTemps fails the test if a write temp is left anywhere under dir. A
+// write that fails in a process that lives on removes its temp itself;
+// only a crash leaves one for the next open's sweep.
+func noTemps(t *testing.T, dir string) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasPrefix(d.Name(), ".ribsnap-") {
+			t.Errorf("a failed write left its temp %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWriteENOSPC: an exhausted disk fails the write, leaving no temp,
+// and recovery finds the old generation or a miss, never a partial one.
 func TestWriteENOSPC(t *testing.T) {
 	ix := crashIndex(t)
 	for _, rw := range rewrites() {
@@ -286,14 +304,15 @@ func TestWriteENOSPC(t *testing.T) {
 			if err := next.write(t, ix, disk, dir); !errors.Is(err, faultinject.ErrNoSpace) {
 				t.Fatalf("want ErrNoSpace, got %v", err)
 			}
+			noTemps(t, dir)
 			recovered(t, dir, ix, map[string]map[string][]byte{"old": old.reference(t, ix)})
 		})
 	}
 }
 
-// TestWriteShortWrite: a half-written buffer fails the write rather
-// than producing a silently truncated shard that could ever be
-// published.
+// TestWriteShortWrite: a half-written buffer fails the write, leaving
+// no temp, rather than producing a silently truncated shard that could
+// ever be published.
 func TestWriteShortWrite(t *testing.T) {
 	ix := crashIndex(t)
 	for _, k := range []int{1, 4} {
@@ -304,6 +323,7 @@ func TestWriteShortWrite(t *testing.T) {
 			if err := spec.write(t, ix, disk, dir); !errors.Is(err, io.ErrShortWrite) {
 				t.Fatalf("want ErrShortWrite, got %v", err)
 			}
+			noTemps(t, dir)
 			if got := recovered(t, dir, ix, nil); got != "" {
 				t.Fatalf("short write published a generation")
 			}

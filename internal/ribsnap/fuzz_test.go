@@ -1,12 +1,17 @@
 package ribsnap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
 	"reflect"
 	"slices"
 	"testing"
+
+	"dropscope/internal/fsio"
+	"dropscope/internal/netx"
+	"dropscope/internal/timex"
 )
 
 // FuzzSnapshotLoad drives the header/section/column parser with
@@ -50,7 +55,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 			return
 		}
 		binary.LittleEndian.PutUint32(b[56:60],
-			crc32.Checksum(b[headerSize:headerSize+int(paylen)], castagnoli))
+			crc32.Checksum(b[headerSize:headerSize+int(paylen)], fsio.Castagnoli))
 		copy(dg[:], b[16:48])
 		if s, derr := decode(b, dg); derr == nil {
 			_ = s.Index.Peers()
@@ -133,6 +138,40 @@ func FuzzDecodeLineage(f *testing.F) {
 		again, err := decodeLineage(lineageSections(lin))
 		if err != nil || !reflect.DeepEqual(again, lin) {
 			t.Fatalf("re-encoded lineage %+v decodes as %+v (%v)", lin, again, err)
+		}
+	})
+}
+
+// FuzzShardManifest drives the shards.manifest decoder. Each input is
+// tried as it is and with its trailer resealed (fsio.Seal), so
+// mutations reach the fields instead of dying at the checksum. Whatever
+// the input it must not panic, and a manifest it accepts must re-encode
+// to the very bytes it was decoded from.
+func FuzzShardManifest(f *testing.F) {
+	f.Add(encodeShardManifest(&ShardManifest{
+		Digest: dg(0x5A),
+		Window: timex.Range{First: day0, Last: day0 + 60},
+		Shards: []ShardInfo{
+			{Bound: netx.MustParsePrefix("10.0.0.0/16"), NumPrefixes: 120},
+			{Bound: netx.MustParsePrefix("198.51.100.0/24"), NumPrefixes: 3},
+		},
+	}))
+	f.Add(encodeShardManifest(&ShardManifest{Shards: []ShardInfo{{}}}))
+	f.Add([]byte(shardMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		probes := [][]byte{data}
+		if n := len(data) - 4; n >= 0 {
+			probes = append(probes, fsio.Seal(slices.Clip(data[:n])))
+		}
+		for _, b := range probes {
+			m, err := decodeShardManifest(b)
+			if err != nil {
+				continue
+			}
+			if again := encodeShardManifest(m); !bytes.Equal(again, b) {
+				t.Fatalf("an accepted manifest %+v re-encodes to other bytes", m)
+			}
 		}
 	})
 }

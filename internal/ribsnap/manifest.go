@@ -38,6 +38,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"dropscope/internal/fsio"
 )
 
 // ManifestName is the journal's file name inside a snapshot directory.
@@ -174,7 +176,7 @@ func scanManifest(data []byte) (recs []ManifestRecord, valid int) {
 			break // torn tail
 		}
 		payload := data[valid+8 : valid+8+plen]
-		if crc32.Checksum(payload, castagnoli) != want {
+		if crc32.Checksum(payload, fsio.Castagnoli) != want {
 			break // torn or rotted tail
 		}
 		valid += 8 + plen
@@ -215,7 +217,7 @@ func encodeRecord(rec ManifestRecord) [recLen]byte {
 	binary.LittleEndian.PutUint64(p[12:20], uint64(rec.Unix))
 	copy(p[20:52], rec.Digest[:])
 	binary.LittleEndian.PutUint32(buf[0:4], recPayloadLen)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(p, castagnoli))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(p, fsio.Castagnoli))
 	return buf
 }
 

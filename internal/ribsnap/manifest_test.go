@@ -7,11 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dropscope/internal/fsio"
 )
 
 // refreshRecordCRC recomputes a hand-edited record's payload checksum.
 func refreshRecordCRC(rec []byte) {
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], castagnoli))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(rec[8:], fsio.Castagnoli))
 }
 
 // derivedRecord hand-encodes the version-2 "derived" record earlier

@@ -47,6 +47,7 @@ import (
 	"sync"
 
 	"dropscope/internal/bgp"
+	"dropscope/internal/fsio"
 	"dropscope/internal/netx"
 	"dropscope/internal/rib"
 	"dropscope/internal/timex"
@@ -103,8 +104,6 @@ var ErrClosed = errors.New("ribsnap: snapshot closed")
 // errNoLineage refuses a write without lineage: every generation must
 // be extendable by the delta-append path.
 var errNoLineage = errors.New("ribsnap: snapshot write needs a lineage")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // CollectorCount records how many MRT records one collector
 // contributed to the snapshotted index — replayed into ingest.Health
@@ -302,7 +301,7 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 		return 0, cw.err
 	}
 	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, castagnoli, p[:n])
+	cw.crc = crc32.Update(cw.crc, fsio.Castagnoli, p[:n])
 	cw.n += uint64(n)
 	cw.err = err
 	return n, err
@@ -339,35 +338,26 @@ func (e *sectionEncoder) bytesPad4(b []byte) {
 // closed with, per-collector record counts and the lineage — the
 // archive cursors the delta-append path resumes decoding from and the
 // index's largest record day; a nil lin is an error — as a snapshot at
-// path, atomically and
-// durably: the payload is streamed to an O_EXCL temp file, the temp is
-// fsynced before the rename, and the parent directory is fsynced after
-// it, so a crash (or power loss) at any step leaves either the old
-// complete snapshot or the new complete snapshot at path — never a
-// torn file. digest must be DigestMRT of the archive the index was
-// built from. Every write goes through fsys, the seam the disk-fault
-// injector drives (see fs.go).
-func WriteLineageFS(fsys FS, path string, f *rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount, lin *Lineage) (err error) {
+// path, atomically and durably (fsio.Replace), so a crash (or power
+// loss) at any step leaves either the old complete snapshot or the new
+// complete snapshot at path — never a torn file. digest must be
+// DigestMRT of the archive the index was built from. Every write goes
+// through fsys, the seam the disk-fault injector drives (see fs.go).
+func WriteLineageFS(fsys FS, path string, f *rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount, lin *Lineage) error {
 	if lin == nil {
 		return errNoLineage
 	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := fsys.CreateTemp(dir, tempPattern)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			// Best effort: under a simulated fail-stop crash the Remove
-			// fails too, leaving the orphan the startup sweep collects.
-			tmp.Close()
-			fsys.Remove(tmp.Name())
-		}
-	}()
+	return fsio.Replace(fsys, path, true, func(tmp File) error {
+		return writeSnapshot(tmp, f, window, digest, counts, lin)
+	})
+}
 
+// writeSnapshot streams the snapshot into tmp: a header placeholder,
+// the payload, then the real header written back over the placeholder.
+func writeSnapshot(tmp File, f *rib.Frozen, window timex.Range, digest [32]byte, counts []CollectorCount, lin *Lineage) error {
 	n := len(f.Prefixes)
 	type section struct {
 		id  uint32
@@ -392,7 +382,7 @@ func WriteLineageFS(fsys FS, path string, f *rib.Frozen, window timex.Range, dig
 	// Header placeholder; rewritten with the payload length and CRC once
 	// everything is streamed out.
 	var hdr [headerSize]byte
-	if _, err = tmp.Write(hdr[:]); err != nil {
+	if _, err := tmp.Write(hdr[:]); err != nil {
 		return err
 	}
 
@@ -569,24 +559,8 @@ func WriteLineageFS(fsys FS, path string, f *rib.Frozen, window timex.Range, dig
 	copy(hdr[16:48], digest[:])
 	binary.LittleEndian.PutUint64(hdr[48:56], cw.n)
 	binary.LittleEndian.PutUint32(hdr[56:60], cw.crc)
-	if _, err = tmp.WriteAt(hdr[:], 0); err != nil {
-		return err
-	}
-	// Durability point for the contents: everything above is in the
-	// page cache until this fsync returns.
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = fsys.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	// Durability point for the name: the rename itself lives in the
-	// directory's blocks and survives power loss only once the
-	// directory is synced.
-	return fsys.SyncDir(dir)
+	_, err := tmp.WriteAt(hdr[:], 0)
+	return err
 }
 
 // --- decoding -----------------------------------------------------------
@@ -639,7 +613,7 @@ func (s *Snapshot) reverify() error {
 	if h, err := decodeHeader(s.mapped); err != nil || h != s.hdr {
 		return fmt.Errorf("%w: header changed since load", ErrCorrupt)
 	}
-	if crc32.Checksum(s.mapped[headerSize:headerSize+s.hdr.paylen], castagnoli) != s.hdr.crc {
+	if crc32.Checksum(s.mapped[headerSize:headerSize+s.hdr.paylen], fsio.Castagnoli) != s.hdr.crc {
 		return fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
 	return nil
@@ -656,7 +630,7 @@ func decode(data []byte, digest [32]byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: payload %d bytes, file holds %d", ErrTruncated, paylen, len(data)-headerSize)
 	}
 	payload := data[headerSize : headerSize+int(paylen)]
-	if crc := crc32.Checksum(payload, castagnoli); crc != hdr.crc {
+	if crc := crc32.Checksum(payload, fsio.Castagnoli); crc != hdr.crc {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
 	if hdr.digest != digest {

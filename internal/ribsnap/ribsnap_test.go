@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dropscope/internal/bgp"
+	"dropscope/internal/fsio"
 	"dropscope/internal/mrt"
 	"dropscope/internal/netx"
 	"dropscope/internal/rib"
@@ -342,7 +343,7 @@ func TestLineageRequired(t *testing.T) {
 				binary.LittleEndian.PutUint32(e, 100+uint32(i))
 			}
 		}
-		binary.LittleEndian.PutUint32(b[56:60], crc32.Checksum(payload, castagnoli))
+		binary.LittleEndian.PutUint32(b[56:60], crc32.Checksum(payload, fsio.Castagnoli))
 		if _, err := decode(b, digest); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("sections %v hidden: error %v, want ErrCorrupt", hide, err)
 		}

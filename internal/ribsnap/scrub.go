@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+
+	"dropscope/internal/fsio"
 )
 
 // Scrub is one incremental verification pass over a snapshot file.
@@ -84,7 +86,7 @@ func (sc *Scrub) Step(n int) (done bool, err error) {
 			return false, fmt.Errorf("%w: scrub: payload short at %d/%d bytes: %v",
 				ErrTruncated, sc.off+uint64(rn), sc.paylen, rerr)
 		}
-		sc.crc = crc32.Update(sc.crc, castagnoli, buf)
+		sc.crc = crc32.Update(sc.crc, fsio.Castagnoli, buf)
 		sc.off += uint64(n)
 	}
 	if sc.off < sc.paylen {

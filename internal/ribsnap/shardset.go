@@ -4,11 +4,10 @@
 // manifest (shards.manifest) recording the boundary table — the first
 // prefix and prefix count of every shard — keyed to the archive digest.
 // A monolith is K = 1, and its shard-0.ribsnap is byte for byte the
-// snapshot of the whole index. The shard files use the exact v1
-// snapshot format, so the durable-write discipline, load-time CRC and
-// digest checks, and the incremental scrubber apply per shard; the
-// manifest is written with the same temp+fsync+rename+syncdir
-// sequence.
+// snapshot of the whole index. The shard files use the exact snapshot
+// format, so the durable-write discipline, load-time CRC and digest
+// checks, and the incremental scrubber apply per shard; the manifest is
+// written durably through the same fsio.Replace.
 //
 // ShardSet is the residency manager over one such directory. A shard
 // is loaded on first touch (mmap, header, digest and CRC checks,
@@ -26,12 +25,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 
+	"dropscope/internal/fsio"
 	"dropscope/internal/netx"
 	"dropscope/internal/rib"
 	"dropscope/internal/timex"
@@ -45,7 +44,7 @@ const shardManifestName = "shards.manifest"
 // snapshot files themselves carry the ribsnap Version.
 const shardManifestVersion = 1
 
-var shardMagic = [8]byte{'D', 'S', 'S', 'H', 'M', 'A', 'N', 'I'}
+const shardMagic = "DSSHMANI"
 
 // GenDirName returns the generation directory name for a digest.
 func GenDirName(digest [32]byte) string {
@@ -73,13 +72,15 @@ type ShardManifest struct {
 	Shards []ShardInfo
 }
 
-// encodeShardManifest renders the manifest: magic, version, shard
-// count, digest, window, per-shard (addr, bits, nprefixes) records,
-// and a trailing CRC-32C over everything before it.
+// shardManifestBody is the body's fixed part: shard count, digest,
+// window. Each shard adds a 12-byte record.
+const shardManifestBody = 4 + 32 + 8
+
+// encodeShardManifest renders the manifest: the frame (fsio.Frame)
+// around the shard count, digest, window and per-shard (addr, bits,
+// nprefixes) records.
 func encodeShardManifest(m *ShardManifest) []byte {
-	buf := make([]byte, 0, 8+4+4+32+8+12*len(m.Shards)+4)
-	buf = append(buf, shardMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, shardManifestVersion)
+	buf := fsio.Frame(shardMagic, shardManifestVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Shards)))
 	buf = append(buf, m.Digest[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Window.First))
@@ -89,83 +90,55 @@ func encodeShardManifest(m *ShardManifest) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.Bound.Bits()))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.NumPrefixes))
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	return fsio.Seal(buf)
 }
 
-// ReadShardManifest decodes and verifies a shards.manifest file.
+// ReadShardManifest decodes and verifies a shards.manifest file: a file
+// shorter than an empty manifest is ErrTruncated, a bad frame or body
+// ErrCorrupt, an intact frame of another version ErrVersion.
 func ReadShardManifest(path string) (*ShardManifest, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(b) < 8+4+4+32+8+4 {
+	return decodeShardManifest(b)
+}
+
+func decodeShardManifest(b []byte) (*ShardManifest, error) {
+	if len(b) < len(shardMagic)+4+shardManifestBody+4 {
 		return nil, fmt.Errorf("%w: shard manifest %d bytes", ErrTruncated, len(b))
 	}
-	if string(b[0:8]) != string(shardMagic[:]) {
-		return nil, fmt.Errorf("%w: shard manifest bad magic", ErrCorrupt)
+	body, err := fsio.Open(b, shardMagic, shardManifestVersion)
+	if errors.Is(err, fsio.ErrVersion) {
+		return nil, fmt.Errorf("%w: shard manifest: %v", ErrVersion, err)
 	}
-	body, tail := b[:len(b)-4], b[len(b)-4:]
-	if crc32.Checksum(body, castagnoli) != le32(tail) {
-		return nil, fmt.Errorf("%w: shard manifest CRC mismatch", ErrCorrupt)
+	if err != nil {
+		return nil, fmt.Errorf("%w: shard manifest: %v", ErrCorrupt, err)
 	}
-	if v := le32(b[8:12]); v != shardManifestVersion {
-		return nil, fmt.Errorf("%w: shard manifest version %d, want %d", ErrVersion, v, shardManifestVersion)
-	}
-	k := int(le32(b[12:16]))
-	if want := 8 + 4 + 4 + 32 + 8 + 12*k + 4; len(b) != want {
-		return nil, fmt.Errorf("%w: shard manifest %d bytes, want %d for %d shards", ErrCorrupt, len(b), want, k)
+	k := int(le32(body))
+	if want := shardManifestBody + 12*k; len(body) != want {
+		return nil, fmt.Errorf("%w: shard manifest body %d bytes, want %d for %d shards", ErrCorrupt, len(body), want, k)
 	}
 	m := &ShardManifest{}
-	copy(m.Digest[:], b[16:48])
-	m.Window = timex.Range{First: timex.Day(le32(b[48:52])), Last: timex.Day(le32(b[52:56]))}
-	off := 56
+	copy(m.Digest[:], body[4:36])
+	m.Window = timex.Range{First: timex.Day(le32(body[36:40])), Last: timex.Day(le32(body[40:44]))}
 	m.Shards = make([]ShardInfo, k)
-	for i := range m.Shards {
-		addr := netx.Addr(le32(b[off : off+4]))
-		bits := int(le32(b[off+4 : off+8]))
-		if bits > 32 {
-			return nil, fmt.Errorf("%w: shard %d bound /%d", ErrCorrupt, i, bits)
+	for i, rec := 0, body[shardManifestBody:]; i < k; i, rec = i+1, rec[12:] {
+		addr, bits := netx.Addr(le32(rec[0:4])), le32(rec[4:8])
+		if bits > 32 || netx.PrefixFrom(addr, int(bits)).Addr() != addr {
+			return nil, fmt.Errorf("%w: shard %d bound %v/%d", ErrCorrupt, i, addr, bits)
 		}
 		m.Shards[i] = ShardInfo{
-			Bound:       netx.PrefixFrom(addr, bits),
-			NumPrefixes: int(le32(b[off+8 : off+12])),
+			Bound:       netx.PrefixFrom(addr, int(bits)),
+			NumPrefixes: int(le32(rec[8:12])),
 		}
-		off += 12
 	}
 	return m, nil
 }
 
-// writeShardManifestFS durably writes the manifest into dir with the
-// same temp → fsync → rename → fsync-dir sequence every snapshot write
-// uses.
-func writeShardManifestFS(fsys FS, dir string, m *ShardManifest) (err error) {
-	tmp, err := fsys.CreateTemp(dir, tempPattern)
-	if err != nil {
-		return fmt.Errorf("ribsnap: shard manifest temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			fsys.Remove(tmpName)
-		}
-	}()
-	if _, err = tmp.Write(encodeShardManifest(m)); err != nil {
-		return fmt.Errorf("ribsnap: shard manifest write: %w", err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("ribsnap: shard manifest sync: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("ribsnap: shard manifest close: %w", err)
-	}
-	if err = fsys.Rename(tmpName, filepath.Join(dir, shardManifestName)); err != nil {
-		return fmt.Errorf("ribsnap: shard manifest rename: %w", err)
-	}
-	if err = fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("ribsnap: shard manifest dir sync: %w", err)
-	}
-	return nil
+// writeShardManifestFS durably writes the manifest into dir.
+func writeShardManifestFS(fsys FS, dir string, m *ShardManifest) error {
+	return replaceWith(fsys, filepath.Join(dir, shardManifestName), true, encodeShardManifest(m))
 }
 
 // ShardSet manages the residency of one generation directory.
@@ -267,6 +240,11 @@ func (ss *ShardSet) NumShards() int { return len(ss.slots) }
 // ShardPath returns shard i's snapshot file path.
 func (ss *ShardSet) ShardPath(i int) string {
 	return filepath.Join(ss.dir, ShardFileName(i))
+}
+
+// ManifestPath returns the generation's shards.manifest path.
+func (ss *ShardSet) ManifestPath() string {
+	return filepath.Join(ss.dir, shardManifestName)
 }
 
 // Manifest returns the decoded boundary table.

@@ -3,14 +3,15 @@ package ribsnap
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"dropscope/internal/fsio"
 	"dropscope/internal/netx"
 	"dropscope/internal/rib"
 	"dropscope/internal/timex"
@@ -96,13 +97,15 @@ func TestShardManifestRoundTrip(t *testing.T) {
 		b[56+4] = 200
 		return reseal(b)
 	}, ErrCorrupt)
+	corrupt("bound host bits set", func(b []byte) []byte {
+		b[56] |= 1 // 10.0.0.0/16 becomes 10.0.0.1/16 (address little-endian)
+		return reseal(b)
+	}, ErrCorrupt)
 }
 
 // encodeTail re-appends a valid CRC over body.
 func encodeTail(body []byte) []byte {
-	sum := crc32.Checksum(body, castagnoli)
-	return append(append([]byte(nil), body...),
-		byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
+	return fsio.Seal(slices.Clone(body))
 }
 
 func TestWriteLoadShards(t *testing.T) {

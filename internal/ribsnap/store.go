@@ -25,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dropscope/internal/fsio"
 	"dropscope/internal/rib"
 	"dropscope/internal/timex"
 )
@@ -70,7 +71,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if _, err := sweepTempsFS(fsys, dir); err != nil {
+	if _, err := fsio.SweepTemps(fsys, dir); err != nil {
 		return nil, fmt.Errorf("ribsnap: store: sweeping temps: %w", err)
 	}
 	m, err := OpenManifestFS(fsys, dir)
@@ -233,7 +234,7 @@ func (st *Store) WriteShardsLineage(shards []*rib.Frozen, window timex.Range, di
 		man.Shards[i] = si
 	}
 	if err := writeShardManifestFS(st.fsys, dir, man); err != nil {
-		return err
+		return fmt.Errorf("ribsnap: shard manifest: %w", err)
 	}
 	if err := st.fsys.SyncDir(st.dir); err != nil {
 		return err
@@ -244,8 +245,11 @@ func (st *Store) WriteShardsLineage(shards []*rib.Frozen, window timex.Range, di
 }
 
 // The text journal (internal/archive) and the archive manifest
-// (internal/filesum) are files at the store root that a load reads
-// whole, nil when there is none, and replaces whole (see writeRoot).
+// (internal/filesum) are framed files at the store root that a load
+// reads whole, nil when there is none, and replaces whole, neither
+// synced nor in the manifest journal: a torn or lost file fails its own
+// checks, which costs the next load one parse or one hash of the
+// archive (DESIGN.md, "The text journal").
 const (
 	textJournalName     = "text.journal"
 	archiveManifestName = "archive.manifest"
@@ -256,6 +260,11 @@ func (st *Store) WriteTextJournal(b []byte) error     { return st.writeRoot(text
 func (st *Store) ReadArchiveManifest() []byte         { return st.readRoot(archiveManifestName) }
 func (st *Store) WriteArchiveManifest(b []byte) error { return st.writeRoot(archiveManifestName, b) }
 
+// RootFiles returns the paths of the framed files at the store root.
+func (st *Store) RootFiles() []string {
+	return []string{filepath.Join(st.dir, textJournalName), filepath.Join(st.dir, archiveManifestName)}
+}
+
 func (st *Store) readRoot(name string) []byte {
 	b, err := os.ReadFile(filepath.Join(st.dir, name))
 	if err != nil {
@@ -264,27 +273,16 @@ func (st *Store) readRoot(name string) []byte {
 	return b
 }
 
-// writeRoot replaces the file name at the store root through the
-// store's FS: a temp file (swept at open) renamed over the old one. It
-// is neither synced nor in the manifest journal: a torn or lost file
-// fails its own checks, which costs the next load one parse or one
-// hash of the archive (DESIGN.md, "The text journal").
 func (st *Store) writeRoot(name string, b []byte) error {
-	f, err := st.fsys.CreateTemp(st.dir, tempPattern)
-	if err != nil {
+	return replaceWith(st.fsys, filepath.Join(st.dir, name), false, b)
+}
+
+// replaceWith replaces the file at path with b (fsio.Replace).
+func replaceWith(fsys FS, path string, durable bool, b []byte) error {
+	return fsio.Replace(fsys, path, durable, func(f File) error {
+		_, err := f.Write(b)
 		return err
-	}
-	_, err = f.Write(b)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = st.fsys.Rename(f.Name(), filepath.Join(st.dir, name))
-	}
-	if err != nil {
-		st.fsys.Remove(f.Name())
-	}
-	return err
+	})
 }
 
 // LoadShards opens the generation for digest as a ShardSet, in the K it

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dropscope/internal/fsio"
 	"dropscope/internal/rib"
 	"dropscope/internal/timex"
 )
@@ -400,7 +401,7 @@ func TestSweepTemps(t *testing.T) {
 	if err := os.WriteFile(keep, []byte("snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	swept, err := sweepTempsFS(OS, dir)
+	swept, err := fsio.SweepTemps(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +416,7 @@ func TestSweepTemps(t *testing.T) {
 		t.Fatalf("sweep touched the wrong files: %v", entries)
 	}
 	// Missing directory is a clean no-op, not an error.
-	if _, err := sweepTempsFS(OS, filepath.Join(dir, "nope")); err != nil {
+	if _, err := fsio.SweepTemps(OS, filepath.Join(dir, "nope")); err != nil {
 		t.Fatalf("sweep of missing dir: %v", err)
 	}
 }

@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"time"
 
+	"dropscope/internal/fsio"
 	"dropscope/internal/ribsnap"
 )
 
@@ -27,6 +29,9 @@ import (
 // generation, and swaps it in. Degraded, never down: a quarantined
 // shard's range fails fast while the rest keeps answering, and a
 // monolith's one shard keeps answering from its pinned mapping.
+//
+// After each pass the scrubber checks the store's framed files too
+// (checkFramed).
 type Scrubber struct {
 	srv   *Server
 	cfg   ScrubConfig
@@ -118,6 +123,7 @@ func (s *Scrubber) Run(ctx context.Context) error {
 			cur, pass = nil, nil
 			t.Reset(s.cfg.interval)
 		case done:
+			s.checkFramed(cur)
 			s.stats.ScrubPasses.Add(1)
 			s.event(fmt.Sprintf("scrub: pass over generation %s complete (%d bytes)",
 				cur.DigestHex()[:12], pass.bytes))
@@ -180,7 +186,7 @@ func (s *Scrubber) stepShards(cur *Generation, sp *shardPass) (done, retired boo
 		}
 		sc, err := ribsnap.OpenScrub(sp.ss.ShardPath(i))
 		if err != nil {
-			s.shardCorrupt(cur, i, err)
+			s.corrupt(cur, i, err)
 			continue
 		}
 		sp.cur, sp.shard = sc, i
@@ -191,7 +197,7 @@ func (s *Scrubber) stepShards(cur *Generation, sp *shardPass) (done, retired boo
 	s.stats.ScrubBytes.Add(verified)
 	sp.bytes += verified
 	if err != nil {
-		s.shardCorrupt(cur, sp.shard, err)
+		s.corrupt(cur, sp.shard, err)
 		sp.close()
 		return sp.next >= sp.ss.NumShards(), false
 	}
@@ -202,18 +208,46 @@ func (s *Scrubber) stepShards(cur *Generation, sp *shardPass) (done, retired boo
 	return false, false
 }
 
-// shardCorrupt records a scrub finding against one shard: the shard is
-// quarantined in the set (queries on its range fail fast, the rest of
-// the generation keeps serving; a monolith's pinned shard keeps
-// answering), the generation is journaled corrupt so no future load
-// re-adopts it, and the reload supervisor is triggered to rebuild.
-func (s *Scrubber) shardCorrupt(cur *Generation, i int, err error) {
+// checkFramed runs the frame's trailer check (fsio.CheckFile) over the
+// generation's shards.manifest, a finding against the generation, and
+// the store root's framed files, which is only reported: the served
+// generation does not depend on them.
+func (s *Scrubber) checkFramed(cur *Generation) {
+	if err := fsio.CheckFile(cur.shards.ManifestPath()); err != nil {
+		s.corrupt(cur, -1, err)
+	}
+	if s.cfg.Store == nil {
+		return
+	}
+	for _, path := range s.cfg.Store.RootFiles() {
+		if err := fsio.CheckFile(path); err != nil {
+			s.stats.CorruptTotal.Add(1)
+			s.stats.SetScrubError(fmt.Sprintf("%s: %v", filepath.Base(path), err))
+			s.event(fmt.Sprintf("scrub: corruption in store file %s: %v", path, err))
+		}
+	}
+}
+
+// corrupt records a scrub finding against shard i of the generation,
+// or against its shards.manifest when i < 0, which quarantines nothing
+// (the boundary table is already in memory). A shard is quarantined in
+// the set (queries on its range fail fast, the rest keeps serving; a
+// monolith's pinned shard keeps answering); either way the generation
+// is journaled corrupt so no load re-adopts it, and the reload
+// supervisor is triggered to rebuild.
+func (s *Scrubber) corrupt(cur *Generation, i int, err error) {
+	what := "shards.manifest"
+	if i >= 0 {
+		what = fmt.Sprintf("shard %d", i)
+	}
 	s.stats.CorruptTotal.Add(1)
-	s.stats.SetScrubError(fmt.Sprintf("shard %d: %v", i, err))
+	s.stats.SetScrubError(fmt.Sprintf("%s: %v", what, err))
 	s.stats.Degraded.Store(true)
-	cur.shards.MarkBad(i)
-	s.event(fmt.Sprintf("scrub: corruption on generation %s shard %d: %v",
-		cur.DigestHex()[:12], i, err))
+	if i >= 0 {
+		cur.shards.MarkBad(i)
+	}
+	s.event(fmt.Sprintf("scrub: corruption on generation %s %s: %v",
+		cur.DigestHex()[:12], what, err))
 	if s.cfg.Store != nil {
 		if merr := s.cfg.Store.MarkCorrupt(cur.snap.Digest); merr != nil {
 			s.event(fmt.Sprintf("scrub: recording corruption: %v", merr))

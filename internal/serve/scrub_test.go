@@ -213,6 +213,106 @@ func TestScrubDetectsBitrotAndHeals(t *testing.T) {
 	}
 }
 
+// flipBit flips one bit in the middle of the file at path, which must
+// not be empty.
+func flipBit(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil || len(raw) == 0 {
+		t.Fatalf("%s: %d bytes, %v", path, len(raw), err)
+	}
+	raw[len(raw)/2] ^= 0x10
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scrubFramed runs a scrubber over the fixture until a clean pass, has
+// flip damage a framed store file, and returns once the scrubber counts
+// the finding, with the scrubber stopped.
+func scrubFramed(t *testing.T, srv *Server, store *ribsnap.Store, log *eventLog, flip func()) {
+	t.Helper()
+	stats := srv.Stats()
+	sc := NewScrubber(srv, ScrubConfig{
+		chunk:        1 << 20,
+		interval:     time.Millisecond,
+		passInterval: 2 * time.Millisecond,
+		Store:        store,
+		OnEvent:      log.add,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() { defer close(done); sc.Run(ctx) }()
+	waitFor(t, "a clean scrub pass", func() bool { return stats.ScrubPasses.Load() >= 1 })
+	if n := stats.CorruptTotal.Load(); n != 0 {
+		t.Fatalf("clean store scrubbed corrupt %d times", n)
+	}
+	flip()
+	waitFor(t, "the finding", func() bool { return stats.CorruptTotal.Load() >= 1 })
+	cancel()
+	<-done
+}
+
+// TestScrubReportsStoreFileRot: a bit flipped in the store root's
+// text.journal under a running scrubber is reported — counted, named
+// in scrub_error and in an event — but degrades nothing: the served
+// generation does not depend on the file, so it stays promoted, is not
+// journaled corrupt, and /healthz is not degraded.
+func TestScrubReportsStoreFileRot(t *testing.T) {
+	srv, store, digest, _, _ := scrubFixture(t)
+	log := &eventLog{}
+	path := filepath.Join(store.Dir(), "text.journal")
+	if got := store.Status(digest); got != ribsnap.GenPromoted {
+		t.Fatalf("fixture generation is %v, want promoted", got)
+	}
+	scrubFramed(t, srv, store, log, func() { flipBit(t, path) })
+
+	stats := srv.Stats()
+	if msg := stats.ScrubError(); !strings.Contains(msg, "text.journal") {
+		t.Fatalf("scrub_error %q does not name text.journal", msg)
+	}
+	if !log.contains("scrub: corruption in store file " + path) {
+		t.Fatalf("no event names the file: %v", log.msgs)
+	}
+	if got := store.Status(digest); got != ribsnap.GenPromoted {
+		t.Fatalf("after a store-file finding the generation is %v, want promoted", got)
+	}
+	if stats.Degraded.Load() {
+		t.Fatal("a store-file finding degraded the daemon")
+	}
+	body := get(t, srv, "/healthz").Body.String()
+	if !strings.Contains(body, `"degraded":false`) || !strings.Contains(body, "text.journal") {
+		t.Fatalf("/healthz = %s, want not degraded and the finding in scrub_error", body)
+	}
+	if srv.Generation().Shards().IsBad(0) {
+		t.Fatal("a store-file finding quarantined a shard")
+	}
+}
+
+// TestScrubReportsShardManifestRot: a bit flipped in the live
+// generation's shards.manifest is a finding against the generation —
+// journaled corrupt, degraded — that quarantines no shard.
+func TestScrubReportsShardManifestRot(t *testing.T) {
+	srv, store, digest, _, _ := scrubFixture(t)
+	log := &eventLog{}
+	scrubFramed(t, srv, store, log, func() { flipBit(t, srv.Generation().Shards().ManifestPath()) })
+
+	stats := srv.Stats()
+	if msg := stats.ScrubError(); !strings.Contains(msg, "shards.manifest") {
+		t.Fatalf("scrub_error %q does not name shards.manifest", msg)
+	}
+	if got := store.Status(digest); got != ribsnap.GenCorrupt {
+		t.Fatalf("after a shards.manifest finding the generation is %v, want corrupt", got)
+	}
+	if !stats.Degraded.Load() {
+		t.Fatal("a shards.manifest finding did not degrade the daemon")
+	}
+	if srv.Generation().Shards().IsBad(0) {
+		t.Fatal("a shards.manifest finding quarantined a shard")
+	}
+}
+
 // TestScrubSkipsColdGeneration: a generation built in memory has no
 // backing files; the scrubber must idle, not error.
 func TestScrubSkipsColdGeneration(t *testing.T) {

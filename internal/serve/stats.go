@@ -25,7 +25,7 @@ type Stats struct {
 
 	ScrubPasses  atomic.Uint64 // completed background verification passes
 	ScrubBytes   atomic.Uint64 // payload bytes re-verified by the scrubber
-	CorruptTotal atomic.Uint64 // corruption events detected on the live generation
+	CorruptTotal atomic.Uint64 // corruption findings: the live generation's files and the store's framed files
 
 	mu            sync.Mutex
 	lastReloadErr string

@@ -32,6 +32,7 @@ internal/netx FuzzSortedSet
 internal/ribsnap FuzzManifestScan
 internal/ribsnap FuzzSnapshotLoad
 internal/ribsnap FuzzDecodeLineage
+internal/ribsnap FuzzShardManifest
 internal/filesum FuzzArchiveManifest
 internal/archive FuzzTextJournal
 internal/archive FuzzDayDiff
